@@ -73,7 +73,6 @@ from .unioncode import (
     css_like_union,
     family_build,
     family_params,
-    format_graph,
     format_union_code,
     max_clique,
     parse_union_code,

@@ -273,7 +273,7 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
     work = m.copy()
     for j in range(r):
         if not work[j, j]:
-            i = next(i for i in range(r) if i != j and work[i, j])
+            i = next(i for i in range(j + 1, r) if work[i, j])
             work[j] ^= work[i]
             gates.append(("CNOT", j, i))
         for i in range(r):
@@ -335,25 +335,59 @@ def _packed_op(gate: tuple, w: int, fields: int):
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D array, as np.unique; sorts a in place."""
+    """Sorted distinct values of a 1-D array, as np.unique; sorts a in place.
+
+    numpy 2.x sends 1-D integer np.unique down a hash path many times
+    slower than sorting at synthesis frontier sizes.
+    """
     a.sort()
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
 
 
-def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
-             max_gates: int = 10) -> Circuit:
-    """Minimum-gate reversible circuit mapping input i to binary(i).
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a that occur in the sorted, nonempty array b."""
+    pos = np.minimum(np.searchsorted(b, a), b.size - 1)
+    return b[pos] == a
 
-    Meet-in-the-middle breadth-first search: backward levels of depth at
-    most three from the target tuple meet forward levels expanded as
-    packed arrays, giving the same exhaustive guarantee as plain
-    breadth-first search over gate sequences.  Each forward frontier is
-    deduplicated by an in-place sort plus an adjacent-distinct mask and
-    kept sorted, as _reconstruct_forward binary-searches the levels;
-    np.unique is avoided because numpy 2.x sends 1-D integer input down
-    a hash path many times slower than sorting at these frontier sizes.
+
+def _canonicaliser(w: int, K: int, hold: int):
+    """Sorts the packed fields hold..K-1 of each state; fields below hold stay.
+
+    Gates act on every field alike, so they commute with permutations of
+    the fields and searching the sorted representatives is exact.
+    """
+    if hold >= K - 1:
+        return lambda a: a
+    shifts = np.arange(K, dtype=np.uint64) * np.uint64(w)
+    mask = np.uint64((1 << w) - 1)
+
+    def canon(a):
+        f = (a[:, None] >> shifts) & mask
+        f[:, hold:].sort(axis=1)
+        return np.bitwise_or.reduce(f << shifts, axis=1)
+    return canon
+
+
+def _pack(vals: list[int], w: int) -> np.ndarray:
+    """One-element array holding vals[i] in bits w*i .. w*i + w - 1."""
+    return np.array([sum(v << (w * i) for i, v in enumerate(vals))],
+                    dtype=np.uint64)
+
+
+def _search(inputs: list[str], gate_set: tuple, max_gates: int,
+            any_order: bool) -> tuple[list[tuple], tuple]:
+    """Lex-min minimum-gate sequence sending the inputs to 0..K-1, and order.
+
+    The order lists the indices of the inputs sent to 0, 1, ...  With
+    any_order the search runs modulo permutations of the packed fields.
+    Bidirectional breadth-first search: each level is a sorted uint64
+    array of the packed states at exactly that distance from its side's
+    root, and the smaller frontier is expanded until the newest levels of
+    the two sides meet.  Forward levels are then pruned to states on some
+    shortest path, and a greedy walk from the start takes the smallest
+    gate that stays on one.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -367,52 +401,59 @@ def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
         raise BadParams("more inputs than w-bit strings")
     if K * w > 64:
         raise BadParams("packed search supports K*w <= 64")
-
-    def pack(vals):
-        acc = 0
-        for i, v in enumerate(vals):
-            acc |= v << (w * i)
-        return np.uint64(acc)
-
-    start = pack([int(s, 2) for s in inputs])
-    target = pack(list(range(K)))
-    gates = _bit_gates(w, tuple(gate_set))
+    vals = [int(s, 2) for s in inputs]
+    # any order: the all-zero input, if present, sorts into field 0 and stays
+    start = sorted(vals) if any_order else vals
+    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K)
+    gates = sorted(_bit_gates(w, tuple(gate_set)))
     ops = [_packed_op(g, w, K) for g in gates]
 
-    if start == target:
-        return Circuit(n=w, gates=())
+    def expand(level):  # canon per gate bounds its (size, K) temporaries
+        return _sorted_unique(np.concatenate([canon(op(level)) for op in ops]))
 
-    # backward levels: state -> (depth, gate path to target)
-    back_depth = min(3, max_gates)
-    back = {int(target): (0, ())}
-    frontier = [int(target)]
-    for depth in range(1, back_depth + 1):
-        nxt = []
-        for s in frontier:
-            sv = np.uint64(s)
-            for g, op in zip(gates, ops):
-                t = int(op(sv))
-                if t not in back:
-                    back[t] = (depth, (g,) + back[s][1])
-                    nxt.append(t)
-        frontier = nxt
+    fwd = [canon(_pack(start, w))]
+    back = [_pack(list(range(K)), w)]
+    while not (meet := np.intersect1d(fwd[-1], back[-1],
+                                      assume_unique=True)).size:
+        if len(fwd) + len(back) - 2 >= max_gates:
+            raise NotFound(max_gates)
+        side = fwd if fwd[-1].size <= back[-1].size else back
+        new = expand(side[-1])
+        for old in side[-2:]:  # neighbours lie at most one level closer
+            new = new[~_in_sorted(new, old)]
+        if not new.size:  # this side's component is exhausted
+            raise NotFound(max_gates)
+        side.append(new)
 
-    # forward levels as deduplicated packed arrays
-    levels = [np.array([start], dtype=np.uint64)]
-    for f in range(0, max_gates + 1):
-        hits = [s for s in levels[f].tolist() if s in back]
-        if hits:
-            best = min((f + back[s][0], s) for s in hits)
-            total, state = best
-            if total > max_gates:
-                break
-            fwd = _reconstruct_forward(state, f, levels, gates, ops)
-            return Circuit(n=w, gates=tuple(fwd + list(back[state][1])))
-        if f + back_depth >= max_gates:
-            break
-        chunks = [op(levels[f]) for op in ops]
-        levels.append(_sorted_unique(np.concatenate(chunks)))
-    raise NotFound(max_gates)
+    # on_path[j]: states j steps from the start on some shortest path
+    on_path = [meet]
+    for level in fwd[-2::-1]:
+        on_path.insert(0, np.intersect1d(level, expand(on_path[0]),
+                                         assume_unique=True))
+    path = []
+    cur = fwd[0]
+    # all gates are involutions: back[k] is "k steps from the target"
+    for level in on_path[1:] + back[-2::-1]:
+        imgs = canon(np.concatenate([op(cur) for op in ops]))
+        i = int(np.flatnonzero(_in_sorted(imgs, level))[0])
+        path.append(gates[i])
+        cur = imgs[i:i + 1]
+    end = np.array(vals, dtype=np.uint64)  # one input per word
+    for g in path:
+        end = _packed_op(g, w, 1)(end)
+    return path, tuple(np.argsort(end).tolist())
+
+
+def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
+             max_gates: int = 10) -> Circuit:
+    """Minimum-gate reversible circuit mapping input i to binary(i).
+
+    Runs the meet-in-the-middle search of synth_qc_any_order with the
+    identity canonicaliser.  Among minimum-gate circuits it returns the
+    lexicographically smallest gate sequence, gates compared as tuples.
+    """
+    gates, _ = _search(inputs, gate_set, max_gates, any_order=False)
+    return Circuit(n=len(inputs[0]), gates=tuple(gates))
 
 
 def synth_qc_any_order(inputs: list[str],
@@ -420,51 +461,17 @@ def synth_qc_any_order(inputs: list[str],
                        max_gates: int = 10) -> tuple[Circuit, tuple]:
     """Minimum-gate circuit over all input-to-index assignments.
 
-    Relaxes the fixed counting-order convention of synth_qc: every
-    bijection sending the inputs to 0..K-1 is tried (the all-zero input,
-    if present, stays at index 0), and the overall minimum-gate circuit
-    is returned together with the winning ordering, i.e. the permuted
-    input list such that input i maps to binary(i).
+    Any bijection of the inputs onto 0..K-1 is allowed, the all-zero
+    input, if present, staying at index 0.  Gates commute with
+    permutations of the packed fields, so one search runs modulo them:
+    the canonicaliser sorts all fields, or all but field 0 holding the
+    all-zero input.  Returns the lexicographically smallest minimum-gate
+    circuit over all admissible orderings, and the ordering, recovered
+    by running the circuit on the inputs: the permuted input list such
+    that input i maps to binary(i).  K is bounded only by K*w <= 64.
     """
-    import itertools
-    K = len(inputs)
-    if K > 8:
-        raise BadParams("assignment scan supports at most 8 inputs")
-    zero = "0" * len(inputs[0])
-    movable = [i for i, s in enumerate(inputs) if s != zero]
-    fixed = [i for i, s in enumerate(inputs) if s == zero]
-    best = None
-    for perm in itertools.permutations(movable):
-        order = tuple(fixed) + perm
-        try:
-            circ = synth_qc([inputs[i] for i in order], gate_set,
-                            max_gates if best is None else len(best[0]))
-        except NotFound:
-            continue
-        cand = (circ, order)
-        if best is None or (len(circ), circ.gates) < (len(best[0]),
-                                                      best[0].gates):
-            best = cand
-    if best is None:
-        raise NotFound(max_gates)
-    return best
-
-
-def _reconstruct_forward(state: int, f: int, levels, gates, ops) -> list:
-    path = []
-    cur = np.uint64(state)
-    for depth in range(f, 0, -1):
-        prev_level = levels[depth - 1]
-        for g, op in zip(gates, ops):
-            cand = op(cur)
-            pos = np.searchsorted(prev_level, cand)
-            if pos < prev_level.size and prev_level[pos] == cand:
-                path.append(g)
-                cur = cand
-                break
-        else:
-            raise AssertionError("forward path reconstruction failed")
-    return path[::-1]
+    gates, order = _search(inputs, gate_set, max_gates, any_order=True)
+    return Circuit(n=len(inputs[0]), gates=tuple(gates)), order
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,30 @@ def _parse_config(path: str) -> dict:
     return out
 
 
+def _apply_config(subparsers: list, cfg: dict) -> None:
+    """Makes config values the defaults of the subcommands taking them.
+
+    argparse converts string defaults through each option's type, and a
+    value typed on the command line, as --key=v or --key v, still wins.
+    """
+    known = set()
+    for sp in subparsers:
+        opts = {a.dest: a for a in sp._actions
+                if a.option_strings and a.dest != "help"}
+        for key in cfg.keys() & opts.keys():
+            val = cfg[key]
+            if opts[key].nargs == 0:  # a flag
+                val = {"true": True, "false": False}.get(val.lower())
+            if val is None or (opts[key].choices
+                               and val not in opts[key].choices):
+                raise UnionStabError(f"config {key}: bad value {cfg[key]!r}")
+            sp.set_defaults(**{key: val})
+            known.add(key)
+    if cfg.keys() - known:
+        raise UnionStabError(
+            f"unknown config keys: {', '.join(sorted(cfg.keys() - known))}")
+
+
 class Report:
     """Accumulates key/value lines; renders as text or csv."""
 
@@ -65,7 +89,7 @@ def _load_coset(path: str) -> classical.CosetCode:
     return classical.parse_coset_code(Path(path).read_text())
 
 
-def cmd_construct(args, cfg: dict, report: Report) -> int:
+def cmd_construct(args, report: Report) -> int:
     kind = args.kind
     params = args.params
     if kind == "rm":
@@ -124,7 +148,7 @@ def _union_report(code: unioncode.UnionStabilizerCode) -> str:
     return f"(({p.n}, {dim}, {p.d} [{prov}]))"
 
 
-def cmd_search(args, cfg: dict, report: Report) -> int:
+def cmd_search(args, report: Report) -> int:
     base = _load_stabilizer(args.stabilizer)
     graph = unioncode.build_search_graph(base, args.d, cap=args.cap)
     report.add("graph.vertices", graph.num_vertices)
@@ -141,7 +165,7 @@ def cmd_search(args, cfg: dict, report: Report) -> int:
     return 0
 
 
-def cmd_synth(args, cfg: dict, report: Report) -> int:
+def cmd_synth(args, report: Report) -> int:
     code = unioncode.parse_union_code(Path(args.code).read_text())
     q1 = circuits.synth_q1(code.base)
     labels = circuits.canonicalize_translations(code, q1)
@@ -169,7 +193,7 @@ def cmd_synth(args, cfg: dict, report: Report) -> int:
     return 0 if (kl.ok and enc.ok) else 1
 
 
-def cmd_verify(args, cfg: dict, report: Report) -> int:
+def cmd_verify(args, report: Report) -> int:
     text = Path(args.code).read_text()
     code = unioncode.parse_union_code(text)
     labels = {unioncode._translation_syndrome(code.base, t)
@@ -189,7 +213,8 @@ def cmd_verify(args, cfg: dict, report: Report) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; config values, if given, become option defaults."""
     p = argparse.ArgumentParser(
         prog="unionstab",
         description="Union stabilizer code constructions and verification")
@@ -202,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=10**7,
                         help="search node budget")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--format", choices=("text", "csv"), default="text")
     common.add_argument("--out", help="output file or prefix")
 
@@ -231,25 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--level", choices=("structural", "full"),
                    default="structural")
     v.set_defaults(func=cmd_verify)
+    _apply_config([c, s, y, v], config or {})
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _parse_config(args.config) if args.config else {}
-        for key, val in cfg.items():
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in (
-                    argv or sys.argv):
-                cur = getattr(args, key)
-                setattr(args, key,
-                        type(cur)(val) if cur is not None else val)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(_parse_config(args.config)).parse_args(argv)
         header = {"command": args.command, "cap": args.cap,
-                  "budget": args.budget, "seed": args.seed,
-                  "workers": args.workers}
+                  "budget": args.budget, "seed": args.seed}
         report = Report(args.format, header)
-        rc = args.func(args, cfg, report)
+        rc = args.func(args, report)
         sys.stdout.write(report.render())
         return rc
     except UnionStabError as e:

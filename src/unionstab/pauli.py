@@ -28,7 +28,6 @@ __all__ = [
     "gf4_convert",
     "gf4_to_pauli",
     "pauli_matrix",
-    "format_pauli_binary",
 ]
 
 _SYMBOLS = "IXZY"  # index = x + 2*z
@@ -103,12 +102,6 @@ def pauli_parse(s: str) -> PauliVector:
 def pauli_str(p: PauliVector) -> str:
     body = "".join(_SYMBOLS[int(a) + 2 * int(b)] for a, b in zip(p.x, p.z))
     return ("-" if p.sign < 0 else "") + body
-
-
-def format_pauli_binary(p: PauliVector) -> str:
-    xs = "".join(str(int(b)) for b in p.x)
-    zs = "".join(str(int(b)) for b in p.z)
-    return f"({xs}|{zs})"
 
 
 def symplectic_ip(p: PauliVector, q: PauliVector) -> int:

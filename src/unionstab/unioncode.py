@@ -55,7 +55,6 @@ __all__ = [
     "family_build",
     "format_union_code",
     "parse_union_code",
-    "format_graph",
 ]
 
 
@@ -91,10 +90,6 @@ class UnionStabilizerCode:
     @property
     def n(self) -> int:
         return self.base.n
-
-    @property
-    def num_translations(self) -> int:
-        return len(self.translations)
 
 
 def _translation_syndrome(base: StabilizerCode, t: PauliVector) -> bytes:
@@ -320,11 +315,11 @@ def build_search_graph(base: StabilizerCode, d: int,
                        base=base)
 
 
-def _greedy_coloring_bound(adj: np.ndarray, verts: list[int]) -> list[int]:
+def _greedy_coloring_bound(adj: list[set], verts: list[int]) -> list[int]:
     """Orders verts by greedy color classes; returns color numbers."""
     colors = {}
     for v in verts:
-        used = {colors[u] for u in verts if u in colors and adj[u][v]}
+        used = {colors[u] for u in colors.keys() & adj[v]}
         c = 1
         while c in used:
             c += 1
@@ -341,7 +336,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     returned clique is always re-verified edge by edge.
     """
     nv = g.num_vertices
-    adj = [set(np.flatnonzero(g.adj[v])) for v in range(nv)]
+    adj = [set(np.flatnonzero(g.adj[v]).tolist()) for v in range(nv)]
     identity = g.labels.index("0" * len(g.labels[0]))
     cand0 = sorted(adj[identity],
                    key=lambda v: (-len(adj[v]), g.labels[v]))
@@ -371,7 +366,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 best = list(clique)
             if not cand:
                 return
-            colors = _greedy_coloring_bound(g.adj, cand)
+            colors = _greedy_coloring_bound(adj, cand)
             order = sorted(range(len(cand)), key=lambda i: colors[i])
             while order:
                 i = order.pop()
@@ -488,11 +483,3 @@ def parse_union_code(text: str) -> UnionStabilizerCode:
     if len(ts) != count:
         raise BadParams("translation count mismatch")
     return union_code(base, ts)
-
-
-def format_graph(g: SearchGraph) -> str:
-    lines = [f"vertices {g.num_vertices} edges {g.num_edges} d {g.target_d}"]
-    for v in range(g.num_vertices):
-        nbrs = " ".join(g.labels[u] for u in np.flatnonzero(g.adj[v]))
-        lines.append(f"{g.labels[v]}: {nbrs}")
-    return "\n".join(lines) + "\n"

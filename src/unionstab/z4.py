@@ -423,12 +423,6 @@ class SymmetrizedWeightEnumerator:
             raise ValueError("enumerator has no nonzero-weight terms")
         return min(weights)
 
-    def lee_distribution(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (a, b), c in self.coeffs.items():
-            out[a + 2 * b] = out.get(a + 2 * b, 0) + c
-        return out
-
 
 def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
     """Exact symmetrized weight enumerator by full enumeration."""

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unionstab import circuits, pauli, stab, unioncode
+from unionstab import circuits, gf2, pauli, stab, unioncode
 from unionstab.errors import BadParams, NonCliffordGate, NotFound
 
-from conftest import CANONICAL_LABELS, FIVE_QUBIT_TRANSLATIONS
+from conftest import (
+    CANONICAL_LABELS,
+    FIVE_QUBIT_STABILIZER,
+    FIVE_QUBIT_TRANSLATIONS,
+)
 
 
 def _dense_conjugate(circ, p):
@@ -115,8 +122,27 @@ def test_align_labels(five_union):
     zrows = np.array([img.z for img in imgs], np.uint8)
     for img in imgs:
         assert img.sign == 1 and not img.x.any()
-    from unionstab import gf2
     assert gf2.rank(zrows) == 5
+
+
+def test_align_labels_recombined_generators():
+    # any generating set of the ((5, 6, 2)) stabilizer must align; a zero
+    # pivot must be fixed from below the diagonal, not from a cleared row
+    gens = [pauli.pauli_parse(s) for s in FIVE_QUBIT_STABILIZER]
+    ts = [pauli.pauli_parse(s) for s in FIVE_QUBIT_TRANSLATIONS]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(0, 2, (5, 5))
+        while gf2.rank(m.astype(np.uint8)) < 5:
+            m = rng.integers(0, 2, (5, 5))
+        new = [functools.reduce(pauli.pauli_mul,
+                                [g for g, b in zip(gens, row) if b])
+               for row in m]
+        code = unioncode.union_code(stab.stabilizer_from_generators(new), ts)
+        q1 = circuits.synth_q1(code.base)
+        aligned = circuits.align_labels(code, q1, CANONICAL_LABELS)
+        assert circuits.canonicalize_translations(code, aligned) == \
+            CANONICAL_LABELS, seed
 
 
 def test_synth_qc_small_oracles():
@@ -175,6 +201,70 @@ def test_synth_qc_any_order():
     assert len(circ) <= len(circuits.synth_qc(inputs, max_gates=4))
 
 
+def _lexmin_oracle(inputs, any_order):
+    """Plain BFS over K-tuples of ints from the goal set, then a greedy
+    walk from the inputs taking the smallest gate one step closer."""
+    K, w = len(inputs), len(inputs[0])
+    start = tuple(int(s, 2) for s in inputs)
+    gates = sorted([("X", q) for q in range(w)]
+                   + [("CNOT", c, t) for c, t in itertools.permutations(
+                       range(w), 2)]
+                   + [("CCX", a, b, t) for a, b in itertools.combinations(
+                       range(w), 2) for t in range(w) if t not in (a, b)])
+
+    def apply(g, state):  # controls g[1:-1], target g[-1]; qubit 0 = MSB
+        flip = 1 << (w - 1 - g[-1])
+        return tuple(v ^ flip if all(v >> (w - 1 - q) & 1 for q in g[1:-1])
+                     else v for v in state)
+
+    goals = [tuple(range(K))]
+    if any_order:
+        goals = [p for p in itertools.permutations(range(K))
+                 if 0 not in start or p[start.index(0)] == 0]
+    dist = dict.fromkeys(goals, 0)
+    frontier = goals
+    while start not in dist:
+        assert frontier, "inputs cannot reach the goal"
+        nxt = []
+        for s in frontier:
+            for t in (apply(g, s) for g in gates):
+                if t not in dist:
+                    dist[t] = dist[s] + 1
+                    nxt.append(t)
+        frontier = nxt
+    seq, state = [], start
+    while dist[state]:
+        g = next(g for g in gates
+                 if dist.get(apply(g, state)) == dist[state] - 1)
+        seq.append(g)
+        state = apply(g, state)
+    return tuple(seq), tuple(sorted(range(K), key=state.__getitem__))
+
+
+def test_synth_qc_matches_lexmin_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(36):
+        w = int(rng.integers(2, 4))
+        K = int(rng.integers(1, min(5, 1 << w) + 1))
+        inputs = [format(int(v), f"0{w}b")
+                  for v in rng.choice(1 << w, K, replace=False)]
+        seq, _ = _lexmin_oracle(inputs, any_order=False)
+        assert circuits.synth_qc(inputs).gates == seq, inputs
+        seq, order = _lexmin_oracle(inputs, any_order=True)
+        circ, got = circuits.synth_qc_any_order(inputs)
+        assert (circ.gates, got) == (seq, order), inputs
+        _truth_check(circ, [inputs[o] for o in order])
+
+
+def test_synth_qc_any_order_nine_inputs():
+    # more inputs than the removed 8-input cap of the old assignment scan
+    inputs = ["0000", "1011", "0110", "1111", "0011", "1000", "0101",
+              "1110", "0001"]
+    circ, order = circuits.synth_qc_any_order(inputs)
+    assert order[0] == 0 and sorted(order) == list(range(9))
+    _truth_check(circ, [inputs[o] for o in order])
+
+
 def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(7)
     cases = [rng.integers(0, 1000, size=5000, dtype=np.uint64),
@@ -198,13 +288,22 @@ def canonical_any_order():
 
 
 def test_synth_qc_any_order_canonical_pin(canonical_any_order):
-    # the minimum-gate circuit and tie-break for the ((5, 6, 2)) labels
+    # the lex-min 7-gate circuit over all orders for the ((5, 6, 2)) labels
     qc, order = canonical_any_order
-    assert qc.gates == (("CCX", 0, 1, 2), ("CNOT", 3, 1), ("CNOT", 2, 3),
-                        ("CNOT", 0, 4), ("CCX", 0, 4, 1), ("CNOT", 4, 0),
-                        ("CNOT", 2, 0))
+    assert qc.gates == (("CCX", 0, 1, 2), ("CNOT", 0, 4), ("CCX", 0, 4, 1),
+                        ("CCX", 1, 2, 0), ("CNOT", 3, 1), ("CNOT", 2, 3),
+                        ("CNOT", 4, 0))
     assert order == (0, 4, 1, 5, 2, 3)
     _truth_check(qc, [CANONICAL_LABELS[o] for o in order])
+
+
+def test_encoder_synthesis_demo(capsys):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    runpy.run_path(str(demos / "encoder_synthesis.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "Qc fixed order: 8 gates; best assignment: 7 gates" in out
+    assert "order (0, 4, 1, 5, 2, 3)" in out
+    assert "ok=True" in out
 
 
 def test_simulate_identities(rng):

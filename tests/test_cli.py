@@ -97,6 +97,35 @@ def test_config_file(tmp_path, capsys):
     assert "config.seed,9" in out
 
 
+def test_config_precedence(tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("cap = 7\n")
+    base = ["--config", str(cfg), "construct", "rm", "1", "3"]
+    # a value typed on the command line wins in either spelling
+    for typed in (["--cap=99"], ["--cap", "99"]):
+        rc, out = _run(capsys, base + typed)
+        assert rc == 0 and "config.cap: 99" in out, typed
+    rc, out = _run(capsys, base)
+    assert rc == 0 and "config.cap: 7" in out
+
+
+def test_config_booleans_and_bad_keys(tmp_path, capsys):
+    union_file = tmp_path / "five.union"
+    _write_five_union(union_file)
+    cfg = tmp_path / "opts.cfg"
+    for text, order in (("any_order = false", False),
+                        ("any-order = true", True)):
+        cfg.write_text(text + "\n")
+        rc, out = _run(capsys, ["--config", str(cfg), "synth",
+                                str(union_file)])
+        assert rc == 0 and ("qc.order" in out) == order, text
+    for text in ("any_order = maybe", "bogus = 1", "format = xml"):
+        cfg.write_text(text + "\n")
+        rc = cli.main(["--config", str(cfg), "synth", str(union_file)])
+        err = capsys.readouterr().err
+        assert rc == 2 and text.split()[0].replace("-", "_") in err, text
+
+
 def test_deterministic_rerun(tmp_path, capsys):
     stab_file = tmp_path / "graph.stab"
     gens = [pauli_parse(s) for s in

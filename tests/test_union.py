@@ -79,6 +79,28 @@ def test_max_clique_exact(graph_state_code):
     assert r3.size == 2 and r3.optimal
 
 
+def test_max_clique_search_pinned(graph_state_code):
+    # the branch-and-bound visits the same nodes and returns the same
+    # clique as the numpy-adjacency colouring bound it replaced
+    ring = unioncode.max_clique(
+        unioncode.build_search_graph(graph_state_code, 2))
+    assert ring.vertices == ["00000", "00011", "01111", "10101", "11000",
+                             "11110"]
+    assert ring.stats["nodes"] == 6
+    # a random 7-qubit graph state, edges drawn with probability 1/2
+    gens = ["XIZIZZI", "IXZIIZI", "ZZXZZZI", "IIZXIIZ", "ZIZIXII",
+            "ZZZIIXI", "IIIZIIX"]
+    code = stab.stabilizer_from_generators([pauli.pauli_parse(g)
+                                            for g in gens])
+    r = unioncode.max_clique(unioncode.build_search_graph(code, 2))
+    assert r.vertices == [
+        "0000000", "0000111", "0001011", "0010011", "0011000", "0011111",
+        "0100011", "0100101", "0100110", "0111011", "0111101", "0111110",
+        "1000001", "1000110", "1001010", "1010010", "1011001", "1011110",
+        "1100010", "1100100", "1100111", "1111010", "1111100", "1111111"]
+    assert r.stats["nodes"] == 6436 and r.optimal
+
+
 def test_max_clique_greedy_and_budget(graph_state_code):
     g = unioncode.build_search_graph(graph_state_code, 2)
     r = unioncode.max_clique(g, mode="greedy", seed=7)
