@@ -18,6 +18,7 @@ import numpy as np
 from . import gf2
 from .errors import (
     BadParams,
+    CapExceeded,
     CollisionAfterReduction,
     NonCliffordGate,
     NotFound,
@@ -377,7 +378,7 @@ def _pack(vals: list[int], w: int) -> np.ndarray:
 
 
 def _search(inputs: list[str], gate_set: tuple, max_gates: int,
-            any_order: bool) -> tuple[list[tuple], tuple]:
+            any_order: bool, cap: int) -> tuple[list[tuple], tuple]:
     """Lex-min minimum-gate sequence sending the inputs to 0..K-1, and order.
 
     The order lists the indices of the inputs sent to 0, 1, ...  With
@@ -387,7 +388,8 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     root, and the smaller frontier is expanded until the newest levels of
     the two sides meet.  Forward levels are then pruned to states on some
     shortest path, and a greedy walk from the start takes the smallest
-    gate that stays on one.
+    gate that stays on one.  Raises CapExceeded before an expansion would
+    hold more than cap states.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -409,6 +411,9 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     ops = [_packed_op(g, w, K) for g in gates]
 
     def expand(level):  # canon per gate bounds its (size, K) temporaries
+        if level.size * len(ops) > cap:
+            raise CapExceeded(f"expanding {level.size} states by "
+                              f"{len(ops)} gates exceeds cap {cap}")
         return _sorted_unique(np.concatenate([canon(op(level)) for op in ops]))
 
     fwd = [canon(_pack(start, w))]
@@ -445,20 +450,24 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
 
 
 def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
-             max_gates: int = 10) -> Circuit:
+             max_gates: int = 10, cap: int = gf2.DEFAULT_CAP) -> Circuit:
     """Minimum-gate reversible circuit mapping input i to binary(i).
 
     Runs the meet-in-the-middle search of synth_qc_any_order with the
     identity canonicaliser.  Among minimum-gate circuits it returns the
     lexicographically smallest gate sequence, gates compared as tuples.
+    Raises CapExceeded before a level expansion would hold more than cap
+    states.
     """
-    gates, _ = _search(inputs, gate_set, max_gates, any_order=False)
+    gates, _ = _search(inputs, gate_set, max_gates, any_order=False,
+                       cap=cap)
     return Circuit(n=len(inputs[0]), gates=tuple(gates))
 
 
 def synth_qc_any_order(inputs: list[str],
                        gate_set: tuple = ("X", "CNOT", "CCX"),
-                       max_gates: int = 10) -> tuple[Circuit, tuple]:
+                       max_gates: int = 10,
+                       cap: int = gf2.DEFAULT_CAP) -> tuple[Circuit, tuple]:
     """Minimum-gate circuit over all input-to-index assignments.
 
     Any bijection of the inputs onto 0..K-1 is allowed, the all-zero
@@ -468,9 +477,11 @@ def synth_qc_any_order(inputs: list[str],
     all-zero input.  Returns the lexicographically smallest minimum-gate
     circuit over all admissible orderings, and the ordering, recovered
     by running the circuit on the inputs: the permuted input list such
-    that input i maps to binary(i).  K is bounded only by K*w <= 64.
+    that input i maps to binary(i).  K is bounded only by K*w <= 64, and
+    memory by cap as in synth_qc.
     """
-    gates, order = _search(inputs, gate_set, max_gates, any_order=True)
+    gates, order = _search(inputs, gate_set, max_gates, any_order=True,
+                           cap=cap)
     return Circuit(n=len(inputs[0]), gates=tuple(gates)), order
 
 

@@ -254,43 +254,20 @@ def _make_coset_code(base: LinearCode, ts: list[np.ndarray], **kw) -> CosetCode:
 # ---------------------------------------------------------------------------
 # Power-sum constructions (Preparata / Goethals, length 2^m, m even)
 
-def _power_sum_member(fld: _GF2m, v: np.ndarray, kind: str) -> bool:
-    """Tests the defining power-sum conditions on a split word (X | Y).
-
-    The two halves are subsets X, Y of GF(2^(m-1)) (coordinate z sits at
-    index int(z) within its half).  Membership requires |X|, |Y| even,
-    s1(X) = s1(Y), s3(X) + s3(Y) = s1^3, and for the Goethals code also
-    s5(X) + s5(Y) = s1^5, where s_e is the e-th power sum of the subset.
-    """
-    q = fld.q
-    X = [z for z in range(q) if v[z]]
-    Y = [z for z in range(q) if v[q + z]]
-    if len(X) % 2 or len(Y) % 2:
-        return False
-    s1x = s1y = s3x = s3y = s5x = s5y = 0
-    for z in X:
-        s1x ^= z
-        s3x ^= fld.pw(z, 3)
-        s5x ^= fld.pw(z, 5)
-    for z in Y:
-        s1y ^= z
-        s3y ^= fld.pw(z, 3)
-        s5y ^= fld.pw(z, 5)
-    if s1x != s1y:
-        return False
-    if s3x ^ s3y != fld.pw(s1x, 3):
-        return False
-    if kind == "goethals" and s5x ^ s5y != fld.pw(s1x, 5):
-        return False
-    return True
-
-
 def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     """Scans RM(m-2,m)/RM(m-3,m) classes for power-sum members.
 
     Since the power-sum code is closed under addition of RM(m-3, m) and
     contained in RM(m-2, m), testing one representative per class finds
-    exactly the cosets making up the code.
+    exactly the cosets making up the code; the classes are spanned by the
+    C(m, 2) degree-(m-2) monomials.  A word splits into halves X, Y,
+    subsets of GF(2^(m-1)) (coordinate z sits at index int(z) within its
+    half).  Membership requires |X|, |Y| even, s1(X) = s1(Y),
+    s3(X) + s3(Y) = s1^3, and for the Goethals code also
+    s5(X) + s5(Y) = s1^5, where s_e is the e-th power sum of the subset.
+    Every one of |X| mod 2, |Y| mod 2 and the six power sums is
+    GF(2)-linear in the word, so each monomial's features are packed into
+    one word and all classes' features come from a single span.
     """
     if m % 2 or m < 4:
         raise BadParams("power-sum construction needs even m >= 4")
@@ -298,28 +275,35 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     if (1 << t) > (1 << 20):
         raise CapExceeded(f"class scan needs 2^{t} representatives")
     fld = _GF2m(m - 1)
+    q, b = fld.q, m - 1
     base = reed_muller(m - 3, m)
     pts = _rm_points(m)
-    top = []
-    for comb in itertools.combinations(range(m), m - 2):
-        row = np.ones(1 << m, dtype=np.uint8)
-        for var in comb:
-            row &= pts[:, var]
-        top.append(row)
-    top = np.array(top, dtype=np.uint8)
-    # positions (h, z): h = x_1 (MSB of the point index), z index = low bits
-    hits = []
-    v = np.zeros(1 << m, dtype=np.uint8)
-    prev = 0
-    for i in range(1 << t):
-        mask = i ^ (i >> 1)  # Gray-code order: one row flips per step
-        flip = mask ^ prev
-        if flip:
-            v ^= top[flip.bit_length() - 1]
-            prev = mask
-        if _power_sum_member(fld, v, kind):
-            hits.append(v.copy())
-    return base, np.array(hits, dtype=np.uint8)
+    top = np.array([pts[:, list(comb)].all(axis=1)
+                    for comb in itertools.combinations(range(m), m - 2)],
+                   dtype=np.uint8)
+    # per half, the features of coordinate z: [1 | z | z^3 | z^5] in bits
+    pw3 = np.array([fld.pw(a, 3) for a in range(q)])
+    pw5 = np.array([fld.pw(a, 5) for a in range(q)])
+    vals = np.stack([np.arange(q), pw3, pw5], axis=1)
+    bits = ((vals[:, :, None] >> np.arange(b)) & 1).reshape(q, 3 * b)
+    feat = np.hstack([np.ones((q, 1), np.int64), bits])
+    halves = [top[:, h * q:(h + 1) * q].astype(np.int64) @ feat % 2
+              for h in (0, 1)]
+    # bits 0 .. 3b of each class's word hold X's features, Y's sit above
+    x = gf2.span_words(np.hstack(halves)).view(np.int64)
+    y = x >> (1 + 3 * b)
+
+    def s(half, k):  # power sums s1, s3, s5 for k = 0, 1, 2
+        return (half >> (1 + k * b)) & (q - 1)
+
+    s1 = s(x, 0)
+    ok = (((x | y) & 1) == 0) & (s1 == s(y, 0))
+    ok &= (s(x, 1) ^ s(y, 1)) == pw3[s1]
+    if kind == "goethals":
+        ok &= (s(x, 2) ^ s(y, 2)) == pw5[s1]
+    idx = np.flatnonzero(ok)
+    msgs = (idx[:, None] >> np.arange(t)) & 1
+    return base, (msgs @ top.astype(np.int64) % 2).astype(np.uint8)
 
 
 def preparata_like(m: int, route: str = "direct") -> CosetCode:
@@ -536,10 +520,7 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
         if strategy in ("brute", "coset-brute"):
             return _linear_brute(c, cap)
         if strategy == "enumerator":
-            d, _ = distance_enumerator(
-                CosetCode(base=c, translations=np.zeros((1, c.n), np.uint8)),
-                cap)
-            return d
+            return min_distance(_as_coset(c), strategy, cap)
         raise StrategyInfeasible(f"unknown strategy {strategy!r}")
     if not isinstance(c, CosetCode):
         raise BadParams("min_distance wants a LinearCode or CosetCode")
@@ -566,67 +547,97 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
                 best = min(best, _coset_leader_weight(c.base, diff, cap))
         return best
     if strategy == "enumerator":
-        d, _ = distance_enumerator(c, cap)
-        return d
+        return _first_nonzero_weight(_pair_weights(c, cap))
     raise StrategyInfeasible(f"unknown strategy {strategy!r}")
+
+
+def _fwht(a: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of a length-2^r array, in place.
+
+    Afterwards a[u] = sum_s a_old[s] (-1)^popcount(u & s); one vectorised
+    butterfly pass per bit.
+    """
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h <<= 1
+
+
+def _pair_weights(c: CosetCode, cap: int) -> list[int]:
+    """Weight counts of the multiset of cosets t + t' + L over ordered pairs.
+
+    Entry w counts the words of weight w in t + t' + L, summed over all
+    ordered pairs of translations; the zero weight counts the K diagonal
+    pairs.  By MacWilliams, 2^r times this enumerator is
+    sum_u chi(u)^2 (1+z)^(n-w(u)) (1-z)^w(u) over the dual of L, where
+    r = n - k and chi(u) = sum_t (-1)^(u.t).  Writing u = a H for the
+    parity check H, u.t = a.(H t), so chi is the Walsh-Hadamard transform
+    of the histogram of translation syndromes.  chi^2 is summed by weight
+    in int64 and the polynomial expansion uses exact integers; the
+    division by 2^r is checked, which certifies the arithmetic.
+    """
+    base = c.base
+    h = base.parity_check
+    r = h.shape[0]
+    n = base.n
+    K = c.num_cosets
+    if (1 << r) > cap:
+        raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")
+    if (K * K) << r >= 1 << 63:
+        raise StrategyInfeasible(f"{K}^2 * 2^{r} overflows int64 sums")
+    syn = c.translations.astype(np.int64) @ h.T.astype(np.int64) % 2
+    chi = np.bincount(gf2.pack_rows(syn).astype(np.int64), minlength=1 << r)
+    _fwht(chi)
+    chi *= chi
+    # dual word weights, one packed span per block of 64 columns
+    weights = np.zeros(1 << r, dtype=np.intp)
+    for j in range(0, n, 64):
+        weights += np.bitwise_count(gf2.span_words(h[:, j:j + 64], cap))
+    acc = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(acc, weights, chi)
+    poly = [0] * (n + 1)
+    for w, a_w in enumerate(acc.tolist()):
+        if not a_w:
+            continue
+        p1 = [math.comb(n - w, i) for i in range(n - w + 1)]
+        p2 = [math.comb(w, i) * (-1) ** i for i in range(w + 1)]
+        for i, a in enumerate(p1):
+            for j, b in enumerate(p2):
+                poly[i + j] += a_w * a * b
+    if any(coeff % (1 << r) for coeff in poly):
+        raise ConstructionMismatch("enumerator transform is not integral")
+    return [coeff >> r for coeff in poly]
+
+
+def _first_nonzero_weight(counts: list[int]) -> int:
+    return next((i for i in range(1, len(counts)) if counts[i]), 0)
 
 
 def distance_enumerator(c: CosetCode, cap: int = gf2.DEFAULT_CAP):
     """Exact distance distribution of a coset code via its base's dual.
 
-    For the code as union of cosets t + L, the (scaled) distance
-    enumerator is sum_u chi(u)^2 (1+z)^(n-w(u)) (1-z)^w(u) over the dual
-    of L, where chi(u) = sum_t (-1)^(u.t).  Matrix products run in
-    float32 (exact below 2^24); the polynomial expansion uses exact
-    integer arithmetic.
+    The pair enumerator of _pair_weights is divided by the number of
+    cosets K.  That average is integral when the code is
+    distance-invariant, as every linear code is; otherwise
+    ConstructionMismatch is raised, and min_distance(c, "enumerator")
+    still gives the distance.
 
     Returns:
         (distance, dist) where dist[w] counts ordered codeword pairs at
         distance w divided by the code size.
     """
-    base = c.base
-    dual = base.parity_check.astype(np.float32)
-    r = dual.shape[0]
-    if (1 << r) > cap:
-        raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")
-    T = c.translations.astype(np.float32)
-    K = T.shape[0]
-    n = base.n
-    acc = np.zeros(n + 1, dtype=object)
-    chunk = 1 << min(16, r)
-    shifts = np.arange(r, dtype=np.int64)
-    for start in range(0, 1 << r, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        msgs = ((idx[:, None] >> shifts) & 1).astype(np.float32)
-        u = msgs @ dual
-        u -= 2 * np.floor(u / 2)
-        w = u.sum(axis=1).astype(np.int64)
-        par = T @ u.T
-        par -= 2 * np.floor(par / 2)
-        chi = (K - 2 * par.sum(axis=0)).astype(np.int64)
-        contrib = np.bincount(w, weights=(chi * chi).astype(np.float64),
-                              minlength=n + 1)
-        for i, v in enumerate(contrib):
-            acc[i] += int(round(v))
-    poly = [0] * (n + 1)
-    for w in range(n + 1):
-        if not acc[w]:
-            continue
-        p1 = [math.comb(n - w, i) for i in range(n - w + 1)]
-        p2 = [math.comb(w, i) * (-1) ** i for i in range(w + 1)]
-        for i, a in enumerate(p1):
-            if a:
-                for j, b in enumerate(p2):
-                    if b:
-                        poly[i + j] += acc[w] * a * b
-    denom = (1 << r) * K
-    dist = []
-    for coeff in poly:
-        if coeff % denom:
-            raise ConstructionMismatch("enumerator transform is not integral")
-        dist.append(coeff // denom)
-    d = next((i for i in range(1, n + 1) if dist[i]), 0)
-    return d, dist
+    pairs = _pair_weights(c, cap)
+    K = c.num_cosets
+    if any(p % K for p in pairs):
+        raise ConstructionMismatch(
+            "the average distance distribution is not integral: the code "
+            "is not distance-invariant")
+    dist = [p // K for p in pairs]
+    return _first_nonzero_weight(dist), dist
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,14 @@ def cmd_synth(args, report: Report) -> int:
     labels = circuits.canonicalize_translations(code, q1)
     report.add("labels", " ".join(labels))
     if args.any_order:
-        qc, order = circuits.synth_qc_any_order(labels,
-                                                max_gates=args.max_gates)
+        qc, order = circuits.synth_qc_any_order(
+            labels, max_gates=args.max_gates, cap=args.cap)
         code = unioncode.union_code(
             code.base, [code.translations[i] for i in order])
         report.add("qc.order", " ".join(map(str, order)))
     else:
-        qc = circuits.synth_qc(labels, max_gates=args.max_gates)
+        qc = circuits.synth_qc(labels, max_gates=args.max_gates,
+                               cap=args.cap)
     report.add("q1.gates", len(q1))
     report.add("qc.gates", len(qc))
     if args.out:

@@ -2,7 +2,9 @@
 
 Vectors are 1-D uint8 arrays with entries in {0, 1}; matrices are 2-D.
 Position 0 is the leftmost printed bit.  All public functions leave their
-inputs untouched and return fresh arrays.
+inputs untouched and return fresh arrays.  Vectors of length at most 64
+can also be packed into uint64 words (bit j = position j) and a whole row
+space spanned at once by span_words.
 """
 
 from __future__ import annotations
@@ -168,6 +170,38 @@ def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     gray = idx ^ (idx >> np.uint64(1))
     msgs = ((gray[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
     return (msgs.astype(np.int64) @ basis.astype(np.int64) % 2).astype(np.uint8)
+
+
+def pack_rows(m: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix with at most 64 columns as uint64 words.
+
+    Bit j of each word holds column j.
+    """
+    m = np.asarray(m, dtype=np.uint8) % 2
+    if m.ndim != 2 or m.shape[1] > 64:
+        raise ValueError("pack_rows expects a 2-D matrix of at most 64 columns")
+    padded = np.zeros((m.shape[0], 64), dtype=np.uint8)
+    padded[:, :m.shape[1]] = m
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").ravel()
+
+
+def span_words(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """All 2^k XOR combinations of the k rows of m, as packed uint64 words.
+
+    Rows are packed by pack_rows and need not be independent.  Entry a of
+    the result is the XOR of the rows i with bit i of a set, built by
+    doubling: out[2^i : 2^(i+1)] = out[:2^i] ^ row_i.  Raises CapExceeded
+    when 2^k > cap, before allocating anything of that size.
+    """
+    k = np.shape(m)[0]
+    if (1 << k) > cap:
+        raise CapExceeded(f"2^{k} words exceed cap {cap}")
+    rows = pack_rows(m)
+    out = np.empty(1 << k, dtype=np.uint64)
+    out[0] = 0
+    for i, row in enumerate(rows):
+        np.bitwise_xor(out[:1 << i], row, out=out[1 << i:2 << i])
+    return out
 
 
 def min_weight_nonzero(g: np.ndarray, cap: int = DEFAULT_CAP) -> int:

@@ -9,6 +9,9 @@ FIVE_QUBIT_STABILIZER = ["XXXXX", "XXZIZ", "XZIZX", "YIYZZ", "YZZYI"]
 FIVE_QUBIT_TRANSLATIONS = ["IIIII", "IIZZX", "IIIXX", "IIIZY", "IIZYY",
                            "IIZXZ"]
 CANONICAL_LABELS = ["00000", "01010", "11011", "01111", "11100", "10010"]
+# ten random 6-bit inputs needing 10 gates; uncapped, the search takes GBs
+SEED3_LABELS = [format(int(v), "06b") for v in
+                np.random.default_rng(3).choice(64, 10, replace=False)]
 
 
 @pytest.fixture(scope="session")

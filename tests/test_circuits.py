@@ -3,18 +3,25 @@ from __future__ import annotations
 import functools
 import itertools
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unionstab import circuits, gf2, pauli, stab, unioncode
-from unionstab.errors import BadParams, NonCliffordGate, NotFound
+from unionstab.errors import (
+    BadParams,
+    CapExceeded,
+    NonCliffordGate,
+    NotFound,
+)
 
 from conftest import (
     CANONICAL_LABELS,
     FIVE_QUBIT_STABILIZER,
     FIVE_QUBIT_TRANSLATIONS,
+    SEED3_LABELS,
 )
 
 
@@ -184,6 +191,19 @@ def test_synth_qc_matches_truth_table(rng):
         except NotFound:
             continue
         _truth_check(circ, inputs)
+
+
+def test_synth_qc_cap_bounds_allocation():
+    # uncapped, these six-gate searches peak near 5 MB and raise NotFound
+    for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="exceeds cap 10000"):
+                synth(SEED3_LABELS, max_gates=6, cap=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_synth_qc_not_found():

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from unionstab import classical, gf2
+from unionstab import classical, gf2, z4
 from unionstab.errors import (
     BadParams,
     ConstructionMismatch,
     DuplicateCoset,
     NotAUnionOfCosets,
     NotNested,
+    StrategyInfeasible,
 )
 
 
@@ -142,6 +146,7 @@ def test_distance_enumerator_matches_brute():
     assert d == 6
     assert classical.min_distance(nr, "coset-brute") == 6
     assert dist[0] == 1 and sum(dist) == nr.size
+    assert [a * nr.size for a in dist] == _brute_pair_weights(nr)
 
 
 def test_format_parse_round_trip():
@@ -151,3 +156,97 @@ def test_format_parse_round_trip():
     assert gf2.row_spaces_equal(again.base.generator, nr.base.generator)
     assert {t.tobytes() for t in again.translations} == \
         {t.tobytes() for t in nr.translations}
+
+
+def _brute_pair_weights(c) -> list[int]:
+    """Ordered codeword pairs of c at each distance, by enumeration."""
+    words = gf2.pack_rows(np.array(list(c.words()), dtype=np.uint8))
+    dist = np.bitwise_count(words[:, None] ^ words[None, :])
+    return np.bincount(dist.ravel(), minlength=c.n + 1).tolist()
+
+
+def _random_coset_code(seed: int, base, num: int):
+    """base plus num - 1 uniformly random translations (and zero)."""
+    ts = np.random.default_rng(seed).integers(0, 2, (num, base.n))
+    ts[0] = 0
+    return classical.CosetCode(base=base, translations=ts.astype(np.uint8))
+
+
+def _lee_distribution(swe) -> list[int]:
+    dist = [0] * (2 * swe.n4 + 1)
+    for (ones, twos), count in swe.coeffs.items():
+        dist[ones + 2 * twos] += count
+    return dist
+
+
+def test_distance_enumerator_matches_brute_weights():
+    """A linear code's distance distribution is its weight distribution."""
+    for r in range(4):
+        rm = classical.reed_muller(r, 4)
+        _, dist = classical.distance_enumerator(classical._as_coset(rm))
+        weights = np.bitwise_count(gf2.pack_rows(rm.words()))
+        assert dist == np.bincount(weights, minlength=17).tolist()
+
+
+def test_pair_enumerator_matches_brute_on_random_coset_codes():
+    g = np.random.default_rng(7).integers(0, 2, (4, 20)).astype(np.uint8)
+    rm14, g20 = classical.reed_muller(1, 4), classical.linear_code(g)
+    cases = [(rm14, 3), (rm14, 6), (g20, 4), (g20, 7),
+             (classical.reed_muller(2, 4), 2)]
+    for seed, (base, num) in enumerate(cases):
+        c = _random_coset_code(seed, base, num)
+        pairs = classical._pair_weights(c, gf2.DEFAULT_CAP)
+        assert [p << base.k for p in pairs] == _brute_pair_weights(c)
+        assert classical.min_distance(c, "enumerator") == \
+            classical.min_distance(c, "brute")
+
+
+def test_enumerator_on_codes_longer_than_64():
+    """RM(6,7) is the even-weight code of length 128."""
+    _, dist = classical.distance_enumerator(
+        classical._as_coset(classical.reed_muller(6, 7)))
+    assert dist == [math.comb(128, w) if w % 2 == 0 else 0
+                    for w in range(129)]
+    assert classical.min_distance(classical.reed_muller(5, 7),
+                                  "enumerator") == 4
+
+
+def test_min_distance_enumerator_not_distance_invariant():
+    base = classical.reed_muller(1, 4)
+    words = classical.reed_muller(2, 4).words()
+    pick = np.random.default_rng(0).choice(len(words), 2, replace=False)
+    c = classical.CosetCode(
+        base=base,
+        translations=np.vstack([np.zeros((1, 16), np.uint8), words[pick]]))
+    assert classical.min_distance(c, "brute") == 4
+    assert classical.min_distance(c, "enumerator") == 4
+    with pytest.raises(ConstructionMismatch, match="not distance-invariant"):
+        classical.distance_enumerator(c)
+
+
+def test_m6_distributions_match_lee_route():
+    """Binary Walsh-Hadamard enumerators against Z4 Lee/MacWilliams."""
+    ctx = z4.gr4_build(5)
+    gd = z4.z4_dual(z4.goethals_z4(ctx))
+    goethals_lee = _lee_distribution(
+        z4.swe_macwilliams(z4.lee_swe(gd), gd.size, gd.n4))
+    kerdock = z4.kerdock_z4(ctx)
+    preparata_lee = _lee_distribution(
+        z4.swe_macwilliams(z4.lee_swe(kerdock), kerdock.size, kerdock.n4))
+    _, goethals = classical.distance_enumerator(classical.goethals_binary(6))
+    _, preparata = classical.distance_enumerator(classical.preparata_like(6))
+    assert goethals == goethals_lee
+    assert preparata == preparata_lee
+
+
+def test_distance_enumerator_cap_fires_before_allocation():
+    c = classical._as_coset(classical.reed_muller(3, 6))  # dual dim 22
+    c.base.parity_check
+    tracemalloc.start()
+    try:
+        with pytest.raises(StrategyInfeasible):
+            classical.distance_enumerator(c, cap=(1 << 22) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -7,7 +7,11 @@ from unionstab.circuits import parse_circuit
 from unionstab.pauli import pauli_parse
 from unionstab.stab import format_stabilizer, stabilizer_from_generators
 
-from conftest import FIVE_QUBIT_STABILIZER, FIVE_QUBIT_TRANSLATIONS
+from conftest import (
+    FIVE_QUBIT_STABILIZER,
+    FIVE_QUBIT_TRANSLATIONS,
+    SEED3_LABELS,
+)
 
 
 def _run(capsys, argv):
@@ -124,6 +128,21 @@ def test_config_booleans_and_bad_keys(tmp_path, capsys):
         rc = cli.main(["--config", str(cfg), "synth", str(union_file)])
         err = capsys.readouterr().err
         assert rc == 2 and text.split()[0].replace("-", "_") in err, text
+
+
+def test_synth_cap(tmp_path, capsys):
+    """--cap bounds the synthesis search; the zero label joins as index 0."""
+    gens = [pauli_parse("I" * i + "Z" + "I" * (5 - i)) for i in range(6)]
+    ts = [pauli_parse(s.replace("0", "I").replace("1", "X"))
+          for s in SEED3_LABELS[:9]]
+    union_file = tmp_path / "seed3.union"
+    union_file.write_text(unioncode.format_union_code(
+        unioncode.union_code(stabilizer_from_generators(gens), ts)))
+    for extra in ([], ["--any-order"]):
+        rc = cli.main(["synth", str(union_file), "--cap", "10000",
+                       "--max-gates", "6"] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2 and "exceeds cap 10000" in err, extra
 
 
 def test_deterministic_rerun(tmp_path, capsys):

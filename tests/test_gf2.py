@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,42 @@ def test_format_parse_round_trip():
     m = gf2.as_matrix(["10110", "01011"])
     again = gf2.parse_matrix(gf2.format_matrix(m))
     assert np.array_equal(m, again)
+
+
+def test_pack_rows_bit_order():
+    m = gf2.as_matrix(["1000", "0101", "0011"])
+    assert gf2.pack_rows(m).tolist() == [1, 10, 12]
+    wide = np.zeros((1, 64), np.uint8)
+    wide[0, 63] = 1
+    assert gf2.pack_rows(wide).tolist() == [1 << 63]
+    with pytest.raises(ValueError):
+        gf2.pack_rows(np.zeros((1, 65), np.uint8))
+
+
+def test_span_words_matches_xor_combinations():
+    rng = np.random.default_rng(4)
+    m = rng.integers(0, 2, (6, 40)).astype(np.uint8)
+    m[5] = m[0] ^ m[2]  # dependent rows are spanned as given
+    span = gf2.span_words(m)
+    assert span.shape == (64,)
+    for a in range(64):
+        combo = np.zeros(40, np.uint8)
+        for i in range(6):
+            if a >> i & 1:
+                combo ^= m[i]
+        assert span[a] == gf2.pack_rows(combo[None])[0]
+    g = gf2.as_matrix(["1100", "0011", "1010"])
+    assert set(gf2.span_words(g).tolist()) == \
+        set(gf2.pack_rows(gf2.word_matrix(g)).tolist())
+
+
+def test_span_words_cap_fires_before_allocation():
+    m = np.eye(40, 64, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            gf2.span_words(m, cap=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
