@@ -492,7 +492,10 @@ def rebase(c: CosetCode, new_base: LinearCode) -> CosetCode:
 def _linear_brute(c: LinearCode, cap: int) -> int:
     if (1 << c.k) > cap:
         raise StrategyInfeasible(f"2^{c.k} words exceed cap {cap}")
-    return gf2.min_weight_nonzero(c.generator, cap)
+    w = gf2.span_weights(c.generator, cap)
+    if not w.any():
+        raise ValueError("code has no nonzero words")
+    return int(w[w > 0].min())
 
 
 def _coset_leader_weight(base: LinearCode, v: np.ndarray, cap: int) -> int:
@@ -593,10 +596,7 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     chi = np.bincount(gf2.pack_rows(syn).astype(np.int64), minlength=1 << r)
     _fwht(chi)
     chi *= chi
-    # dual word weights, one packed span per block of 64 columns
-    weights = np.zeros(1 << r, dtype=np.intp)
-    for j in range(0, n, 64):
-        weights += np.bitwise_count(gf2.span_words(h[:, j:j + 64], cap))
+    weights = gf2.span_weights(h, cap)  # dual word weights
     acc = np.zeros(n + 1, dtype=np.int64)
     np.add.at(acc, weights, chi)
     poly = [0] * (n + 1)

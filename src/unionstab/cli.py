@@ -195,23 +195,24 @@ def cmd_synth(args, report: Report) -> int:
 
 
 def cmd_verify(args, report: Report) -> int:
-    text = Path(args.code).read_text()
-    code = unioncode.parse_union_code(text)
-    labels = {unioncode._translation_syndrome(code.base, t)
-              for t in code.translations}
-    distinct = len(labels) == len(code.translations)
-    report.add("cosets.distinct", distinct)
+    code = unioncode.parse_union_code(Path(args.code).read_text())
+    # parse_union_code raises DuplicateCoset (exit 2) on a repeated coset
+    report.add("cosets.distinct", True)
     report.add("dimension", f"2^{code.params.log2_dim:g}")
-    ok = distinct
-    if args.level == "full":
-        bound = unioncode.union_distance_bound(code, cap=args.cap)
-        report.add("distance.bound", bound.d)
-        report.add("purity", bound.purity)
-        exact = unioncode.true_distance(code, cap=args.cap)
-        report.add("distance.exact", exact)
-        if code.params.d is not None:
-            ok = ok and exact >= code.params.d
-    return 0 if ok else 1
+    claimed = code.params.d
+    if claimed is not None:
+        report.add("distance.claimed", claimed)
+    if args.level != "full":
+        return 0
+    bound = unioncode.union_distance_bound(code, cap=args.cap)
+    report.add("distance.bound", bound.d)
+    report.add("purity", bound.purity)
+    exact = unioncode.true_distance(code, cap=args.cap)
+    report.add("distance.exact", exact)
+    if claimed is not None and exact < claimed:
+        sys.stderr.write(f"distance.exact {exact} < claimed {claimed}\n")
+        return 1
+    return 0
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ space spanned at once by span_words.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -140,24 +140,6 @@ def _independent_rows(m: np.ndarray) -> np.ndarray:
     return red[:rk]
 
 
-def enumerate_words(g: np.ndarray, cap: int = DEFAULT_CAP) -> Iterator[np.ndarray]:
-    """Yield all 2^rank codewords of the row space of g exactly once.
-
-    Messages run in reflected Gray-code order, so consecutive words differ
-    by a single basis row.  Raises CapExceeded when 2^rank > cap.
-    """
-    basis = _independent_rows(np.asarray(g, dtype=np.uint8))
-    k = basis.shape[0]
-    if 2**k > cap:
-        raise CapExceeded(f"2^{k} words exceed cap {cap}")
-    word = np.zeros(g.shape[1], dtype=np.uint8)
-    yield word.copy()
-    for i in range(1, 2**k):
-        bit = (i & -i).bit_length() - 1  # flipped Gray-code position
-        word ^= basis[bit]
-        yield word.copy()
-
-
 def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All codewords as a (2^rank x n) matrix, in Gray-code message order."""
     basis = _independent_rows(np.asarray(g, dtype=np.uint8))
@@ -204,14 +186,20 @@ def span_words(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     return out
 
 
-def min_weight_nonzero(g: np.ndarray, cap: int = DEFAULT_CAP) -> int:
-    """Minimum Hamming weight over the nonzero codewords of the row space."""
-    words = word_matrix(g, cap)
-    w = words.sum(axis=1)
-    nz = w[w > 0]
-    if nz.size == 0:
-        raise ValueError("code has no nonzero words")
-    return int(nz.min())
+def span_weights(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Hamming weight of every XOR combination of the rows of m.
+
+    Entry a is the weight of span_words entry a; any column count works,
+    one packed span per block of 64 columns.
+    """
+    m = np.asarray(m, dtype=np.uint8)
+    k = m.shape[0]
+    if (1 << k) > cap:
+        raise CapExceeded(f"2^{k} words exceed cap {cap}")
+    weights = np.zeros(1 << k, dtype=np.intp)
+    for j in range(0, m.shape[1], 64):
+        weights += np.bitwise_count(span_words(m[:, j:j + 64], cap))
+    return weights
 
 
 # --- text format: first line "rows cols", then one 0/1 string per row ---

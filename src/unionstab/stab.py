@@ -312,11 +312,40 @@ def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
         a = default_fixed_point_free(kk)
     d_rows = _coset_rep_rows(c_prime.generator, c.generator)
     ad = (np.asarray(a, np.uint8) @ d_rows) % 2
-    msgs = gf2.word_matrix(np.eye(kk, dtype=np.uint8), cap)[1:]  # skip zero
-    w1 = (msgs @ d_rows % 2).sum(axis=1)
-    w2 = (msgs @ ad % 2).sum(axis=1)
-    w3 = (msgs @ ((d_rows ^ ad)) % 2).sum(axis=1)
-    return int(np.minimum(np.minimum(w1, w2), w3).min())
+    # entry v of each span is the weight of v D, v AD or v (D + AD)
+    w = [gf2.span_weights(m, cap)[1:] for m in (d_rows, ad, d_rows ^ ad)]
+    return int(np.minimum(np.minimum(w[0], w[1]), w[2]).min())
+
+
+def _normalizer_span(code: StabilizerCode, cap: int) -> np.ndarray:
+    """All 2^(n+k) normalizer words as packed (x|z) uint64 words.
+
+    Bit j holds x_j and bit n + j holds z_j, so n is at most 32.
+    """
+    n = code.n
+    if (1 << (n + code.k)) > cap:
+        raise StrategyInfeasible(
+            f"normalizer enumeration 2^{n + code.k} exceeds cap {cap}")
+    return gf2.span_words(code.normalizer_binary(), cap)
+
+
+def _xz_weights(words: np.ndarray, n: int) -> np.ndarray:
+    """Pauli weights of packed (x|z) words: popcount of x | z."""
+    return np.bitwise_count((words | words >> n) & ((1 << n) - 1))
+
+
+def _commutation_bits(words: np.ndarray, rows: np.ndarray,
+                      n: int) -> np.ndarray:
+    """Bit g of entry i: symplectic product of words[i] with rows[g].
+
+    words are packed (x|z); rows is a 0/1 (x|z) matrix of at most 64
+    rows.  An entry is 0 exactly when the word commutes with every row.
+    """
+    swapped = gf2.pack_rows(np.concatenate([rows[:, n:], rows[:, :n]], axis=1))
+    out = np.zeros(words.shape, dtype=np.uint64)
+    for g, row in enumerate(swapped):
+        out |= (np.bitwise_count(words & row) & 1).astype(np.uint64) << g
+    return out
 
 
 def purity_and_distance(code: StabilizerCode,
@@ -324,18 +353,14 @@ def purity_and_distance(code: StabilizerCode,
     """Brute-force purity d* and distance d over the normalizer code.
 
     d* is the minimum nonzero weight of the normalizer code; d is the
-    minimum weight outside the stabilizer's own row space.
+    minimum weight outside the stabilizer, which is the set of normalizer
+    words commuting with the whole normalizer.
     """
     n = code.n
-    if (1 << (n + code.k)) > cap:
-        raise StrategyInfeasible(f"2^{n + code.k} normalizer words exceed cap")
     norm = code.normalizer_binary()
-    words = gf2.word_matrix(norm, cap)
-    weights = (words[:, :n] | words[:, n:]).sum(axis=1)
-    sb = code.stab_binary()
-    h = gf2.kernel_basis(sb)
-    syn = (words @ h.T) % 2
-    outside = syn.any(axis=1)
+    words = _normalizer_span(code, cap)
+    weights = _xz_weights(words, n)
+    outside = _commutation_bits(words, norm, n) != 0
     nonzero = weights > 0
     d_star = int(weights[nonzero].min()) if nonzero.any() else None
     d = int(weights[outside].min()) if outside.any() else d_star

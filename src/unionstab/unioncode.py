@@ -36,6 +36,9 @@ from .stab import (
     CodeParams,
     StabilizerCode,
     css,
+    _commutation_bits,
+    _normalizer_span,
+    _xz_weights,
     format_stabilizer,
     parse_stabilizer,
     purity_and_distance,
@@ -133,11 +136,27 @@ def union_code(base: StabilizerCode, ts: list[PauliVector],
     return UnionStabilizerCode(base=base, translations=ordered, params=params)
 
 
-def _normalizer_words(base: StabilizerCode, cap: int) -> np.ndarray:
-    if (1 << (base.n + base.k)) > cap:
-        raise StrategyInfeasible(
-            f"normalizer enumeration 2^{base.n + base.k} exceeds cap {cap}")
-    return gf2.word_matrix(base.normalizer_binary(), cap)
+def _xz_rows(n: int, ps) -> np.ndarray:
+    """Pauli vectors as the rows (x|z) of a 0/1 matrix."""
+    rows = [np.concatenate([p.x, p.z]) for p in ps]
+    return np.array(rows, dtype=np.uint8).reshape(-1, 2 * n)
+
+
+def _difference_classes(code: UnionStabilizerCode) -> np.ndarray:
+    """Packed t_i + t_j over i < j, one per distinct stabilizer syndrome.
+
+    The coset N + t_i + t_j of the normalizer N depends only on the
+    syndrome of t_i + t_j, so these representatives reach every coset
+    of the pairwise differences exactly once.
+    """
+    t = gf2.pack_rows(_xz_rows(code.n, code.translations))
+    syn = _commutation_bits(t, code.base.stab_binary(), code.n).tolist()
+    t = t.tolist()
+    reps = {}
+    for a, (sa, ta) in enumerate(zip(syn, t)):
+        for sb, tb in zip(syn[a + 1:], t[a + 1:]):
+            reps.setdefault(sa ^ sb, ta ^ tb)
+    return np.array(list(reps.values()), dtype=np.uint64)
 
 
 def coset_distance(code: UnionStabilizerCode, i: int, j: int,
@@ -145,33 +164,26 @@ def coset_distance(code: UnionStabilizerCode, i: int, j: int,
     """Minimum Pauli weight in the normalizer coset of t_i - t_j."""
     if i == j:
         return 0
-    ti, tj = code.translations[i], code.translations[j]
-    diff = np.concatenate([ti.x ^ tj.x, ti.z ^ tj.z])
-    words = _normalizer_words(code.base, cap) ^ diff
-    n = code.n
-    return int((words[:, :n] | words[:, n:]).sum(axis=1).min())
+    ti, tj = gf2.pack_rows(_xz_rows(code.n, [code.translations[i],
+                                             code.translations[j]]))
+    words = _normalizer_span(code.base, cap)
+    return int(_xz_weights(words ^ (ti ^ tj), code.n).min())
 
 
 def union_distance_bound(code: UnionStabilizerCode,
                          cap: int = gf2.DEFAULT_CAP) -> CodeParams:
     """Distance bound: min of pairwise coset distances and base purity."""
-    base_params = purity_and_distance(code.base, cap)
-    K = len(code.translations)
-    words = _normalizer_words(code.base, cap)
     n = code.n
-    best = base_params.purity
-    for i in range(K):
-        for j in range(i + 1, K):
-            ti, tj = code.translations[i], code.translations[j]
-            diff = np.concatenate([ti.x ^ tj.x, ti.z ^ tj.z])
-            shifted = words ^ diff
-            w = int((shifted[:, :n] | shifted[:, n:]).sum(axis=1).min())
-            best = min(best, w)
-    impure = base_params.purity < best
+    words = _normalizer_span(code.base, cap)
+    weights = _xz_weights(words, n)
+    purity = int(weights[weights > 0].min())
+    best = purity
+    for rep in _difference_classes(code):
+        best = min(best, int(_xz_weights(words ^ rep, n).min()))
     return CodeParams(
-        n=n, log2_dim=code.params.log2_dim, d=best, purity=base_params.purity,
+        n=n, log2_dim=code.params.log2_dim, d=best, purity=purity,
         provenance={"d": "coset-enumeration-bound",
-                    "impure": impure})
+                    "impure": purity < best})
 
 
 def true_distance(code: UnionStabilizerCode,
@@ -179,34 +191,28 @@ def true_distance(code: UnionStabilizerCode,
     """Exact distance: min weight over (C* - C*) minus the closure dual.
 
     C* is the union normalizer code; its difference set is thinned by the
-    symplectic dual of the additive closure of C*.
+    symplectic dual of the additive closure of C*.  C* - C* is the union
+    of N + t_i + t_j over all pairs, i = j giving N itself, so one
+    normalizer span is shifted by one representative per difference
+    class.  A word lies in the closure dual when it commutes with every
+    closure generator; the commutation bits are linear, so those of a
+    shifted word are the span's XOR the representative's.
     """
     n = code.n
     if (1 << (2 * n)) > cap:
         raise StrategyInfeasible(f"4^{n} enumeration exceeds cap {cap}")
-    words = _normalizer_words(code.base, cap)
-    stacked = []
-    for t in code.translations:
-        stacked.append(words ^ np.concatenate([t.x, t.z]))
-    cstar = np.concatenate(stacked, axis=0)
-    # additive closure and its symplectic dual
-    closure_gens = np.concatenate(
-        [code.base.normalizer_binary(),
-         np.array([np.concatenate([t.x, t.z]) for t in code.translations],
-                  dtype=np.uint8).reshape(-1, 2 * n)], axis=0)
-    closure, _, rank = gf2.rref(closure_gens)
+    words = _normalizer_span(code.base, cap)
+    gens = np.concatenate([code.base.normalizer_binary(),
+                           _xz_rows(n, code.translations)])
+    closure, _, rank = gf2.rref(gens)
     closure = closure[:rank]
-    swapped = np.concatenate([closure[:, n:], closure[:, :n]], axis=1)
+    reps = np.concatenate([np.zeros(1, np.uint64), _difference_classes(code)])
+    word_bits = _commutation_bits(words, closure, n)
     best = None
-    seen = set()
-    for i in range(cstar.shape[0]):
-        diffs = cstar ^ cstar[i]
-        syn = (diffs @ swapped.T) % 2
-        outside = syn.any(axis=1)
-        w = (diffs[:, :n] | diffs[:, n:]).sum(axis=1)
-        cand = w[outside]
-        if cand.size:
-            m = int(cand.min())
+    for rep, rep_bits in zip(reps, _commutation_bits(reps, closure, n)):
+        outside = word_bits != rep_bits
+        if outside.any():
+            m = int(_xz_weights(words[outside] ^ rep, n).min())
             best = m if best is None else min(best, m)
     if best is None:
         raise StrategyInfeasible("difference set lies inside the closure dual")
@@ -270,13 +276,24 @@ class CliqueResult:
     stats: dict
 
 
+# Paulis per chunk of the leader scan, as a power of two: bounds its
+# temporaries to a few MB whatever n is
+LEADER_CHUNK_BITS = 14
+
+
 def build_search_graph(base: StabilizerCode, d: int,
                        cap: int = gf2.DEFAULT_CAP) -> SearchGraph:
     """Builds the coset search graph via a full coset-leader table.
 
     Every Pauli vector is scanned once; the minimum weight per stabilizer
     syndrome gives all pairwise coset distances, since the distance of
-    cosets u, v equals the leader weight at syndrome u + v.
+    cosets u, v equals the leader weight at syndrome u + v.  Pauli index
+    a is the packed (x|z) word a, whose syndrome is entry a of the span
+    of the swapped stabilizer's columns (row 0 the most significant
+    label bit).  Chunks of 2^LEADER_CHUNK_BITS indices share the span of
+    the low columns, XORed with one entry of the high columns' span.  The
+    leader of a syndrome is the least (weight, index), kept as the
+    minimum key weight << 2n | index.
     """
     n, k = base.n, base.k
     if (1 << (2 * n)) > cap:
@@ -287,44 +304,45 @@ def build_search_graph(base: StabilizerCode, d: int,
             f"base is pure only up to {params.purity}, need {d}")
     r = n - k
     sb = base.stab_binary()
-    swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
-    total = 1 << (2 * n)
-    leaders = np.full(1 << r, 2 * n + 1, dtype=np.int64)
-    reps = np.zeros((1 << r, 2 * n), dtype=np.uint8)
-    shifts = np.arange(2 * n, dtype=np.int64)
-    powers = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
-    chunk = 1 << min(18, 2 * n)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
-        syn = (bits @ swapped.T % 2).astype(np.int64) @ powers
-        w = (bits[:, :n] | bits[:, n:]).sum(axis=1)
-        order = np.lexsort((idx, w))
-        for pos in order:
-            s = syn[pos]
-            if w[pos] < leaders[s]:
-                leaders[s] = w[pos]
-                reps[s] = bits[pos]
+    cols = np.concatenate([sb[:, n:], sb[:, :n]], axis=1).T[:, ::-1]
+    c = min(LEADER_CHUNK_BITS, 2 * n)
+    low = gf2.span_words(cols[:c], cap)
+    idx = np.arange(1 << c, dtype=np.uint64)
+    keys = np.full(1 << r, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for h, high in enumerate(gf2.span_words(cols[c:], cap)):
+        pauli = idx | (h << c)
+        key = _xz_weights(pauli, n).astype(np.uint64) << (2 * n) | pauli
+        np.minimum.at(keys, low ^ high, key)
+    leaders = keys >> (2 * n)
+    reps = ((keys[:, None] >> np.arange(2 * n, dtype=np.uint64)) & 1
+            ).astype(np.uint8)
     labels = [format(s, f"0{r}b") for s in range(1 << r)]
-    adj = np.zeros((1 << r, 1 << r), dtype=bool)
-    for u in range(1 << r):
-        for v in range(u + 1, 1 << r):
-            if leaders[u ^ v] >= d:
-                adj[u, v] = adj[v, u] = True
+    v = np.arange(1 << r, dtype=np.min_scalar_type((1 << r) - 1))
+    adj = (leaders >= d)[v[:, None] ^ v]
+    np.fill_diagonal(adj, False)
     return SearchGraph(labels=labels, reps=reps, adj=adj, target_d=d,
                        base=base)
 
 
-def _greedy_coloring_bound(adj: list[set], verts: list[int]) -> list[int]:
-    """Orders verts by greedy color classes; returns color numbers."""
-    colors = {}
+def _greedy_coloring_bound(adjbits: list[int], verts: list[int]) -> list[int]:
+    """Smallest free colour of each vertex, coloured in the order given.
+
+    Colour classes are bitsets of vertices; a vertex joins the first
+    class holding none of its neighbours.
+    """
+    classes: list[int] = []
+    colors = []
     for v in verts:
-        used = {colors[u] for u in colors.keys() & adj[v]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return [colors[v] for v in verts]
+        nb = adjbits[v]
+        for c, cls in enumerate(classes):
+            if not cls & nb:
+                classes[c] = cls | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
+        colors.append(c + 1)
+    return colors
 
 
 def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
@@ -337,6 +355,8 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     """
     nv = g.num_vertices
     adj = [set(np.flatnonzero(g.adj[v]).tolist()) for v in range(nv)]
+    adjbits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                              "little") for row in g.adj]
     identity = g.labels.index("0" * len(g.labels[0]))
     cand0 = sorted(adj[identity],
                    key=lambda v: (-len(adj[v]), g.labels[v]))
@@ -366,7 +386,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 best = list(clique)
             if not cand:
                 return
-            colors = _greedy_coloring_bound(adj, cand)
+            colors = _greedy_coloring_bound(adjbits, cand)
             order = sorted(range(len(cand)), key=lambda i: colors[i])
             while order:
                 i = order.pop()
@@ -463,8 +483,10 @@ def family_build(kind: str, m: int) -> UnionStabilizerCode:
 # File formats
 
 def format_union_code(code: UnionStabilizerCode) -> str:
+    """Base code, then 'T <K> <d>' (d only when known) and K translations."""
     lines = [format_stabilizer(code.base).rstrip("\n")]
-    lines.append(f"T {len(code.translations)}")
+    d = "" if code.params.d is None else f" {code.params.d}"
+    lines.append(f"T {len(code.translations)}{d}")
     for t in code.translations:
         lines.append(pauli_str(t))
     return "\n".join(lines) + "\n"
@@ -478,8 +500,12 @@ def parse_union_code(text: str) -> UnionStabilizerCode:
     if t_at is None:
         raise BadParams("missing 'T' translations header")
     base = parse_stabilizer("\n".join(lines[:t_at]))
-    count = int(lines[t_at].split()[1])
+    header = lines[t_at].split()
+    if len(header) not in (2, 3):
+        raise BadParams("translations header must be 'T <K> [<d>]'")
+    count = int(header[1])
+    d = int(header[2]) if len(header) == 3 else None
     ts = [pauli_parse(ln) for ln in lines[t_at + 1: t_at + 1 + count]]
     if len(ts) != count:
         raise BadParams("translation count mismatch")
-    return union_code(base, ts)
+    return union_code(base, ts, d=d)

@@ -63,6 +63,39 @@ def test_search_and_verify(tmp_path, capsys):
     assert "distance.exact: 2" in out
 
 
+def test_verify_fails_on_overclaimed_distance(tmp_path, capsys):
+    union_file = tmp_path / "five.union"
+    _write_five_union(union_file)
+    text = union_file.read_text()
+    assert "T 6\n" in text  # no claimed distance: two fields
+    union_file.write_text(text.replace("T 6\n", "T 6 3\n"))
+    rc = cli.main(["verify", str(union_file), "--level", "full"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "distance.exact 2 < claimed 3" in captured.err
+    assert "distance.claimed: 3" in captured.out
+    union_file.write_text(text.replace("T 6\n", "T 6 2\n"))
+    rc, out = _run(capsys, ["verify", str(union_file), "--level", "full"])
+    assert rc == 0 and "distance.exact: 2" in out
+    union_file.write_text(text.replace("T 6\n", "T 6 2 9\n"))
+    assert cli.main(["verify", str(union_file)]) == 2
+
+
+def test_search_writes_claimed_distance(tmp_path, capsys):
+    stab_file = tmp_path / "graph.stab"
+    gens = [pauli_parse(s) for s in
+            ["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"]]
+    stab_file.write_text(format_stabilizer(stabilizer_from_generators(gens)))
+    union_file = tmp_path / "found.union"
+    rc, _ = _run(capsys, ["search", str(stab_file), "--d", "3",
+                          "--out", str(union_file)])
+    assert rc == 0 and "T 2 3\n" in union_file.read_text()
+    assert unioncode.parse_union_code(union_file.read_text()).params.d == 3
+    rc, out = _run(capsys, ["verify", str(union_file), "--level", "full"])
+    assert rc == 0
+    assert "distance.claimed: 3" in out and "distance.exact: 3" in out
+
+
 def test_synth_any_order(tmp_path, capsys):
     union_file = tmp_path / "five.union"
     _write_five_union(union_file)

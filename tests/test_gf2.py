@@ -40,10 +40,9 @@ def test_solve_consistent_and_inconsistent():
 
 def test_word_matrix_matches_enumeration():
     g = gf2.as_matrix(["1100", "0011", "1010"])
-    words = gf2.word_matrix(g)
-    listed = {w.tobytes() for w in gf2.enumerate_words(g)}
-    assert words.shape[0] == 1 << gf2.rank(g)
-    assert {w.tobytes() for w in words} == listed
+    packed = gf2.pack_rows(gf2.word_matrix(g)).tolist()
+    assert len(set(packed)) == len(packed) == 1 << gf2.rank(g)
+    assert set(packed) == set(gf2.span_words(g).tolist())
 
 
 def test_word_matrix_cap():
@@ -54,7 +53,23 @@ def test_word_matrix_cap():
 
 def test_min_weight_nonzero():
     g = gf2.as_matrix(["1110000", "0011100", "0000111"])
-    assert gf2.min_weight_nonzero(g) == 3
+    weights = gf2.span_weights(g)
+    assert weights.tolist() == np.bitwise_count(gf2.span_words(g)).tolist()
+    assert weights[1:].min() == 3
+
+
+def test_span_weights_wide_rows():
+    rng = np.random.default_rng(5)
+    m = rng.integers(0, 2, (5, 150)).astype(np.uint8)
+    weights = gf2.span_weights(m)
+    for a in range(32):
+        combo = np.zeros(150, np.uint8)
+        for i in range(5):
+            if a >> i & 1:
+                combo ^= m[i]
+        assert weights[a] == combo.sum()
+    with pytest.raises(CapExceeded):
+        gf2.span_weights(m, cap=16)
 
 
 def test_row_spaces_equal_under_row_ops():

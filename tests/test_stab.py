@@ -48,6 +48,14 @@ def test_perfect_code_distance():
     assert (params.n, params.log2_dim, params.d) == (5, 1, 3)
 
 
+def test_impure_code_distance():
+    # Shor's [[9, 1, 3]] code: weight-2 stabilizers, distance 3
+    code = _code(["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+                  "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"])
+    params = stab.purity_and_distance(code)
+    assert (params.purity, params.d) == (2, 3)
+
+
 def test_zero_k_graph_code(graph_state_code):
     params = stab.purity_and_distance(graph_state_code)
     assert (graph_state_code.k, params.d) == (0, 3)

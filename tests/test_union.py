@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from unionstab import classical, pauli, stab, unioncode
-from unionstab.errors import BadParams, DuplicateCoset, NotPureEnough
+from unionstab import circuits, classical, pauli, stab, unioncode
+from unionstab.errors import (
+    BadParams,
+    DuplicateCoset,
+    NotPureEnough,
+    StrategyInfeasible,
+)
 
 from conftest import FIVE_QUBIT_TRANSLATIONS
 
@@ -174,3 +181,242 @@ def test_format_parse_round_trip(five_union):
         [str(t) for t in five_union.translations]
     assert [str(s) for s in again.base.stab] == \
         [str(s) for s in five_union.base.stab]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the dense row loop, Python leader scan and set colouring that the
+# packed-word kernels replaced, kept here as independent references
+
+def _dense_span(m):
+    """All XOR combinations of the rows of m, one 0/1 row per message."""
+    k = m.shape[0]
+    msgs = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return (msgs @ m % 2).astype(np.uint8)
+
+
+def _oracle_true_distance(code):
+    n = code.n
+    words = _dense_span(code.base.normalizer_binary())
+    cstar = np.concatenate([words ^ np.concatenate([t.x, t.z])
+                            for t in code.translations], axis=0)
+    gens = np.concatenate(
+        [code.base.normalizer_binary(),
+         np.array([np.concatenate([t.x, t.z]) for t in code.translations],
+                  dtype=np.uint8)], axis=0)
+    closure, _, rank = classical.gf2.rref(gens)
+    swapped = np.concatenate([closure[:rank, n:], closure[:rank, :n]], axis=1)
+    best = None
+    for i in range(cstar.shape[0]):
+        diffs = cstar ^ cstar[i]
+        outside = ((diffs @ swapped.T) % 2).any(axis=1)
+        w = (diffs[:, :n] | diffs[:, n:]).sum(axis=1)[outside]
+        if w.size:
+            best = int(w.min()) if best is None else min(best, int(w.min()))
+    if best is None:
+        raise StrategyInfeasible("difference set lies inside the closure dual")
+    return best
+
+
+def _oracle_distance_bound(code):
+    n = code.n
+    words = _dense_span(code.base.normalizer_binary())
+    weights = (words[:, :n] | words[:, n:]).sum(axis=1)
+    best = int(weights[weights > 0].min())
+    ts = code.translations
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            diff = np.concatenate([ts[i].x ^ ts[j].x, ts[i].z ^ ts[j].z])
+            shifted = words ^ diff
+            best = min(best, int((shifted[:, :n] | shifted[:, n:])
+                                 .sum(axis=1).min()))
+    return best
+
+
+def _oracle_leader_scan(base, d):
+    """Labels, representatives and adjacency of the search graph."""
+    n, r = base.n, base.n - base.k
+    sb = base.stab_binary()
+    swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
+    idx = np.arange(1 << (2 * n), dtype=np.int64)
+    bits = ((idx[:, None] >> np.arange(2 * n)) & 1).astype(np.uint8)
+    syn = (bits @ swapped.T % 2).astype(np.int64) @ (1 << np.arange(r)[::-1])
+    w = (bits[:, :n] | bits[:, n:]).sum(axis=1)
+    leaders = np.full(1 << r, 2 * n + 1, dtype=np.int64)
+    reps = np.zeros((1 << r, 2 * n), dtype=np.uint8)
+    for pos in np.lexsort((idx, w)):
+        if w[pos] < leaders[syn[pos]]:
+            leaders[syn[pos]] = w[pos]
+            reps[syn[pos]] = bits[pos]
+    adj = np.zeros((1 << r, 1 << r), dtype=bool)
+    for u in range(1 << r):
+        for v in range(u + 1, 1 << r):
+            adj[u, v] = adj[v, u] = leaders[u ^ v] >= d
+    return [format(s, f"0{r}b") for s in range(1 << r)], reps, adj
+
+
+def _oracle_coloring(adj_sets, verts):
+    colors = {}
+    for v in verts:
+        used = {colors[u] for u in colors.keys() & adj_sets[v]}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return [colors[v] for v in verts]
+
+
+def _graph_state(n, seed):
+    """Random graph state, edges with probability 1/2."""
+    a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+    a = a | a.T
+    return stab.stabilizer_from_generators([pauli.pauli_parse(
+        "".join("X" if u == v else ("Z" if a[v, u] else "I")
+                for u in range(n))) for v in range(n)])
+
+
+def _ring(n):
+    return stab.stabilizer_from_generators([pauli.pauli_parse(
+        "".join("X" if u == v else ("Z" if (u - v) % n in (1, n - 1) else "I")
+                for u in range(n))) for v in range(n)])
+
+
+def _true_distance_or_error(fn, code):
+    try:
+        return fn(code)
+    except StrategyInfeasible as e:
+        return str(e)
+
+
+def test_distances_match_oracles(five_union, full_space_union):
+    for code in (five_union, full_space_union):
+        assert unioncode.true_distance(code) == _oracle_true_distance(code)
+        assert unioncode.union_distance_bound(code).d == \
+            _oracle_distance_bound(code)
+
+
+def test_random_unions_match_oracles(graph_state_code):
+    """Random translation sets, so that pair distances vary, over bases
+    with k = 0 and k = 1 (the perfect code, Steane's and Shor's)."""
+    bases = [graph_state_code, _graph_state(6, 1)] + [
+        stab.stabilizer_from_generators([pauli.pauli_parse(g) for g in gens])
+        for gens in (["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
+                     ["XIIIXXX", "IXIXIXX", "IIXXXIX", "ZIIIZZZ",
+                      "IZIZIZZ", "IIZZZIZ"],
+                     ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+                      "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"])]
+    rng = np.random.default_rng(9)
+    for trial in range(15):
+        base = bases[trial % len(bases)]
+        ts = {}
+        for _ in range(int(rng.integers(0, 4 if base.n < 9 else 2))):
+            t = pauli.pauli_from_parts(*rng.integers(0, 2, (2, base.n)))
+            ts.setdefault(unioncode._translation_syndrome(base, t), t)
+        code = unioncode.union_code(base, list(ts.values()))
+        n, words = code.n, _dense_span(base.normalizer_binary())
+        # one representative per syndrome of t_i + t_j, i < j
+        want = [unioncode._translation_syndrome(base, pauli.pauli_from_parts(
+            ti.x ^ tj.x, ti.z ^ tj.z)) for i, ti in enumerate(
+                code.translations) for tj in code.translations[i + 1:]]
+        got = [unioncode._translation_syndrome(base, pauli.pauli_from_parts(
+            *((int(rep) >> np.arange(2 * n) & 1).reshape(2, n))))
+            for rep in unioncode._difference_classes(code)]
+        assert sorted(got) == sorted(set(want))
+        for i in range(len(code.translations)):
+            for j in range(i + 1, len(code.translations)):
+                ti, tj = code.translations[i], code.translations[j]
+                shifted = words ^ np.concatenate([ti.x ^ tj.x, ti.z ^ tj.z])
+                assert unioncode.coset_distance(code, i, j) == \
+                    (shifted[:, :n] | shifted[:, n:]).sum(axis=1).min()
+        assert unioncode.union_distance_bound(code).d == \
+            _oracle_distance_bound(code)
+        assert _true_distance_or_error(unioncode.true_distance, code) == \
+            _true_distance_or_error(_oracle_true_distance, code)
+
+
+# (n, d, seed) of random graph states pure to distance d; the 7-qubit d = 2
+# one is the pinned graph of test_max_clique_search_pinned
+ORACLE_GRAPH_STATES = [(6, 2, s) for s in range(1, 6)] + \
+    [(7, 3, 2), (7, 3, 5), (7, 2, 1)] + \
+    [(8, 3, s) for s in (0, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("case", ["ring-0", "ring-2", "ring-3"] + [
+    f"graph{n}-{d}-{s}" for n, d, s in ORACLE_GRAPH_STATES])
+def test_search_path_matches_oracles(case, graph_state_code, monkeypatch):
+    if case.startswith("ring"):
+        base, d = graph_state_code, int(case[-1])
+    else:
+        n, d, seed = (int(x) for x in case[5:].split("-"))
+        base = _graph_state(n, seed)
+    g = unioncode.build_search_graph(base, d)
+    labels, reps, adj = _oracle_leader_scan(base, d)
+    assert g.labels == labels
+    assert np.array_equal(g.reps, reps)
+    assert np.array_equal(g.adj, adj)
+    new = unioncode.max_clique(g)
+    adj_sets = [set(np.flatnonzero(row).tolist()) for row in g.adj]
+    monkeypatch.setattr(unioncode, "_greedy_coloring_bound",
+                        lambda _bits, verts: _oracle_coloring(adj_sets, verts))
+    old = unioncode.max_clique(g)
+    monkeypatch.undo()
+    assert (new.vertices, new.stats, new.optimal) == \
+        (old.vertices, old.stats, old.optimal)
+    code = unioncode.union_from_clique(g, new)
+    assert unioncode.union_distance_bound(code).d == \
+        _oracle_distance_bound(code)
+    assert _true_distance_or_error(unioncode.true_distance, code) == \
+        _true_distance_or_error(_oracle_true_distance, code)
+
+
+def test_coloring_matches_set_oracle():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        nv = int(rng.integers(1, 40))
+        a = np.triu(rng.random((nv, nv)) < rng.random(), 1)
+        a = a | a.T
+        adj_sets = [set(np.flatnonzero(row).tolist()) for row in a]
+        adjbits = [sum(1 << u for u in s) for s in adj_sets]
+        verts = rng.permutation(nv)[:int(rng.integers(0, nv + 1))].tolist()
+        assert unioncode._greedy_coloring_bound(adjbits, verts) == \
+            _oracle_coloring(adj_sets, verts)
+
+
+def test_ring9_code_pinned():
+    """The ((9, 12, 3)) code of the 9-qubit ring graph state."""
+    g = unioncode.build_search_graph(_ring(9), 3)
+    r = unioncode.max_clique(g)
+    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 5365)
+    code = unioncode.union_from_clique(g, r)
+    assert unioncode.true_distance(code) == 3
+    assert unioncode.union_distance_bound(code).d == 3
+    assert circuits.kl_verify(circuits.code_basis(code), 3).ok
+
+
+def test_leader_scan_and_true_distance_caps():
+    base = _ring(10)
+    code = unioncode.union_code(base, [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(StrategyInfeasible):
+            unioncode.build_search_graph(base, 2, cap=(1 << 20) - 1)
+        with pytest.raises(StrategyInfeasible):
+            unioncode.true_distance(code, cap=(1 << 20) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_leader_scan_memory_is_chunked():
+    # an unchunked 4^10-entry uint64 key array alone would take 8 MB;
+    # measured peak with 2^14-Pauli chunks: about 3.7 MB, mostly the
+    # 1024 x 1024 adjacency and its gather
+    base = _ring(10)
+    tracemalloc.start()
+    try:
+        g = unioncode.build_search_graph(base, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_vertices == 1024
+    assert peak < 8 << 20
