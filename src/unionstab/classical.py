@@ -578,10 +578,16 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     pairs.  By MacWilliams, 2^r times this enumerator is
     sum_u chi(u)^2 (1+z)^(n-w(u)) (1-z)^w(u) over the dual of L, where
     r = n - k and chi(u) = sum_t (-1)^(u.t).  Writing u = a H for the
-    parity check H, u.t = a.(H t), so chi is the Walsh-Hadamard transform
-    of the histogram of translation syndromes.  chi^2 is summed by weight
-    in int64 and the polynomial expansion uses exact integers; the
-    division by 2^r is checked, which certifies the arithmetic.
+    parity check H, u.t = a.(H t).  The translation syndromes H t span a
+    space of dimension s with RREF basis B, pivots piv, and H t is the
+    combination c_t = (H t)[piv] of B's rows, so u.t = (B a).c_t: chi is
+    the Walsh-Hadamard transform, over 2^s entries, of the histogram of
+    the c_t, read at p = B a.  The dual is spanned by the rows
+    [e_piv; ker B] H, whose combination p + 2^s q has B a = p, so its
+    weights reshape to a 2^(r-s) x 2^s table whose column p carries
+    chi(p)^2.  chi^2 is summed by weight in int64 and the polynomial
+    expansion uses exact integers; the division by 2^r is checked, which
+    certifies the arithmetic.
     """
     base = c.base
     h = base.parity_check
@@ -593,12 +599,17 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     if (K * K) << r >= 1 << 63:
         raise StrategyInfeasible(f"{K}^2 * 2^{r} overflows int64 sums")
     syn = c.translations.astype(np.int64) @ h.T.astype(np.int64) % 2
-    chi = np.bincount(gf2.pack_rows(syn).astype(np.int64), minlength=1 << r)
+    b, piv, s = gf2.rref(syn)
+    chi = np.bincount(gf2.pack_rows(syn[:, piv]).astype(np.int64),
+                      minlength=1 << s)
     _fwht(chi)
     chi *= chi
-    weights = gf2.span_weights(h, cap)  # dual word weights
+    lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]).astype(np.int64)
+                      @ h.astype(np.int64) % 2])
+    weights = gf2.span_weights(lift, cap).reshape(-1, 1 << s)
     acc = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(acc, weights, chi)
+    # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
+    np.add.at(acc, weights, np.broadcast_to(chi, weights.shape))
     poly = [0] * (n + 1)
     for w, a_w in enumerate(acc.tolist()):
         if not a_w:

@@ -15,6 +15,8 @@ from pathlib import Path
 from . import circuits, classical, gf2, stab, unioncode
 from .errors import UnionStabError
 
+SHOWN_FAILURES = 5  # failed items a verification writes to stderr
+
 
 def _parse_config(path: str) -> dict:
     """Reads a config file of "key = value" lines."""
@@ -108,6 +110,7 @@ def cmd_construct(args, report: Report) -> int:
             code = classical.preparata_like(m, route=args.route)
         else:
             code = classical.goethals_binary(m)
+        code = unioncode._certified_coset_code(code, args.cap)
         report.add("code", _coset_report(code))
         _write(args.out, classical.format_coset_code(code))
     elif kind == "css":
@@ -121,9 +124,9 @@ def cmd_construct(args, report: Report) -> int:
         report.add("code", f"[[{code.n}, {code.k}]]")
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "css-union":
-        cc1, cc2 = _load_coset(params[0]), _load_coset(params[1])
-        d = min(x for x in (cc1.claimed_distance, cc2.claimed_distance)
-                if x is not None)
+        cc1, cc2 = (unioncode._certified_coset_code(_load_coset(f), args.cap)
+                    for f in params[:2])
+        d = min(cc1.claimed_distance, cc2.claimed_distance)
         code = unioncode.css_like_union(
             cc1.base, cc2.base, cc1.translations, cc2.translations, d=d)
         report.add("code", _union_report(code))
@@ -191,6 +194,11 @@ def cmd_synth(args, report: Report) -> int:
     report.add("kl.worst", f"{kl.worst_deviation:.2e}")
     enc = circuits.full_encoder_check(code, q1, qc)
     report.add("encoder.ok", enc.ok)
+    for p in kl.violations[:SHOWN_FAILURES]:
+        sys.stderr.write(f"kl.violation {p}\n")
+    for i, overlap in enc.mismatches[:SHOWN_FAILURES]:
+        sys.stderr.write(f"encoder.mismatch basis state {i}: "
+                         f"overlap {overlap:.3e}\n")
     return 0 if (kl.ok and enc.ok) else 1
 
 

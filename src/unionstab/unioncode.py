@@ -429,15 +429,24 @@ def union_from_clique(g: SearchGraph, result: CliqueResult) -> UnionStabilizerCo
 # ---------------------------------------------------------------------------
 # Families
 
-@functools.lru_cache(maxsize=None)
-def _certified_coset_code(kind: str, m: int) -> CosetCode:
-    cc = goethals_binary(m) if kind == "goethals" else preparata_like(m)
+def _certified_coset_code(cc: CosetCode,
+                          cap: int = gf2.DEFAULT_CAP) -> CosetCode:
+    """cc itself if it claims a distance, else cc with its enumerator d.
+
+    Raises StrategyInfeasible when the enumerator exceeds cap.
+    """
     if cc.claimed_distance is not None:
         return cc
-    d = min_distance(cc, "enumerator")
+    d = min_distance(cc, "enumerator", cap)
     return CosetCode(base=cc.base, translations=cc.translations,
                      claimed_distance=d, distance_provenance="enumerator",
                      name=cc.name)
+
+
+@functools.lru_cache(maxsize=None)
+def _family_coset_code(kind: str, m: int) -> CosetCode:
+    return _certified_coset_code(
+        goethals_binary(m) if kind == "goethals" else preparata_like(m))
 
 
 def family_params(kind: str, m: int) -> CodeParams:
@@ -471,7 +480,7 @@ def family_build(kind: str, m: int) -> UnionStabilizerCode:
         raise BadParams("kind must be 'goethals' or 'preparata'")
     if m % 2:
         raise BadParams("m must be even")
-    cc = _certified_coset_code(kind, m)
+    cc = _family_coset_code(kind, m)
     rm = cc.base
     code = css_like_union(rm, rm, cc.translations, cc.translations,
                           d=cc.claimed_distance,

@@ -25,6 +25,8 @@ from .errors import (
 )
 
 DEFAULT_CAP = gf2.DEFAULT_CAP
+# rows per block of Z4Code.word_chunks
+WORD_CHUNK = 1 << 14
 
 # Primitive binary polynomials, as bit lists (constant term first).
 _BASE_POLYS = {
@@ -215,18 +217,31 @@ class Z4Code:
 
     def words(self, cap: int = DEFAULT_CAP) -> np.ndarray:
         """All codewords as a (size x n4) uint8 matrix, message order."""
+        return np.concatenate(list(self.word_chunks(cap)))
+
+    def word_chunks(self, cap: int = DEFAULT_CAP):
+        """The codewords in message order, in blocks of WORD_CHUNK rows.
+
+        Returns an iterator of uint8 matrices.  Raises CapExceeded when
+        size > cap, before anything is allocated.
+        """
         if self.size > cap:
             raise CapExceeded(f"{self.size} words exceed cap {cap}")
+        return (self._message_words(i, min(i + WORD_CHUNK, self.size))
+                for i in range(0, self.size, WORD_CHUNK))
+
+    def _message_words(self, start: int, stop: int) -> np.ndarray:
+        """Codewords of the messages start .. stop - 1 (mixed radix 4, 2)."""
         k1, k2 = self.k1, self.k2
-        count = self.size
-        msgs = np.zeros((count, k1 + k2), dtype=np.int64)
-        idx = np.arange(count)
-        rem = idx
+        rem = np.arange(start, stop, dtype=np.int64)
+        msgs = np.empty((rem.size, k1 + k2), dtype=np.int64)
         for j in range(k1 + k2 - 1, -1, -1):
             radix = 4 if j < k1 else 2
             msgs[:, j] = rem % radix
-            rem = rem // radix
-        return ((msgs @ self.generator.astype(np.int64)) % 4).astype(np.uint8)
+            rem //= radix
+        words = msgs @ self.generator.astype(np.int64)
+        words &= 3
+        return words.astype(np.uint8)
 
 
 def z4_standard_form(g: np.ndarray) -> Z4Code:
@@ -425,16 +440,19 @@ class SymmetrizedWeightEnumerator:
 
 
 def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
-    """Exact symmetrized weight enumerator by full enumeration."""
-    words = c.words(cap)
-    n_ones = (words % 2 == 1).sum(axis=1)
-    n_twos = (words == 2).sum(axis=1)
-    coeffs: dict[tuple[int, int], int] = {}
-    pairs, counts = np.unique(
-        np.stack([n_ones, n_twos], axis=1), axis=0, return_counts=True
-    )
-    for (a, b), cnt in zip(pairs, counts):
-        coeffs[(int(a), int(b))] = int(cnt)
+    """Exact symmetrized weight enumerator by full enumeration.
+
+    Each word is keyed by ones * (n4 + 1) + twos and the keys are counted
+    chunk by chunk, so memory stays bounded by the chunk size.
+    """
+    side = c.n4 + 1
+    counts = np.zeros(side * side, dtype=np.int64)
+    for words in c.word_chunks(cap):
+        ones = (words & 1).sum(axis=1, dtype=np.intp)
+        twos = (words == 2).sum(axis=1, dtype=np.intp)
+        counts += np.bincount(ones * side + twos, minlength=counts.size)
+    coeffs = {divmod(key, side): int(counts[key])
+              for key in np.flatnonzero(counts).tolist()}
     return SymmetrizedWeightEnumerator(n4=c.n4, coeffs=coeffs)
 
 

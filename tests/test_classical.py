@@ -250,3 +250,87 @@ def test_distance_enumerator_cap_fires_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _fwht_oracle(a: np.ndarray) -> None:
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h <<= 1
+
+
+def _full_dual_pair_weights(c) -> list[int]:
+    """The pair enumerator by a Walsh-Hadamard transform over all 2^r
+    syndromes, read at every dual word a H, then MacWilliams over 2^r."""
+    h = c.base.parity_check
+    r, n = h.shape
+    syn = c.translations.astype(np.int64) @ h.T.astype(np.int64) % 2
+    chi = np.bincount(gf2.pack_rows(syn).astype(np.int64), minlength=1 << r)
+    _fwht_oracle(chi)
+    chi *= chi
+    acc = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(acc, gf2.span_weights(h), chi)
+    poly = [0] * (n + 1)
+    for w, a_w in enumerate(acc.tolist()):
+        for i in range(n - w + 1):
+            for j in range(w + 1):
+                poly[i + j] += (a_w * math.comb(n - w, i) * math.comb(w, j)
+                                * (-1) ** j)
+    assert all(coeff % (1 << r) == 0 for coeff in poly)
+    return [coeff >> r for coeff in poly]
+
+
+def _syndrome_rank(c) -> int:
+    h = c.base.parity_check
+    return gf2.rank(c.translations.astype(np.int64) @ h.T.astype(np.int64)
+                    % 2)
+
+
+def _sub_union(seed: int):
+    """Preparata(6)'s zero coset and 127 seeded others, as in the bench."""
+    p = classical.preparata_like(6)
+    rest = np.random.default_rng(seed).choice(np.arange(1, 1024), 127,
+                                              replace=False)
+    return classical.CosetCode(
+        base=p.base, translations=p.translations[np.r_[0, np.sort(rest)]])
+
+
+_G20 = classical.linear_code(
+    np.random.default_rng(7).integers(0, 2, (4, 20)).astype(np.uint8))
+# name -> (builder, rank s of the translation syndromes, or None); the
+# power-sum codes reach s = C(m, 2), the dimension of RM(m-2,m)/RM(m-3,m)
+_SPAN_CASES = {
+    "goethals6": (lambda: classical.goethals_binary(6), 15),
+    "preparata6": (lambda: classical.preparata_like(6), 15),
+    "preparata6_sub1": (lambda: _sub_union(1), None),
+    "preparata6_sub2": (lambda: _sub_union(2), None),
+    "preparata6_sub3": (lambda: _sub_union(3), None),
+    "nordstrom_robinson": (classical.nordstrom_robinson, 6),
+    "preparata4": (lambda: classical.preparata_like(4), 6),
+    **{f"rm{r}_4": (lambda r=r: classical._as_coset(
+        classical.reed_muller(r, 4)), 0) for r in range(4)},
+    "random_rm14_3": (lambda: _random_coset_code(
+        10, classical.reed_muller(1, 4), 3), None),
+    "random_rm14_6": (lambda: _random_coset_code(
+        11, classical.reed_muller(1, 4), 6), None),
+    "random_g20_4": (lambda: _random_coset_code(12, _G20, 4), None),
+    "random_g20_7": (lambda: _random_coset_code(13, _G20, 7), None),
+    # r = 5: twelve random translations span all of GF(2)^5
+    "random_rm24_12": (lambda: _random_coset_code(
+        14, classical.reed_muller(2, 4), 12), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPAN_CASES))
+def test_span_enumerator_matches_full_dual_oracle(name):
+    """The transform over the syndrome span equals the one over all 2^r."""
+    build, s = _SPAN_CASES[name]
+    c = build()
+    if s is not None:
+        assert _syndrome_rank(c) == s
+    assert classical._pair_weights(c, gf2.DEFAULT_CAP) == \
+        _full_dual_pair_weights(c)

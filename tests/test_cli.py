@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from unionstab import cli, stab, unioncode
-from unionstab.circuits import parse_circuit
+from unionstab import circuits, cli, stab, unioncode
+from unionstab.circuits import EncoderReport, KLReport, parse_circuit
 from unionstab.pauli import pauli_parse
 from unionstab.stab import format_stabilizer, stabilizer_from_generators
 
@@ -43,6 +43,31 @@ def test_construct_family(capsys):
     rc, out = _run(capsys, ["construct", "family", "goethals", "6"])
     assert rc == 0
     assert "((64, 2^30, 8" in out
+
+
+def test_construct_reports_certified_distance(capsys):
+    rc, out = _run(capsys, ["construct", "preparata", "4"])
+    assert rc == 0
+    assert "code: (16, 2^8 words, 6 [enumerator])" in out
+
+
+def test_construct_css_union_round_trip(tmp_path, capsys):
+    """A coset file written by construct feeds css-union."""
+    coset_file, union_file = tmp_path / "g.code", tmp_path / "g.union"
+    rc, out = _run(capsys, ["construct", "goethals", "6",
+                            "--out", str(coset_file)])
+    assert rc == 0
+    assert "code: (64, 2^47 words, 8 [enumerator])" in out
+    rc, out = _run(capsys, ["construct", "css-union", str(coset_file),
+                            str(coset_file), "--out", str(union_file)])
+    assert rc == 0
+    assert "code: ((64, 2^30, 8" in out
+    assert "T 1024 8\n" in union_file.read_text()
+    rc = cli.main(["construct", "css-union", str(coset_file),
+                   str(coset_file), "--cap", "1000"])
+    assert rc == 2
+    assert "error: dual enumeration 2^22 exceeds cap 1000" in \
+        capsys.readouterr().err
 
 
 def test_search_and_verify(tmp_path, capsys):
@@ -108,6 +133,24 @@ def test_synth_any_order(tmp_path, capsys):
     q1 = parse_circuit((tmp_path / "enc.q1").read_text(), 5)
     qc = parse_circuit((tmp_path / "enc.qc").read_text(), 5)
     assert len(q1) > 0 and len(qc) <= 7
+
+
+def test_synth_failure_names_items(tmp_path, capsys, monkeypatch):
+    union_file = tmp_path / "five.union"
+    _write_five_union(union_file)
+    violations = ["XIIII", "ZIIII", "YIIII", "IXIII", "IZIII", "IYIII"]
+    monkeypatch.setattr(circuits, "kl_verify", lambda states, d: KLReport(
+        ok=False, worst_deviation=0.5, num_checked=15,
+        violations=violations))
+    monkeypatch.setattr(
+        circuits, "full_encoder_check", lambda code, q1, qc: EncoderReport(
+            ok=False, worst_overlap=0.25, mismatches=[(3, 0.25)]))
+    rc = cli.main(["synth", str(union_file), "--max-gates", "8"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert lines == [f"kl.violation {p}" for p in violations[:5]] + \
+        ["encoder.mismatch basis state 3: overlap 2.500e-01"]
 
 
 def test_exit_code_on_bad_input(tmp_path, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unionstab import gf2, z4
-from unionstab.errors import NonIntegralTransform
+from unionstab.errors import CapExceeded, NonIntegralTransform
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +133,45 @@ def test_format_parse_round_trip(ctx3):
     again = z4.parse_z4_code(z4.format_z4_code(k))
     assert np.array_equal(again.generator, k.generator)
     assert (again.k1, again.k2) == (k.k1, k.k2)
+
+
+def _dense_words(c) -> np.ndarray:
+    """Every codeword from one dense int64 product, in message order."""
+    radices = [4] * c.k1 + [2] * c.k2
+    msgs = np.indices(radices).reshape(len(radices), -1).T
+    return msgs @ c.generator.astype(np.int64) % 4
+
+
+def _lee_swe_oracle(c) -> dict:
+    words = _dense_words(c)
+    pairs, counts = np.unique(
+        np.stack([(words % 2).sum(axis=1), (words == 2).sum(axis=1)], axis=1),
+        axis=0, return_counts=True)
+    return {(int(a), int(b)): int(n) for (a, b), n in zip(pairs, counts)}
+
+
+def test_lee_swe_matches_unique_oracle(ctx3, ctx5):
+    """Chunked key counting equals np.unique over the dense word matrix."""
+    gd = z4.z4_dual(z4.goethals_z4(ctx5))
+    assert gd.size > z4.WORD_CHUNK  # several chunks
+    for c in (z4.kerdock_z4(ctx3), z4.kerdock_z4(ctx5), gd):
+        assert np.array_equal(c.words(), _dense_words(c))
+        coeffs = z4.lee_swe(c).coeffs
+        assert list(coeffs.items()) == list(_lee_swe_oracle(c).items())
+
+
+def test_lee_swe_memory_is_chunked(ctx5):
+    gd = z4.z4_dual(z4.goethals_z4(ctx5))
+    unchunked = gd.size * gd.n4 * 8  # the int64 word product: 32 MB
+    tracemalloc.start()
+    try:
+        z4.lee_swe(gd)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapExceeded):
+            z4.lee_swe(gd, cap=gd.size - 1)
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unchunked // 3
+    assert refused < 1 << 20
