@@ -160,6 +160,7 @@ def cmd_search(args, report: Report) -> int:
                                   budget=args.budget)
     report.add("clique.size", result.size)
     report.add("clique.optimal", result.optimal)
+    report.add("clique.nodes", result.stats["nodes"])
     report.add("clique.vertices", " ".join(result.vertices))
     code = unioncode.union_from_clique(graph, result)
     report.add("code", _union_report(code))

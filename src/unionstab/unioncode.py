@@ -295,6 +295,8 @@ def build_search_graph(base: StabilizerCode, d: int,
     leader of a syndrome is the least (weight, index), kept as the
     minimum key weight << 2n | index.
     """
+    if d < 0:
+        raise BadParams(f"target distance must be at least 0, got {d}")
     n, k = base.n, base.k
     if (1 << (2 * n)) > cap:
         raise StrategyInfeasible(f"4^{n} leader scan exceeds cap {cap}")
@@ -324,59 +326,90 @@ def build_search_graph(base: StabilizerCode, d: int,
                        base=base)
 
 
-def _greedy_coloring_bound(adjbits: list[int], verts: list[int]) -> list[int]:
-    """Smallest free colour of each vertex, coloured in the order given.
+def _min_width_order(adj: np.ndarray) -> list[int]:
+    """Vertices of adj in minimum-width order, last removed first.
 
-    Colour classes are bitsets of vertices; a vertex joins the first
-    class holding none of its neighbours.
+    Repeatedly removes a vertex of least remaining degree, the lowest
+    index on ties; the core left at the end comes first, so the
+    ascending-bit colouring in max_clique colours it first.
     """
-    classes: list[int] = []
-    colors = []
-    for v in verts:
-        nb = adjbits[v]
-        for c, cls in enumerate(classes):
-            if not cls & nb:
-                classes[c] = cls | 1 << v
-                break
-        else:
-            c = len(classes)
-            classes.append(1 << v)
-        colors.append(c + 1)
-    return colors
+    deg = adj.sum(axis=1, dtype=np.int64)
+    removed = []
+    for _ in range(len(deg)):
+        v = int(np.argmin(deg))
+        removed.append(v)
+        deg -= adj[v]
+        deg[v] = np.iinfo(np.int64).max
+    return removed[::-1]
+
+
+def _color_classes(adjbits: list[int], cand: int,
+                   kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the bitset cand, one colour class at a time.
+
+    Each class takes the lowest uncoloured bit, then the lowest bit
+    adjacent to none of its members, and so on; this gives each vertex
+    the smallest colour free of its lower neighbours, as a sequential
+    greedy colouring in ascending bit order does.  Returns the vertices
+    of colour >= kmin and their colours, in colour order.
+    """
+    verts, colors = [], []
+    color = 0
+    while cand:
+        color += 1
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q &= ~(adjbits[v] | low)
+            if color >= kmin:
+                verts.append(v)
+                colors.append(color)
+    return verts, colors
 
 
 def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                budget: int = 10**7) -> CliqueResult:
     """Maximum clique through the pinned identity vertex.
 
-    Exact mode is a deterministic branch-and-bound with greedy-coloring
-    bounds; greedy mode runs randomized multi-start extension.  The
-    returned clique is always re-verified edge by edge.
+    Exact mode is BBMC (San Segundo et al., 2011): a deterministic
+    branch-and-bound over bitset candidate sets, the identity's
+    neighbours numbered once in minimum-width order, bounded by a
+    greedy colouring built class by class.  Greedy mode runs randomized
+    multi-start extension.  The returned clique is always re-verified
+    edge by edge.
     """
-    nv = g.num_vertices
-    adj = [set(np.flatnonzero(g.adj[v]).tolist()) for v in range(nv)]
-    adjbits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                              "little") for row in g.adj]
+    if budget < 1:
+        raise BadParams(f"clique budget must be at least 1, got {budget}")
     identity = g.labels.index("0" * len(g.labels[0]))
-    cand0 = sorted(adj[identity],
-                   key=lambda v: (-len(adj[v]), g.labels[v]))
-    best: list[int] = [identity]
+    nbrs = np.flatnonzero(g.adj[identity])
+    sub = g.adj[np.ix_(nbrs, nbrs)]
+    order = _min_width_order(sub)
+    verts = nbrs[order].tolist()
+    adjbits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
+                              "little") for row in sub[np.ix_(order, order)]]
+    full = (1 << len(verts)) - 1
+    best: list[int] = []
     nodes = 0
     truncated = False
 
     if mode == "greedy":
         rng = np.random.default_rng(seed)
         for _ in range(64):
-            clique = [identity]
-            pool = list(adj[identity])
+            clique, cand = [], full
+            pool = list(range(len(verts)))
             rng.shuffle(pool)
             for v in pool:
-                if all(v in adj[u] for u in clique):
+                if cand >> v & 1:
                     clique.append(v)
+                    cand &= adjbits[v]
             if len(clique) > len(best):
                 best = clique
     elif mode == "exact":
-        def expand(clique: list[int], cand: list[int]):
+        # the identity is left out of clique and best: both sides of
+        # every size comparison drop it
+        def expand(clique: list[int], cand: int):
             nonlocal best, nodes, truncated
             nodes += 1
             if nodes > budget:
@@ -384,24 +417,21 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 return
             if len(clique) > len(best):
                 best = list(clique)
-            if not cand:
-                return
-            colors = _greedy_coloring_bound(adjbits, cand)
-            order = sorted(range(len(cand)), key=lambda i: colors[i])
-            while order:
-                i = order.pop()
-                if truncated:
+            branch, colors = _color_classes(
+                adjbits, cand, len(best) - len(clique) + 1)
+            while branch:
+                v = branch.pop()
+                if truncated or len(clique) + colors.pop() <= len(best):
                     return
-                if len(clique) + colors[i] <= len(best):
-                    return
-                v = cand[i]
-                sub = [cand[j] for j in order if cand[j] in adj[v]]
-                expand(clique + [v], sub)
-        expand([identity], cand0)
+                clique.append(v)
+                expand(clique, cand & adjbits[v])
+                clique.pop()
+                cand ^= 1 << v
+        expand([], full)
     else:
         raise BadParams(f"unknown clique mode {mode!r}")
 
-    best_sorted = [identity] + sorted(v for v in best if v != identity)
+    best_sorted = [identity] + sorted(verts[v] for v in best)
     for a in best_sorted:
         for b in best_sorted:
             if a != b:

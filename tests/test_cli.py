@@ -82,10 +82,14 @@ def test_search_and_verify(tmp_path, capsys):
     assert "graph.vertices: 32" in out
     assert "clique.size: 6" in out
     assert "clique.optimal: True" in out
+    assert "clique.nodes: 7" in out
     rc, out = _run(capsys, ["verify", str(union_file), "--level", "full"])
     assert rc == 0
     assert "cosets.distinct: True" in out
     assert "distance.exact: 2" in out
+    rc, out = _run(capsys, ["search", str(stab_file), "--d", "3",
+                            "--format", "csv"])
+    assert rc == 0 and "clique.nodes,2\n" in out
 
 
 def test_verify_fails_on_overclaimed_distance(tmp_path, capsys):
@@ -160,6 +164,30 @@ def test_exit_code_on_bad_input(tmp_path, capsys):
     assert rc == 2
     rc = cli.main(["verify", str(tmp_path / "missing.union")])
     assert rc == 2
+
+
+def test_search_rejects_bad_distance_and_budget(tmp_path, capsys):
+    """A negative target distance or a budget below 1 exits 2 and writes
+    no code, whether typed or read from --config."""
+    stab_file = tmp_path / "graph.stab"
+    gens = [pauli_parse(s) for s in
+            ["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"]]
+    stab_file.write_text(format_stabilizer(stabilizer_from_generators(gens)))
+    union_file = tmp_path / "found.union"
+    search = ["search", str(stab_file), "--out", str(union_file)]
+    cfg = tmp_path / "opts.cfg"
+    for argv, text, msg in (
+            (["--d", "-1"], "", "target distance"),
+            (["--d=-1"], "seed = 1", "target distance"),
+            (["--d", "2", "--budget", "0"], "", "budget"),
+            (["--d", "2", "--budget", "-3"], "", "budget"),
+            (["--d", "2"], "budget = 0", "budget"),
+            (["--d", "2"], "budget = -3", "budget")):
+        cfg.write_text(text + "\n")
+        rc = cli.main((["--config", str(cfg)] if text else []) + search + argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and msg in captured.err, (argv, text)
+        assert captured.out == "" and not union_file.exists(), (argv, text)
 
 
 def test_csv_format(capsys):

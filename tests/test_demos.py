@@ -17,7 +17,7 @@ EXPECTED = {
     "clique_search": """\
 target distance 2: 32 vertices, 256 edges, maximum clique 6 (optimal=True)
   -> union code ((5, 2^2.5850, 2))
-  translations: IIIII XIXII IIXXI ZIIXI IIXIX IXXII
+  translations: IIIII XIXII XIIXI IYXII XIIIX XXIII
 target distance 3: 32 vertices, 16 edges, maximum clique 2 (optimal=True)
   -> union code ((5, 2^1.0000, 3))
   translations: IIIII ZIXXI

@@ -75,6 +75,8 @@ def test_search_graph_five_qubit(graph_state_code):
 def test_search_graph_not_pure_enough(graph_state_code):
     with pytest.raises(NotPureEnough):
         unioncode.build_search_graph(graph_state_code, 4)
+    with pytest.raises(BadParams):
+        unioncode.build_search_graph(graph_state_code, -1)
 
 
 def test_max_clique_exact(graph_state_code):
@@ -87,13 +89,12 @@ def test_max_clique_exact(graph_state_code):
 
 
 def test_max_clique_search_pinned(graph_state_code):
-    # the branch-and-bound visits the same nodes and returns the same
-    # clique as the numpy-adjacency colouring bound it replaced
+    # the BBMC search visits exactly these nodes and returns these cliques
     ring = unioncode.max_clique(
         unioncode.build_search_graph(graph_state_code, 2))
-    assert ring.vertices == ["00000", "00011", "01111", "10101", "11000",
-                             "11110"]
-    assert ring.stats["nodes"] == 6
+    assert ring.vertices == ["00000", "00011", "01100", "10110", "11011",
+                             "11101"]
+    assert ring.stats["nodes"] == 7
     # a random 7-qubit graph state, edges drawn with probability 1/2
     gens = ["XIZIZZI", "IXZIIZI", "ZZXZZZI", "IIZXIIZ", "ZIZIXII",
             "ZZZIIXI", "IIIZIIX"]
@@ -101,11 +102,11 @@ def test_max_clique_search_pinned(graph_state_code):
                                             for g in gens])
     r = unioncode.max_clique(unioncode.build_search_graph(code, 2))
     assert r.vertices == [
-        "0000000", "0000111", "0001011", "0010011", "0011000", "0011111",
-        "0100011", "0100101", "0100110", "0111011", "0111101", "0111110",
-        "1000001", "1000110", "1001010", "1010010", "1011001", "1011110",
-        "1100010", "1100100", "1100111", "1111010", "1111100", "1111111"]
-    assert r.stats["nodes"] == 6436 and r.optimal
+        "0000000", "0000110", "0001011", "0001101", "0010011", "0010101",
+        "0011000", "0011110", "0100011", "0100100", "0101000", "0101111",
+        "0110000", "0110111", "0111011", "0111100", "1000100", "1001111",
+        "1010111", "1011100", "1100010", "1101001", "1110001", "1111010"]
+    assert r.stats["nodes"] == 3673 and r.optimal
 
 
 def test_max_clique_greedy_and_budget(graph_state_code):
@@ -114,6 +115,10 @@ def test_max_clique_greedy_and_budget(graph_state_code):
     assert 2 <= r.size <= 6 and not r.optimal
     tiny = unioncode.max_clique(g, mode="exact", budget=3)
     assert tiny.size >= 2 and not tiny.optimal
+    for mode in ("exact", "greedy"):
+        for budget in (0, -3):
+            with pytest.raises(BadParams):
+                unioncode.max_clique(g, mode=mode, budget=budget)
 
 
 def test_union_from_clique(graph_state_code):
@@ -265,6 +270,37 @@ def _oracle_coloring(adj_sets, verts):
     return [colors[v] for v in verts]
 
 
+def _oracle_max_clique(g):
+    """Size of a maximum clique through the identity, by set colouring.
+
+    An exhaustive branch-and-bound over candidate lists ordered by
+    descending degree, then label; each node recolours its candidates
+    with _oracle_coloring and branches from the highest colour down.
+    """
+    adj = [set(np.flatnonzero(row).tolist()) for row in g.adj]
+    identity = g.labels.index("0" * len(g.labels[0]))
+    best = [identity]
+
+    def expand(clique, cand):
+        nonlocal best
+        if len(clique) > len(best):
+            best = list(clique)
+        if not cand:
+            return
+        colors = _oracle_coloring(adj, cand)
+        order = sorted(range(len(cand)), key=lambda i: colors[i])
+        while order:
+            i = order.pop()
+            if len(clique) + colors[i] <= len(best):
+                return
+            v = cand[i]
+            expand(clique + [v], [cand[j] for j in order if cand[j] in adj[v]])
+
+    expand([identity], sorted(adj[identity],
+                              key=lambda v: (-len(adj[v]), g.labels[v])))
+    return len(best)
+
+
 def _graph_state(n, seed):
     """Random graph state, edges with probability 1/2."""
     a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
@@ -342,7 +378,7 @@ ORACLE_GRAPH_STATES = [(6, 2, s) for s in range(1, 6)] + \
 
 @pytest.mark.parametrize("case", ["ring-0", "ring-2", "ring-3"] + [
     f"graph{n}-{d}-{s}" for n, d, s in ORACLE_GRAPH_STATES])
-def test_search_path_matches_oracles(case, graph_state_code, monkeypatch):
+def test_search_path_matches_oracles(case, graph_state_code):
     if case.startswith("ring"):
         base, d = graph_state_code, int(case[-1])
     else:
@@ -354,13 +390,11 @@ def test_search_path_matches_oracles(case, graph_state_code, monkeypatch):
     assert np.array_equal(g.reps, reps)
     assert np.array_equal(g.adj, adj)
     new = unioncode.max_clique(g)
-    adj_sets = [set(np.flatnonzero(row).tolist()) for row in g.adj]
-    monkeypatch.setattr(unioncode, "_greedy_coloring_bound",
-                        lambda _bits, verts: _oracle_coloring(adj_sets, verts))
-    old = unioncode.max_clique(g)
-    monkeypatch.undo()
-    assert (new.vertices, new.stats, new.optimal) == \
-        (old.vertices, old.stats, old.optimal)
+    assert (new.size, new.optimal) == (_oracle_max_clique(g), True)
+    assert new.vertices[0] == "0" * len(labels[0])
+    idx = [labels.index(v) for v in new.vertices]
+    assert len(set(idx)) == new.size
+    assert all(adj[u, v] for u in idx for v in idx if u != v)
     code = unioncode.union_from_clique(g, new)
     assert unioncode.union_distance_bound(code).d == \
         _oracle_distance_bound(code)
@@ -368,24 +402,76 @@ def test_search_path_matches_oracles(case, graph_state_code, monkeypatch):
         _true_distance_or_error(_oracle_true_distance, code)
 
 
+def _random_bitset_graph(rng, nv):
+    a = np.triu(rng.random((nv, nv)) < rng.uniform(0.2, 0.9), 1)
+    a = a | a.T
+    adj_sets = [set(np.flatnonzero(row).tolist()) for row in a]
+    return a, adj_sets, [sum(1 << u for u in s) for s in adj_sets]
+
+
 def test_coloring_matches_set_oracle():
+    """Class-by-class colouring of a bitset equals sequential greedy
+    colouring in ascending vertex order; k_min keeps the top colours."""
     rng = np.random.default_rng(6)
     for _ in range(50):
         nv = int(rng.integers(1, 40))
-        a = np.triu(rng.random((nv, nv)) < rng.random(), 1)
-        a = a | a.T
-        adj_sets = [set(np.flatnonzero(row).tolist()) for row in a]
-        adjbits = [sum(1 << u for u in s) for s in adj_sets]
-        verts = rng.permutation(nv)[:int(rng.integers(0, nv + 1))].tolist()
-        assert unioncode._greedy_coloring_bound(adjbits, verts) == \
-            _oracle_coloring(adj_sets, verts)
+        _, adj_sets, adjbits = _random_bitset_graph(rng, nv)
+        verts = sorted(rng.permutation(nv)[:int(rng.integers(0, nv + 1))]
+                       .tolist())
+        cand = sum(1 << v for v in verts)
+        want = dict(zip(verts, _oracle_coloring(adj_sets, verts)))
+        got, colors = unioncode._color_classes(adjbits, cand, 1)
+        assert dict(zip(got, colors)) == want and len(got) == len(verts)
+        kmin = int(rng.integers(1, 6))
+        got, colors = unioncode._color_classes(adjbits, cand, kmin)
+        assert colors == sorted(colors)
+        assert [want[v] for v in got] == colors
+        assert set(got) == {v for v, c in want.items() if c >= kmin}
+
+
+def _brute_max_clique_through_0(adj_sets):
+    """Largest clique containing vertex 0, by exhaustive extension in
+    ascending index order, cut only when too few candidates are left."""
+    best = 1
+
+    def extend(size, cand):
+        nonlocal best
+        best = max(best, size)
+        for i, v in enumerate(cand):
+            if size + len(cand) - i <= best:
+                return
+            extend(size + 1, [u for u in cand[i + 1:] if u in adj_sets[v]])
+
+    extend(1, sorted(adj_sets[0]))
+    return best
+
+
+def test_max_clique_random_graphs_match_brute_force():
+    """Random graphs, which unlike the coset graphs are not Cayley
+    graphs, so the vertex pinned as the identity is not typical."""
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        nv = int(rng.integers(8, 41))
+        a, adj_sets, _ = _random_bitset_graph(rng, nv)
+        labels = [format(v, "06b") for v in range(nv)]
+        g = unioncode.SearchGraph(labels=labels, reps=None, adj=a,
+                                  target_d=0, base=None)
+        exact = unioncode.max_clique(g)
+        assert exact.optimal
+        assert exact.size == _brute_max_clique_through_0(adj_sets), trial
+        idx = [int(v, 2) for v in exact.vertices]
+        assert idx[0] == 0
+        assert all(a[u, v] for u in idx for v in idx if u != v)
+        assert unioncode.max_clique(g, mode="greedy", seed=trial).size \
+            <= exact.size
+        assert not unioncode.max_clique(g, budget=1).optimal
 
 
 def test_ring9_code_pinned():
     """The ((9, 12, 3)) code of the 9-qubit ring graph state."""
     g = unioncode.build_search_graph(_ring(9), 3)
     r = unioncode.max_clique(g)
-    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 5365)
+    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 3404)
     code = unioncode.union_from_clique(g, r)
     assert unioncode.true_distance(code) == 3
     assert unioncode.union_distance_bound(code).d == 3
