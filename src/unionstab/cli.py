@@ -37,6 +37,7 @@ def _apply_config(subparsers: list, cfg: dict) -> None:
 
     argparse converts string defaults through each option's type, and a
     value typed on the command line, as --key=v or --key v, still wins.
+    An option the config supplies is no longer required.
     """
     known = set()
     for sp in subparsers:
@@ -50,6 +51,7 @@ def _apply_config(subparsers: list, cfg: dict) -> None:
                                and val not in opts[key].choices):
                 raise UnionStabError(f"config {key}: bad value {cfg[key]!r}")
             sp.set_defaults(**{key: val})
+            opts[key].required = False
             known.add(key)
     if cfg.keys() - known:
         raise UnionStabError(
@@ -272,9 +274,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = build_parser(_parse_config(args.config)).parse_args(argv)
+        # --config precedes the subcommand, which takes the rest
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config")
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        path = pre.parse_known_args(argv)[0].config
+        args = build_parser(path and _parse_config(path)).parse_args(argv)
         header = {"command": args.command, "cap": args.cap,
                   "budget": args.budget, "seed": args.seed}
         report = Report(args.format, header)

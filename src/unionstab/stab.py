@@ -161,17 +161,15 @@ def _gf2_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def _coset_rep_rows(big: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """Rows of ``big`` that are independent modulo the row space of ``small``."""
-    span, _, r = gf2.rref(small)
-    span = span[:r]
-    out = []
-    for v in big:
-        stacked = np.vstack([span, v.reshape(1, -1)])
-        red, _, r2 = gf2.rref(stacked)
-        if r2 > span.shape[0]:
-            span = red[:r2]
-            out.append(v.copy())
-    return np.array(out, dtype=np.uint8).reshape(len(out), big.shape[1])
+    """Rows of ``big`` that are independent modulo the row space of ``small``.
+
+    A row is kept when it is independent of ``small`` and the rows of
+    ``big`` before it: exactly the pivot columns past ``small`` of the
+    transposed stack, found by one rref.
+    """
+    _, pivots, _ = gf2.rref(np.vstack([small, big]).T)
+    keep = [p - len(small) for p in pivots if p >= len(small)]
+    return np.asarray(big, dtype=np.uint8)[keep]
 
 
 def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:

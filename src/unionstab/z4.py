@@ -5,12 +5,14 @@ Ring elements are represented as uint8 coefficient vectors of length m'
 (coefficients of 1, xi, ..., xi^(m'-1), reduced mod 4).  The Hensel lift
 of the base primitive polynomial is computed by the Graeffe square-root
 method and verified by the xi-order check at construction time.
+Codewords are enumerated as packed bit planes (lo, hi) with
+v = lo + 2 hi, one uint64 per 64 columns in each plane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,13 +21,14 @@ from . import gf2
 from .errors import (
     BadDegree,
     CapExceeded,
+    ConstructionMismatch,
     NonIntegralTransform,
     NotASubcode,
     QuotientTooLarge,
 )
 
 DEFAULT_CAP = gf2.DEFAULT_CAP
-# rows per block of Z4Code.word_chunks
+# most words per block of Z4Code.word_chunks
 WORD_CHUNK = 1 << 14
 
 # Primitive binary polynomials, as bit lists (constant term first).
@@ -58,34 +61,31 @@ def _hensel_lift(f: Sequence[int]) -> np.ndarray:
 
 
 class GaloisRingContext:
-    """Arithmetic context for GR(4, m') with a verified Teichmueller set."""
+    """GR(4, m') with a verified Teichmueller set: the powers of xi."""
 
     def __init__(self, m_prime: int):
         if m_prime % 2 == 0 or not (3 <= m_prime <= 9):
             raise BadDegree(f"extension degree must be odd and in [3, 9], got {m_prime}")
         self.m_prime = m_prime
         self.modulus = _hensel_lift(_BASE_POLYS[m_prime])
-        self._xpow = self._reduction_table()
         n = 2**m_prime - 1
-        xi = np.zeros(m_prime, dtype=np.uint8)
-        xi[1 % m_prime] = 1
-        if m_prime == 1:  # pragma: no cover - degree 1 excluded above
-            xi[0] = 1
+        top = -self.modulus[:m_prime].astype(np.int64) % 4  # xi^m' in the basis
+
+        def times_xi(e: np.ndarray) -> np.ndarray:
+            shifted = np.concatenate([[0], e[:-1]]) + int(e[-1]) * top
+            return (shifted % 4).astype(np.uint8)
+
         powers = [self.one()]
         for _ in range(n - 1):
-            powers.append(self.mul(powers[-1], xi))
+            powers.append(times_xi(powers[-1]))
         # Order check: xi^(2^m'-1) = 1 and all powers distinct.
-        if not np.array_equal(self.mul(powers[-1], xi), self.one()):
+        if not np.array_equal(times_xi(powers[-1]), self.one()):
             raise BadDegree("Hensel lift failed the xi-order check")
         keys = {p.tobytes() for p in powers}
         if len(keys) != n:
             raise BadDegree("Teichmueller powers are not distinct")
-        self.xi = xi
+        self.xi = powers[1]
         self.teichmuller = [self.zero()] + powers
-        # mod-2 reduction -> Teichmueller element, for Frobenius decomposition
-        self._teich_by_residue = {
-            (t % 2).tobytes(): t for t in self.teichmuller
-        }
 
     # --- element helpers ---
 
@@ -96,58 +96,6 @@ class GaloisRingContext:
         e = np.zeros(self.m_prime, dtype=np.uint8)
         e[0] = 1
         return e
-
-    def _reduction_table(self) -> np.ndarray:
-        """Coefficients of x^t mod modulus, for t in [0, 2m'-2]."""
-        m = self.m_prime
-        table = np.zeros((2 * m - 1, m), dtype=np.uint8)
-        for t in range(m):
-            table[t, t] = 1
-        # x^m = -sum(modulus[i] x^i)
-        top = (-self.modulus[:m].astype(np.int64)) % 4
-        table[m - 1 + 1] = top if m >= 1 else top
-        for t in range(m + 1, 2 * m - 1):
-            prev = table[t - 1].astype(np.int64)
-            shifted = np.zeros(m, dtype=np.int64)
-            shifted[1:] = prev[:-1]
-            shifted = (shifted + prev[m - 1] * top) % 4
-            table[t] = shifted.astype(np.uint8)
-        return table
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a.astype(np.int64) + b) % 4).astype(np.uint8)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        conv = np.convolve(a.astype(np.int64), b.astype(np.int64))
-        out = np.zeros(self.m_prime, dtype=np.int64)
-        for t, c in enumerate(conv):
-            if c:
-                out += c * self._xpow[t].astype(np.int64)
-        return (out % 4).astype(np.uint8)
-
-    def teich_decompose(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write e = a + 2b with a, b in the Teichmueller set."""
-        a = self._teich_by_residue[(e % 2).tobytes()]
-        half = ((e.astype(np.int64) - a) % 4) // 2
-        b = self._teich_by_residue[(half % 2).astype(np.uint8).tobytes()]
-        return a, b
-
-    def frobenius(self, e: np.ndarray) -> np.ndarray:
-        a, b = self.teich_decompose(e)
-        a2 = self.mul(a, a)
-        b2 = self.mul(b, b)
-        return self.add(a2, (2 * b2.astype(np.int64) % 4).astype(np.uint8))
-
-    def trace(self, e: np.ndarray) -> int:
-        """Trace from GR(4, m') down to Z4."""
-        acc = self.zero().astype(np.int64)
-        cur = e
-        for _ in range(self.m_prime):
-            acc = (acc + cur) % 4
-            cur = self.frobenius(cur)
-        acc %= 4
-        assert not acc[1:].any(), "trace did not land in Z4"
-        return int(acc[0])
 
 
 def gr4_build(m_prime: int) -> GaloisRingContext:
@@ -220,28 +168,74 @@ class Z4Code:
         return np.concatenate(list(self.word_chunks(cap)))
 
     def word_chunks(self, cap: int = DEFAULT_CAP):
-        """The codewords in message order, in blocks of WORD_CHUNK rows.
+        """The codewords in message order, in blocks of at most WORD_CHUNK
+        rows.
 
         Returns an iterator of uint8 matrices.  Raises CapExceeded when
         size > cap, before anything is allocated.
         """
-        if self.size > cap:
-            raise CapExceeded(f"{self.size} words exceed cap {cap}")
-        return (self._message_words(i, min(i + WORD_CHUNK, self.size))
-                for i in range(0, self.size, WORD_CHUNK))
+        return ((_unpack(lo, self.n4) | _unpack(hi, self.n4) << 1)
+                for lo, hi in _plane_chunks(self, cap))
 
-    def _message_words(self, start: int, stop: int) -> np.ndarray:
-        """Codewords of the messages start .. stop - 1 (mixed radix 4, 2)."""
-        k1, k2 = self.k1, self.k2
-        rem = np.arange(start, stop, dtype=np.int64)
-        msgs = np.empty((rem.size, k1 + k2), dtype=np.int64)
-        for j in range(k1 + k2 - 1, -1, -1):
-            radix = 4 if j < k1 else 2
-            msgs[:, j] = rem % radix
-            rem //= radix
-        words = msgs @ self.generator.astype(np.int64)
-        words &= 3
-        return words.astype(np.uint8)
+
+def _pack_planes(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a Z4 matrix as bit planes (lo, hi), v = lo + 2 hi, with
+    one gf2.pack_rows word per 64-column block."""
+    g = np.asarray(g, dtype=np.uint8)
+    return tuple(np.stack([gf2.pack_rows(bits[:, j:j + 64])
+                           for j in range(0, g.shape[1], 64)], axis=1)
+                 for bits in (g & 1, g >> 1 & 1))
+
+
+def _unpack(plane: np.ndarray, n4: int) -> np.ndarray:
+    """One bit plane back to a (words x n4) 0/1 uint8 matrix."""
+    return np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8),
+                         axis=1, count=n4, bitorder="little")
+
+
+def _plane_add(lo, hi, g_lo, g_hi):
+    """(lo, hi) + (g_lo, g_hi) mod 4: the low bits carry into the high."""
+    return lo ^ g_lo, hi ^ g_hi ^ (lo & g_lo)
+
+
+def _span_planes(lo, hi, radices: list[int]):
+    """Every combination of the rows, with row r taken 0 .. radices[r] - 1
+    times, in mixed-radix message order (row 0 most significant).
+
+    Built by doubling from the last row to the first: the span of rows
+    r + 1 .. is shifted by each multiple of row r.
+    """
+    out_lo = np.zeros((math.prod(radices), lo.shape[1]), dtype=np.uint64)
+    out_hi = np.zeros_like(out_lo)
+    filled = 1
+    for r in reversed(range(len(radices))):
+        for c in range(1, radices[r]):
+            src = slice((c - 1) * filled, c * filled)
+            dst = slice(c * filled, (c + 1) * filled)
+            out_lo[dst], out_hi[dst] = _plane_add(
+                out_lo[src], out_hi[src], lo[r], hi[r])
+        filled *= radices[r]
+    return out_lo, out_hi
+
+
+def _plane_chunks(c: Z4Code, cap: int):
+    """The codewords of c in message order, as bit-plane blocks (lo, hi).
+
+    The trailing rows are spanned once, up to WORD_CHUNK words; each block
+    is that span shifted by one word of the leading rows' span.  Raises
+    CapExceeded when size > cap, before anything is allocated.
+    """
+    if c.size > cap:
+        raise CapExceeded(f"{c.size} words exceed cap {cap}")
+    radices = [4] * c.k1 + [2] * c.k2
+    split, tail = len(radices), 1
+    while split and tail * radices[split - 1] <= WORD_CHUNK:
+        split -= 1
+        tail *= radices[split]
+    lo, hi = _pack_planes(c.generator)
+    t_lo, t_hi = _span_planes(lo[split:], hi[split:], radices[split:])
+    l_lo, l_hi = _span_planes(lo[:split], hi[:split], radices[:split])
+    return (_plane_add(t_lo, t_hi, w_lo, w_hi) for w_lo, w_hi in zip(l_lo, l_hi))
 
 
 def z4_standard_form(g: np.ndarray) -> Z4Code:
@@ -330,13 +324,53 @@ def z4_dual(c: Z4Code) -> Z4Code:
     out = np.zeros_like(h)
     out[:, perm] = h
     dual = z4_standard_form(out % 4)
-    assert dual.size * c.size == 4**n4
+    if dual.size * c.size != 4**n4:
+        raise ConstructionMismatch(
+            f"dual has {dual.size} words, expected 4^{n4} / {c.size}")
     return dual
 
 
 # --------------------------------------------------------------------------
 # Named constructions
 # --------------------------------------------------------------------------
+
+def _trace_table(ctx: GaloisRingContext) -> np.ndarray:
+    """Tr(xi^k) in Z4 for k = 0 .. 2^m' - 2, as an int64 vector.
+
+    Frobenius squares Teichmueller elements, so Tr(xi^k) is the sum of
+    xi^(k 2^i mod (2^m' - 1)) over i < m'.  Raises ConstructionMismatch
+    when a sum has a nonzero coefficient beyond the constant one.
+    """
+    m = ctx.m_prime
+    n = 2**m - 1
+    powers = np.array(ctx.teichmuller[1:], dtype=np.int64)  # xi^0 .. xi^(n-1)
+    orbits = np.arange(n)[:, None] * (1 << np.arange(m)) % n
+    sums = powers[orbits].sum(axis=1) % 4
+    bad = np.flatnonzero(sums[:, 1:].any(axis=1))
+    if bad.size:
+        raise ConstructionMismatch(f"trace of xi^{bad[0]} does not land in Z4")
+    return sums[:, 0]
+
+
+def _trace_rows(tr: np.ndarray, m: int, step: int) -> np.ndarray:
+    """Rows Tr(xi^i x^step), i < m', over the coordinates 0, xi^0, ...
+
+    The Teichmueller set is closed under products, so entry j + 1 of row
+    i is tr[(i + step j) mod n]; the parity coordinate is Tr(0) = 0.
+    """
+    n = tr.size
+    rows = np.zeros((m, n + 1), dtype=np.int64)
+    rows[:, 1:] = tr[(np.arange(m)[:, None] + step * np.arange(n)) % n]
+    return rows
+
+
+def _require_type(code: Z4Code, name: str, k1: int, k2: int) -> Z4Code:
+    if (code.k1, code.k2) != (k1, k2):
+        raise ConstructionMismatch(
+            f"{name} code has type 4^{code.k1} 2^{code.k2}, "
+            f"expected 4^{k1} 2^{k2}")
+    return code
+
 
 def kerdock_z4(ctx: GaloisRingContext) -> Z4Code:
     """Free quaternary Kerdock code of type 4^(m'+1), length 2^m'.
@@ -346,18 +380,9 @@ def kerdock_z4(ctx: GaloisRingContext) -> Z4Code:
     1, xi, ..., xi^(m'-1).
     """
     m = ctx.m_prime
-    n = 2**m - 1
-    rows = [np.ones(n + 1, dtype=np.uint8)]
-    xi_pows = ctx.teichmuller[1:]  # xi^0 .. xi^(n-1)
-    for i in range(m):
-        beta = ctx.teichmuller[1 + i]  # xi^i
-        row = np.zeros(n + 1, dtype=np.uint8)
-        for j in range(n):
-            row[1 + j] = ctx.trace(ctx.mul(beta, xi_pows[j]))
-        rows.append(row)
-    code = z4_standard_form(np.array(rows))
-    assert code.k1 == m + 1 and code.k2 == 0
-    return code
+    tr = _trace_table(ctx)
+    rows = np.vstack([np.ones(tr.size + 1, dtype=np.int64), _trace_rows(tr, m, 1)])
+    return _require_type(z4_standard_form(rows), "Kerdock", m + 1, 0)
 
 
 def goethals_check_z4(ctx: GaloisRingContext) -> Z4Code:
@@ -366,25 +391,10 @@ def goethals_check_z4(ctx: GaloisRingContext) -> Z4Code:
     m = ctx.m_prime
     if m < 5:
         raise BadDegree("Goethals construction degenerates below m' = 5")
-    n = 2**m - 1
-    rows = [np.ones(n + 1, dtype=np.uint8)]
-    xi_pows = ctx.teichmuller[1:]
-    for i in range(m):
-        beta = ctx.teichmuller[1 + i]
-        row = np.zeros(n + 1, dtype=np.uint8)
-        for j in range(n):
-            row[1 + j] = ctx.trace(ctx.mul(beta, xi_pows[j]))
-        rows.append(row)
-    for i in range(m):
-        beta = ctx.teichmuller[1 + i]
-        row = np.zeros(n + 1, dtype=np.uint8)
-        for j in range(n):
-            cube = ctx.mul(xi_pows[j], ctx.mul(xi_pows[j], xi_pows[j]))
-            row[1 + j] = (2 * ctx.trace(ctx.mul(beta, cube))) % 4
-        rows.append(row)
-    code = z4_standard_form(np.array(rows))
-    assert code.k1 == m + 1 and code.k2 == m
-    return code
+    tr = _trace_table(ctx)
+    rows = np.vstack([np.ones(tr.size + 1, dtype=np.int64),
+                      _trace_rows(tr, m, 1), 2 * _trace_rows(tr, m, 3) % 4])
+    return _require_type(z4_standard_form(rows), "Goethals check", m + 1, m)
 
 
 def goethals_z4(ctx: GaloisRingContext) -> Z4Code:
@@ -442,38 +452,35 @@ class SymmetrizedWeightEnumerator:
 def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
     """Exact symmetrized weight enumerator by full enumeration.
 
-    Each word is keyed by ones * (n4 + 1) + twos and the keys are counted
-    chunk by chunk, so memory stays bounded by the chunk size.
+    Each word is keyed by ones * (n4 + 1) + twos, read off its bit planes
+    as popcount(lo) and popcount(hi & ~lo), and the keys are counted block
+    by block, so memory stays bounded by the block size.
     """
     side = c.n4 + 1
     counts = np.zeros(side * side, dtype=np.int64)
-    for words in c.word_chunks(cap):
-        ones = (words & 1).sum(axis=1, dtype=np.intp)
-        twos = (words == 2).sum(axis=1, dtype=np.intp)
+    for lo, hi in _plane_chunks(c, cap):
+        ones = np.bitwise_count(lo).sum(axis=1, dtype=np.intp)
+        twos = np.bitwise_count(hi & ~lo).sum(axis=1, dtype=np.intp)
         counts += np.bincount(ones * side + twos, minlength=counts.size)
     coeffs = {divmod(key, side): int(counts[key])
               for key in np.flatnonzero(counts).tolist()}
     return SymmetrizedWeightEnumerator(n4=c.n4, coeffs=coeffs)
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (y1, z1), c1 in p.items():
-        for (y2, z2), c2 in q.items():
-            key = (y1 + y2, z1 + z2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _krawtchouk_rows(x: int, n: int) -> list[list[int]]:
+    """Row N - x lists K_k(x; N) over k = 0 .. N, for N = x .. n.
 
-
-def _poly_pow(base: dict, e: int, cache: dict) -> dict:
-    if e in cache:
-        return cache[e]
-    if e == 0:
-        res = {(0, 0): 1}
-    else:
-        res = _poly_mul(_poly_pow(base, e - 1, cache), base)
-    cache[e] = res
-    return res
+    K_k(x; N) = sum_j (-1)^j C(x, j) C(N - x, k - j), the coefficient of
+    z^k in (1 - z)^x (1 + z)^(N - x).
+    """
+    row = [1]
+    for _ in range(x):
+        row = [p - q for p, q in zip(row + [0], [0] + row)]
+    rows = [row]
+    for _ in range(n - x):
+        row = [p + q for p, q in zip(row + [0], [0] + row)]
+        rows.append(row)
+    return rows
 
 
 def swe_macwilliams(
@@ -481,8 +488,14 @@ def swe_macwilliams(
 ) -> SymmetrizedWeightEnumerator:
     """Dual enumerator via (W0, W1, W2) -> (W0+2W1+W2, W0-W2, W0-2W1+W2)/|C|.
 
-    Exact integer arithmetic; raises NonIntegralTransform if the result is
-    not a non-negative integer enumerator (inconsistent input).
+    At length n = n4, the coefficient of Y^a' Z^b' in
+    (X+2Y+Z)^(n-a-b) (X-Z)^a (X-2Y+Z)^b
+    is 2^a' K_a'(b; n-a) K_b'(a; n-a'), and 0 when a + a' > n, with K the
+    binary Krawtchouk numbers; the sum over the input terms (a, b) is
+    factored through S(a, a') = sum_b W(a, b) K_a'(b; n-a).  Exact
+    integer arithmetic; the keys come by total degree, then descending
+    ones.  Raises NonIntegralTransform if the result is not a non-negative
+    integer enumerator (inconsistent input).
     """
     if n4 is None:
         n4 = swe.n4
@@ -490,30 +503,34 @@ def swe_macwilliams(
         raise NonIntegralTransform(
             f"coefficients sum to {swe.total}, expected code size {code_size}"
         )
-    # Homogeneous polynomials in (Y, Z); the X exponent is implicit.
-    p0 = {(0, 0): 1, (1, 0): 2, (0, 1): 1}   # X + 2Y + Z
-    p1 = {(0, 0): 1, (0, 1): -1}             # X - Z
-    p2 = {(0, 0): 1, (1, 0): -2, (0, 1): 1}  # X - 2Y + Z
-    c0: dict = {}
-    c1: dict = {}
-    c2: dict = {}
-    acc: dict[tuple[int, int], int] = {}
+    for a, b in swe.coeffs:
+        if min(a, b) < 0 or a + b > n4:
+            raise NonIntegralTransform(f"term {(a, b)} does not fit length {n4}")
+    # kraw[x][N - x][k] = K_k(x; N)
+    kraw = {x: _krawtchouk_rows(x, n4) for x in set().union(*swe.coeffs)}
+    partial: dict[int, list[int]] = {}  # a -> S(a, a') over a' = 0 .. n4 - a
     for (a, b), coeff in swe.coeffs.items():
-        term = _poly_mul(
-            _poly_pow(p0, n4 - a - b, c0),
-            _poly_mul(_poly_pow(p1, a, c1), _poly_pow(p2, b, c2)),
-        )
-        for key, val in term.items():
-            acc[key] = acc.get(key, 0) + coeff * val
+        s = partial.get(a, [0] * (n4 - a + 1))
+        partial[a] = [t + coeff * k for t, k in zip(s, kraw[b][n4 - a - b])]
+    acc = []  # acc[a'][b'], before the factor 2^a'
+    for ap in range(n4 + 1):
+        col = [0] * (n4 - ap + 1)
+        for a, s in partial.items():
+            if a + ap <= n4 and s[ap]:
+                col = [t + s[ap] * k for t, k in zip(col, kraw[a][n4 - ap - a])]
+        acc.append(col)
     out: dict[tuple[int, int], int] = {}
-    for key, val in acc.items():
-        if val % code_size != 0:
-            raise NonIntegralTransform(f"coefficient at {key} is {val}/{code_size}")
-        q = val // code_size
-        if q < 0:
-            raise NonIntegralTransform(f"negative coefficient at {key}")
-        if q:
-            out[key] = q
+    for deg in range(n4 + 1):
+        for ap in range(deg, -1, -1):
+            key = (ap, deg - ap)
+            val = acc[ap][deg - ap] << ap
+            if val % code_size != 0:
+                raise NonIntegralTransform(f"coefficient at {key} is {val}/{code_size}")
+            q = val // code_size
+            if q < 0:
+                raise NonIntegralTransform(f"negative coefficient at {key}")
+            if q:
+                out[key] = q
     return SymmetrizedWeightEnumerator(n4=n4, coeffs=out)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from unionstab import circuits, cli, stab, unioncode
 from unionstab.circuits import EncoderReport, KLReport, parse_circuit
@@ -215,6 +216,28 @@ def test_config_precedence(tmp_path, capsys):
         assert rc == 0 and "config.cap: 99" in out, typed
     rc, out = _run(capsys, base)
     assert rc == 0 and "config.cap: 7" in out
+
+
+def test_config_supplies_required_d(tmp_path, capsys):
+    """search --d may come from --config; a typed --d still wins, and
+    with neither, argparse exits 2."""
+    stab_file = tmp_path / "graph.stab"
+    gens = [pauli_parse(s) for s in
+            ["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"]]
+    stab_file.write_text(format_stabilizer(stabilizer_from_generators(gens)))
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("d = 2\n")
+    search = ["search", str(stab_file), "--format", "csv"]
+    rc, from_cfg = _run(capsys, ["--config", str(cfg)] + search)
+    rc_typed, typed = _run(capsys, search + ["--d", "2"])
+    assert rc == rc_typed == 0 and from_cfg == typed
+    cfg.write_text("d = -1\n")  # the typed value wins over the config
+    rc, out = _run(capsys, ["--config", str(cfg)] + search + ["--d", "2"])
+    assert rc == 0 and out == typed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(search)
+    assert exc.value.code == 2
+    assert "--d" in capsys.readouterr().err
 
 
 def test_config_booleans_and_bad_keys(tmp_path, capsys):

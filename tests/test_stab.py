@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from unionstab import classical, pauli, stab
+from unionstab import classical, gf2, pauli, stab
 from unionstab.errors import (
     BadChain,
     BadMap,
@@ -142,6 +142,41 @@ def test_enlargement_weight_check_small():
         w3 = int((msg @ ((d_rows ^ ad)) % 2).sum())
         best = min(best, w1, w2, w3)
     assert w == best
+
+
+def _oracle_coset_rep_rows(big, small):
+    """Greedy loop: keep each row of big that raises the rank of the span
+    of small and the rows kept so far."""
+    span, _, r = gf2.rref(small)
+    span = span[:r]
+    out = []
+    for v in big:
+        red, _, r2 = gf2.rref(np.vstack([span, v.reshape(1, -1)]))
+        if r2 > span.shape[0]:
+            span = red[:r2]
+            out.append(v.copy())
+    return np.array(out, dtype=np.uint8).reshape(len(out), big.shape[1])
+
+
+def test_coset_rep_rows_matches_greedy_oracle():
+    """One rref of the transposed stack keeps the same rows, in the same
+    order, as adding the rows of big one at a time."""
+    rm = [classical.reed_muller(r, 6) for r in range(7)]
+    cases = [(rm[r + 1].generator, rm[r].generator) for r in range(6)]
+    cases += [(rm[r].generator, rm[6 - r].parity_check) for r in range(4, 7)]
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        n = int(rng.integers(4, 20))
+        small = rng.integers(0, 2, (int(rng.integers(0, n)), n)).astype(np.uint8)
+        big = rng.integers(0, 2, (int(rng.integers(0, n + 3)), n)).astype(np.uint8)
+        if big.shape[0] > 2:  # repeat a row and a combination of two
+            big[-1] = big[0]
+            big[-2] = big[0] ^ big[1]
+        cases.append((big, small))
+    for big, small in cases:
+        got = stab._coset_rep_rows(big, small)
+        want = _oracle_coset_rep_rows(big, small)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_purity_cap(five_base):

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from unionstab import gf2, z4
-from unionstab.errors import CapExceeded, NonIntegralTransform
+from unionstab.errors import (
+    CapExceeded,
+    ConstructionMismatch,
+    NonIntegralTransform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +21,11 @@ def ctx3():
 @pytest.fixture(scope="module")
 def ctx5():
     return z4.gr4_build(5)
+
+
+@pytest.fixture(scope="module")
+def ctx7():
+    return z4.gr4_build(7)
 
 
 def test_kerdock_small_parameters(ctx3):
@@ -175,3 +184,217 @@ def test_lee_swe_memory_is_chunked(ctx5):
         tracemalloc.stop()
     assert peak < unchunked // 3
     assert refused < 1 << 20
+
+
+# --------------------------------------------------------------------------
+# Oracles: the per-element ring route, the dict-polynomial transform and
+# the int64 message product that the closed forms replaced.
+
+def _oracle_mul(ctx, a, b):
+    """Product in GR(4, m'): convolve, then reduce by the monic modulus."""
+    m = ctx.m_prime
+    prod = np.convolve(a.astype(np.int64), b.astype(np.int64))
+    for t in range(prod.size - 1, m - 1, -1):
+        prod[t - m:t] -= prod[t] * ctx.modulus[:m].astype(np.int64)
+    return (prod[:m] % 4).astype(np.uint8)
+
+
+def _oracle_trace(ctx):
+    """Trace by m' Frobenius steps, a + 2b -> a^2 + 2b^2, on the
+    Teichmueller decomposition of each element."""
+    by_residue = {(t % 2).tobytes(): t for t in ctx.teichmuller}
+
+    def frobenius(e):
+        a = by_residue[(e % 2).tobytes()]
+        half = ((e.astype(np.int64) - a) % 4) // 2
+        b = by_residue[(half % 2).astype(np.uint8).tobytes()]
+        return (_oracle_mul(ctx, a, a).astype(np.int64)
+                + 2 * _oracle_mul(ctx, b, b)) % 4
+
+    def trace(e):
+        acc = np.zeros(ctx.m_prime, dtype=np.int64)
+        for _ in range(ctx.m_prime):
+            acc = (acc + e) % 4
+            e = frobenius(e).astype(np.uint8)
+        assert not acc[1:].any()
+        return int(acc[0])
+
+    return trace
+
+
+def _oracle_construction(ctx, goethals_check=False):
+    """Kerdock (or Goethals check) rows from ring products and the
+    per-element trace, in standard form."""
+    trace = _oracle_trace(ctx)
+    n = 2**ctx.m_prime - 1
+    pts = ctx.teichmuller[1:]
+    mul = lambda a, b: _oracle_mul(ctx, a, b)  # noqa: E731
+    rows = [np.ones(n + 1, dtype=np.uint8)]
+    for i in range(ctx.m_prime):
+        rows.append([0] + [trace(mul(pts[i], x)) for x in pts])
+    if goethals_check:
+        cubes = [mul(x, mul(x, x)) for x in pts]
+        for i in range(ctx.m_prime):
+            rows.append([0] + [2 * trace(mul(pts[i], c)) % 4 for c in cubes])
+    return z4.z4_standard_form(np.array(rows))
+
+
+def test_teichmuller_powers_are_ring_powers():
+    """xi^(k+1) = xi^k * xi by the convolution product, and xi^n = 1."""
+    for m in (3, 5, 7):
+        ctx = z4.gr4_build(m)
+        pts = ctx.teichmuller[1:]
+        for k in range(len(pts)):
+            nxt = pts[(k + 1) % len(pts)]
+            assert np.array_equal(_oracle_mul(ctx, pts[k], ctx.xi), nxt)
+
+
+def _oracle_message_words(c, start, stop):
+    """Codewords of the messages start .. stop - 1 (mixed radix 4, 2) by
+    one int64 product."""
+    rem = np.arange(start, stop, dtype=np.int64)
+    msgs = np.empty((rem.size, c.k1 + c.k2), dtype=np.int64)
+    for j in range(c.k1 + c.k2 - 1, -1, -1):
+        radix = 4 if j < c.k1 else 2
+        msgs[:, j] = rem % radix
+        rem //= radix
+    return (msgs @ c.generator.astype(np.int64) & 3).astype(np.uint8)
+
+
+def _oracle_swe(c, block=1 << 12):
+    """(ones, twos) counts over oracle words, in sorted key order."""
+    counts = {}
+    for start in range(0, c.size, block):
+        w = _oracle_message_words(c, start, min(start + block, c.size))
+        pairs, num = np.unique(np.stack([(w % 2).sum(axis=1),
+                                         (w == 2).sum(axis=1)], axis=1),
+                               axis=0, return_counts=True)
+        for (a, b), k in zip(pairs.tolist(), num.tolist()):
+            counts[a, b] = counts.get((a, b), 0) + k
+    return dict(sorted(counts.items()))
+
+
+def _poly_mul(p, q):
+    out = {}
+    for (y1, z1), c1 in p.items():
+        for (y2, z2), c2 in q.items():
+            key = (y1 + y2, z1 + z2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _poly_pow(base, e, cache):
+    if e not in cache:
+        cache[e] = {(0, 0): 1} if e == 0 else _poly_mul(
+            _poly_pow(base, e - 1, cache), base)
+    return cache[e]
+
+
+def _oracle_macwilliams(coeffs, code_size, n4):
+    """Dual coefficients by expanding (X+2Y+Z)^(n-a-b) (X-Z)^a
+    (X-2Y+Z)^b as dict polynomials in (Y, Z), term by term."""
+    p0 = {(0, 0): 1, (1, 0): 2, (0, 1): 1}
+    p1 = {(0, 0): 1, (0, 1): -1}
+    p2 = {(0, 0): 1, (1, 0): -2, (0, 1): 1}
+    c0, c1, c2, acc = {}, {}, {}, {}
+    for (a, b), coeff in coeffs.items():
+        term = _poly_mul(_poly_pow(p0, n4 - a - b, c0),
+                         _poly_mul(_poly_pow(p1, a, c1), _poly_pow(p2, b, c2)))
+        for key, val in term.items():
+            acc[key] = acc.get(key, 0) + coeff * val
+    assert all(val % code_size == 0 for val in acc.values())
+    return {key: val // code_size for key, val in acc.items() if val}
+
+
+def _identity_holds_at_random_points(swe, dual, code_size, rng):
+    """|C| W_dual(x, y, z) == W(x+2y+z, x-z, x-2y+z) at random integers."""
+    n = swe.n4
+    for _ in range(5):
+        x, y, z = (int(v) for v in rng.integers(-2**40, 2**40, 3))
+        lhs = sum(c * x**(n - a - b) * y**a * z**b
+                  for (a, b), c in dual.coeffs.items())
+        rhs = sum(c * (x + 2*y + z)**(n - a - b) * (x - z)**a
+                  * (x - 2*y + z)**b for (a, b), c in swe.coeffs.items())
+        if code_size * lhs != rhs:
+            return False
+    return True
+
+
+def _random_z4_codes():
+    """Ten seeded random codes: standard forms of k1 random 4-ary rows
+    and k2 random doubled rows, n4 in {5, 33, 70}."""
+    specs = [(5, 1, 0), (5, 2, 2), (5, 3, 2), (33, 3, 2), (33, 2, 4),
+             (33, 4, 1), (70, 2, 1), (70, 5, 4), (70, 6, 3), (70, 3, 7)]
+    for i, (n4, k1, k2) in enumerate(specs):
+        rng = np.random.default_rng(100 + i)
+        yield z4.z4_standard_form(np.vstack([
+            rng.integers(0, 4, (k1, n4)), 2 * rng.integers(0, 2, (k2, n4))]))
+
+
+def test_constructions_match_element_oracle(ctx3, ctx5, ctx7):
+    """Trace-table rows give the generators and pivots of the per-element
+    route: Kerdock at m' = 3, 5, 7 and the Goethals check code at 5."""
+    pairs = [(z4.kerdock_z4(ctx), _oracle_construction(ctx))
+             for ctx in (ctx3, ctx5, ctx7)]
+    check = z4.goethals_check_z4(ctx5)
+    oracle_check = _oracle_construction(ctx5, goethals_check=True)
+    pairs += [(check, oracle_check),
+              (z4.goethals_z4(ctx5), z4.z4_dual(oracle_check))]
+    for got, want in pairs:
+        assert (got.n4, got.k1, got.k2) == (want.n4, want.k1, want.k2)
+        assert np.array_equal(got.generator, want.generator)
+        assert got.pivots == want.pivots
+
+
+def test_trace_table_rejects_corrupt_teichmuller():
+    ctx = z4.gr4_build(3)
+    assert np.array_equal(z4._trace_table(ctx),
+                          [_oracle_trace(ctx)(t) for t in ctx.teichmuller[1:]])
+    ctx.teichmuller[3] = (ctx.teichmuller[3] + [0, 1, 0]) % 4
+    with pytest.raises(ConstructionMismatch, match="trace of xi"):
+        z4._trace_table(ctx)
+    with pytest.raises(ConstructionMismatch, match="trace of xi"):
+        z4.kerdock_z4(ctx)
+
+
+def test_enumerator_and_transform_match_oracles(ctx3, ctx5, rng):
+    """Bit-plane words and SWEs equal the int64-product oracle, and the
+    Krawtchouk transform equals the dict-polynomial one, keys in the same
+    order.  At n4 = 70 that oracle takes 16-28 s per code, so there the
+    dual is checked against the MacWilliams identity at random points."""
+    codes = [z4.kerdock_z4(ctx3), z4.kerdock_z4(ctx5),
+             z4.goethals_check_z4(ctx5), z4.z4_dual(z4.goethals_z4(ctx5))]
+    codes += list(_random_z4_codes())
+    assert max(c.size for c in codes) > z4.WORD_CHUNK
+    assert {c.n4 for c in codes} == {8, 32, 5, 33, 70}
+    for c in codes:
+        if c.size <= 1 << 15:
+            assert np.array_equal(c.words(), _oracle_message_words(c, 0, c.size))
+        swe = z4.lee_swe(c)
+        assert list(swe.coeffs.items()) == list(_oracle_swe(c).items())
+        dual = z4.swe_macwilliams(swe, c.size, c.n4)
+        if c.n4 <= 33:
+            want = _oracle_macwilliams(swe.coeffs, c.size, c.n4)
+            assert list(dual.coeffs.items()) == list(want.items())
+        else:
+            assert _identity_holds_at_random_points(swe, dual, c.size, rng)
+        back = z4.swe_macwilliams(dual, 4**c.n4 // c.size, c.n4)
+        assert back.coeffs == swe.coeffs
+
+
+def test_macwilliams_rejects_terms_beyond_length(ctx3):
+    swe = z4.lee_swe(z4.kerdock_z4(ctx3))
+    with pytest.raises(NonIntegralTransform, match="does not fit"):
+        z4.swe_macwilliams(swe, swe.total, swe.n4 - 1)
+
+
+def test_preparata8_by_macwilliams(ctx7):
+    """Kerdock(7): 65,536 words of length 128; the Preparata side has
+    minimum Lee weight 6 and the transform is an involution."""
+    k = z4.kerdock_z4(ctx7)
+    assert (k.n4, k.size) == (128, 65536)
+    swe = z4.lee_swe(k)
+    dual = z4.swe_macwilliams(swe, k.size, k.n4)
+    assert dual.min_nonzero_lee_weight() == 6
+    assert dual.total == 4**128 // k.size
+    assert z4.swe_macwilliams(dual, dual.total, k.n4).coeffs == swe.coeffs
