@@ -123,8 +123,7 @@ class LinearCode:
 def linear_code(generator: np.ndarray, **kw) -> LinearCode:
     """Builds a LinearCode from (possibly dependent) generator rows."""
     g = np.asarray(generator, dtype=np.uint8) % 2
-    reduced, _, rank = gf2.rref(g)
-    return LinearCode(n=g.shape[1], generator=reduced[:rank], **kw)
+    return LinearCode(n=g.shape[1], generator=gf2._independent_rows(g), **kw)
 
 
 def _rm_points(m: int) -> np.ndarray:
@@ -221,34 +220,15 @@ class CosetCode:
             yield from (t ^ base_words)
 
 
-def _coset_canonical(base: LinearCode, v: np.ndarray) -> np.ndarray:
-    """Lexicographically least vector in v + base (RREF pivot clearing)."""
-    v = np.asarray(v, dtype=np.uint8) % 2
-    g = base.generator
-    out = v.copy()
-    col = 0
-    for row in g:
-        while not row[col]:
-            col += 1
-        if out[col]:
-            out ^= row
-    return out
-
-
-def _make_coset_code(base: LinearCode, ts: list[np.ndarray], **kw) -> CosetCode:
-    canon = {}
-    for t in ts:
-        c = _coset_canonical(base, t)
-        key = c.tobytes()
-        if key in canon:
-            raise DuplicateCoset("two translations share a coset of the base")
-        canon[key] = c
-    zero = bytes(base.n)
-    if zero not in canon:
+def _make_coset_code(base: LinearCode, ts: np.ndarray, **kw) -> CosetCode:
+    """Coset code on the rows of ts, each replaced by the lexicographically
+    least vector of its coset; the zero coset first, the rest sorted."""
+    canon = np.unique(gf2.reduce_rows(base.generator, ts), axis=0)
+    if len(canon) != len(ts):
+        raise DuplicateCoset("two translations share a coset of the base")
+    if not len(canon) or canon[0].any():
         raise ConstructionMismatch("coset code must contain the zero coset")
-    rest = sorted(k for k in canon if k != zero)
-    trans = np.array([canon[zero]] + [canon[k] for k in rest], dtype=np.uint8)
-    return CosetCode(base=base, translations=trans, **kw)
+    return CosetCode(base=base, translations=canon, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +310,7 @@ def preparata_like(m: int, route: str = "direct") -> CosetCode:
     if ts.shape[0] != expect:
         raise ConstructionMismatch(
             f"expected {expect} cosets, found {ts.shape[0]}")
-    return _make_coset_code(base, list(ts), name=f"Preparata({m})")
+    return _make_coset_code(base, ts, name=f"Preparata({m})")
 
 
 def goethals_binary(m: int, route: str = "direct") -> CosetCode:
@@ -357,7 +337,7 @@ def goethals_binary(m: int, route: str = "direct") -> CosetCode:
     if ts.shape[0] != expect:
         raise ConstructionMismatch(
             f"expected {expect} cosets, found {ts.shape[0]}")
-    return _make_coset_code(base, list(ts), name=f"Goethals({m})")
+    return _make_coset_code(base, ts, name=f"Goethals({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +372,16 @@ def _gray_route_code(m: int) -> CosetCode:
     kernel_rm = np.zeros_like(kernel)
     kernel_rm[:, perm] = kernel
     rm = reed_muller(m - 3, m)
-    if not all(gf2.row_space_contains(kernel_rm, row) for row in rm.generator):
+    if not gf2.row_space_contains(kernel_rm, rm.generator):
         raise ConstructionMismatch(
             f"Gray-image kernel (dim {kernel.shape[0]}) does not contain "
             f"RM({m - 3},{m}) (dim {rm.k}); the Gray image is not a union "
             "of cosets of that Reed-Muller code")
     kernel_code = linear_code(kernel_rm, name="gray-kernel")
     reps = z4.z4_quotient_reps(quat, z4.kernel_preimage(quat))
-    ts = []
-    for rep in reps:
-        g = z4.gray_image(rep)
-        t = np.zeros_like(g)
-        t[perm] = g
-        ts.append(t)
+    ts = np.zeros((len(reps), len(perm)), dtype=np.uint8)
+    for t, rep in zip(ts, reps):
+        t[perm] = z4.gray_image(rep)
     coarse = _make_coset_code(kernel_code, ts, name=f"Preparata({m})")
     return rebase(coarse, rm)
 
@@ -433,56 +410,34 @@ def rebase(c: CosetCode, new_base: LinearCode) -> CosetCode:
     """Re-expresses a coset code over a nested base.
 
     Coarsening (new_base contains the old base) merges translations and
-    checks that the merged classes witness a genuine coset decomposition;
+    checks that each new coset holds the expected number of old ones;
     refining (new_base inside the old base) expands each translation by
-    representatives of base/new_base.
+    the span of representatives of base/new_base.
     """
     old = c.base
+    kw = dict(name=c.name, claimed_distance=c.claimed_distance,
+              distance_provenance=c.distance_provenance)
     if new_base.n != old.n:
         raise NotNested("length mismatch")
     if gf2.row_spaces_equal(new_base.generator, old.generator):
-        return _make_coset_code(new_base, list(c.translations), name=c.name,
-                                claimed_distance=c.claimed_distance,
-                                distance_provenance=c.distance_provenance)
-    if all(gf2.row_space_contains(new_base.generator, row)
-           for row in old.generator):
+        return _make_coset_code(new_base, c.translations, **kw)
+    if gf2.row_space_contains(new_base.generator, old.generator):
         # coarsening: group translations by new_base syndrome
-        groups: dict[bytes, list[np.ndarray]] = {}
-        for t in c.translations:
-            groups.setdefault(new_base.syndrome(t).tobytes(), []).append(t)
+        _, first, sizes = np.unique(
+            c.translations @ new_base.parity_check.T & 1, axis=0,
+            return_index=True, return_counts=True)
         expected = 1 << (new_base.k - old.k)
-        for members in groups.values():
-            if len(members) != expected:
-                raise NotAUnionOfCosets(
-                    f"class of size {len(members)}, expected {expected}")
-            for t in members[1:]:
-                if not new_base.contains(t ^ members[0]):
-                    raise NotAUnionOfCosets(
-                        "representative difference escapes the new base")
-        reps = [members[0] for members in groups.values()]
-        return _make_coset_code(new_base, reps, name=c.name,
-                                claimed_distance=c.claimed_distance,
-                                distance_provenance=c.distance_provenance)
-    if all(gf2.row_space_contains(old.generator, row)
-           for row in new_base.generator):
-        # refining: expand by coset reps of old/new within the old base
-        inner = [row for row in old.generator
-                 if not new_base.contains(row)]
-        # build coset reps of new_base inside old by BFS over generators
-        reps = {bytes(old.n): np.zeros(old.n, dtype=np.uint8)}
-        frontier = [np.zeros(old.n, dtype=np.uint8)]
-        while frontier:
-            cur = frontier.pop()
-            for row in old.generator:
-                cand = _coset_canonical(new_base, cur ^ row)
-                key = cand.tobytes()
-                if key not in reps:
-                    reps[key] = cand
-                    frontier.append(cand)
-        ts = [t ^ r for t in c.translations for r in reps.values()]
-        return _make_coset_code(new_base, ts, name=c.name,
-                                claimed_distance=c.claimed_distance,
-                                distance_provenance=c.distance_provenance)
+        bad = sizes[sizes != expected]
+        if bad.size:
+            raise NotAUnionOfCosets(
+                f"class of size {bad[0]}, expected {expected}")
+        return _make_coset_code(new_base, c.translations[first], **kw)
+    if gf2.row_space_contains(old.generator, new_base.generator):
+        # refining: shift each translation by every word of old/new_base
+        reps = gf2.word_matrix(gf2.coset_rep_rows(old.generator,
+                                                  new_base.generator))
+        ts = c.translations[:, None] ^ reps[None]
+        return _make_coset_code(new_base, ts.reshape(-1, old.n), **kw)
     raise NotNested("bases are not nested either way")
 
 
@@ -538,17 +493,12 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
                 best = min(best, int(diff.min()))
         return best
     if strategy == "coset-brute":
-        seen = set()
-        best = _linear_brute(c.base, cap)
-        for i in range(c.num_cosets):
-            for j in range(i + 1, c.num_cosets):
-                diff = c.translations[i] ^ c.translations[j]
-                key = _coset_canonical(c.base, diff).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                best = min(best, _coset_leader_weight(c.base, diff, cap))
-        return best
+        # one leader per distinct class of translation differences
+        i, j = np.triu_indices(c.num_cosets, 1)
+        diffs = np.unique(gf2.reduce_rows(
+            c.base.generator, c.translations[i] ^ c.translations[j]), axis=0)
+        return min([_linear_brute(c.base, cap)] +
+                   [_coset_leader_weight(c.base, d, cap) for d in diffs])
     if strategy == "enumerator":
         return _first_nonzero_weight(_pair_weights(c, cap))
     raise StrategyInfeasible(f"unknown strategy {strategy!r}")
@@ -698,15 +648,18 @@ def format_coset_code(c: CosetCode) -> str:
 def parse_coset_code(text: str) -> CosetCode:
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
-    rows, cols = (int(x) for x in lines[0].split())
-    gen = gf2.parse_matrix("\n".join(lines[:rows + 1]))
-    head = lines[rows + 1].split()
-    if head[0] != "translations":
-        raise BadParams("expected a 'translations' block")
-    count = int(head[1])
-    ts = []
-    for ln in lines[rows + 2: rows + 2 + count]:
-        ts.append(np.array([int(ch) for ch in ln], dtype=np.uint8))
-    if len(ts) != count:
-        raise BadParams("translation count mismatch")
+    gen = gf2.parse_matrix(lines)
+    rows, cols = gen.shape
+    head = lines[rows + 1].split() if len(lines) > rows + 1 else []
+    if len(head) != 2 or head[0] != "translations":
+        raise BadParams("expected a 'translations <count>' block")
+    body = lines[rows + 2:]
+    if len(body) != int(head[1]):
+        raise BadParams(f"translation count mismatch: header says {head[1]}, "
+                        f"found {len(body)}")
+    for i, ln in enumerate(body):
+        if len(ln) != cols or set(ln) - set("01"):
+            raise BadParams(f"translation {i} {ln!r} is not a 0/1 string "
+                            f"of length {cols}")
+    ts = gf2.as_matrix(body).reshape(-1, cols)
     return _make_coset_code(linear_code(gen), ts)

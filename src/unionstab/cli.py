@@ -16,6 +16,9 @@ from . import circuits, classical, gf2, stab, unioncode
 from .errors import UnionStabError
 
 SHOWN_FAILURES = 5  # failed items a verification writes to stderr
+# the number of positional parameters each construct kind takes
+CONSTRUCT_PARAMS = {"rm": 2, "nr": 0, "preparata": 1, "goethals": 1,
+                    "css": 2, "enlarge": 2, "css-union": 2, "family": 2}
 
 
 def _parse_config(path: str) -> dict:
@@ -96,6 +99,10 @@ def _load_coset(path: str) -> classical.CosetCode:
 def cmd_construct(args, report: Report) -> int:
     kind = args.kind
     params = args.params
+    want = CONSTRUCT_PARAMS[kind]
+    if len(params) != want:
+        raise UnionStabError(f"construct {kind} takes {want} parameters, "
+                             f"got {len(params)}")
     if kind == "rm":
         r, m = int(params[0]), int(params[1])
         code = classical.reed_muller(r, m)
@@ -137,8 +144,6 @@ def cmd_construct(args, report: Report) -> int:
     elif kind == "family":
         code = unioncode.family_build(params[0], int(params[1]))
         report.add("code", _union_report(code))
-    else:
-        raise UnionStabError(f"unknown construct kind {kind!r}")
     return 0
 
 
@@ -244,8 +249,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file or prefix")
 
     c = sub.add_parser("construct", parents=[common])
-    c.add_argument("kind", choices=("rm", "nr", "preparata", "goethals",
-                                    "css", "enlarge", "css-union", "family"))
+    c.add_argument("kind", choices=tuple(CONSTRUCT_PARAMS))
     c.add_argument("params", nargs="*")
     c.add_argument("--route", choices=("direct", "gray"), default="direct")
     c.set_defaults(func=cmd_construct)

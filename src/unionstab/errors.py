@@ -38,7 +38,7 @@ class QuotientTooLarge(UnionStabError):
 
 
 class ConstructionMismatch(UnionStabError):
-    """A Gray-image kernel failed to match the expected Reed-Muller base."""
+    """A built or parsed object failed a check; the message names the item."""
 
 
 class NotNested(UnionStabError):

@@ -2,9 +2,11 @@
 
 Vectors are 1-D uint8 arrays with entries in {0, 1}; matrices are 2-D.
 Position 0 is the leftmost printed bit.  All public functions leave their
-inputs untouched and return fresh arrays.  Vectors of length at most 64
-can also be packed into uint64 words (bit j = position j) and a whole row
-space spanned at once by span_words.
+inputs untouched and return fresh arrays.  Cosets of a subspace are
+handled by two primitives: reduce_rows (the canonical representative of
+each row) and coset_rep_rows (rows independent modulo the subspace).
+Vectors of length at most 64 can also be packed into uint64 words
+(bit j = position j) and a whole row space spanned at once by span_words.
 """
 
 from __future__ import annotations
@@ -76,16 +78,17 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {x : m @ x = 0}, one row per basis vector.
 
     Row count is always cols - rank(m); the result may have zero rows.
+    Basis vector i sets free column i to 1 and each pivot column to that
+    pivot row's entry in the free column.
     """
     m = np.asarray(m, dtype=np.uint8) % 2
-    nrows, ncols = m.shape
     red, pivots, rk = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for prow, pcol in enumerate(pivots):
-            basis[i, pcol] = red[prow, fc]
+    is_free = np.ones(m.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, m.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = red[:rk, free].T
     return basis
 
 
@@ -118,26 +121,48 @@ def syndrome(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (h.astype(np.int64) @ v.astype(np.int64) % 2).astype(np.uint8)
 
 
+def reduce_rows(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Lexicographically least vector of v + span(basis), for each row v.
+
+    rows is one vector or a matrix.  basis must be fully reduced without
+    zero rows (rref up to its rank, in any row order), so column piv_i,
+    the first 1 of row i, is 0 in every other row.  Clearing all pivots is
+    then one product, v ^ v[piv] @ basis; the uint8 product wraps mod 256,
+    which keeps its parity.
+    """
+    basis = np.asarray(basis, dtype=np.uint8)
+    rows = np.asarray(rows, dtype=np.uint8) % 2
+    piv = basis.argmax(axis=1)
+    return rows ^ ((rows[..., piv] @ basis) & 1)
+
+
 def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:
-    """Whether v lies in the row space of m."""
-    m = np.asarray(m, dtype=np.uint8)
-    v = as_bits(v)
-    stacked = np.vstack([m, v.reshape(1, -1)])
-    return rank(stacked) == rank(m)
+    """Whether v, a vector or every row of a matrix, lies in the row space
+    of m: whether each reduces to zero modulo it."""
+    basis = _independent_rows(np.asarray(m, dtype=np.uint8))
+    return not reduce_rows(basis, np.atleast_2d(as_bits(v))).any()
 
 
 def row_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank(np.vstack([a, b])) == ra
+    return row_space_contains(a, b) and row_space_contains(b, a)
 
 
 def _independent_rows(m: np.ndarray) -> np.ndarray:
     """Rows of rref(m) restricted to the nonzero ones (a basis)."""
     red, _, rk = rref(m)
     return red[:rk]
+
+
+def coset_rep_rows(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """Rows of ``big`` that are independent modulo the row space of ``small``.
+
+    A row is kept when it is independent of ``small`` and the rows of
+    ``big`` before it: exactly the pivot columns past ``small`` of the
+    transposed stack, found by one rref.
+    """
+    _, pivots, _ = rref(np.vstack([small, big]).T)
+    keep = [p - len(small) for p in pivots if p >= len(small)]
+    return np.asarray(big, dtype=np.uint8)[keep]
 
 
 def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:

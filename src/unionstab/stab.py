@@ -20,7 +20,9 @@ from .errors import (
     BadChain,
     BadMap,
     BadParams,
+    ConstructionMismatch,
     DependentGenerators,
+    LengthMismatch,
     NotCommuting,
     NotDualContaining,
     StrategyInfeasible,
@@ -78,10 +80,14 @@ class StabilizerCode:
         return np.array(rows, dtype=np.uint8).reshape(-1, 2 * self.n)
 
 
+def _swap(a: np.ndarray, n: int) -> np.ndarray:
+    """(x|z) rows, or one row, as (z|x)."""
+    return np.concatenate([a[..., n:], a[..., :n]], axis=-1)
+
+
 def _ip_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Symplectic products between rows of two (x|z) matrices."""
-    swapped = np.concatenate([b[:, n:], b[:, :n]], axis=1)
-    return (a @ swapped.T) % 2
+    return (a @ _swap(b, n).T) % 2
 
 
 def _vec(row: np.ndarray, n: int) -> PauliVector:
@@ -91,13 +97,18 @@ def _vec(row: np.ndarray, n: int) -> PauliVector:
 def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     """Completes commuting, independent generators to a full code.
 
-    Logical operators are chosen deterministically: coset representatives
-    of the normalizer modulo the stabilizer are paired up by symplectic
-    Gram-Schmidt in pivot order.
+    Logical operators are chosen deterministically: each normalizer basis
+    row is reduced modulo the stabilizer and the representatives kept so
+    far (gf2.reduce_rows against a span kept fully reduced), and the
+    nonzero ones are paired up by symplectic Gram-Schmidt in that order
+    (Gottesman's completion).
     """
+    if not gens:
+        raise BadParams("a stabilizer code needs at least one generator")
     n = gens[0].n
     rows = np.array([np.concatenate([p.x, p.z]) for p in gens], np.uint8)
-    if gf2.rank(rows) != len(gens):
+    span = gf2._independent_rows(rows)
+    if len(span) != len(gens):
         raise DependentGenerators("stabilizer generators are dependent")
     ips = _ip_rows(rows, rows, n)
     if ips.any():
@@ -105,43 +116,31 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
         raise NotCommuting(f"generators {bad[0]} and {bad[1]} anticommute")
     k = n - len(gens)
     # normalizer = kernel of the swapped stabilizer matrix
-    swapped = np.concatenate([rows[:, n:], rows[:, :n]], axis=1)
-    norm = gf2.kernel_basis(swapped)
-    # reduce normalizer rows modulo the stabilizer row space
-    reduced, _, rstab = gf2.rref(rows)
+    norm = gf2.kernel_basis(_swap(rows, n))
     reps = []
-    span = reduced[:rstab]
     for v in norm:
-        w = v.copy()
-        for row in span:
-            piv = int(np.argmax(row))
-            if w[piv]:
-                w ^= row
+        w = gf2.reduce_rows(span, v)
         if w.any():
-            stacked = np.vstack([span, w.reshape(1, -1)])
-            red2, _, r2 = gf2.rref(stacked)
-            if r2 > span.shape[0]:
-                span = red2[:r2]
-                reps.append(w)
-    assert len(reps) == 2 * k
+            # clear w's first 1 from span, so span stays fully reduced
+            span = np.vstack([span ^ np.outer(span[:, w.argmax()], w), w])
+            reps.append(w)
+    if len(reps) != 2 * k:
+        raise ConstructionMismatch(
+            f"{len(reps)} logical representatives, expected {2 * k}")
     # symplectic Gram-Schmidt into hyperbolic pairs
-    pool = [r.copy() for r in reps]
+    pool = np.array(reps, dtype=np.uint8).reshape(-1, 2 * n)
     xs, zs = [], []
-    while pool:
-        v = pool.pop(0)
-        partner = None
-        for i, w in enumerate(pool):
-            if int((v[:n] @ w[n:] + v[n:] @ w[:n]) % 2):
-                partner = i
-                break
-        assert partner is not None, "degenerate symplectic form on quotient"
-        w = pool.pop(partner)
-        rest = []
-        for u in pool:
-            ipw = int((u[:n] @ w[n:] + u[n:] @ w[:n]) % 2)
-            ipv = int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
-            rest.append((u ^ (v * ipw) ^ (w * ipv)) % 2)
-        pool = [r.astype(np.uint8) for r in rest]
+    while len(pool):
+        v, pool = pool[0], pool[1:]
+        ipv = (pool @ _swap(v, n)) & 1
+        if not ipv.any():
+            raise ConstructionMismatch(
+                "degenerate symplectic form on the normalizer quotient")
+        j = int(ipv.argmax())
+        w = pool[j]
+        pool, ipv = np.delete(pool, j, axis=0), np.delete(ipv, j)
+        ipw = (pool @ _swap(w, n)) & 1
+        pool = pool ^ np.outer(ipw, v) ^ np.outer(ipv, w)
         xs.append(v)
         zs.append(w)
     return StabilizerCode(
@@ -160,18 +159,6 @@ def _gf2_inverse(m: np.ndarray) -> np.ndarray:
     return red[:k, k:]
 
 
-def _coset_rep_rows(big: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """Rows of ``big`` that are independent modulo the row space of ``small``.
-
-    A row is kept when it is independent of ``small`` and the rows of
-    ``big`` before it: exactly the pivot columns past ``small`` of the
-    transposed stack, found by one rref.
-    """
-    _, pivots, _ = gf2.rref(np.vstack([small, big]).T)
-    keep = [p - len(small) for p in pivots if p >= len(small)]
-    return np.asarray(big, dtype=np.uint8)[keep]
-
-
 def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
     """CSS code [[n, k1 + k2 - n]] from classical codes with dual(c2) in c1.
 
@@ -184,18 +171,19 @@ def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
         raise BadParams("classical codes differ in length")
     h2 = c2.parity_check
     h1 = c1.parity_check
-    for row in h2:
-        if not c1.contains(row):
-            raise NotDualContaining("dual(c2) is not contained in c1")
+    if not gf2.row_space_contains(c1.generator, h2):
+        raise NotDualContaining("dual(c2) is not contained in c1")
     k = c1.k + c2.k - n
     if k < 0:
         raise NotDualContaining("negative quantum dimension")
     zeros = np.zeros(n, np.uint8)
     gens = [PauliVector(x=row, z=zeros) for row in h2]
     gens += [PauliVector(x=zeros, z=row) for row in h1]
-    g12 = _coset_rep_rows(c1.generator, h2)      # logical X side
-    g21 = _coset_rep_rows(c2.generator, h1)      # logical Z side
-    assert g12.shape[0] == k and g21.shape[0] == k
+    g12 = gf2.coset_rep_rows(c1.generator, h2)      # logical X side
+    g21 = gf2.coset_rep_rows(c2.generator, h1)      # logical Z side
+    if g12.shape[0] != k or g21.shape[0] != k:
+        raise ConstructionMismatch(
+            f"{len(g12)} and {len(g21)} logical pairs, expected {k}")
     if k:
         m = (g12 @ g21.T) % 2
         g21 = (_gf2_inverse(m).T @ g21) % 2
@@ -216,13 +204,17 @@ def _check_code(code: StabilizerCode) -> None:
     full = code.normalizer_binary()
     if gf2.rank(full) != n + code.k:
         raise DependentGenerators("stabilizer + logicals not full rank")
-    lx = full[n - code.k: n - code.k + code.k] if code.k else full[:0]
-    lz = full[n - code.k + code.k:] if code.k else full[:0]
-    if code.k:
-        pair = _ip_rows(lx, lz, n)
-        assert np.array_equal(pair, np.eye(code.k, dtype=np.uint8))
-        assert not _ip_rows(lx, sb, n).any()
-        assert not _ip_rows(lz, sb, n).any()
+    lx, lz = full[n - code.k:n], full[n:]
+    for fault, prods, want in (
+            ("logical X{} and Z{} do not pair", _ip_rows(lx, lz, n),
+             np.eye(code.k)),
+            ("logical X{} anticommutes with stabilizer {}",
+             _ip_rows(lx, sb, n), 0),
+            ("logical Z{} anticommutes with stabilizer {}",
+             _ip_rows(lz, sb, n), 0)):
+        bad = np.argwhere(prods != want)
+        if bad.size:
+            raise ConstructionMismatch(fault.format(*bad[0]))
 
 
 def default_fixed_point_free(dim: int) -> np.ndarray:
@@ -262,12 +254,10 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
     n = c.n
     if c_prime.n != n:
         raise BadChain("codes differ in length")
-    if not all(gf2.row_space_contains(c_prime.generator, row)
-               for row in c.generator):
+    if not gf2.row_space_contains(c_prime.generator, c.generator):
         raise BadChain("c is not contained in c_prime")
-    for row in c.parity_check:
-        if not c.contains(row):
-            raise BadChain("c does not contain its dual")
+    if not gf2.row_space_contains(c.generator, c.parity_check):
+        raise BadChain("c does not contain its dual")
     kk = c_prime.k - c.k
     if kk < 2:
         raise BadChain("enlargement needs k' > k + 1")
@@ -278,8 +268,10 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
         raise BadMap(f"map must be {kk} x {kk}")
     _gf2_inverse(a)                      # singular -> BadMap
     _gf2_inverse((a ^ np.eye(kk, dtype=np.uint8)))  # eigenvalue-1 check
-    d_rows = _coset_rep_rows(c_prime.generator, c.generator)
-    assert d_rows.shape[0] == kk
+    d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
+    if d_rows.shape[0] != kk:
+        raise ConstructionMismatch(
+            f"{d_rows.shape[0]} coset representatives of c'/c, expected {kk}")
     ad = (a @ d_rows) % 2
     trans = np.concatenate([d_rows, ad], axis=1)   # rows (vD | vAD) basis
     base = css(c, c)
@@ -290,7 +282,9 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
     new_rows = (keep @ sb) % 2
     gens = [_vec(row, n) for row in new_rows]
     code = stabilizer_from_generators(gens)
-    assert code.k == c.k + c_prime.k - n
+    if code.k != c.k + c_prime.k - n:
+        raise ConstructionMismatch(
+            f"enlarged code has k = {code.k}, expected {c.k + c_prime.k - n}")
     return code
 
 
@@ -308,7 +302,7 @@ def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
         raise StrategyInfeasible(f"2^{kk} exceeds cap {cap}")
     if a is None:
         a = default_fixed_point_free(kk)
-    d_rows = _coset_rep_rows(c_prime.generator, c.generator)
+    d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
     ad = (np.asarray(a, np.uint8) @ d_rows) % 2
     # entry v of each span is the weight of v D, v AD or v (D + AD)
     w = [gf2.span_weights(m, cap)[1:] for m in (d_rows, ad, d_rows ^ ad)]
@@ -339,7 +333,7 @@ def _commutation_bits(words: np.ndarray, rows: np.ndarray,
     words are packed (x|z); rows is a 0/1 (x|z) matrix of at most 64
     rows.  An entry is 0 exactly when the word commutes with every row.
     """
-    swapped = gf2.pack_rows(np.concatenate([rows[:, n:], rows[:, :n]], axis=1))
+    swapped = gf2.pack_rows(_swap(rows, n))
     out = np.zeros(words.shape, dtype=np.uint64)
     for g, row in enumerate(swapped):
         out |= (np.bitwise_count(words & row) & 1).astype(np.uint64) << g
@@ -384,7 +378,11 @@ def format_stabilizer(code: StabilizerCode) -> str:
 def parse_stabilizer(text: str) -> StabilizerCode:
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise BadParams("stabilizer text is empty")
     n, k = (int(x) for x in lines[0].split())
+    if not 0 <= k < n:
+        raise BadParams(f"header '{lines[0]}' needs 0 <= k < n")
     blocks: dict[str, list[PauliVector]] = {"S": [], "Z": [], "X": []}
     cur = None
     for ln in lines[1:]:
@@ -393,9 +391,14 @@ def parse_stabilizer(text: str) -> StabilizerCode:
             continue
         if cur is None:
             raise BadParams("operator line before any block header")
-        blocks[cur].append(pauli_parse(ln))
+        p = pauli_parse(ln)
+        if p.n != n:
+            raise LengthMismatch(f"operator {ln!r} in block {cur} acts on "
+                                 f"{p.n} qubits, header says n = {n}")
+        blocks[cur].append(p)
     if len(blocks["S"]) != n - k:
-        raise BadParams("stabilizer block has wrong row count")
+        raise BadParams(f"stabilizer block has {len(blocks['S'])} rows, "
+                        f"header needs n - k = {n - k}")
     if blocks["Z"] or blocks["X"]:
         if len(blocks["Z"]) != k or len(blocks["X"]) != k:
             raise BadParams("logical blocks have wrong row counts")

@@ -27,7 +27,9 @@ from .classical import (
 )
 from .errors import (
     BadParams,
+    ConstructionMismatch,
     DuplicateCoset,
+    LengthMismatch,
     NotPureEnough,
     StrategyInfeasible,
 )
@@ -204,8 +206,7 @@ def true_distance(code: UnionStabilizerCode,
     words = _normalizer_span(code.base, cap)
     gens = np.concatenate([code.base.normalizer_binary(),
                            _xz_rows(n, code.translations)])
-    closure, _, rank = gf2.rref(gens)
-    closure = closure[:rank]
+    closure = gf2._independent_rows(gens)
     reps = np.concatenate([np.zeros(1, np.uint64), _difference_classes(code)])
     word_bits = _commutation_bits(words, closure, n)
     best = None
@@ -432,10 +433,11 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
         raise BadParams(f"unknown clique mode {mode!r}")
 
     best_sorted = [identity] + sorted(verts[v] for v in best)
-    for a in best_sorted:
-        for b in best_sorted:
-            if a != b:
-                assert g.adj[a][b], "clique re-verification failed"
+    missing = [(g.labels[a], g.labels[b]) for a in best_sorted
+               for b in best_sorted if a != b and not g.adj[a][b]]
+    if missing:
+        raise ConstructionMismatch("clique re-verification failed: {} and {} "
+                                   "are not adjacent".format(*missing[0]))
     return CliqueResult(
         vertices=[g.labels[v] for v in best_sorted],
         size=len(best_sorted),
@@ -544,7 +546,12 @@ def parse_union_code(text: str) -> UnionStabilizerCode:
         raise BadParams("translations header must be 'T <K> [<d>]'")
     count = int(header[1])
     d = int(header[2]) if len(header) == 3 else None
-    ts = [pauli_parse(ln) for ln in lines[t_at + 1: t_at + 1 + count]]
+    ts = [pauli_parse(ln) for ln in lines[t_at + 1:]]
     if len(ts) != count:
-        raise BadParams("translation count mismatch")
+        raise BadParams(f"translation count mismatch: header says {count}, "
+                        f"found {len(ts)}")
+    for i, t in enumerate(ts):
+        if t.n != base.n:
+            raise LengthMismatch(f"translation {i} {pauli_str(t)} acts on "
+                                 f"{t.n} qubits, the base on {base.n}")
     return union_code(base, ts, d=d)

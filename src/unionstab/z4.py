@@ -56,7 +56,9 @@ def _hensel_lift(f: Sequence[int]) -> np.ndarray:
     g = prod[::2]  # coefficients of even powers
     if deg % 2 == 1:
         g = (-g) % 4
-    assert g[-1] == 1
+    if g[-1] != 1:
+        raise ConstructionMismatch(
+            f"Hensel lift of {list(f)} has leading coefficient {g[-1]}, not 1")
     return g.astype(np.uint8)
 
 
@@ -286,7 +288,9 @@ def z4_standard_form(g: np.ndarray) -> Z4Code:
                 two_rows[idx] = (pcol, (trow - row) % 4)
         two_rows.append((col, row))
     for row in active:
-        assert not (row % 4).any(), "leftover nonzero row after Z4 reduction"
+        if (row % 4).any():
+            raise ConstructionMismatch(
+                f"row {row.tolist()} is left nonzero after Z4 reduction")
     unit_rows.sort(key=lambda t: t[0])
     two_rows.sort(key=lambda t: t[0])
     pivots = [p for p, _ in unit_rows] + [p for p, _ in two_rows]
@@ -644,7 +648,9 @@ def z4_quotient_reps(
     if len(seen) != index:
         raise NotASubcode(f"closure found {len(seen)} cosets, expected {index}")
     reps = sorted(seen.values(), key=lambda v: tuple(v))
-    assert not reps[0].any()
+    if reps[0].any():
+        raise ConstructionMismatch(
+            f"first quotient representative {reps[0].tolist()} is not zero")
     return reps
 
 

@@ -198,6 +198,7 @@ def test_pair_enumerator_matches_brute_on_random_coset_codes():
         pairs = classical._pair_weights(c, gf2.DEFAULT_CAP)
         assert [p << base.k for p in pairs] == _brute_pair_weights(c)
         assert classical.min_distance(c, "enumerator") == \
+            classical.min_distance(c, "coset-brute") == \
             classical.min_distance(c, "brute")
 
 
@@ -334,3 +335,131 @@ def test_span_enumerator_matches_full_dual_oracle(name):
         assert _syndrome_rank(c) == s
     assert classical._pair_weights(c, gf2.DEFAULT_CAP) == \
         _full_dual_pair_weights(c)
+
+
+def _oracle_coset_canonical(base, v):
+    """Lexicographically least vector in v + base, pivot by pivot."""
+    out = np.asarray(v, dtype=np.uint8) % 2
+    col = 0
+    for row in base.generator:
+        while not row[col]:
+            col += 1
+        if out[col]:
+            out = out ^ row
+    return out
+
+
+def _oracle_make_coset_code(base, ts):
+    """Translations keyed by canonical bytes in a dict: duplicates first,
+    then the zero coset, then zero first and the rest sorted."""
+    canon = {}
+    for t in ts:
+        c = _oracle_coset_canonical(base, t)
+        if c.tobytes() in canon:
+            raise DuplicateCoset("two translations share a coset of the base")
+        canon[c.tobytes()] = c
+    zero = bytes(base.n)
+    if zero not in canon:
+        raise ConstructionMismatch("coset code must contain the zero coset")
+    rest = sorted(k for k in canon if k != zero)
+    return np.array([canon[zero]] + [canon[k] for k in rest], dtype=np.uint8)
+
+
+def _oracle_refine(c, new_base):
+    """Refinement by a breadth-first closure of canonical coset
+    representatives of new_base inside the old base."""
+    old = c.base
+    reps = {bytes(old.n): np.zeros(old.n, dtype=np.uint8)}
+    frontier = [np.zeros(old.n, dtype=np.uint8)]
+    while frontier:
+        cur = frontier.pop()
+        for row in old.generator:
+            cand = _oracle_coset_canonical(new_base, cur ^ row)
+            if cand.tobytes() not in reps:
+                reps[cand.tobytes()] = cand
+                frontier.append(cand)
+    return _oracle_make_coset_code(
+        new_base, [t ^ r for t in c.translations for r in reps.values()])
+
+
+def _make_or_error(make, base, ts):
+    try:
+        return make(base, ts)
+    except (DuplicateCoset, ConstructionMismatch) as e:
+        return type(e).__name__
+
+
+def _scrambled(rng, base, ts):
+    """ts shuffled, each shifted by a random word of base."""
+    shift = rng.integers(0, 2, (len(ts), base.k)) @ base.generator % 2
+    return (ts ^ shift.astype(np.uint8))[rng.permutation(len(ts))]
+
+
+def _coset_code_cases():
+    """(base, translations) pairs: the power-sum scans as found, the
+    built codes scrambled within their cosets, random coset codes, and
+    inputs with a duplicate coset, no zero coset, or both."""
+    rng = np.random.default_rng(31)
+    cases = [classical._power_sum_translations(4, "preparata"),
+             classical._power_sum_translations(6, "preparata"),
+             classical._power_sum_translations(6, "goethals")]
+    for c in (classical.preparata_like(4), classical.goethals_binary(6),
+              classical.nordstrom_robinson()):
+        cases.append((c.base, _scrambled(rng, c.base, c.translations)))
+    for seed in range(12):
+        base = classical.linear_code(
+            rng.integers(0, 2, (int(rng.integers(1, 8)), 20)))
+        ts = rng.integers(0, 2, (int(rng.integers(1, 9)), 20)).astype(np.uint8)
+        ts[0] = 0
+        if seed % 4 == 1:    # a repeated coset
+            ts = np.vstack([ts, ts[-1] ^ base.generator[0]])
+        elif seed % 4 == 2:  # no zero coset
+            ts[0] = 1
+        elif seed % 4 == 3:  # both: the duplicate is reported
+            ts = np.vstack([ts, ts[0]])
+            ts[0] ^= 1
+            ts[-1] ^= 1
+        cases.append((base, _scrambled(rng, base, ts)))
+    return cases
+
+
+def test_make_coset_code_matches_dict_oracle():
+    """One reduce_rows and np.unique give the translations, order and
+    exception of the per-row canonicalisation with a dict."""
+    errors = set()
+    for base, ts in _coset_code_cases():
+        got = _make_or_error(classical._make_coset_code, base, ts)
+        want = _make_or_error(_oracle_make_coset_code, base, ts)
+        if isinstance(want, str):
+            errors.add(want)
+            assert got == want
+        else:
+            assert got.translations.dtype == want.dtype
+            assert np.array_equal(got.translations, want)
+    assert errors == {"DuplicateCoset", "ConstructionMismatch"}
+
+
+def test_built_codes_match_dict_oracle():
+    for c in (classical.preparata_like(4), classical.preparata_like(6),
+              classical.goethals_binary(6), classical.nordstrom_robinson(),
+              classical.preparata_like(4, route="gray")):
+        assert np.array_equal(
+            c.translations, _oracle_make_coset_code(c.base, c.translations))
+
+
+def test_rebase_refine_matches_bfs_oracle():
+    rng = np.random.default_rng(5)
+    nr, g6 = classical.nordstrom_robinson(), classical.goethals_binary(6)
+    cases = [(nr, classical.reed_muller(0, 4)),
+             (classical.preparata_like(4), classical.reed_muller(0, 4)),
+             (nr, classical.linear_code(nr.base.generator[1:3]))]
+    # Goethals(6) over a random codimension-3 subcode of RM(3, 6)
+    keep = rng.integers(0, 2, (g6.base.k - 3, g6.base.k)) @ g6.base.generator
+    cases.append((g6, classical.linear_code(keep % 2)))
+    for c, new_base in cases:
+        assert gf2.rank(new_base.generator) < c.base.k
+        fine = classical.rebase(c, new_base)
+        assert np.array_equal(fine.translations, _oracle_refine(c, new_base))
+        assert fine.num_cosets << new_base.k == c.size
+        back = classical.rebase(fine, c.base)
+        assert np.array_equal(back.translations, c.translations)

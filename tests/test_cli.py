@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from unionstab import circuits, cli, stab, unioncode
+import unionstab
+from unionstab import circuits, classical, cli, stab, unioncode
 from unionstab.circuits import EncoderReport, KLReport, parse_circuit
 from unionstab.pauli import pauli_parse
 from unionstab.stab import format_stabilizer, stabilizer_from_generators
@@ -165,6 +171,84 @@ def test_exit_code_on_bad_input(tmp_path, capsys):
     assert rc == 2
     rc = cli.main(["verify", str(tmp_path / "missing.union")])
     assert rc == 2
+
+
+BAD_PAIRING = "2 1\nS\nXX\nZ\nZZ\nX\nZI\n"
+
+
+def test_bad_stabilizer_files_exit_2(tmp_path, capsys):
+    """Logicals that pair wrongly, operators longer or shorter than the
+    header says, and a header with no generators each exit 2 naming the
+    problem."""
+    path = tmp_path / "bad.stab"
+    for text, msg in (
+            (BAD_PAIRING, "logical X0 and Z0 do not pair"),
+            ("3 1\nS\nXX\nZZ\n", "operator 'XX' in block S acts on 2 "
+                                  "qubits, header says n = 3"),
+            ("2 1\nS\nXX\nZ\nZZZ\nX\nXI\n", "operator 'ZZZ' in block Z"),
+            ("3 3\nS\n", "header '3 3' needs 0 <= k < n")):
+        path.write_text(text)
+        rc = cli.main(["search", str(path), "--d", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and f"error: {msg}" in captured.err, text
+        assert captured.out == ""
+    union = tmp_path / "bad.union"
+    union.write_text(BAD_PAIRING + "T 1\nII\n")
+    assert cli.main(["verify", str(union), "--level", "full"]) == 2
+    union.write_text("2 0\nS\nXX\nZZ\nT 2\nII\nXII\n")
+    assert cli.main(["verify", str(union)]) == 2
+    assert "translation 1 XII acts on 3 qubits, the base on 2" in \
+        capsys.readouterr().err
+    union.write_text("2 0\nS\nXX\nZZ\nT 1\nII\nXI\n")
+    assert cli.main(["verify", str(union)]) == 2
+    assert "header says 1, found 2" in capsys.readouterr().err
+
+
+def test_construct_parameter_count_exits_2(capsys):
+    for argv in (["rm", "1"], ["preparata"], ["family", "goethals"],
+                 ["css"], ["nr", "4"]):
+        rc = cli.main(["construct", *argv])
+        assert rc == 2, argv
+        assert "parameters, got" in capsys.readouterr().err
+
+
+def test_bad_pairing_exits_2_under_optimize(tmp_path):
+    """The logical pairing check is not an assert: python -O keeps it."""
+    union = tmp_path / "bad.union"
+    union.write_text(BAD_PAIRING + "T 1\nII\n")
+    src = str(Path(unionstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "unionstab.cli", "verify", str(union),
+         "--level", "full"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: logical X0 and Z0 do not pair" in proc.stderr
+
+
+def test_bad_coset_file_exits_2(tmp_path, capsys):
+    """A translation line of the wrong length or alphabet exits 2 in
+    construct css-union, as does a missing or short translations block."""
+    good = classical.format_coset_code(classical.preparata_like(4))
+    lines = good.splitlines()
+    at = lines.index("translations 8")
+    path = tmp_path / "bad.code"
+    for edit, msg in (
+            (lambda ls: ls.__setitem__(at + 2, ls[at + 2][:-1]),
+             "translation 1 "),
+            (lambda ls: ls.__setitem__(at + 3, "2" + ls[at + 3][1:]),
+             "translation 2 "),
+            (lambda ls: ls.__delitem__(slice(at + 8, None)),
+             "translation count mismatch"),
+            (lambda ls: ls.__delitem__(slice(at, None)),
+             "expected a 'translations <count>' block")):
+        ls = list(lines)
+        edit(ls)
+        path.write_text("\n".join(ls) + "\n")
+        rc = cli.main(["construct", "css-union", str(path), str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and msg in captured.err, msg
 
 
 def test_search_rejects_bad_distance_and_budget(tmp_path, capsys):

@@ -123,3 +123,85 @@ def test_span_words_cap_fires_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _oracle_kernel_basis(m):
+    """The nested loop: free column i set, pivot columns read from rref."""
+    red, pivots, _ = gf2.rref(m)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for prow, pcol in enumerate(pivots):
+            basis[i, pcol] = red[prow, fc]
+    return basis
+
+
+def test_kernel_basis_matches_loop_oracle():
+    rng = np.random.default_rng(2)
+    cases = [np.zeros((0, 5), np.uint8), np.zeros((3, 4), np.uint8),
+             np.eye(6, dtype=np.uint8)]
+    cases += [rng.integers(0, 2, (int(rng.integers(1, 12)),
+                                  int(rng.integers(1, 20)))).astype(np.uint8)
+              for _ in range(40)]
+    for m in cases:
+        got, want = gf2.kernel_basis(m), _oracle_kernel_basis(m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _oracle_reduce(basis, v):
+    """Sequential pivot clearing, one basis row at a time."""
+    out = v.copy()
+    for row in basis:
+        piv = int(np.argmax(row))
+        if out[piv]:
+            out ^= row
+    return out
+
+
+def _random_basis(rng, n):
+    m = rng.integers(0, 2, (int(rng.integers(0, n + 2)), n)).astype(np.uint8)
+    return gf2._independent_rows(m)
+
+
+def test_reduce_rows_is_least_coset_vector():
+    """reduce_rows against rank and brute-force oracles: the result lies
+    in v + span, is zero on every pivot, and is the least such vector."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        basis = _random_basis(rng, n)
+        rows = rng.integers(0, 2, (int(rng.integers(0, 9)), n))
+        rows = rows.astype(np.uint8)
+        got = gf2.reduce_rows(basis, rows)
+        assert got.shape == rows.shape and got.dtype == np.uint8
+        # row order of the basis does not matter
+        perm = rng.permutation(len(basis))
+        assert np.array_equal(gf2.reduce_rows(basis[perm], rows), got)
+        words = gf2.span_words(basis).tolist()
+        for v, r in zip(rows, got):
+            assert np.array_equal(gf2.reduce_rows(basis, v), r)
+            assert np.array_equal(_oracle_reduce(basis, v), r)
+            assert gf2.rank(np.vstack([basis, (v ^ r)[None]])) == len(basis)
+            assert not r[basis.argmax(axis=1)].any()
+            coset = [gf2.to_string(v ^ gf2.as_bits(
+                [(w >> j) & 1 for j in range(n)])) for w in words]
+            assert gf2.to_string(r) == min(coset)
+
+
+def test_row_space_contains_matrix_matches_rank_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 14))
+        m = rng.integers(0, 2, (int(rng.integers(0, n + 1)), n))
+        m = m.astype(np.uint8)
+        if len(m) and rng.random() < 0.5:  # rows of the span
+            v = rng.integers(0, 2, (int(rng.integers(1, 6)), len(m))) @ m % 2
+        else:
+            v = rng.integers(0, 2, (int(rng.integers(1, 6)), n))
+        v = v.astype(np.uint8)
+        want = gf2.rank(np.vstack([m, v])) == gf2.rank(m)
+        assert gf2.row_space_contains(m, v) == want
+        assert all(gf2.row_space_contains(m, row) ==
+                   (gf2.rank(np.vstack([m, row[None]])) == gf2.rank(m))
+                   for row in v)

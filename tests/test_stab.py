@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from unionstab import classical, gf2, pauli, stab
+
+from conftest import FIVE_QUBIT_STABILIZER, GRAPH_STATE_STABILIZER
 from unionstab.errors import (
     BadChain,
     BadMap,
+    BadParams,
+    ConstructionMismatch,
     DependentGenerators,
+    LengthMismatch,
     NotCommuting,
     NotDualContaining,
     StrategyInfeasible,
@@ -131,7 +136,7 @@ def test_enlargement_weight_check_small():
     rm34 = classical.reed_muller(3, 4)
     w = stab.enlargement_weight_check(rm24, rm34)
     # brute-force oracle over all nonzero messages
-    d_rows = stab._coset_rep_rows(rm34.generator, rm24.generator)
+    d_rows = gf2.coset_rep_rows(rm34.generator, rm24.generator)
     a = stab.default_fixed_point_free(4)
     ad = (a @ d_rows) % 2
     best = 16
@@ -174,7 +179,7 @@ def test_coset_rep_rows_matches_greedy_oracle():
             big[-2] = big[0] ^ big[1]
         cases.append((big, small))
     for big, small in cases:
-        got = stab._coset_rep_rows(big, small)
+        got = gf2.coset_rep_rows(big, small)
         want = _oracle_coset_rep_rows(big, small)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -191,3 +196,110 @@ def test_format_parse_round_trip(five_base):
     assert [str(p) for p in again.stab] == [str(p) for p in five_base.stab]
     assert [str(p) for p in again.logical_x] == \
         [str(p) for p in five_base.logical_x]
+
+
+def _oracle_stabilizer_from_generators(gens):
+    """Logicals by one full rref per normalizer row and a list-based
+    symplectic Gram-Schmidt."""
+    n = gens[0].n
+    rows = np.array([np.concatenate([p.x, p.z]) for p in gens], np.uint8)
+    k = n - len(gens)
+    swapped = np.concatenate([rows[:, n:], rows[:, :n]], axis=1)
+    norm = gf2.kernel_basis(swapped)
+    reduced, _, rstab = gf2.rref(rows)
+    reps = []
+    span = reduced[:rstab]
+    for v in norm:
+        w = v.copy()
+        for row in span:
+            piv = int(np.argmax(row))
+            if w[piv]:
+                w ^= row
+        if w.any():
+            stacked = np.vstack([span, w.reshape(1, -1)])
+            red2, _, r2 = gf2.rref(stacked)
+            if r2 > span.shape[0]:
+                span = red2[:r2]
+                reps.append(w)
+    assert len(reps) == 2 * k
+    pool = [r.copy() for r in reps]
+    xs, zs = [], []
+    while pool:
+        v = pool.pop(0)
+        partner = next(i for i, w in enumerate(pool)
+                       if int((v[:n] @ w[n:] + v[n:] @ w[:n]) % 2))
+        w = pool.pop(partner)
+        rest = []
+        for u in pool:
+            ipw = int((u[:n] @ w[n:] + u[n:] @ w[:n]) % 2)
+            ipv = int((u[:n] @ v[n:] + u[n:] @ v[:n]) % 2)
+            rest.append((u ^ (v * ipw) ^ (w * ipv)) % 2)
+        pool = [r.astype(np.uint8) for r in rest]
+        xs.append(v)
+        zs.append(w)
+    return (n, k, [str(p) for p in gens], [str(stab._vec(v, n)) for v in xs],
+            [str(stab._vec(w, n)) for w in zs])
+
+
+def _dump(code):
+    return (code.n, code.k, [str(p) for p in code.stab],
+            [str(p) for p in code.logical_x], [str(p) for p in code.logical_z])
+
+
+def _graph_prefix(seed):
+    """The first l generators of a seeded random graph state, n = 2..13."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 12
+    a = np.triu(rng.integers(0, 2, (n, n)), 1)
+    a = (a | a.T).astype(np.uint8)
+    gens = [pauli.PauliVector(x=np.eye(n, dtype=np.uint8)[i], z=a[i])
+            for i in range(n)]
+    return gens[:int(rng.integers(1, n + 1))]
+
+
+def _oracle_cases():
+    rm = [classical.reed_muller(r, 6) for r in range(7)]
+    cases = {"enlarge_rm36_rm46": stab.enlarge_css(rm[3], rm[4]).stab,
+             "css_rm36_rm36": stab.css(rm[3], rm[3]).stab,
+             "css_rm46_rm26": stab.css(rm[4], rm[2]).stab}
+    for name, strings in (
+            ("ring5", GRAPH_STATE_STABILIZER),
+            ("perfect5", ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]),
+            ("union562", FIVE_QUBIT_STABILIZER)):
+        cases[name] = [pauli.pauli_parse(s) for s in strings]
+    for seed in range(40):
+        cases[f"graph_prefix{seed}"] = _graph_prefix(seed)
+    return cases
+
+
+def test_stabilizer_completion_matches_per_row_rref_oracle():
+    """Reducing against one span kept fully reduced picks the same
+    representatives, and the array pairing the same pairs, as the per-row
+    rref loop."""
+    for name, gens in _oracle_cases().items():
+        want = _oracle_stabilizer_from_generators(list(gens))
+        assert _dump(stab.stabilizer_from_generators(list(gens))) == want, name
+        if name == "enlarge_rm36_rm46":
+            assert want[:2] == (64, 35)
+
+
+def test_parse_rejects_bad_logicals_with_named_item():
+    with pytest.raises(ConstructionMismatch,
+                       match="logical X0 and Z0 do not pair"):
+        stab.parse_stabilizer("2 1\nS\nXX\nZ\nZZ\nX\nZI\n")
+    with pytest.raises(ConstructionMismatch,
+                       match="logical Z0 anticommutes with stabilizer 0"):
+        stab.parse_stabilizer("2 1\nS\nXX\nZ\nZI\nX\nXI\n")
+    good = stab.parse_stabilizer("2 1\nS\nXX\nZ\nZZ\nX\nXI\n")
+    assert (good.n, good.k) == (2, 1)
+
+
+def test_parse_checks_header_against_operators():
+    with pytest.raises(LengthMismatch, match="'XX' in block S acts on 2"):
+        stab.parse_stabilizer("3 1\nS\nXX\nZZ\n")
+    with pytest.raises(BadParams, match="0 <= k < n"):
+        stab.parse_stabilizer("3 3\nS\n")
+    with pytest.raises(BadParams, match="empty"):
+        stab.parse_stabilizer("# nothing\n")
+    with pytest.raises(BadParams, match="at least one generator"):
+        stab.stabilizer_from_generators([])

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unionstab import circuits, classical, pauli, stab, unioncode
+from unionstab import circuits, classical, gf2, pauli, stab, unioncode
 from unionstab.errors import (
     BadParams,
+    ConstructionMismatch,
     DuplicateCoset,
     NotPureEnough,
     StrategyInfeasible,
@@ -134,7 +135,7 @@ def test_css_like_union():
     rm24 = classical.reed_muller(2, 4)
     rm34 = classical.reed_muller(3, 4)
     # representatives of distinct cosets of RM(2,4) inside RM(3,4)
-    reps = stab._coset_rep_rows(rm34.generator, rm24.generator)
+    reps = gf2.coset_rep_rows(rm34.generator, rm24.generator)
     zero = np.zeros(16, np.uint8)
     t1s = [zero, reps[0], reps[1], reps[0] ^ reps[1]]
     t2s = [zero, reps[2]]
@@ -506,3 +507,15 @@ def test_leader_scan_memory_is_chunked():
         tracemalloc.stop()
     assert g.num_vertices == 1024
     assert peak < 8 << 20
+
+
+def test_clique_reverification_names_missing_edge():
+    """An adjacency matrix that is not symmetric lets greedy extension
+    build a set that is not a clique; re-verification rejects it."""
+    adj = np.array([[0, 1, 1], [1, 0, 1], [1, 0, 0]], dtype=bool)
+    g = unioncode.SearchGraph(labels=["00", "01", "10"],
+                              reps=np.zeros((3, 4), np.uint8), adj=adj,
+                              target_d=2, base=None)
+    with pytest.raises(ConstructionMismatch,
+                       match="10 and 01 are not adjacent"):
+        unioncode.max_clique(g, mode="greedy")

@@ -398,3 +398,9 @@ def test_preparata8_by_macwilliams(ctx7):
     assert dual.min_nonzero_lee_weight() == 6
     assert dual.total == 4**128 // k.size
     assert z4.swe_macwilliams(dual, dual.total, k.n4).coeffs == swe.coeffs
+
+
+def test_hensel_lift_rejects_non_monic_lift():
+    with pytest.raises(ConstructionMismatch, match="leading coefficient 0"):
+        z4._hensel_lift([1, 0, 2])
+    assert z4._hensel_lift([1, 1, 0, 1])[-1] == 1
