@@ -20,6 +20,7 @@ from .errors import (
     BadParams,
     CapExceeded,
     CollisionAfterReduction,
+    ConstructionMismatch,
     NonCliffordGate,
     NotFound,
     TooManyQubits,
@@ -144,6 +145,9 @@ def _clear_row_to_x(tab: _Tableau, row: int, q: int, n: int, r: int) -> None:
     """Gate moves turning tableau row into X on qubit q (Z-junk below r)."""
     supp_x = [c for c in range(q, n) if tab.x[row, c]]
     supp_z = [c for c in range(q, n) if tab.z[row, c]]
+    if not supp_x and not supp_z:
+        raise ConstructionMismatch(
+            f"tableau row {row} has no support left on qubits {q}..{n - 1}")
     if supp_x:
         pivot = supp_x[0]
     else:
@@ -209,14 +213,16 @@ def synth_q1(code: StabilizerCode) -> Circuit:
 
     # verify the target pattern before returning
     for i in range(r):
-        ok = (tab.signs[i] == 1 and not tab.x[i].any()
-              and tab.z[i].sum() == 1 and tab.z[i, i] == 1)
-        assert ok, f"stabilizer row {i} not reduced to +Z"
+        if not (tab.signs[i] == 1 and not tab.x[i].any()
+                and tab.z[i].sum() == 1 and tab.z[i, i] == 1):
+            raise ConstructionMismatch(f"stabilizer row {i} not reduced to +Z")
     for a in range(k):
-        assert tab.x[r + a].sum() == 1 and tab.x[r + a, r + a] == 1 \
-            and not tab.z[r + a].any(), f"logical X {a} not reduced"
-        assert tab.z[r + k + a].sum() == 1 and tab.z[r + k + a, r + a] == 1 \
-            and not tab.x[r + k + a].any(), f"logical Z {a} not reduced"
+        if not (tab.x[r + a].sum() == 1 and tab.x[r + a, r + a] == 1
+                and not tab.z[r + a].any()):
+            raise ConstructionMismatch(f"logical X {a} not reduced")
+        if not (tab.z[r + k + a].sum() == 1 and tab.z[r + k + a, r + a] == 1
+                and not tab.x[r + k + a].any()):
+            raise ConstructionMismatch(f"logical Z {a} not reduced")
     return Circuit(n=n, gates=tuple(tab.gates))
 
 
@@ -281,9 +287,16 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
             if i != j and work[i, j]:
                 work[i] ^= work[j]
                 gates.append(("CNOT", i, j))
-    assert np.array_equal(work, np.eye(r, dtype=np.uint8))
+    bad = np.flatnonzero((work != np.eye(r, dtype=np.uint8)).any(axis=1))
+    if bad.size:
+        raise ConstructionMismatch(
+            f"CNOT layer leaves label row {bad[0]} unreduced")
     aligned = Circuit(n=q1.n, gates=q1.gates + tuple(gates))
-    assert canonicalize_translations(code, aligned) == list(targets)
+    got = canonicalize_translations(code, aligned)
+    for i, (label, target) in enumerate(zip(got, targets)):
+        if label != target:
+            raise ConstructionMismatch(
+                f"translation {i} aligned to {label}, not {target}")
     return aligned
 
 
@@ -578,7 +591,9 @@ def code_basis(code: UnionStabilizerCode) -> list[np.ndarray]:
         if norm > 1e-9:
             root = v / norm
             break
-    assert root is not None
+    if root is None:
+        raise ConstructionMismatch(
+            "stabilizer projects every computational state to zero")
     core = []
     for j in range(1 << k):
         v = root
@@ -591,8 +606,11 @@ def code_basis(code: UnionStabilizerCode) -> list[np.ndarray]:
         for v in core:
             states.append(apply_pauli(t, v))
     gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-    assert np.allclose(gram, np.eye(len(states)), atol=1e-9), \
-        "translated basis is not orthonormal"
+    bad = ~np.isclose(gram, np.eye(len(states)), atol=1e-9)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ConstructionMismatch(
+            f"translated basis is not orthonormal: <{i}|{j}> = {gram[i, j]:.3g}")
     return states
 
 

@@ -520,6 +520,108 @@ def _fwht(a: np.ndarray) -> None:
         h <<= 1
 
 
+def _anf(rows: np.ndarray) -> np.ndarray:
+    """Algebraic normal form of each row, a truth table of length 2^m.
+
+    Entry x of a row is the value at the point with index x, so entry
+    mask of the result is the coefficient of the monomial in the index
+    bits set in mask: one Moebius butterfly pass per bit.
+    """
+    a = np.array(rows, dtype=np.uint8)
+    h = 1
+    while h < a.shape[1]:
+        pairs = a.reshape(a.shape[0], -1, 2, h)
+        pairs[:, :, 1] ^= pairs[:, :, 0]
+        h <<= 1
+    return a
+
+
+def _dickson_quadratics(lift: np.ndarray, s: int) -> np.ndarray | None:
+    """Quadratic parts of the first s rows of lift, when the rank path applies.
+
+    It applies when the length is n = 2^m, the last rows are exactly
+    RM(1, m) (m + 1 rows of degree at most 1; they are independent) and
+    the first s > 0 rows have degree at most 2.  Row i of the result holds
+    the coefficients of the C(m, 2) monomials x_a x_b, a < b, of row i,
+    which pack into one word for m <= 11.  Returns None otherwise.
+    """
+    n = lift.shape[1]
+    m = n.bit_length() - 1
+    if (n != 1 << m or s == 0 or lift.shape[0] - s != m + 1
+            or math.comb(m, 2) > 64):
+        return None
+    anf = _anf(lift)
+    degree = np.where(anf, np.bitwise_count(np.arange(n)), 0).max(axis=1)
+    if degree[:s].max() > 2 or degree[s:].max() > 1:
+        return None
+    masks = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(m), 2)]
+    return anf[:s, masks]
+
+
+def _alternating_ranks(forms: np.ndarray, m: int) -> np.ndarray:
+    """GF(2) rank of each alternating m x m form.
+
+    Bit k of forms[i] is entry (a, b) = (b, a) of form i, for the k-th
+    pair a < b of itertools.combinations(range(m), 2).  The forms are
+    unpacked to m rows of m bits and eliminated together, row by row: the
+    lowest set bit of a reduced row is its pivot, cleared from every
+    later row holding it, and each nonzero reduced row adds one to the
+    rank.
+    """
+    forms = np.asarray(forms, dtype=np.int64)
+    rows = [np.zeros_like(forms) for _ in range(m)]
+    for k, (a, b) in enumerate(itertools.combinations(range(m), 2)):
+        bit = (forms >> k) & 1
+        rows[a] |= bit << b
+        rows[b] |= bit << a
+    ranks = np.zeros(forms.size, dtype=np.uint8)
+    for i, row in enumerate(rows):
+        low = row & -row
+        for later in rows[i + 1:]:
+            later ^= row * ((later & low) != 0)
+        ranks += row != 0
+    return ranks
+
+
+_RANK_CHUNK = 1 << 16
+
+
+def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
+                  ) -> np.ndarray:
+    """acc[w] = sum_p chi2[p] * #(weight-w words of P[p] + RM(1, m)).
+
+    The weights of a coset of RM(1, m) in RM(2, m) depend only on the
+    rank of the alternating form of its quadratic part (Dickson; the
+    theory of error-correcting codes, MacWilliams and Sloane, ch. 15).
+    So chi2 is summed by rank, and one coset per rank that occurs, the
+    first column p of that rank, is enumerated.
+    """
+    s, n = quad.shape[0], lift.shape[1]
+    forms = gf2.span_words(quad).view(np.int64)
+    ranks = np.empty(forms.size, dtype=np.uint8)
+    for lo in range(0, forms.size, _RANK_CHUNK):
+        ranks[lo:lo + _RANK_CHUNK] = _alternating_ranks(
+            forms[lo:lo + _RANK_CHUNK], n.bit_length() - 1)
+    acc = np.zeros(n + 1, dtype=np.int64)
+    for rk in np.unique(ranks):
+        cols = ranks == rk
+        p = int(cols.argmax())
+        rep = ((p >> np.arange(s)) & 1) @ lift[:s] % 2
+        coset = gf2.span_weights(np.vstack([rep, lift[s:]]))[1::2]
+        acc += int(chi2[cols].sum()) * np.bincount(coset, minlength=n + 1)
+    return acc
+
+
+def _span_weights_by_chi(lift: np.ndarray, s: int, chi2: np.ndarray,
+                         ) -> np.ndarray:
+    """acc[w] = sum of chi2 over the weight-w words of the whole span."""
+    weights = gf2.span_weights(lift).reshape(-1, 1 << s)
+    acc = np.zeros(lift.shape[1] + 1, dtype=np.int64)
+    # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
+    np.add.at(acc, weights, np.broadcast_to(chi2, weights.shape))
+    return acc
+
+
 def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     """Weight counts of the multiset of cosets t + t' + L over ordered pairs.
 
@@ -533,33 +635,47 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     combination c_t = (H t)[piv] of B's rows, so u.t = (B a).c_t: chi is
     the Walsh-Hadamard transform, over 2^s entries, of the histogram of
     the c_t, read at p = B a.  The dual is spanned by the rows
-    [e_piv; ker B] H, whose combination p + 2^s q has B a = p, so its
-    weights reshape to a 2^(r-s) x 2^s table whose column p carries
-    chi(p)^2.  chi^2 is summed by weight in int64 and the polynomial
-    expansion uses exact integers; the division by 2^r is checked, which
-    certifies the arithmetic.
+    [P; D0] = [e_piv; ker B] H, and chi is constant, chi(p), on each
+    coset P[p] + D0, where P[p] combines the rows of P picked by p.  The
+    weights of chi^2 are summed by one of two paths into
+    acc[w] = sum_p chi(p)^2 #(weight-w words of P[p] + D0):
+
+    - rank path, when D0 is RM(1, m) and P lies in RM(2, m), as for the
+      power-sum codes over RM(m-3, m): by Dickson's theorem a coset's
+      weights depend only on the rank of its quadratic part, so the 2^s
+      ranks are computed and one coset is enumerated per rank.  It
+      allocates about 2^s words;
+    - span path, otherwise: all 2^r dual words, whose weights reshape to
+      a 2^(r-s) x 2^s table with column p for the coset of p.
+
+    The cap bounds what the chosen path allocates.  The polynomial
+    expansion uses exact integers and the division by 2^r is checked,
+    which certifies the arithmetic.
     """
-    base = c.base
-    h = base.parity_check
+    h = c.base.parity_check
     r = h.shape[0]
-    n = base.n
     K = c.num_cosets
-    if (1 << r) > cap:
-        raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")
     if (K * K) << r >= 1 << 63:
         raise StrategyInfeasible(f"{K}^2 * 2^{r} overflows int64 sums")
     syn = c.translations.astype(np.int64) @ h.T.astype(np.int64) % 2
     b, piv, s = gf2.rref(syn)
+    lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]).astype(np.int64)
+                      @ h.astype(np.int64) % 2])
+    quad = _dickson_quadratics(lift, s)
+    if quad is None and (1 << r) > cap:
+        raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")
+    if quad is not None and max(1 << s, 2 << (r - s)) > cap:
+        raise StrategyInfeasible(
+            f"rank table 2^{s} or coset span 2^{r - s + 1} exceeds cap {cap}")
     chi = np.bincount(gf2.pack_rows(syn[:, piv]).astype(np.int64),
                       minlength=1 << s)
     _fwht(chi)
     chi *= chi
-    lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]).astype(np.int64)
-                      @ h.astype(np.int64) % 2])
-    weights = gf2.span_weights(lift, cap).reshape(-1, 1 << s)
-    acc = np.zeros(n + 1, dtype=np.int64)
-    # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
-    np.add.at(acc, weights, np.broadcast_to(chi, weights.shape))
+    if quad is None:
+        acc = _span_weights_by_chi(lift, s, chi)
+    else:
+        acc = _rank_weights(quad, lift, chi)
+    n = c.n
     poly = [0] * (n + 1)
     for w, a_w in enumerate(acc.tolist()):
         if not a_w:

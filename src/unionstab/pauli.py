@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSymbol, LengthMismatch
+from .errors import BadSymbol, ConstructionMismatch, LengthMismatch
 
 __all__ = [
     "PauliVector",
@@ -120,7 +120,9 @@ def weight_identity(p: PauliVector) -> tuple[int, int]:
     """Both sides of wgt(p) = (wgt(x) + wgt(z) + wgt(x+z)) / 2."""
     lhs = pauli_weight(p)
     rhs = (int(p.x.sum()) + int(p.z.sum()) + int((p.x ^ p.z).sum())) // 2
-    assert lhs == rhs
+    if lhs != rhs:
+        raise ConstructionMismatch(
+            f"weight identity fails for {pauli_str(p)}: {lhs} != {rhs}")
     return lhs, rhs
 
 

@@ -13,6 +13,7 @@ from unionstab import circuits, gf2, pauli, stab, unioncode
 from unionstab.errors import (
     BadParams,
     CapExceeded,
+    ConstructionMismatch,
     NonCliffordGate,
     NotFound,
 )
@@ -110,6 +111,25 @@ def test_synth_q1_corpus(five_base, graph_state_code):
     ]
     for code in codes:
         _assert_trivializes(code, circuits.synth_q1(code))
+
+
+def _raw_code(stabs, lx=(), lz=()):
+    """A StabilizerCode built directly, skipping the generator checks."""
+    ps = [[pauli.pauli_parse(s) for s in group] for group in (stabs, lx, lz)]
+    return stab.StabilizerCode(n=len(stabs[0]), k=len(lx), stab=tuple(ps[0]),
+                               logical_x=tuple(ps[1]), logical_z=tuple(ps[2]))
+
+
+@pytest.mark.parametrize("code, message", [
+    (_raw_code(["IX", "IX"]), "tableau row 1 has no support"),
+    (_raw_code(["IX", "XZ"]), "stabilizer row 1 not reduced"),
+    (_raw_code(["IX"], ["XZ"], ["IX"]), "logical X 0 not reduced"),
+    (_raw_code(["IX"], ["XI"], ["IX"]), "logical Z 0 not reduced"),
+])
+def test_synth_q1_rejects_invalid_tableau(code, message):
+    """Dependent, anticommuting or unpaired rows name the failing row."""
+    with pytest.raises(ConstructionMismatch, match=message):
+        circuits.synth_q1(code)
 
 
 def test_canonicalize_translations(five_union):
@@ -372,6 +392,20 @@ def test_code_basis_orthonormal(five_union):
     mat = np.array(states)
     gram = mat.conj() @ mat.T
     assert np.allclose(gram, np.eye(6), atol=1e-9)
+
+
+def test_code_basis_rejects_invalid_codes(bell_base):
+    """A stabilizer with no +1 state, and translations in one coset."""
+    empty = unioncode.UnionStabilizerCode(
+        base=_raw_code(["ZI", "-ZI"]), translations=[pauli.pauli_parse("II")],
+        params=None)
+    with pytest.raises(ConstructionMismatch, match="projects every"):
+        circuits.code_basis(empty)
+    twice = unioncode.UnionStabilizerCode(
+        base=bell_base, params=None,
+        translations=[pauli.pauli_parse("II"), pauli.pauli_parse("XX")])
+    with pytest.raises(ConstructionMismatch, match=r"<0\|1> = 1"):
+        circuits.code_basis(twice)
 
 
 def test_kl_verify_five_union(five_union):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -323,6 +324,13 @@ _SPAN_CASES = {
     # r = 5: twelve random translations span all of GF(2)^5
     "random_rm24_12": (lambda: _random_coset_code(
         14, classical.reed_muller(2, 4), 12), 5),
+    # r - s = m + 1 as on the rank path, but D0, the dual words orthogonal
+    # to every translation, has words of degree 2
+    "random_rm14_7": (lambda: _random_coset_code(
+        20, classical.reed_muller(1, 4), 7), 6),
+    # D0 = RM(1, 4) as on the rank path, but P has words of degree 3
+    "rm2_4_over_rm0_4": (lambda: classical.rebase(classical._as_coset(
+        classical.reed_muller(2, 4)), classical.reed_muller(0, 4)), 10),
 }
 
 
@@ -335,6 +343,66 @@ def test_span_enumerator_matches_full_dual_oracle(name):
         assert _syndrome_rank(c) == s
     assert classical._pair_weights(c, gf2.DEFAULT_CAP) == \
         _full_dual_pair_weights(c)
+
+
+# cases whose lift is P over D0 = RM(1, m) with P in RM(2, m)
+_RANK_PATH_CASES = {"goethals6", "preparata6", "preparata6_sub1",
+                    "preparata6_sub2", "preparata6_sub3",
+                    "nordstrom_robinson", "preparata4"}
+
+
+@pytest.mark.parametrize("name", list(_SPAN_CASES))
+def test_enumerator_takes_expected_path(name, monkeypatch):
+    """Power-sum codes and NR sum by Dickson rank; the rest span 2^r."""
+    taken = []
+
+    def spy(path):
+        real = getattr(classical, path)
+
+        def record(*args):
+            taken.append(path)
+            return real(*args)
+        return record
+
+    for path in ("_rank_weights", "_span_weights_by_chi"):
+        monkeypatch.setattr(classical, path, spy(path))
+    classical._pair_weights(_SPAN_CASES[name][0](), gf2.DEFAULT_CAP)
+    assert taken == ["_rank_weights" if name in _RANK_PATH_CASES
+                     else "_span_weights_by_chi"]
+
+
+def _alternating_matrix(form: int, m: int) -> np.ndarray:
+    a = np.zeros((m, m), dtype=np.uint8)
+    for k, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        a[i, j] = a[j, i] = (form >> k) & 1
+    return a
+
+
+def test_alternating_ranks_match_gf2_rank():
+    """All 64 alternating 4 x 4 forms and 500 seeded 6 x 6 ones."""
+    sample = np.random.default_rng(5).integers(0, 1 << 15, 500)
+    for m, forms, ranks in ((4, np.arange(64), {0, 2, 4}),
+                            (6, sample, {0, 2, 4, 6})):
+        got = classical._alternating_ranks(forms, m).tolist()
+        assert got == [gf2.rank(_alternating_matrix(int(f), m))
+                       for f in forms]
+        assert set(got) == ranks
+
+
+def test_rank_path_cap_bounds_its_table():
+    """Goethals(6) allocates 2^15 rank-table words, not 2^22 dual words."""
+    c = classical.goethals_binary(6)
+    d, dist = classical.distance_enumerator(c, cap=1 << 16)
+    assert d == 8
+    assert dist == [p // c.num_cosets for p in _full_dual_pair_weights(c)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(StrategyInfeasible, match="rank table 2"):
+            classical.distance_enumerator(c, cap=(1 << 15) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _oracle_coset_canonical(base, v):

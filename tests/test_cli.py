@@ -73,7 +73,7 @@ def test_construct_css_union_round_trip(tmp_path, capsys):
     rc = cli.main(["construct", "css-union", str(coset_file),
                    str(coset_file), "--cap", "1000"])
     assert rc == 2
-    assert "error: dual enumeration 2^22 exceeds cap 1000" in \
+    assert "error: rank table 2^15 or coset span 2^8 exceeds cap 1000" in \
         capsys.readouterr().err
 
 
