@@ -168,6 +168,7 @@ def cmd_search(args, report: Report) -> int:
     report.add("clique.size", result.size)
     report.add("clique.optimal", result.optimal)
     report.add("clique.nodes", result.stats["nodes"])
+    report.add("clique.symmetry", result.stats["symmetry"])
     report.add("clique.vertices", " ".join(result.vertices))
     code = unioncode.union_from_clique(graph, result)
     report.add("code", _union_report(code))

@@ -43,31 +43,41 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
     """Reduced row echelon form over GF(2).
 
     Returns (reduced, pivot_cols, rank).  Row space is preserved and
-    pivot columns are strictly increasing.
+    pivot columns are strictly increasing; the rows past the rank are
+    zero.  Each row is packed into one Python int, column 0 the most
+    significant bit, and inserted into an XOR basis keyed by its leading
+    bit; back-substitution in ascending leading bit then clears every
+    pivot column, giving the unique RREF of the row space.
     """
-    r = (np.asarray(m, dtype=np.uint8) % 2).copy()
+    r = np.asarray(m, dtype=np.uint8) % 2
     if r.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
     nrows, ncols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sub = np.nonzero(r[row:, col])[0]
-        if sub.size == 0:
-            continue
-        pr = row + sub[0]
-        if pr != row:
-            r[[row, pr]] = r[[pr, row]]
-        # Clear the column everywhere else (full reduction).
-        hits = np.nonzero(r[:, col])[0]
-        for h in hits:
-            if h != row:
-                r[h] ^= r[row]
-        pivots.append(col)
-        row += 1
-    return r, pivots, len(pivots)
+    nbytes = -(-ncols // 8)
+    packed = np.packbits(r, axis=1).tobytes()
+    basis: dict[int, int] = {}  # bit length of the leading bit -> row
+    for i in range(nrows):
+        x = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "big")
+        while x:
+            lead = x.bit_length()
+            if lead not in basis:
+                basis[lead] = x
+                break
+            x ^= basis[lead]
+    leads = sorted(basis)
+    for i, lead in enumerate(leads):
+        x = basis[lead]
+        for p in leads[:i]:
+            if x >> (p - 1) & 1:
+                x ^= basis[p]
+        basis[lead] = x
+    leads.reverse()
+    reduced = np.zeros((nrows, ncols), dtype=np.uint8)
+    rows = b"".join(basis[lead].to_bytes(nbytes, "big") for lead in leads)
+    reduced[:len(leads)] = np.unpackbits(
+        np.frombuffer(rows, dtype=np.uint8).reshape(len(leads), nbytes),
+        axis=1, count=ncols)
+    return reduced, [8 * nbytes - lead for lead in leads], len(leads)
 
 
 def rank(m: np.ndarray) -> int:

@@ -370,6 +370,16 @@ def _color_classes(adjbits: list[int], cand: int,
     return verts, colors
 
 
+def _is_cayley(g: SearchGraph) -> bool:
+    """True when g is a Cayley graph on GF(2)^r in its labels: vertex i
+    is labelled i in r-bit binary and adj[u, v] == adj[0, u ^ v]."""
+    r, nv = len(g.labels[0]), len(g.labels)
+    if nv != 1 << r or g.labels != [format(i, f"0{r}b") for i in range(nv)]:
+        return False
+    v = np.arange(nv, dtype=np.min_scalar_type(nv - 1))
+    return bool(np.array_equal(g.adj, g.adj[0][v[:, None] ^ v]))
+
+
 def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                budget: int = 10**7) -> CliqueResult:
     """Maximum clique through the pinned identity vertex.
@@ -380,6 +390,20 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     greedy colouring built class by class.  Greedy mode runs randomized
     multi-start extension.  The returned clique is always re-verified
     edge by edge.
+
+    Exact mode also reduces by translations when g is a Cayley graph on
+    GF(2)^r, as every coset graph is: vertex i is labelled i in r-bit
+    binary, there are 2^r vertices, and adj[u, v] == adj[0, u ^ v].
+    Then a clique C through 0 shifted by any member a is another clique
+    C ^ a through 0 of the same size, with the same difference set
+    C ^ C.  Let U be the top-level vertices whose branches have
+    finished.  If a ^ b is in U for members a, b of C, let u be the
+    first such difference to finish: C ^ a contains u, and none of its
+    differences finished before u, so u's branch already searched it.
+    So once the branch of u finishes, every edge {x, y} with x ^ y = u
+    is deleted: later branches search, and colour, the graph without
+    those edges.  stats["symmetry"] is "translation" when this reduction
+    ran and "none" otherwise.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
@@ -394,6 +418,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     best: list[int] = []
     nodes = 0
     truncated = False
+    symmetry = "none"
 
     if mode == "greedy":
         rng = np.random.default_rng(seed)
@@ -408,6 +433,10 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
             if len(clique) > len(best):
                 best = clique
     elif mode == "exact":
+        if _is_cayley(g):
+            symmetry = "translation"
+            bit = {a: i for i, a in enumerate(verts)}
+
         # the identity is left out of clique and best: both sides of
         # every size comparison drop it
         def expand(clique: list[int], cand: int):
@@ -428,6 +457,12 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 expand(clique, cand & adjbits[v])
                 clique.pop()
                 cand ^= 1 << v
+                if symmetry == "translation" and not clique:
+                    u = verts[v]
+                    for x, a in enumerate(verts):
+                        y = bit.get(a ^ u)
+                        if y is not None:
+                            adjbits[x] &= ~(1 << y)
         expand([], full)
     else:
         raise BadParams(f"unknown clique mode {mode!r}")
@@ -443,7 +478,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
         size=len(best_sorted),
         method=mode,
         optimal=(mode == "exact" and not truncated),
-        stats={"nodes": nodes, "seed": seed},
+        stats={"nodes": nodes, "seed": seed, "symmetry": symmetry},
     )
 
 

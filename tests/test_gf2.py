@@ -19,6 +19,50 @@ def test_rref_rank_and_pivots():
         assert gf2.row_space_contains(m, row)
 
 
+def _rref_oracle(m):
+    """Column-by-column Gauss-Jordan elimination on uint8 rows."""
+    r = (np.asarray(m, dtype=np.uint8) % 2).copy()
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sub = np.nonzero(r[row:, col])[0]
+        if sub.size == 0:
+            continue
+        pr = row + sub[0]
+        if pr != row:
+            r[[row, pr]] = r[[pr, row]]
+        for h in np.nonzero(r[:, col])[0]:
+            if h != row:
+                r[h] ^= r[row]
+        pivots.append(col)
+        row += 1
+    return r, pivots, len(pivots)
+
+
+def test_rref_matches_column_loop_oracle():
+    """Seeded matrices up to 20 x 20, sparse to dense, entries 0..3 taken
+    mod 2, with empty shapes and zero rows; then 64 x 128 ones."""
+    rng = np.random.default_rng(4)
+    mats = []
+    for _ in range(3000):
+        nrows, ncols = rng.integers(0, 21, 2)
+        mats.append(rng.integers(0, 4, (nrows, ncols))
+                    * (rng.random((nrows, ncols)) < rng.random()))
+    mats += [rng.integers(0, 2, (64, 128)).astype(np.uint8) for _ in range(5)]
+    mats.append(np.vstack([mats[-1][:40], mats[-1][:40] ^ mats[-2][:40]]))
+    for m in mats:
+        red, pivots, rank = gf2.rref(m)
+        want = _rref_oracle(m)
+        assert red.dtype == np.uint8 and np.array_equal(red, want[0])
+        assert (pivots, rank) == want[1:]
+    for bad in ([1, 0, 1], np.zeros((2, 2, 2)), 5):
+        with pytest.raises(ValueError):
+            gf2.rref(bad)
+
+
 def test_kernel_basis_annihilates():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,8 @@ def test_max_clique_exact(graph_state_code):
 
 
 def test_max_clique_search_pinned(graph_state_code):
-    # the BBMC search visits exactly these nodes and returns these cliques
+    # the BBMC search, reduced by translations, visits exactly these nodes
+    # and returns these cliques
     ring = unioncode.max_clique(
         unioncode.build_search_graph(graph_state_code, 2))
     assert ring.vertices == ["00000", "00011", "01100", "10110", "11011",
@@ -107,7 +109,8 @@ def test_max_clique_search_pinned(graph_state_code):
         "0011000", "0011110", "0100011", "0100100", "0101000", "0101111",
         "0110000", "0110111", "0111011", "0111100", "1000100", "1001111",
         "1010111", "1011100", "1100010", "1101001", "1110001", "1111010"]
-    assert r.stats["nodes"] == 3673 and r.optimal
+    assert r.stats["nodes"] == 1734 and r.optimal
+    assert r.stats["symmetry"] == "translation"
 
 
 def test_max_clique_greedy_and_budget(graph_state_code):
@@ -458,7 +461,7 @@ def test_max_clique_random_graphs_match_brute_force():
         g = unioncode.SearchGraph(labels=labels, reps=None, adj=a,
                                   target_d=0, base=None)
         exact = unioncode.max_clique(g)
-        assert exact.optimal
+        assert exact.optimal and exact.stats["symmetry"] == "none"
         assert exact.size == _brute_max_clique_through_0(adj_sets), trial
         idx = [int(v, 2) for v in exact.vertices]
         assert idx[0] == 0
@@ -468,11 +471,76 @@ def test_max_clique_random_graphs_match_brute_force():
         assert not unioncode.max_clique(g, budget=1).optimal
 
 
+def _random_cayley_graphs():
+    """Seeded Cayley graphs on GF(2)^r, r = 3..7: u ~ v iff u ^ v in S,
+    each with a relabelling that fixes 0."""
+    rng = np.random.default_rng(13)
+    for r in range(3, 8):
+        nv = 1 << r
+        v = np.arange(nv)
+        labels = [format(i, f"0{r}b") for i in range(nv)]
+        for _ in range(10):
+            in_s = rng.random(nv) < rng.uniform(0.2, 0.8)
+            in_s[0] = False
+            a = in_s[v[:, None] ^ v]
+            perm = np.concatenate([[0], 1 + rng.permutation(nv - 1)])
+            b = np.empty_like(a)
+            b[np.ix_(perm, perm)] = a
+            yield r, *(unioncode.SearchGraph(
+                labels=labels, reps=None, adj=adj, target_d=0, base=None)
+                for adj in (a, b))
+
+
+def _is_cayley_oracle(adj):
+    v = np.arange(len(adj))
+    return all(np.array_equal(adj[u], adj[0, v ^ u]) for u in v)
+
+
+def test_max_clique_translation_reduction(monkeypatch):
+    """The reduced search matches brute force (r <= 6) and the unreduced
+    search.  It runs on Cayley graphs, and only there: relabelling the
+    vertices (0 fixed) breaks the Cayley property, unless the permutation
+    happens to be an automorphism, but not the size."""
+    nodes = {"translation": 0, "none": 0}
+    relabelled_cayley = 0
+    for trial, (r, g, relabelled) in enumerate(_random_cayley_graphs()):
+        with monkeypatch.context() as m:
+            m.setattr(unioncode, "_is_cayley", lambda graph: False)
+            plain = unioncode.max_clique(g)
+        want = plain.size
+        if r <= 6:
+            assert want == _brute_max_clique_through_0(
+                [set(np.flatnonzero(row).tolist()) for row in g.adj])
+        assert (plain.optimal, plain.stats["symmetry"]) == (True, "none")
+        exact = unioncode.max_clique(g)
+        assert (exact.size, exact.optimal) == (want, True), trial
+        assert exact.stats["symmetry"] == "translation"
+        idx = [int(v, 2) for v in exact.vertices]
+        assert idx[0] == 0
+        assert all(g.adj[u, v] for u in idx for v in idx if u != v)
+        nodes["translation"] += exact.stats["nodes"]
+        nodes["none"] += plain.stats["nodes"]
+        other = unioncode.max_clique(relabelled)
+        assert other.stats["symmetry"] == ("translation" if _is_cayley_oracle(
+            relabelled.adj) else "none"), trial
+        assert (other.size, other.optimal) == (want, True), trial
+        relabelled_cayley += other.stats["symmetry"] == "translation"
+        # the same adjacency with the identity's label on the last vertex;
+        # a Cayley graph is vertex-transitive, so the size stays
+        moved = unioncode.max_clique(dataclasses.replace(
+            g, labels=g.labels[::-1]))
+        assert (moved.size, moved.stats["symmetry"]) == (want, "none"), trial
+    # per graph, the reduced search can take a node or two more, since
+    # its colourings order the later branches differently
+    assert nodes["translation"] < nodes["none"]
+    assert relabelled_cayley <= 4
+
+
 def test_ring9_code_pinned():
     """The ((9, 12, 3)) code of the 9-qubit ring graph state."""
     g = unioncode.build_search_graph(_ring(9), 3)
     r = unioncode.max_clique(g)
-    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 3404)
+    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 1736)
     code = unioncode.union_from_clique(g, r)
     assert unioncode.true_distance(code) == 3
     assert unioncode.union_distance_bound(code).d == 3
