@@ -10,6 +10,7 @@ qubits backs Knill-Laflamme and end-to-end encoder checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ __all__ = [
 _GATE_ARITY = {"H": 1, "P": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2, "CCX": 3}
 _CLIFFORD = ("H", "P", "X", "Z", "CNOT", "CZ")
 MAX_SIM_QUBITS = 12
+SYNTH_CHUNK = 1 << 16  # words canonicalised or deduplicated at once
 
 
 @dataclass(frozen=True)
@@ -304,60 +306,39 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
 # Reversible synthesis over {X, CNOT, CCX}
 
 def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
-    gates = []
-    if "X" in gate_set:
-        gates += [("X", q) for q in range(w)]
-    if "CNOT" in gate_set:
-        gates += [("CNOT", c, t) for c in range(w) for t in range(w)
-                  if c != t]
-    if "CCX" in gate_set:
-        gates += [("CCX", a, b, t) for a in range(w) for b in range(a + 1, w)
-                  for t in range(w) if t != a and t != b]
-    return gates
+    """The X, CNOT and CCX of gate_set on w bits: (name, *controls, target)."""
+    return [(g, *c, t) for g in ("X", "CNOT", "CCX") if g in gate_set
+            for c in itertools.combinations(range(w), _GATE_ARITY[g] - 1)
+            for t in range(w) if t not in c]
 
 
-def _packed_op(gate: tuple, w: int, fields: int):
-    """Vectorized action of a classical gate on packed K-tuples of w bits."""
-    def bitpos(q):  # qubit 0 is the leftmost / most significant bit
-        return w - 1 - q
+def _packed_op(gate: tuple, w: int, fields: int, dtype):
+    """Vectorized action of a classical gate on packed K-tuples of w bits;
+    qubit q is bit w-1-q of each field, so qubit 0 is the most significant."""
+    *ctrl, t = (w - 1 - q for q in gate[1:])
+    mt = dtype(sum(1 << (w * i + t) for i in range(fields)))
 
-    stride = np.uint64(w)
-    field_mask = np.uint64(0)
-    for i in range(fields):
-        field_mask |= np.uint64(1) << (np.uint64(i) * stride)
-
-    if gate[0] == "X":
-        m = field_mask << np.uint64(bitpos(gate[1]))
-        return lambda a: a ^ m
-    if gate[0] == "CNOT":
-        pc, pt = bitpos(gate[1]), bitpos(gate[2])
-        mt = field_mask << np.uint64(pt)
-
-        def op(a):
-            src = a >> np.uint64(pc - pt) if pc >= pt \
-                else a << np.uint64(pt - pc)
-            return a ^ (src & mt)
-        return op
-    pa, pb, pt = (bitpos(q) for q in gate[1:])
-    mt = field_mask << np.uint64(pt)
-
-    def op(a):
-        sa = a >> np.uint64(pa - pt) if pa >= pt else a << np.uint64(pt - pa)
-        sb = a >> np.uint64(pb - pt) if pb >= pt else a << np.uint64(pt - pb)
-        return a ^ (sa & sb & mt)
+    def op(a, out=None):
+        hit = mt
+        for p in ctrl:
+            hit = hit & (a >> (p - t) if p >= t else a << (t - p))
+        return np.bitwise_xor(a, hit, out=out)
     return op
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-D array, as np.unique; sorts a in place.
 
-    numpy 2.x sends 1-D integer np.unique down a hash path many times
-    slower than sorting at synthesis frontier sizes.
+    At synthesis frontier sizes numpy 2.x's hash-path np.unique and a[mask]
+    on a sparse mask are many times slower than sorting and np.compress,
+    here by chunks to keep compress's index array small.
     """
     a.sort()
-    keep = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    out = [a[:1]]
+    for lo in range(1, a.size, SYNTH_CHUNK):
+        c = a[lo:lo + SYNTH_CHUNK]
+        out.append(np.compress(c != a[lo - 1:lo - 1 + c.size], c))
+    return np.concatenate(out)
 
 
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -366,28 +347,50 @@ def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b[pos] == a
 
 
-def _canonicaliser(w: int, K: int, hold: int):
-    """Sorts the packed fields hold..K-1 of each state; fields below hold stay.
+def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of a's entries in b (both sorted, distinct); probes the smaller."""
+    if a.size <= b.size:
+        return _in_sorted(a, b)
+    pos = np.minimum(np.searchsorted(a, b), a.size - 1)
+    mask = np.zeros(a.size, dtype=bool)
+    mask[pos[a[pos] == b]] = True
+    return mask
+
+
+def _batcher_pairs(n: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort of n keys as comparators (i, j), i < j."""
+    return [(i + j, i + j + k)
+            for p in (1 << e for e in range((n - 1).bit_length()))
+            for k in (p >> e for e in range(p.bit_length()))
+            for j in range(k % p, n - k, 2 * k)
+            for i in range(min(k, n - j - k))
+            if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+
+
+def _canonicaliser(w: int, K: int, hold: int, dtype):
+    """Sorts the packed fields hold..K-1 of each word in place, by chunks
+    split into per-field columns that pass a compare-exchange network.
 
     Gates act on every field alike, so they commute with permutations of
     the fields and searching the sorted representatives is exact.
     """
     if hold >= K - 1:
         return lambda a: a
-    shifts = np.arange(K, dtype=np.uint64) * np.uint64(w)
-    mask = np.uint64((1 << w) - 1)
+    shifts = [w * i for i in range(hold, K)]
+    mask, keep = dtype((1 << w) - 1), dtype((1 << (w * hold)) - 1)
+    pairs = _batcher_pairs(K - hold)
 
     def canon(a):
-        f = (a[:, None] >> shifts) & mask
-        f[:, hold:].sort(axis=1)
-        return np.bitwise_or.reduce(f << shifts, axis=1)
+        for c in np.split(a, range(SYNTH_CHUNK, a.size, SYNTH_CHUNK)):
+            cols = [(c >> s) & mask for s in shifts]
+            for i, j in pairs:
+                cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
+                                    np.maximum(cols[i], cols[j]))
+            c &= keep
+            for col, s in zip(cols, shifts):
+                c |= col << s
+        return a
     return canon
-
-
-def _pack(vals: list[int], w: int) -> np.ndarray:
-    """One-element array holding vals[i] in bits w*i .. w*i + w - 1."""
-    return np.array([sum(v << (w * i) for i, v in enumerate(vals))],
-                    dtype=np.uint64)
 
 
 def _search(inputs: list[str], gate_set: tuple, max_gates: int,
@@ -396,13 +399,13 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
 
     The order lists the indices of the inputs sent to 0, 1, ...  With
     any_order the search runs modulo permutations of the packed fields.
-    Bidirectional breadth-first search: each level is a sorted uint64
-    array of the packed states at exactly that distance from its side's
-    root, and the smaller frontier is expanded until the newest levels of
-    the two sides meet.  Forward levels are then pruned to states on some
-    shortest path, and a greedy walk from the start takes the smallest
-    gate that stays on one.  Raises CapExceeded before an expansion would
-    hold more than cap states.
+    Bidirectional breadth-first search: each level is a sorted array of
+    the packed states (uint32 when K*w <= 32) at exactly that distance from
+    its side's root, and the smaller frontier is expanded, into one buffer
+    of every gate's images, until the newest levels of the two sides meet.
+    Forward levels are then pruned to states on some shortest path, and a
+    greedy walk from the start takes the smallest gate that stays on one.
+    Raises CapExceeded before an expansion would hold more than cap states.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -416,29 +419,36 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
         raise BadParams("more inputs than w-bit strings")
     if K * w > 64:
         raise BadParams("packed search supports K*w <= 64")
+    if max_gates < 0:
+        raise BadParams(f"max_gates must be at least 0, got {max_gates}")
+    dtype = np.uint32 if K * w <= 32 else np.uint64
     vals = [int(s, 2) for s in inputs]
     # any order: the all-zero input, if present, sorts into field 0 and stays
     start = sorted(vals) if any_order else vals
-    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K)
+    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
     gates = sorted(_bit_gates(w, tuple(gate_set)))
-    ops = [_packed_op(g, w, K) for g in gates]
+    ops = [_packed_op(g, w, K, dtype) for g in gates]
 
-    def expand(level):  # canon per gate bounds its (size, K) temporaries
+    def expand(level):
         if level.size * len(ops) > cap:
             raise CapExceeded(f"expanding {level.size} states by "
                               f"{len(ops)} gates exceeds cap {cap}")
-        return _sorted_unique(np.concatenate([canon(op(level)) for op in ops]))
+        buf = np.empty((len(ops), level.size), dtype)
+        for op, row in zip(ops, buf):
+            op(level, out=row)
+        return _sorted_unique(canon(buf.reshape(-1)))
 
-    fwd = [canon(_pack(start, w))]
-    back = [_pack(list(range(K)), w)]
-    while not (meet := np.intersect1d(fwd[-1], back[-1],
-                                      assume_unique=True)).size:
+    # one-element root levels, value i packed into bits w*i .. w*i + w - 1
+    fwd, back = ([np.array([sum(v << (w * i) for i, v in enumerate(vs))],
+                           dtype)] for vs in (start, range(K)))
+    while not (meet := np.compress(_members(fwd[-1], back[-1]),
+                                   fwd[-1])).size:
         if len(fwd) + len(back) - 2 >= max_gates:
             raise NotFound(max_gates)
         side = fwd if fwd[-1].size <= back[-1].size else back
         new = expand(side[-1])
         for old in side[-2:]:  # neighbours lie at most one level closer
-            new = new[~_in_sorted(new, old)]
+            new = np.compress(~_members(new, old), new)
         if not new.size:  # this side's component is exhausted
             raise NotFound(max_gates)
         side.append(new)
@@ -446,8 +456,8 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     # on_path[j]: states j steps from the start on some shortest path
     on_path = [meet]
     for level in fwd[-2::-1]:
-        on_path.insert(0, np.intersect1d(level, expand(on_path[0]),
-                                         assume_unique=True))
+        on_path.insert(0, np.compress(_members(level, expand(on_path[0])),
+                                      level))
     path = []
     cur = fwd[0]
     # all gates are involutions: back[k] is "k steps from the target"
@@ -456,9 +466,9 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
         i = int(np.flatnonzero(_in_sorted(imgs, level))[0])
         path.append(gates[i])
         cur = imgs[i:i + 1]
-    end = np.array(vals, dtype=np.uint64)  # one input per word
+    end = np.array(vals, dtype=dtype)  # one input per word
     for g in path:
-        end = _packed_op(g, w, 1)(end)
+        end = _packed_op(g, w, 1, dtype)(end)
     return path, tuple(np.argsort(end).tolist())
 
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import circuits, classical, gf2, stab, unioncode
-from .errors import UnionStabError
+from .errors import BadParams, UnionStabError
 
 SHOWN_FAILURES = 5  # failed items a verification writes to stderr
 # the number of positional parameters each construct kind takes
@@ -178,6 +178,8 @@ def cmd_search(args, report: Report) -> int:
 
 
 def cmd_synth(args, report: Report) -> int:
+    if args.max_gates < 0:
+        raise BadParams("--max-gates must be at least 0")
     code = unioncode.parse_union_code(Path(args.code).read_text())
     q1 = circuits.synth_q1(code.base)
     labels = circuits.canonicalize_translations(code, q1)

@@ -148,9 +148,12 @@ def reduce_rows(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:
     """Whether v, a vector or every row of a matrix, lies in the row space
-    of m: whether each reduces to zero modulo it."""
-    basis = _independent_rows(np.asarray(m, dtype=np.uint8))
-    return not reduce_rows(basis, np.atleast_2d(as_bits(v))).any()
+    of m: whether each reduces to zero modulo it.  An m fully reduced
+    already, as a LinearCode generator is, is not run through rref."""
+    m = np.asarray(m, dtype=np.uint8) % 2
+    if not (m.size and np.array_equal(m[:, m.argmax(axis=1)], np.eye(len(m)))):
+        m = _independent_rows(m)
+    return not reduce_rows(m, np.atleast_2d(as_bits(v))).any()
 
 
 def row_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -232,6 +232,13 @@ def test_synth_qc_not_found():
         circuits.synth_qc(["01", "00"], gate_set=("CNOT",), max_gates=4)
 
 
+def test_synth_qc_rejects_negative_max_gates():
+    for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
+        # even the identity, which needs no gate, is refused
+        with pytest.raises(BadParams, match="max_gates must be at least 0"):
+            synth(["00", "01"], max_gates=-1)
+
+
 def test_synth_qc_any_order():
     inputs = ["00", "11", "10"]
     circ, order = circuits.synth_qc_any_order(inputs, max_gates=4)
@@ -320,6 +327,141 @@ def test_sorted_unique_matches_np_unique():
         got = circuits._sorted_unique(a.copy())
         assert got.dtype == np.uint64
         assert np.array_equal(got, np.unique(a))
+
+
+def test_sorted_unique_keeps_uint32_across_chunks(monkeypatch):
+    rng = np.random.default_rng(8)
+    cases = [rng.integers(0, 300, size=4000, dtype=np.uint32),
+             np.array([2**32 - 1, 0, 2**31, 2**31 - 1, 0], dtype=np.uint32),
+             np.array([7], dtype=np.uint32), np.array([], dtype=np.uint32),
+             np.repeat(rng.integers(0, 2**64 - 1, size=50, dtype=np.uint64),
+                       3)]
+    # runs of equal values straddle the chunk boundaries at every size
+    for chunk in (1 << 16, 7, 2, 1):
+        monkeypatch.setattr(circuits, "SYNTH_CHUNK", chunk)
+        for a in cases:
+            got = circuits._sorted_unique(a.copy())
+            assert got.dtype == a.dtype
+            assert np.array_equal(got, np.unique(a)), chunk
+
+
+def test_members_matches_isin():
+    rng = np.random.default_rng(9)
+    for dtype in (np.uint32, np.uint64):
+        for na, nb in ((0, 0), (0, 5), (5, 0), (1, 1), (1, 40), (40, 1),
+                       (300, 20), (20, 300), (200, 200)):
+            a = np.unique(rng.integers(0, 400, size=na).astype(dtype))
+            b = np.unique(rng.integers(0, 400, size=nb).astype(dtype))
+            got = circuits._members(a, b)
+            assert got.dtype == bool and got.shape == a.shape
+            assert np.array_equal(got, np.isin(a, b)), (na, nb)
+
+
+def test_batcher_pairs_sort_every_binary_input():
+    # 0-1 principle: a comparator network sorting all 2^n bit vectors
+    # sorts every input
+    for n in range(1, 17):
+        x = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for i, j in circuits._batcher_pairs(n):
+            assert 0 <= i < j < n
+            x[:, [i, j]] = np.sort(x[:, [i, j]], axis=1)
+        assert not (np.diff(x, axis=1) < 0).any(), n
+
+
+def test_canonicaliser_matches_sort_oracle(monkeypatch):
+    # a small chunk makes every array below span several chunks
+    monkeypatch.setattr(circuits, "SYNTH_CHUNK", 7)
+    rng = np.random.default_rng(10)
+    widths = [(w, K) for w in range(1, 9) for K in range(1, (1 << w) + 1)
+              if K * w <= 64]
+    # both word widths at their limits; K*w = 33 and 34 have no factoring
+    # with K <= 2^w <= 256, so 35 is the narrowest uint64 case
+    assert {32, 35, 64} <= {K * w for w, K in widths}
+    for w, K in widths:
+        dtype = np.uint32 if K * w <= 32 else np.uint64
+        fields = rng.integers(0, 1 << w, size=(50, K), dtype=np.uint64)
+        shifts = np.arange(K, dtype=np.uint64) * np.uint64(w)
+        words = np.bitwise_or.reduce(fields << shifts, axis=1).astype(dtype)
+        for hold in (0, 1, K):
+            want = fields.copy()
+            want[:, hold:].sort(axis=1)
+            want = np.bitwise_or.reduce(want << shifts, axis=1)
+            got = circuits._canonicaliser(w, K, hold, dtype)(words.copy())
+            assert got.dtype == dtype
+            assert np.array_equal(got.astype(np.uint64), want), (w, K, hold)
+
+
+def _forward_any_order_oracle(inputs):
+    """Breadth-first search from the inputs over K-tuples of ints to the
+    first level holding an admissible ordering, then a greedy walk taking
+    the smallest gate that stays on a shortest path to one."""
+    K, w = len(inputs), len(inputs[0])
+    start = tuple(int(s, 2) for s in inputs)
+    gates = sorted([("X", q) for q in range(w)]
+                   + [("CNOT", c, t) for c, t in itertools.permutations(
+                       range(w), 2)]
+                   + [("CCX", a, b, t) for a, b in itertools.combinations(
+                       range(w), 2) for t in range(w) if t not in (a, b)])
+
+    def apply(g, state):  # controls g[1:-1], target g[-1]; qubit 0 = MSB
+        flip = 1 << (w - 1 - g[-1])
+        return tuple(v ^ flip if all(v >> (w - 1 - q) & 1 for q in g[1:-1])
+                     else v for v in state)
+
+    def is_goal(s):
+        return sorted(s) == list(range(K)) and (
+            0 not in start or s[start.index(0)] == 0)
+
+    levels, seen = [{start}], {start}
+    while not any(map(is_goal, levels[-1])):
+        nxt = {apply(g, s) for s in levels[-1] for g in gates} - seen
+        seen |= nxt
+        levels.append(nxt)
+    on_path = [set(filter(is_goal, levels[-1]))]
+    for level in levels[-2::-1]:
+        on_path.insert(0, {s for s in level
+                           if any(apply(g, s) in on_path[0] for g in gates)})
+    seq, state = [], start
+    for nxt in on_path[1:]:
+        g = next(g for g in gates if apply(g, state) in nxt)
+        seq.append(g)
+        state = apply(g, state)
+    return tuple(seq), tuple(sorted(range(K), key=state.__getitem__))
+
+
+def _gates_on_counting_order(w, K, rng, count):
+    """binary(0..K-1) after count seeded gates, as w-bit strings."""
+    vals = np.arange(K, dtype=np.uint64)
+    gates = circuits._bit_gates(w, ("X", "CNOT", "CCX"))
+    for _ in range(count):
+        g = gates[int(rng.integers(len(gates)))]
+        vals = circuits._packed_op(g, w, 1, np.uint64)(vals)
+    return [format(int(v), f"0{w}b") for v in vals]
+
+
+def test_forward_any_order_oracle_matches_lexmin_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        w = int(rng.integers(2, 4))
+        K = int(rng.integers(1, min(5, 1 << w) + 1))
+        inputs = [format(int(v), f"0{w}b")
+                  for v in rng.choice(1 << w, K, replace=False)]
+        assert _forward_any_order_oracle(inputs) == \
+            _lexmin_oracle(inputs, any_order=True), inputs
+
+
+def test_synth_qc_matches_lexmin_oracle_on_wide_words():
+    # K*w > 32 packs each state into a uint64 word, not a uint32 one
+    rng = np.random.default_rng(13)
+    for w, K in ((4, 9), (5, 7), (4, 16)):
+        for _ in range(3):
+            inputs = _gates_on_counting_order(w, K, rng, 3)
+            seq, _ = _lexmin_oracle(inputs, any_order=False)
+            assert circuits.synth_qc(inputs).gates == seq, inputs
+            seq, order = _forward_any_order_oracle(inputs)
+            circ, got = circuits.synth_qc_any_order(inputs)
+            assert (circ.gates, got) == (seq, order), inputs
+            _truth_check(circ, [inputs[o] for o in order])
 
 
 @pytest.fixture(scope="module")

@@ -343,6 +343,16 @@ def test_config_booleans_and_bad_keys(tmp_path, capsys):
         assert rc == 2 and text.split()[0].replace("-", "_") in err, text
 
 
+def test_synth_rejects_negative_max_gates(tmp_path, capsys):
+    union_file = tmp_path / "five.union"
+    _write_five_union(union_file)
+    for extra in ([], ["--any-order"]):
+        rc = cli.main(["synth", str(union_file), "--max-gates", "-1"] + extra)
+        captured = capsys.readouterr()
+        assert rc == 2 and "--max-gates must be at least 0" in captured.err
+        assert captured.out == "", extra
+
+
 def test_synth_cap(tmp_path, capsys):
     """--cap bounds the synthesis search; the zero label joins as index 0."""
     gens = [pauli_parse("I" * i + "Z" + "I" * (5 - i)) for i in range(6)]

@@ -249,3 +249,37 @@ def test_row_space_contains_matrix_matches_rank_oracle():
         assert all(gf2.row_space_contains(m, row) ==
                    (gf2.rank(np.vstack([m, row[None]])) == gf2.rank(m))
                    for row in v)
+
+
+def test_row_space_contains_on_reduced_basis_matches_rref_route(monkeypatch):
+    """A basis in RREF, as every LinearCode generator is, is reduced
+    against without rref, with the answer of the route through rref."""
+    from unionstab.classical import reed_muller
+
+    def rref_route(m, v):
+        basis = gf2.rref(m)[0][:gf2.rank(m)]
+        return not gf2.reduce_rows(basis, np.atleast_2d(v)).any()
+
+    rng = np.random.default_rng(21)
+    cases = []  # (m, v, whether m is in RREF already)
+    for r in range(7):
+        g = reed_muller(r, 6).generator
+        cases += [(g, g, True),
+                  (g, rng.integers(0, 2, (5, 64)).astype(np.uint8), True)]
+        if r < 6:
+            cases.append((g, reed_muller(r + 1, 6).generator, True))
+    for _ in range(40):
+        n = int(rng.integers(1, 20))
+        m = rng.integers(0, 2, (int(rng.integers(1, n + 2)), n))
+        m = m.astype(np.uint8)
+        cases += [(m, rng.integers(0, 2, (4, n)).astype(np.uint8), False),
+                  (gf2.rref(m)[0][:gf2.rank(m)], m, True)]
+    want = [rref_route(m, v) for m, v, _ in cases]
+    rrefs = []
+    monkeypatch.setattr(gf2, "rref", lambda m: rrefs.append(1) or
+                        _rref_oracle(m))
+    for (m, v, reduced), ok in zip(cases, want):
+        rrefs.clear()
+        assert gf2.row_space_contains(m, v) == ok
+        if reduced:
+            assert not rrefs, m
