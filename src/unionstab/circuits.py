@@ -305,9 +305,22 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
 # ---------------------------------------------------------------------------
 # Reversible synthesis over {X, CNOT, CCX}
 
+_BIT_GATES = ("X", "CNOT", "CCX")
+
+
 def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
-    """The X, CNOT and CCX of gate_set on w bits: (name, *controls, target)."""
-    return [(g, *c, t) for g in ("X", "CNOT", "CCX") if g in gate_set
+    """The X, CNOT and CCX of gate_set on w bits: (name, *controls, target).
+
+    Raises BadParams naming any other gate name, or when gate_set holds
+    none of the three.
+    """
+    unknown = [g for g in gate_set if g not in _BIT_GATES]
+    if unknown:
+        raise BadParams(f"unknown gate names {unknown} in gate_set; "
+                        f"synthesis takes {', '.join(_BIT_GATES)}")
+    if not gate_set:
+        raise BadParams(f"gate_set holds none of {', '.join(_BIT_GATES)}")
+    return [(g, *c, t) for g in _BIT_GATES if g in gate_set
             for c in itertools.combinations(range(w), _GATE_ARITY[g] - 1)
             for t in range(w) if t not in c]
 

@@ -223,9 +223,11 @@ class CosetCode:
 def _make_coset_code(base: LinearCode, ts: np.ndarray, **kw) -> CosetCode:
     """Coset code on the rows of ts, each replaced by the lexicographically
     least vector of its coset; the zero coset first, the rest sorted."""
-    canon = np.unique(gf2.reduce_rows(base.generator, ts), axis=0)
-    if len(canon) != len(ts):
+    canon = gf2.reduce_rows(base.generator, ts)
+    first, counts = gf2.distinct_rows(canon)
+    if (counts > 1).any():
         raise DuplicateCoset("two translations share a coset of the base")
+    canon = canon[first]
     if not len(canon) or canon[0].any():
         raise ConstructionMismatch("coset code must contain the zero coset")
     return CosetCode(base=base, translations=canon, **kw)
@@ -423,9 +425,8 @@ def rebase(c: CosetCode, new_base: LinearCode) -> CosetCode:
         return _make_coset_code(new_base, c.translations, **kw)
     if gf2.row_space_contains(new_base.generator, old.generator):
         # coarsening: group translations by new_base syndrome
-        _, first, sizes = np.unique(
-            c.translations @ new_base.parity_check.T & 1, axis=0,
-            return_index=True, return_counts=True)
+        first, sizes = gf2.distinct_rows(
+            c.translations @ new_base.parity_check.T & 1)
         expected = 1 << (new_base.k - old.k)
         bad = sizes[sizes != expected]
         if bad.size:
@@ -495,8 +496,9 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
     if strategy == "coset-brute":
         # one leader per distinct class of translation differences
         i, j = np.triu_indices(c.num_cosets, 1)
-        diffs = np.unique(gf2.reduce_rows(
-            c.base.generator, c.translations[i] ^ c.translations[j]), axis=0)
+        diffs = gf2.reduce_rows(
+            c.base.generator, c.translations[i] ^ c.translations[j])
+        diffs = diffs[gf2.distinct_rows(diffs)[0]]
         return min([_linear_brute(c.base, cap)] +
                    [_coset_leader_weight(c.base, d, cap) for d in diffs])
     if strategy == "enumerator":
@@ -603,7 +605,7 @@ def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
         ranks[lo:lo + _RANK_CHUNK] = _alternating_ranks(
             forms[lo:lo + _RANK_CHUNK], n.bit_length() - 1)
     acc = np.zeros(n + 1, dtype=np.int64)
-    for rk in np.unique(ranks):
+    for rk in np.flatnonzero(np.bincount(ranks)):
         cols = ranks == rk
         p = int(cols.argmax())
         rep = ((p >> np.arange(s)) & 1) @ lift[:s] % 2

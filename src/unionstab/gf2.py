@@ -4,7 +4,9 @@ Vectors are 1-D uint8 arrays with entries in {0, 1}; matrices are 2-D.
 Position 0 is the leftmost printed bit.  All public functions leave their
 inputs untouched and return fresh arrays.  Cosets of a subspace are
 handled by two primitives: reduce_rows (the canonical representative of
-each row) and coset_rep_rows (rows independent modulo the subspace).
+each row) and coset_rep_rows (rows independent modulo the subspace);
+distinct_rows finds the distinct rows of a matrix, as canonical coset
+representatives are deduplicated.
 Vectors of length at most 64 can also be packed into uint64 words
 (bit j = position j) and a whole row space spanned at once by span_words.
 """
@@ -176,6 +178,28 @@ def coset_rep_rows(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     _, pivots, _ = rref(np.vstack([small, big]).T)
     keep = [p - len(small) for p in pivots if p >= len(small)]
     return np.asarray(big, dtype=np.uint8)[keep]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, counts) over the distinct rows of a 0/1 matrix.
+
+    first[i] is the index of the first occurrence of the i-th distinct
+    row, rows taken in lexicographic order, and counts[i] how often it
+    occurs: the index and counts of np.unique(rows, axis=0) at any width.
+    Each row is packed into bytes (column 0 the most significant bit of
+    byte 0) and viewed as one void item, so a stable argsort of the items
+    orders the rows and puts each row's first occurrence first in its run.
+    """
+    packed = np.packbits(np.asarray(rows, dtype=np.uint8), axis=1)
+    if not packed.shape[1]:  # rows of width 0 are all equal
+        packed = np.zeros((len(packed), 1), dtype=np.uint8)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(starts, append=keys.size)
 
 
 def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:

@@ -232,6 +232,18 @@ def test_synth_qc_not_found():
         circuits.synth_qc(["01", "00"], gate_set=("CNOT",), max_gates=4)
 
 
+@pytest.mark.parametrize("gate_set, match", [
+    (("H",), r"unknown gate names \['H'\]"),
+    (("x", "cnot"), r"unknown gate names \['x', 'cnot'\]"),
+    ((), "gate_set holds none of X, CNOT, CCX"),
+])
+def test_synth_qc_rejects_unknown_gate_names(gate_set, match):
+    """An unknown or empty gate set is bad input, not an unreachable goal."""
+    for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
+        with pytest.raises(BadParams, match=match):
+            synth(["01", "00"], gate_set=gate_set)
+
+
 def test_synth_qc_rejects_negative_max_gates():
     for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
         # even the identity, which needs no gate, is refused

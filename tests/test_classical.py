@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unionstab
 from unionstab import classical, gf2, z4
 from unionstab.errors import (
     BadParams,
@@ -131,6 +136,19 @@ def test_rebase_rejects_non_union():
     nr = classical.nordstrom_robinson()
     with pytest.raises(NotAUnionOfCosets):
         classical.rebase(nr, classical.reed_muller(2, 4))
+
+
+def test_rebase_onto_whole_space():
+    """Syndromes modulo the whole space have no bits, so every
+    translation falls in one class."""
+    whole = classical.linear_code(np.eye(16, dtype=np.uint8))
+    with pytest.raises(NotAUnionOfCosets, match="size 8, expected 2048"):
+        classical.rebase(classical.nordstrom_robinson(), whole)
+    rm34 = classical.reed_muller(3, 4)
+    ts = np.zeros((2, 16), dtype=np.uint8)
+    ts[1, 0] = 1  # RM(3, 4) is the even-weight code: two cosets fill GF(2)^16
+    space = classical.rebase(classical._make_coset_code(rm34, ts), whole)
+    assert space.num_cosets == 1 and not space.translations.any()
 
 
 def test_duplicate_translation_rejected():
@@ -492,8 +510,8 @@ def _coset_code_cases():
 
 
 def test_make_coset_code_matches_dict_oracle():
-    """One reduce_rows and np.unique give the translations, order and
-    exception of the per-row canonicalisation with a dict."""
+    """One reduce_rows and gf2.distinct_rows give the translations, order
+    and exception of the per-row canonicalisation with a dict."""
     errors = set()
     for base, ts in _coset_code_cases():
         got = _make_or_error(classical._make_coset_code, base, ts)
@@ -531,3 +549,27 @@ def test_rebase_refine_matches_bfs_oracle():
         assert fine.num_cosets << new_base.k == c.size
         back = classical.rebase(fine, c.base)
         assert np.array_equal(back.translations, c.translations)
+
+
+IMPORT_PROBE = """
+import sys
+from unionstab import classical
+goe, prep = classical.goethals_binary(6), classical.preparata_like(6)
+classical.distance_enumerator(goe)
+classical.distance_enumerator(classical.CosetCode(
+    base=prep.base, translations=prep.translations[:128]))
+nr = classical.nordstrom_robinson()
+classical.rebase(classical.rebase(nr, classical.reed_muller(0, 4)), nr.base)
+classical.min_distance(classical.preparata_like(4), "coset-brute")
+assert "numpy.ma" not in sys.modules, "the coset layer imported numpy.ma"
+"""
+
+
+def test_coset_layer_does_not_import_numpy_ma():
+    """Building, rebasing and certifying coset codes never loads numpy.ma,
+    which any np.unique call imports on first use (6-10 ms a process)."""
+    src = str(Path(unionstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr

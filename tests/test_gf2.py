@@ -283,3 +283,24 @@ def test_row_space_contains_on_reduced_basis_matches_rref_route(monkeypatch):
         assert gf2.row_space_contains(m, v) == ok
         if reduced:
             assert not rrefs, m
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_distinct_rows_matches_np_unique(width):
+    """First indices and counts, in lexicographic row order, equal those
+    of np.unique(axis=0) on 0/1 rows with repeats, a single distinct row
+    repeated, and no rows at all."""
+    rng = np.random.default_rng(width)
+    cases = [np.zeros((0, width), np.uint8),
+             np.tile(rng.integers(0, 2, (1, width), np.uint8), (5, 1)),
+             rng.integers(0, 2, (1, width), np.uint8)]
+    for n in (2, 17, 300):
+        pool = rng.integers(0, 2, (max(1, n // 3), width), np.uint8)
+        cases.append(pool[rng.integers(0, len(pool), n)])  # repeated rows
+        cases.append(rng.integers(0, 2, (n, width), np.uint8))
+    for rows in cases:
+        _, want_first, want_counts = np.unique(
+            rows, axis=0, return_index=True, return_counts=True)
+        first, counts = gf2.distinct_rows(rows)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(counts, want_counts)

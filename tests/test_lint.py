@@ -49,3 +49,17 @@ def test_imports_are_stdlib_numpy_or_unionstab():
                    if name.partition(".")[0] not in ALLOWED_IMPORTS)
     assert not found, "imports outside stdlib, numpy and unionstab: " + \
         ", ".join(f"{name}:{line} ({mod})" for name, line, mod in found)
+
+
+def test_no_np_unique_in_package():
+    """Row and value dedupe goes through gf2.distinct_rows or a sort:
+    np.unique(axis=0) is slow on bit rows, and any np.unique imports
+    numpy.ma on first use."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "unique"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+    assert not found, "np.unique in unionstab: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
