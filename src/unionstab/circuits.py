@@ -588,12 +588,8 @@ def apply_pauli(p: PauliVector, state: np.ndarray) -> np.ndarray:
     xint = int((p.x.astype(np.int64) << shifts).sum())
     zint = int((p.z.astype(np.int64) << shifts).sum())
     idx = np.arange(1 << n)
-    zpar = np.zeros(1 << n, dtype=np.int64)
-    masked = idx & zint
-    while masked.any():
-        zpar ^= masked & 1
-        masked >>= 1
-    phase = p.sign * (1j ** int((p.x & p.z).sum())) * (1 - 2 * zpar)
+    zsign = np.where(np.bitwise_count(idx & zint) & 1, -1, 1)
+    phase = p.sign * (1j ** int((p.x & p.z).sum())) * zsign
     return (phase * state)[idx ^ xint]
 
 
@@ -667,7 +663,6 @@ def kl_verify(states: list[np.ndarray], d: int) -> KLReport:
 
 
 def _paulis_up_to_weight(n: int, wmax: int):
-    import itertools
     letters = ((1, 0), (0, 1), (1, 1))  # X, Z, Y as (x, z)
     for w in range(1, wmax + 1):
         for pos in itertools.combinations(range(n), w):

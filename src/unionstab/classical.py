@@ -11,9 +11,10 @@ available through the quaternary (Gray-map) route.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,20 +98,18 @@ class LinearCode:
     known_distance: int | None = None
     distance_provenance: str | None = None
     name: str = ""
-    _parity_cache: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def k(self) -> int:
         return self.generator.shape[0]
 
-    @property
+    @functools.cached_property
     def parity_check(self) -> np.ndarray:
         """Parity check matrix (a kernel basis of the generator)."""
-        if not self._parity_cache:
-            self._parity_cache.append(gf2.kernel_basis(self.generator))
-        return self._parity_cache[0]
+        return gf2.kernel_basis(self.generator)
 
     def syndrome(self, v: np.ndarray) -> np.ndarray:
+        """Syndrome of one vector, or one row of syndromes per row of v."""
         return gf2.syndrome(self.parity_check, v)
 
     def contains(self, v: np.ndarray) -> bool:
@@ -128,11 +127,8 @@ def linear_code(generator: np.ndarray, **kw) -> LinearCode:
 
 def _rm_points(m: int) -> np.ndarray:
     """Evaluation points in binary counting order; x_1 is the MSB."""
-    pts = np.zeros((1 << m, m), dtype=np.uint8)
-    for p in range(1 << m):
-        for j in range(m):
-            pts[p, j] = (p >> (m - 1 - j)) & 1
-    return pts
+    p = np.arange(1 << m)[:, None]
+    return (p >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
 
 
 def reed_muller(r: int, m: int) -> LinearCode:
@@ -198,18 +194,12 @@ class CosetCode:
         return self.num_cosets * (1 << self.base.k)
 
     def contains(self, v: np.ndarray) -> bool:
-        s = self.base.syndrome(np.asarray(v, dtype=np.uint8) % 2)
-        key = s.tobytes()
-        return key in self._syndrome_index()
+        return self.base.syndrome(v).tobytes() in self._syndromes
 
-    def _syndrome_index(self) -> dict:
-        if not hasattr(self, "_syn_cache"):
-            idx = {
-                self.base.syndrome(t).tobytes(): i
-                for i, t in enumerate(self.translations)
-            }
-            object.__setattr__(self, "_syn_cache", idx)
-        return self._syn_cache
+    @functools.cached_property
+    def _syndromes(self) -> set[bytes]:
+        """Base syndrome of each translation, as bytes."""
+        return {s.tobytes() for s in self.base.syndrome(self.translations)}
 
     def words(self, cap: int = gf2.DEFAULT_CAP):
         """Yields every codeword; coset by coset."""
@@ -288,25 +278,18 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     return base, (msgs @ top.astype(np.int64) % 2).astype(np.uint8)
 
 
-def preparata_like(m: int, route: str = "direct") -> CosetCode:
+def preparata_like(m: int) -> CosetCode:
     """Preparata code of length 2^m as cosets of RM(m-3, m).
 
     Args:
         m: Even length exponent, m in {4, 6} at desk scale.
-        route: "direct" uses the power-sum construction; "gray" derives
-            the code from the Gray image of the Kerdock dual via its
-            kernel and quotient representatives.  The two routes agree at
-            m = 4; at m = 6 the Gray image's kernel is 27-dimensional and
-            does not contain RM(3, 6), so the gray route raises
-            ConstructionMismatch there.
 
     Returns:
-        CosetCode with 2^(C(m,2) - m + 1) translations over RM(m-3, m).
+        CosetCode with 2^(C(m,2) - m + 1) translations over RM(m-3, m),
+        from the power-sum construction.
     """
     if m % 2 or m < 4:
         raise BadParams("preparata_like needs even m >= 4")
-    if route == "gray":
-        return _gray_route_code(m)
     base, ts = _power_sum_translations(m, "preparata")
     expect = 1 << (math.comb(m, 2) - m + 1)
     if ts.shape[0] != expect:
@@ -315,7 +298,7 @@ def preparata_like(m: int, route: str = "direct") -> CosetCode:
     return _make_coset_code(base, ts, name=f"Preparata({m})")
 
 
-def goethals_binary(m: int, route: str = "direct") -> CosetCode:
+def goethals_binary(m: int) -> CosetCode:
     """Goethals code of length 2^m as cosets of RM(m-3, m).
 
     At m = 4 the coset count 2^(C(m,2) - 2m + 2) degenerates to one and
@@ -323,8 +306,6 @@ def goethals_binary(m: int, route: str = "direct") -> CosetCode:
     """
     if m % 2 or m < 4:
         raise BadParams("goethals_binary needs even m >= 4")
-    if route != "direct":
-        raise BadParams("goethals_binary supports only the direct route")
     if m == 4:
         base = reed_muller(1, 4)
         return CosetCode(
@@ -366,7 +347,13 @@ def gray_to_rm_permutation(ctx: z4.GaloisRingContext) -> np.ndarray:
 
 
 def _gray_route_code(m: int) -> CosetCode:
-    """Preparata-type code from the Gray image of the Kerdock dual."""
+    """Preparata-type code from the Gray image of the Kerdock dual.
+
+    Derived via the image's kernel and quotient representatives, it
+    agrees with preparata_like at m = 4.  At m = 6 the Gray image's
+    kernel is 27-dimensional and does not contain RM(3, 6), so this
+    raises ConstructionMismatch there.
+    """
     ctx = z4.gr4_build(m - 1)
     quat = z4.z4_dual(z4.kerdock_z4(ctx)) if m > 4 else z4.kerdock_z4(ctx)
     perm = gray_to_rm_permutation(ctx)
@@ -425,8 +412,7 @@ def rebase(c: CosetCode, new_base: LinearCode) -> CosetCode:
         return _make_coset_code(new_base, c.translations, **kw)
     if gf2.row_space_contains(new_base.generator, old.generator):
         # coarsening: group translations by new_base syndrome
-        first, sizes = gf2.distinct_rows(
-            c.translations @ new_base.parity_check.T & 1)
+        first, sizes = gf2.distinct_rows(new_base.syndrome(c.translations))
         expected = 1 << (new_base.k - old.k)
         bad = sizes[sizes != expected]
         if bad.size:
@@ -452,14 +438,6 @@ def _linear_brute(c: LinearCode, cap: int) -> int:
     if not w.any():
         raise ValueError("code has no nonzero words")
     return int(w[w > 0].min())
-
-
-def _coset_leader_weight(base: LinearCode, v: np.ndarray, cap: int) -> int:
-    """Minimum weight in v + base by enumeration."""
-    if (1 << base.k) > cap:
-        raise StrategyInfeasible(f"coset enumeration 2^{base.k} exceeds cap")
-    words = base.words(cap)
-    return int((words ^ v).sum(axis=1).min())
 
 
 def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
@@ -494,13 +472,15 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
                 best = min(best, int(diff.min()))
         return best
     if strategy == "coset-brute":
-        # one leader per distinct class of translation differences
+        # one leader per distinct class of translation differences: the
+        # odd entries of the span of [d; G] are the words of d + base
         i, j = np.triu_indices(c.num_cosets, 1)
         diffs = gf2.reduce_rows(
             c.base.generator, c.translations[i] ^ c.translations[j])
         diffs = diffs[gf2.distinct_rows(diffs)[0]]
-        return min([_linear_brute(c.base, cap)] +
-                   [_coset_leader_weight(c.base, d, cap) for d in diffs])
+        return min([_linear_brute(c.base, cap)] + [
+            int(gf2.span_weights(np.vstack([d, c.base.generator]), cap)
+                [1::2].min()) for d in diffs])
     if strategy == "enumerator":
         return _first_nonzero_weight(_pair_weights(c, cap))
     raise StrategyInfeasible(f"unknown strategy {strategy!r}")
@@ -659,10 +639,9 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     K = c.num_cosets
     if (K * K) << r >= 1 << 63:
         raise StrategyInfeasible(f"{K}^2 * 2^{r} overflows int64 sums")
-    syn = c.translations.astype(np.int64) @ h.T.astype(np.int64) % 2
+    syn = c.base.syndrome(c.translations)
     b, piv, s = gf2.rref(syn)
-    lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]).astype(np.int64)
-                      @ h.astype(np.int64) % 2])
+    lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]) @ h & 1])
     quad = _dickson_quadratics(lift, s)
     if quad is None and (1 << r) > cap:
         raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")

@@ -116,7 +116,7 @@ def cmd_construct(args, report: Report) -> int:
     elif kind in ("preparata", "goethals"):
         m = int(params[0])
         if kind == "preparata":
-            code = classical.preparata_like(m, route=args.route)
+            code = classical.preparata_like(m)
         else:
             code = classical.goethals_binary(m)
         code = unioncode._certified_coset_code(code, args.cap)
@@ -254,7 +254,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     c = sub.add_parser("construct", parents=[common])
     c.add_argument("kind", choices=tuple(CONSTRUCT_PARAMS))
     c.add_argument("params", nargs="*")
-    c.add_argument("--route", choices=("direct", "gray"), default="direct")
     c.set_defaults(func=cmd_construct)
 
     s = sub.add_parser("search", parents=[common])
@@ -293,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         rc = args.func(args, report)
         sys.stdout.write(report.render())
         return rc
-    except UnionStabError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (OSError, ValueError) as e:
+    except (UnionStabError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -8,7 +8,8 @@ each row) and coset_rep_rows (rows independent modulo the subspace);
 distinct_rows finds the distinct rows of a matrix, as canonical coset
 representatives are deduplicated.
 Vectors of length at most 64 can also be packed into uint64 words
-(bit j = position j) and a whole row space spanned at once by span_words.
+(bit j = position j) and a whole row space spanned at once by span_words;
+span_weights and word_matrix read such spans per block of 64 columns.
 """
 
 from __future__ import annotations
@@ -125,12 +126,15 @@ def solve(m: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
 
 
 def syndrome(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h @ v over GF(2)."""
+    """h @ v over GF(2) for one vector v, or for each row of a matrix v.
+
+    One uint8 product v @ h.T; it wraps mod 256, which keeps its parity.
+    """
     h = np.asarray(h, dtype=np.uint8)
     v = as_bits(v)
-    if v.shape[0] != h.shape[1]:
+    if v.shape[-1] != h.shape[1]:
         raise ValueError("dimension mismatch in syndrome")
-    return (h.astype(np.int64) @ v.astype(np.int64) % 2).astype(np.uint8)
+    return v @ h.T & 1
 
 
 def reduce_rows(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -203,17 +207,26 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """All codewords as a (2^rank x n) matrix, in Gray-code message order."""
-    basis = _independent_rows(np.asarray(g, dtype=np.uint8))
+    """All codewords as a (2^rank x n) matrix, in Gray-code message order.
+
+    Row i is the XOR of the rows j of the rref basis with bit j of
+    i ^ (i >> 1) set: entry i ^ (i >> 1) of the packed span of each block
+    of 64 columns, unpacked.
+    """
+    g = np.asarray(g, dtype=np.uint8)
+    basis = _independent_rows(g)
     k = basis.shape[0]
     if 2**k > cap:
         raise CapExceeded(f"2^{k} words exceed cap {cap}")
-    if k == 0:
-        return np.zeros((1, g.shape[1]), dtype=np.uint8)
-    idx = np.arange(2**k, dtype=np.uint64)
-    gray = idx ^ (idx >> np.uint64(1))
-    msgs = ((gray[:, None] >> np.arange(k, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
-    return (msgs.astype(np.int64) @ basis.astype(np.int64) % 2).astype(np.uint8)
+    gray = np.arange(1 << k)
+    gray ^= gray >> 1
+    out = np.empty((1 << k, g.shape[1]), dtype=np.uint8)
+    for j in range(0, g.shape[1], 64):
+        words = span_words(basis[:, j:j + 64], cap)[gray]
+        out[:, j:j + 64] = np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+            axis=1, count=min(64, g.shape[1] - j), bitorder="little")
+    return out
 
 
 def pack_rows(m: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ __all__ = [
 _SYMBOLS = "IXZY"  # index = x + 2*z
 
 
-@dataclass(frozen=True)
+@dataclass
 class PauliVector:
     """An n-qubit Pauli operator in binary symplectic representation."""
 
@@ -42,8 +42,8 @@ class PauliVector:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.uint8) % 2)
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=np.uint8) % 2)
+        self.x = np.asarray(self.x, dtype=np.uint8) % 2
+        self.z = np.asarray(self.z, dtype=np.uint8) % 2
         if self.x.shape != self.z.shape:
             raise LengthMismatch("x and z parts differ in length")
         if self.sign not in (1, -1):

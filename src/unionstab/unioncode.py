@@ -39,6 +39,7 @@ from .stab import (
     StabilizerCode,
     css,
     _commutation_bits,
+    _ip_rows,
     _normalizer_span,
     _xz_weights,
     format_stabilizer,
@@ -97,37 +98,32 @@ class UnionStabilizerCode:
         return self.base.n
 
 
-def _translation_syndrome(base: StabilizerCode, t: PauliVector) -> bytes:
-    """Character label of t: symplectic products with stabilizer rows."""
-    bits = [str((int((t.x & s.z).sum() + (t.z & s.x).sum())) % 2)
-            for s in base.stab]
-    return "".join(bits).encode()
-
-
 def union_code(base: StabilizerCode, ts: list[PauliVector],
                d: int | None = None,
                provenance: str | None = None) -> UnionStabilizerCode:
     """Union stabilizer code of dimension K * 2^k from translations ts.
 
-    Translations must sit in pairwise-distinct normalizer cosets; the
+    Translations must sit in pairwise-distinct normalizer cosets, told
+    apart by their symplectic products with the stabilizer rows; the
     identity is prepended when no translation has the trivial character.
     """
-    seen = {}
-    ordered = []
-    for t in ts:
-        key = _translation_syndrome(base, t)
-        if key in seen:
-            raise DuplicateCoset(
-                f"translations {seen[key]} and {len(ordered)} share a coset")
-        seen[key] = len(ordered)
-        ordered.append(t)
-    zero = b"0" * (base.n - base.k)
-    if zero not in seen:
+    ordered = list(ts)
+    syn = _ip_rows(_xz_rows(base.n, ordered), base.stab_binary(), base.n)
+    first, _ = gf2.distinct_rows(syn)
+    if len(first) < len(ordered):
+        # the earliest repeat, and the first translation it repeats
+        repeat = np.ones(len(ordered), dtype=bool)
+        repeat[first] = False
+        later = int(repeat.argmax())
+        earlier = int((syn == syn[later]).all(axis=1).argmax())
+        raise DuplicateCoset(
+            f"translations {earlier} and {later} share a coset")
+    trivial = np.flatnonzero(~syn.any(axis=1))
+    if trivial.size:
+        ordered.insert(0, ordered.pop(trivial[0]))
+    else:
         ordered.insert(0, PauliVector(x=np.zeros(base.n, np.uint8),
                                       z=np.zeros(base.n, np.uint8)))
-    else:
-        idx = seen[zero]
-        ordered.insert(0, ordered.pop(idx))
     k = base.k
     log2_dim = k + math.log2(len(ordered))
     prov = {"dimension": "exact-count"}
@@ -234,8 +230,7 @@ def css_like_union(c1: LinearCode, c2: LinearCode,
     t1s = np.asarray(t1s, dtype=np.uint8).reshape(-1, c1.n)
     t2s = np.asarray(t2s, dtype=np.uint8).reshape(-1, c2.n)
     for ts, c in ((t1s, c1), (t2s, c2)):
-        syn = {c.syndrome(t).tobytes() for t in ts}
-        if len(syn) != ts.shape[0]:
+        if len(gf2.distinct_rows(c.syndrome(ts))[0]) != ts.shape[0]:
             raise DuplicateCoset("translations collide modulo the classical code")
     trans = ProductTranslations(t1s, t2s)
     K = len(trans)

@@ -130,40 +130,29 @@ class Z4Code:
     def log2_size(self) -> int:
         return 2 * self.k1 + self.k2
 
-    def _reduce(self, v: np.ndarray, canonical: bool) -> tuple[np.ndarray, bool]:
-        """Subtract generator rows to reduce v; triangular back-substitution.
-
-        With canonical=False returns (residual, consistent): residual is zero
-        exactly when v is a codeword.  With canonical=True returns the
-        canonical coset representative (pivot residues minimized).
-        """
-        v = v.astype(np.int64) % 4
-        g = self.generator.astype(np.int64)
-        ok = True
-        for r in range(self.k1 + self.k2):
-            p = self.pivots[r]
-            if r < self.k1:
-                c = v[p] % 4
-            else:
-                if v[p] % 2 == 1:
-                    ok = False
-                    if not canonical:
-                        break
-                    c = (v[p] - 1) // 2
-                else:
-                    c = v[p] // 2
-            if c:
-                v = (v - c * g[r]) % 4
-        return v.astype(np.uint8), ok
-
     def contains(self, v: np.ndarray) -> bool:
-        res, ok = self._reduce(np.asarray(v) % 4, canonical=False)
-        return ok and not res.any()
+        """Whether v is a codeword: whether its coset representative is 0.
+
+        An odd entry at an order-2 pivot stays odd under every later row,
+        all of whose entries are even, so such a v never reduces to 0.
+        """
+        return not self.coset_canon(v).any()
 
     def coset_canon(self, v: np.ndarray) -> np.ndarray:
-        """Canonical representative of v + code (deterministic)."""
-        res, _ = self._reduce(np.asarray(v) % 4, canonical=True)
-        return res
+        """Canonical representative of v + code (deterministic).
+
+        Generator rows are subtracted in order, triangular back-substitution:
+        a unit-pivot row clears its pivot, an order-2 row takes its pivot
+        entry down to 0 or 1.
+        """
+        v = np.asarray(v).astype(np.int64) % 4
+        g = self.generator.astype(np.int64)
+        for r in range(self.k1 + self.k2):
+            p = self.pivots[r]
+            c = v[p] if r < self.k1 else v[p] // 2
+            if c:
+                v = (v - c * g[r]) % 4
+        return v.astype(np.uint8)
 
     def words(self, cap: int = DEFAULT_CAP) -> np.ndarray:
         """All codewords as a (size x n4) uint8 matrix, message order."""

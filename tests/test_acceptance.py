@@ -195,15 +195,12 @@ def test_criterion_7_property_suites(rng, capfd):
         ]:
             code = stab.stabilizer_from_generators(
                 [pauli.pauli_parse(s) for s in gens])
+            # bit 2q of word is x_q and bit 2q + 1 is z_q
+            bits = np.arange(4 ** n)[:, None] >> np.arange(2 * n) & 1
+            rows = np.hstack([bits[:, 0::2], bits[:, 1::2]]).astype(np.uint8)
             counts: dict[bytes, int] = {}
-            for word in range(4 ** n):
-                xb = np.array([(word >> (2 * q)) & 1 for q in range(n)],
-                              np.uint8)
-                zb = np.array([(word >> (2 * q + 1)) & 1 for q in range(n)],
-                              np.uint8)
-                p = pauli.pauli_from_parts(xb, zb)
-                key = unioncode._translation_syndrome(code, p)
-                counts[key] = counts.get(key, 0) + 1
+            for syn in stab._ip_rows(rows, code.stab_binary(), n):
+                counts[syn.tobytes()] = counts.get(syn.tobytes(), 0) + 1
             assert len(counts) == 1 << (n - k)
             assert set(counts.values()) == {1 << (n + k)}
 

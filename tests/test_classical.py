@@ -62,7 +62,7 @@ def test_nordstrom_robinson_between_reed_muller():
 
 def test_preparata_matches_gray_route_at_m4():
     direct = classical.preparata_like(4)
-    gray = classical.preparata_like(4, route="gray")
+    gray = classical._gray_route_code(4)
     assert direct.num_cosets == gray.num_cosets == 8
     direct_keys = {t.tobytes() for t in direct.translations}
     assert {t.tobytes() for t in gray.translations} == direct_keys
@@ -71,7 +71,7 @@ def test_preparata_matches_gray_route_at_m4():
 def test_gray_route_fails_at_m6():
     """The length-64 Gray image has a 27-dim kernel and cannot be rebased."""
     with pytest.raises(ConstructionMismatch):
-        classical.preparata_like(6, route="gray")
+        classical._gray_route_code(6)
 
 
 def test_preparata_m6_structure():
@@ -528,7 +528,7 @@ def test_make_coset_code_matches_dict_oracle():
 def test_built_codes_match_dict_oracle():
     for c in (classical.preparata_like(4), classical.preparata_like(6),
               classical.goethals_binary(6), classical.nordstrom_robinson(),
-              classical.preparata_like(4, route="gray")):
+              classical._gray_route_code(4)):
         assert np.array_equal(
             c.translations, _oracle_make_coset_code(c.base, c.translations))
 

@@ -69,7 +69,22 @@ def test_construct_css_union_round_trip(tmp_path, capsys):
                             str(coset_file), "--out", str(union_file)])
     assert rc == 0
     assert "code: ((64, 2^30, 8" in out
-    assert "T 1024 8\n" in union_file.read_text()
+    text = union_file.read_text()
+    assert "T 1024 8\n" in text
+    rc, out = _run(capsys, ["verify", str(union_file)])
+    assert rc == 0
+    assert "cosets.distinct: True" in out
+    assert "dimension: 2^30\n" in out
+    # translation 5 repeated as translation 1024
+    lines = text.splitlines()
+    head = lines.index("T 1024 8")
+    lines[head] = "T 1025 8"
+    lines.append(lines[head + 6])
+    repeated = tmp_path / "repeated.union"
+    repeated.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", str(repeated)]) == 2
+    assert "error: translations 5 and 1024 share a coset" in \
+        capsys.readouterr().err
     rc = cli.main(["construct", "css-union", str(coset_file),
                    str(coset_file), "--cap", "1000"])
     assert rc == 2

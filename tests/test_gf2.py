@@ -89,6 +89,58 @@ def test_word_matrix_matches_enumeration():
     assert set(packed) == set(gf2.span_words(g).tolist())
 
 
+def _oracle_word_matrix(g):
+    """All words from one int64 product of the Gray-order messages with
+    the rref basis."""
+    basis = gf2._independent_rows(np.asarray(g, dtype=np.uint8))
+    k = basis.shape[0]
+    if k == 0:
+        return np.zeros((1, g.shape[1]), dtype=np.uint8)
+    idx = np.arange(2**k, dtype=np.uint64)
+    gray = idx ^ (idx >> np.uint64(1))
+    msgs = ((gray[:, None] >> np.arange(k, dtype=np.uint64))
+            & np.uint64(1)).astype(np.uint8)
+    return (msgs.astype(np.int64) @ basis.astype(np.int64) % 2
+            ).astype(np.uint8)
+
+
+def test_word_matrix_matches_int64_gray_oracle():
+    """Same rows in the same order as the int64 message product: no rows,
+    zero rows (k = 0), dependent rows, and widths 64 and 150."""
+    rng = np.random.default_rng(17)
+    indep = rng.integers(0, 2, (6, 150)).astype(np.uint8)
+    dependent = np.vstack([indep[:4], indep[0] ^ indep[3], indep[:2]])
+    cases = [np.zeros((0, 9), np.uint8), np.zeros((3, 9), np.uint8),
+             dependent[:, :64], dependent, indep[:, :64], indep,
+             rng.integers(0, 2, (9, 7)).astype(np.uint8)]
+    for g in cases:
+        got = gf2.word_matrix(g)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _oracle_word_matrix(g))
+
+
+def test_syndrome_of_matrix_matches_rows():
+    """One product over a matrix gives each row's syndrome, past 255
+    ones per dot product too; a width mismatch still raises."""
+    rng = np.random.default_rng(19)
+    cases = [(0, 5), (3, 7), (22, 64), (9, 150)]
+    for r, n in cases:
+        h = rng.integers(0, 2, (r, n)).astype(np.uint8)
+        v = rng.integers(0, 2, (40, n)).astype(np.uint8)
+        syn = gf2.syndrome(h, v)
+        assert syn.dtype == np.uint8 and syn.shape == (40, r)
+        rows = np.array([gf2.syndrome(h, row) for row in v]).reshape(40, r)
+        assert np.array_equal(syn, rows)
+        assert np.array_equal(syn, v.astype(np.int64) @ h.T % 2)
+        with pytest.raises(ValueError):
+            gf2.syndrome(h, v[:, 1:])
+        with pytest.raises(ValueError):
+            gf2.syndrome(h, v[0, 1:])
+    ones = np.ones((1, 301), np.uint8)
+    assert gf2.syndrome(ones, ones).tolist() == [[1]]
+    assert gf2.syndrome(ones, ones[0]).tolist() == [1]
+
+
 def test_word_matrix_cap():
     g = np.eye(30, dtype=np.uint8)
     with pytest.raises(CapExceeded):

@@ -51,6 +51,20 @@ def test_imports_are_stdlib_numpy_or_unionstab():
         ", ".join(f"{name}:{line} ({mod})" for name, line, mod in found)
 
 
+def test_no_object_setattr_in_package():
+    """Caches on frozen dataclasses are functools.cached_property, not
+    writes that go round the frozen check through object.__setattr__."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "__setattr__"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "object")
+    assert not found, "object.__setattr__ in unionstab: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
+
+
 def test_no_np_unique_in_package():
     """Row and value dedupe goes through gf2.distinct_rows or a sort:
     np.unique(axis=0) is slow on bit rows, and any np.unique imports

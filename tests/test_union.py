@@ -25,10 +25,16 @@ def test_five_union_parameters(five_union):
     assert str(five_union.translations[0]) == "IIIII"
 
 
+def _syndromes(base, ts) -> list[bytes]:
+    """Symplectic products of each translation with the stabilizer rows,
+    one product over all of them, as bytes."""
+    rows = unioncode._xz_rows(base.n, ts)
+    return [s.tobytes()
+            for s in stab._ip_rows(rows, base.stab_binary(), base.n)]
+
+
 def test_translation_syndromes_distinct(five_base, five_union):
-    syn = {unioncode._translation_syndrome(five_base, t)
-           for t in five_union.translations}
-    assert len(syn) == 6
+    assert len(set(_syndromes(five_base, five_union.translations))) == 6
 
 
 def test_duplicate_coset_rejected(five_base):
@@ -39,6 +45,47 @@ def test_duplicate_coset_rejected(five_base):
         unioncode.union_code(five_base, [ts[0], ts[1],
                                          pauli.pauli_from_parts(
                                              shifted.x, shifted.z)])
+
+
+def _oracle_first_repeat(base, ts):
+    """(earlier, later) for the first translation whose character was
+    seen before, one translation and one stabilizer row at a time; None
+    when all are distinct."""
+    seen = {}
+    for i, t in enumerate(ts):
+        key = "".join(str(int((t.x & s.z).sum() + (t.z & s.x).sum()) % 2)
+                      for s in base.stab)
+        if key in seen:
+            return seen[key], i
+        seen[key] = i
+    return None
+
+
+def test_duplicate_coset_names_first_repeat(five_base):
+    """Random translation lists over the 16 cosets of the perfect code,
+    with and without repeats: DuplicateCoset names the same pair as the
+    loop oracle, and lists without a repeat are accepted."""
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(40):
+        ts = [pauli.pauli_from_parts(*rng.integers(0, 2, (2, 5)))
+              for _ in range(int(rng.integers(1, 7)))]
+        want = _oracle_first_repeat(five_base, ts)
+        outcomes.add(want is None)
+        if want is None:
+            assert len(unioncode.union_code(five_base, ts).translations) \
+                in (len(ts), len(ts) + 1)
+        else:
+            with pytest.raises(DuplicateCoset, match=(
+                    f"translations {want[0]} and {want[1]} share a coset")):
+                unioncode.union_code(five_base, ts)
+    assert outcomes == {True, False}
+
+
+def test_union_code_without_translations_is_the_base(five_base):
+    code = unioncode.union_code(five_base, [])
+    assert [str(t) for t in code.translations] == ["IIIII"]
+    assert code.params.log2_dim == five_base.k
 
 
 def test_identity_translation_comes_first(five_base):
@@ -350,16 +397,16 @@ def test_random_unions_match_oracles(graph_state_code):
         ts = {}
         for _ in range(int(rng.integers(0, 4 if base.n < 9 else 2))):
             t = pauli.pauli_from_parts(*rng.integers(0, 2, (2, base.n)))
-            ts.setdefault(unioncode._translation_syndrome(base, t), t)
+            ts.setdefault(_syndromes(base, [t])[0], t)
         code = unioncode.union_code(base, list(ts.values()))
         n, words = code.n, _dense_span(base.normalizer_binary())
         # one representative per syndrome of t_i + t_j, i < j
-        want = [unioncode._translation_syndrome(base, pauli.pauli_from_parts(
-            ti.x ^ tj.x, ti.z ^ tj.z)) for i, ti in enumerate(
-                code.translations) for tj in code.translations[i + 1:]]
-        got = [unioncode._translation_syndrome(base, pauli.pauli_from_parts(
-            *((int(rep) >> np.arange(2 * n) & 1).reshape(2, n))))
-            for rep in unioncode._difference_classes(code)]
+        want = _syndromes(base, [pauli.pauli_from_parts(
+            ti.x ^ tj.x, ti.z ^ tj.z) for i, ti in enumerate(
+                code.translations) for tj in code.translations[i + 1:]])
+        got = _syndromes(base, [pauli.pauli_from_parts(
+            *((int(rep) >> np.arange(2 * n) & 1).reshape(2, n)))
+            for rep in unioncode._difference_classes(code)])
         assert sorted(got) == sorted(set(want))
         for i in range(len(code.translations)):
             for j in range(i + 1, len(code.translations)):

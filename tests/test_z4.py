@@ -137,6 +137,30 @@ def test_standard_form_preserves_code(ctx3):
         assert again.contains(row)
 
 
+def test_contains_matches_word_set_oracle(ctx3, ctx5):
+    """contains agrees with the set of all codewords on codewords, on
+    codewords shifted by 1 or 2 in one position and on random vectors,
+    for codes with and without order-2 rows."""
+    rng = np.random.default_rng(29)
+    kerdock = z4.kerdock_z4(ctx3)
+    mixed = z4.z4_standard_form(np.vstack([
+        rng.integers(0, 4, (1, 6)), 2 * rng.integers(0, 2, (2, 6))]))
+    assert (mixed.k1, mixed.k2) == (1, 2)
+    for c in (kerdock, z4.z4_dual(kerdock), z4.goethals_check_z4(ctx5),
+              z4.kernel_preimage(z4.z4_dual(kerdock)), mixed):
+        words = c.words()
+        oracle = {w.tobytes() for w in words}
+        picks = words[rng.integers(0, len(words), 600)]
+        shift = np.zeros_like(picks)
+        shift[np.arange(400), rng.integers(0, c.n4, 400)] = \
+            rng.integers(1, 3, 400)
+        vs = np.vstack([(picks + shift) % 4,
+                        rng.integers(0, 4, (200, c.n4)).astype(np.uint8)])
+        got = [c.contains(v) for v in vs]
+        assert got == [v.tobytes() in oracle for v in vs]
+        assert len(set(got)) == 2
+
+
 def test_format_parse_round_trip(ctx3):
     k = z4.kerdock_z4(ctx3)
     again = z4.parse_z4_code(z4.format_z4_code(k))
