@@ -16,6 +16,7 @@ from . import circuits, classical, gf2, stab, unioncode
 from .errors import BadParams, UnionStabError
 
 SHOWN_FAILURES = 5  # failed items a verification writes to stderr
+UNION_FILE_MAX_K = 1024  # translations construct writes to a union file
 # the number of positional parameters each construct kind takes
 CONSTRUCT_PARAMS = {"rm": 2, "nr": 0, "preparata": 1, "goethals": 1,
                     "css": 2, "enlarge": 2, "css-union": 2, "family": 2}
@@ -133,13 +134,18 @@ def cmd_construct(args, report: Report) -> int:
         report.add("code", f"[[{code.n}, {code.k}]]")
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "css-union":
-        cc1, cc2 = (unioncode._certified_coset_code(_load_coset(f), args.cap)
-                    for f in params[:2])
+        cc1, cc2 = (_load_coset(f) for f in params[:2])
+        K = len(cc1.translations) * len(cc2.translations)
+        if args.out and K > UNION_FILE_MAX_K:
+            raise BadParams(f"css-union has K = {K:,} translations; a union "
+                            f"file holds at most {UNION_FILE_MAX_K:,}")
+        cc1, cc2 = (unioncode._certified_coset_code(cc, args.cap)
+                    for cc in (cc1, cc2))
         d = min(cc1.claimed_distance, cc2.claimed_distance)
         code = unioncode.css_like_union(
             cc1.base, cc2.base, cc1.translations, cc2.translations, d=d)
         report.add("code", _union_report(code))
-        if len(code.translations) <= 1024 and args.out:
+        if args.out:
             _write(args.out, unioncode.format_union_code(code))
     elif kind == "family":
         code = unioncode.family_build(params[0], int(params[1]))

@@ -246,21 +246,22 @@ def css_like_union(c1: LinearCode, c2: LinearCode,
 
 @dataclass(frozen=True)
 class SearchGraph:
-    """Graph on the 2^(n-k) normalizer cosets; edges = coset distance >= d."""
+    """Cayley graph on the 2^(n-k) normalizer cosets, vertex i syndrome i:
+    u ~ v when the coset leader at syndrome u ^ v weighs >= target_d."""
 
-    labels: list[str]           # syndrome strings, vertex order
+    leaders: np.ndarray         # coset-leader weight per syndrome
     reps: np.ndarray            # minimal-weight (x|z) representative per vertex
-    adj: np.ndarray             # boolean adjacency matrix
     target_d: int
     base: StabilizerCode
 
     @property
     def num_vertices(self) -> int:
-        return len(self.labels)
+        return len(self.leaders)
 
     @property
     def num_edges(self) -> int:
-        return int(self.adj.sum()) // 2
+        degree = int(np.count_nonzero(self.leaders[1:] >= self.target_d))
+        return len(self.leaders) * degree // 2
 
 
 @dataclass(frozen=True)
@@ -275,6 +276,8 @@ class CliqueResult:
 # Paulis per chunk of the leader scan, as a power of two: bounds its
 # temporaries to a few MB whatever n is
 LEADER_CHUNK_BITS = 14
+# adjacency entries per row chunk of the clique search, as a power of two
+GATHER_CHUNK_BITS = 20
 
 
 def build_search_graph(base: StabilizerCode, d: int,
@@ -311,30 +314,35 @@ def build_search_graph(base: StabilizerCode, d: int,
         pauli = idx | (h << c)
         key = _xz_weights(pauli, n).astype(np.uint64) << (2 * n) | pauli
         np.minimum.at(keys, low ^ high, key)
-    leaders = keys >> (2 * n)
     reps = ((keys[:, None] >> np.arange(2 * n, dtype=np.uint64)) & 1
             ).astype(np.uint8)
-    labels = [format(s, f"0{r}b") for s in range(1 << r)]
-    v = np.arange(1 << r, dtype=np.min_scalar_type((1 << r) - 1))
-    adj = (leaders >= d)[v[:, None] ^ v]
-    np.fill_diagonal(adj, False)
-    return SearchGraph(labels=labels, reps=reps, adj=adj, target_d=d,
+    return SearchGraph(leaders=keys >> (2 * n), reps=reps, target_d=d,
                        base=base)
 
 
-def _min_width_order(adj: np.ndarray) -> list[int]:
-    """Vertices of adj in minimum-width order, last removed first.
+def _adjacency_chunks(conn: np.ndarray, verts: np.ndarray):
+    """Yields (i, conn[verts[i:j, None] ^ verts]), the adjacency rows i:j
+    induced on verts, about 2^GATHER_CHUNK_BITS entries at a time."""
+    step = max(1, (1 << GATHER_CHUNK_BITS) // max(len(verts), 1))
+    for i in range(0, len(verts), step):
+        yield i, conn[verts[i:i + step, None] ^ verts]
 
-    Repeatedly removes a vertex of least remaining degree, the lowest
-    index on ties; the core left at the end comes first, so the
-    ascending-bit colouring in max_clique colours it first.
+
+def _min_width_order(conn: np.ndarray, verts: np.ndarray) -> list[int]:
+    """Positions in verts in minimum-width order, last removed first.
+
+    Repeatedly removes a vertex of least remaining degree in the graph
+    induced on verts, the lowest position on ties; the core left at the
+    end comes first, so the ascending-bit colouring colours it first.
     """
-    deg = adj.sum(axis=1, dtype=np.int64)
+    deg = np.zeros(len(verts), dtype=np.int64)
+    for i, rows in _adjacency_chunks(conn, verts):
+        deg[i:i + len(rows)] = rows.sum(axis=1)
     removed = []
     for _ in range(len(deg)):
         v = int(np.argmin(deg))
         removed.append(v)
-        deg -= adj[v]
+        deg -= conn[verts ^ verts[v]]
         deg[v] = np.iinfo(np.int64).max
     return removed[::-1]
 
@@ -365,55 +373,43 @@ def _color_classes(adjbits: list[int], cand: int,
     return verts, colors
 
 
-def _is_cayley(g: SearchGraph) -> bool:
-    """True when g is a Cayley graph on GF(2)^r in its labels: vertex i
-    is labelled i in r-bit binary and adj[u, v] == adj[0, u ^ v]."""
-    r, nv = len(g.labels[0]), len(g.labels)
-    if nv != 1 << r or g.labels != [format(i, f"0{r}b") for i in range(nv)]:
-        return False
-    v = np.arange(nv, dtype=np.min_scalar_type(nv - 1))
-    return bool(np.array_equal(g.adj, g.adj[0][v[:, None] ^ v]))
-
-
 def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                budget: int = 10**7) -> CliqueResult:
     """Maximum clique through the pinned identity vertex.
 
     Exact mode is BBMC (San Segundo et al., 2011): a deterministic
     branch-and-bound over bitset candidate sets, the identity's
-    neighbours numbered once in minimum-width order, bounded by a
+    neighbours N(0) numbered once in minimum-width order, bounded by a
     greedy colouring built class by class.  Greedy mode runs randomized
     multi-start extension.  The returned clique is always re-verified
-    edge by edge.
+    edge by edge against the leader table.
 
-    Exact mode also reduces by translations when g is a Cayley graph on
-    GF(2)^r, as every coset graph is: vertex i is labelled i in r-bit
-    binary, there are 2^r vertices, and adj[u, v] == adj[0, u ^ v].
-    Then a clique C through 0 shifted by any member a is another clique
-    C ^ a through 0 of the same size, with the same difference set
-    C ^ C.  Let U be the top-level vertices whose branches have
+    Exact mode also reduces by translations, since g is a Cayley graph
+    on GF(2)^r: a clique C through 0 shifted by any member a is another
+    clique C ^ a through 0 of the same size, with the same difference
+    set C ^ C.  Let U be the top-level vertices whose branches have
     finished.  If a ^ b is in U for members a, b of C, let u be the
     first such difference to finish: C ^ a contains u, and none of its
     differences finished before u, so u's branch already searched it.
     So once the branch of u finishes, every edge {x, y} with x ^ y = u
     is deleted: later branches search, and colour, the graph without
-    those edges.  stats["symmetry"] is "translation" when this reduction
-    ran and "none" otherwise.
+    those edges.  stats["symmetry"] is "translation" in exact mode and
+    "none" in greedy mode.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
-    identity = g.labels.index("0" * len(g.labels[0]))
-    nbrs = np.flatnonzero(g.adj[identity])
-    sub = g.adj[np.ix_(nbrs, nbrs)]
-    order = _min_width_order(sub)
-    verts = nbrs[order].tolist()
-    adjbits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(),
-                              "little") for row in sub[np.ix_(order, order)]]
+    conn = g.leaders >= g.target_d
+    conn[0] = False
+    nbrs = np.flatnonzero(conn).astype(np.min_scalar_type(len(conn) - 1))
+    order = nbrs[_min_width_order(conn, nbrs)]
+    adjbits = [int.from_bytes(row.tobytes(), "little")
+               for _, rows in _adjacency_chunks(conn, order)
+               for row in np.packbits(rows, axis=1, bitorder="little")]
+    verts = order.tolist()
     full = (1 << len(verts)) - 1
     best: list[int] = []
     nodes = 0
     truncated = False
-    symmetry = "none"
 
     if mode == "greedy":
         rng = np.random.default_rng(seed)
@@ -428,9 +424,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
             if len(clique) > len(best):
                 best = clique
     elif mode == "exact":
-        if _is_cayley(g):
-            symmetry = "translation"
-            bit = {a: i for i, a in enumerate(verts)}
+        bit = {a: i for i, a in enumerate(verts)}
 
         # the identity is left out of clique and best: both sides of
         # every size comparison drop it
@@ -452,7 +446,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 expand(clique, cand & adjbits[v])
                 clique.pop()
                 cand ^= 1 << v
-                if symmetry == "translation" and not clique:
+                if not clique:
                     u = verts[v]
                     for x, a in enumerate(verts):
                         y = bit.get(a ^ u)
@@ -462,18 +456,20 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     else:
         raise BadParams(f"unknown clique mode {mode!r}")
 
-    best_sorted = [identity] + sorted(verts[v] for v in best)
-    missing = [(g.labels[a], g.labels[b]) for a in best_sorted
-               for b in best_sorted if a != b and not g.adj[a][b]]
+    best_sorted = [0] + sorted(verts[v] for v in best)
+    label = f"0{(len(g.leaders) - 1).bit_length()}b"
+    missing = [(a, b) for a in best_sorted for b in best_sorted
+               if a != b and g.leaders[a ^ b] < g.target_d]
     if missing:
-        raise ConstructionMismatch("clique re-verification failed: {} and {} "
-                                   "are not adjacent".format(*missing[0]))
+        raise ConstructionMismatch(
+            "clique re-verification failed: {} and {} are not adjacent"
+            .format(*(format(v, label) for v in missing[0])))
     return CliqueResult(
-        vertices=[g.labels[v] for v in best_sorted],
+        vertices=[format(v, label) for v in best_sorted],
         size=len(best_sorted),
         method=mode,
         optimal=(mode == "exact" and not truncated),
-        stats={"nodes": nodes, "seed": seed, "symmetry": symmetry},
+        stats={"nodes": nodes, "seed": seed, "symmetry": "translation" if mode == "exact" else "none"},
     )
 
 

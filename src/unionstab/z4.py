@@ -641,23 +641,3 @@ def z4_quotient_reps(
         raise ConstructionMismatch(
             f"first quotient representative {reps[0].tolist()} is not zero")
     return reps
-
-
-# --------------------------------------------------------------------------
-# file format: "n4 k1 k2" header, generator rows as digit strings
-# --------------------------------------------------------------------------
-
-def format_z4_code(c: Z4Code) -> str:
-    lines = [f"{c.n4} {c.k1} {c.k2}"]
-    lines.extend("".join(str(int(x)) for x in row) for row in c.generator)
-    return "\n".join(lines) + "\n"
-
-
-def parse_z4_code(text: str) -> Z4Code:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    n4, k1, k2 = (int(t) for t in lines[0].split())
-    rows = [[int(ch) for ch in ln] for ln in lines[1 : 1 + k1 + k2]]
-    code = z4_standard_form(np.array(rows, dtype=np.uint8))
-    if code.n4 != n4 or code.k1 != k1 or code.k2 != k2:
-        raise ValueError("Z4 code file header does not match rows")
-    return code

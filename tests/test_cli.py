@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,13 @@ from conftest import (
 def _run(capsys, argv):
     rc = cli.main(argv)
     return rc, capsys.readouterr().out
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's unionstab first on the path."""
+    src = str(Path(unionstab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def _write_five_union(path):
@@ -90,6 +98,30 @@ def test_construct_css_union_round_trip(tmp_path, capsys):
     assert rc == 2
     assert "error: rank table 2^15 or coset span 2^8 exceeds cap 1000" in \
         capsys.readouterr().err
+
+
+def test_construct_css_union_too_large_to_write_exits_2(
+        tmp_path, capsys, monkeypatch):
+    """Two Preparata(6) coset files give K = 1024^2 translations, more
+    than a union file holds: --out exits 2 naming K, before either input
+    is certified, and writes nothing."""
+    text = classical.format_coset_code(classical.preparata_like(6))
+    coset_files = [tmp_path / "p6a.code", tmp_path / "p6b.code"]
+    for path in coset_files:
+        path.write_text(text)
+
+    def certify(*args, **kwargs):
+        raise AssertionError("an input was certified before the K check")
+
+    monkeypatch.setattr(unioncode, "_certified_coset_code", certify)
+    union_file = tmp_path / "p6.union"
+    rc = cli.main(["construct", "css-union", *map(str, coset_files),
+                   "--out", str(union_file)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "K = 1,048,576 translations" in captured.err
+    assert "at most 1,024" in captured.err
+    assert captured.out == "" and not union_file.exists()
 
 
 def test_search_and_verify(tmp_path, capsys):
@@ -233,12 +265,9 @@ def test_bad_pairing_exits_2_under_optimize(tmp_path):
     """The logical pairing check is not an assert: python -O keeps it."""
     union = tmp_path / "bad.union"
     union.write_text(BAD_PAIRING + "T 1\nII\n")
-    src = str(Path(unionstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "unionstab.cli", "verify", str(union),
-         "--level", "full"], capture_output=True, text=True, env=env,
+         "--level", "full"], capture_output=True, text=True, env=_src_env(),
         timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "error: logical X0 and Z0 do not pair" in proc.stderr
@@ -393,3 +422,23 @@ def test_deterministic_rerun(tmp_path, capsys):
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+
+
+def test_search_ring13_under_address_space_limit(tmp_path):
+    """search on the 13-qubit ring graph state (8,192 cosets, 7,606 of
+    them in N(0)) runs in a child limited to 256 MB of address space,
+    since no 2^r x 2^r or |N(0)| x |N(0)| adjacency is built."""
+    n, limit = 13, 256 << 20
+    stab_file = tmp_path / "ring13.stab"
+    stab_file.write_text(format_stabilizer(stabilizer_from_generators([
+        pauli_parse("".join("X" if u == v else (
+            "Z" if (u - v) % n in (1, n - 1) else "I") for u in range(n)))
+        for v in range(n)])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unionstab.cli", "search", str(stab_file),
+         "--d", "3", "--budget", "100"], capture_output=True, text=True,
+        env=_src_env(), timeout=300, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "clique.nodes: 101\n" in proc.stdout

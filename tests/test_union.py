@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -117,8 +116,8 @@ def test_search_graph_five_qubit(graph_state_code):
     g = unioncode.build_search_graph(graph_state_code, 2)
     assert g.num_vertices == 32
     assert g.num_edges == 256
-    # identity vertex present with the all-zero syndrome label
-    assert g.labels[0] == "0" * 5
+    # the identity coset, syndrome 0, has leader weight 0
+    assert g.leaders[0] == 0
 
 
 def test_search_graph_not_pure_enough(graph_state_code):
@@ -288,8 +287,8 @@ def _oracle_distance_bound(code):
     return best
 
 
-def _oracle_leader_scan(base, d):
-    """Labels, representatives and adjacency of the search graph."""
+def _oracle_leader_scan(base):
+    """Leader weights and representatives of the stabilizer cosets."""
     n, r = base.n, base.n - base.k
     sb = base.stab_binary()
     swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
@@ -303,11 +302,17 @@ def _oracle_leader_scan(base, d):
         if w[pos] < leaders[syn[pos]]:
             leaders[syn[pos]] = w[pos]
             reps[syn[pos]] = bits[pos]
-    adj = np.zeros((1 << r, 1 << r), dtype=bool)
-    for u in range(1 << r):
-        for v in range(u + 1, 1 << r):
+    return leaders, reps
+
+
+def _dense_adjacency(leaders, d):
+    """The coset graph as a dense matrix: u ~ v iff leaders[u ^ v] >= d."""
+    nv = len(leaders)
+    adj = np.zeros((nv, nv), dtype=bool)
+    for u in range(nv):
+        for v in range(u + 1, nv):
             adj[u, v] = adj[v, u] = leaders[u ^ v] >= d
-    return [format(s, f"0{r}b") for s in range(1 << r)], reps, adj
+    return adj
 
 
 def _oracle_coloring(adj_sets, verts):
@@ -321,16 +326,15 @@ def _oracle_coloring(adj_sets, verts):
     return [colors[v] for v in verts]
 
 
-def _oracle_max_clique(g):
-    """Size of a maximum clique through the identity, by set colouring.
+def _oracle_max_clique(dense):
+    """Size of a maximum clique through vertex 0, by set colouring.
 
     An exhaustive branch-and-bound over candidate lists ordered by
-    descending degree, then label; each node recolours its candidates
+    descending degree, then index; each node recolours its candidates
     with _oracle_coloring and branches from the highest colour down.
     """
-    adj = [set(np.flatnonzero(row).tolist()) for row in g.adj]
-    identity = g.labels.index("0" * len(g.labels[0]))
-    best = [identity]
+    adj = [set(np.flatnonzero(row).tolist()) for row in dense]
+    best = [0]
 
     def expand(clique, cand):
         nonlocal best
@@ -347,8 +351,7 @@ def _oracle_max_clique(g):
             v = cand[i]
             expand(clique + [v], [cand[j] for j in order if cand[j] in adj[v]])
 
-    expand([identity], sorted(adj[identity],
-                              key=lambda v: (-len(adj[v]), g.labels[v])))
+    expand([0], sorted(adj[0], key=lambda v: (-len(adj[v]), v)))
     return len(best)
 
 
@@ -436,14 +439,17 @@ def test_search_path_matches_oracles(case, graph_state_code):
         n, d, seed = (int(x) for x in case[5:].split("-"))
         base = _graph_state(n, seed)
     g = unioncode.build_search_graph(base, d)
-    labels, reps, adj = _oracle_leader_scan(base, d)
-    assert g.labels == labels
+    leaders, reps = _oracle_leader_scan(base)
+    assert np.array_equal(g.leaders, leaders)
     assert np.array_equal(g.reps, reps)
-    assert np.array_equal(g.adj, adj)
+    adj = _dense_adjacency(leaders, d)
+    assert g.num_edges == adj.sum() // 2
     new = unioncode.max_clique(g)
-    assert (new.size, new.optimal) == (_oracle_max_clique(g), True)
-    assert new.vertices[0] == "0" * len(labels[0])
-    idx = [labels.index(v) for v in new.vertices]
+    assert (new.size, new.optimal) == (_oracle_max_clique(adj), True)
+    r = base.n - base.k
+    assert new.vertices[0] == "0" * r
+    assert all(len(v) == r for v in new.vertices)
+    idx = [int(v, 2) for v in new.vertices]
     assert len(set(idx)) == new.size
     assert all(adj[u, v] for u in idx for v in idx if u != v)
     code = unioncode.union_from_clique(g, new)
@@ -497,90 +503,50 @@ def _brute_max_clique_through_0(adj_sets):
     return best
 
 
-def test_max_clique_random_graphs_match_brute_force():
-    """Random graphs, which unlike the coset graphs are not Cayley
-    graphs, so the vertex pinned as the identity is not typical."""
-    rng = np.random.default_rng(11)
-    for trial in range(30):
-        nv = int(rng.integers(8, 41))
-        a, adj_sets, _ = _random_bitset_graph(rng, nv)
-        labels = [format(v, "06b") for v in range(nv)]
-        g = unioncode.SearchGraph(labels=labels, reps=None, adj=a,
-                                  target_d=0, base=None)
-        exact = unioncode.max_clique(g)
-        assert exact.optimal and exact.stats["symmetry"] == "none"
-        assert exact.size == _brute_max_clique_through_0(adj_sets), trial
-        idx = [int(v, 2) for v in exact.vertices]
-        assert idx[0] == 0
-        assert all(a[u, v] for u in idx for v in idx if u != v)
-        assert unioncode.max_clique(g, mode="greedy", seed=trial).size \
-            <= exact.size
-        assert not unioncode.max_clique(g, budget=1).optimal
-
-
 def _random_cayley_graphs():
-    """Seeded Cayley graphs on GF(2)^r, r = 3..7: u ~ v iff u ^ v in S,
-    each with a relabelling that fixes 0."""
+    """Seeded random leader tables on GF(2)^r, r = 3..7, weights 1..4
+    off the identity and target distance 2..4, so that the connection
+    set holds about 3/4, 1/2 or 1/4 of the vertices."""
     rng = np.random.default_rng(13)
     for r in range(3, 8):
-        nv = 1 << r
-        v = np.arange(nv)
-        labels = [format(i, f"0{r}b") for i in range(nv)]
         for _ in range(10):
-            in_s = rng.random(nv) < rng.uniform(0.2, 0.8)
-            in_s[0] = False
-            a = in_s[v[:, None] ^ v]
-            perm = np.concatenate([[0], 1 + rng.permutation(nv - 1)])
-            b = np.empty_like(a)
-            b[np.ix_(perm, perm)] = a
-            yield r, *(unioncode.SearchGraph(
-                labels=labels, reps=None, adj=adj, target_d=0, base=None)
-                for adj in (a, b))
+            leaders = rng.integers(1, 5, 1 << r)
+            leaders[0] = 0
+            yield r, unioncode.SearchGraph(
+                leaders=leaders, reps=None,
+                target_d=int(rng.integers(2, 5)), base=None)
 
 
-def _is_cayley_oracle(adj):
-    v = np.arange(len(adj))
-    return all(np.array_equal(adj[u], adj[0, v ^ u]) for u in v)
+def test_max_clique_random_graphs_match_brute_force():
+    """Random connection sets with r <= 6: the exact search matches brute
+    force and returns a clique through the identity; greedy extension
+    finds no more, and a budget of 1 node is not optimal unless the
+    identity has no neighbour."""
+    for trial, (r, g) in enumerate(_random_cayley_graphs()):
+        if r > 6:
+            continue
+        adj = _dense_adjacency(g.leaders, g.target_d)
+        want = _brute_max_clique_through_0(
+            [set(np.flatnonzero(row).tolist()) for row in adj])
+        exact = unioncode.max_clique(g)
+        assert (exact.size, exact.optimal) == (want, True), trial
+        idx = [int(v, 2) for v in exact.vertices]
+        assert idx[0] == 0
+        assert all(adj[u, v] for u in idx for v in idx if u != v)
+        greedy = unioncode.max_clique(g, mode="greedy", seed=trial)
+        assert greedy.size <= exact.size
+        assert greedy.stats["symmetry"] == "none"
+        assert unioncode.max_clique(g, budget=1).optimal == (want == 1)
 
 
-def test_max_clique_translation_reduction(monkeypatch):
-    """The reduced search matches brute force (r <= 6) and the unreduced
-    search.  It runs on Cayley graphs, and only there: relabelling the
-    vertices (0 fixed) breaks the Cayley property, unless the permutation
-    happens to be an automorphism, but not the size."""
-    nodes = {"translation": 0, "none": 0}
-    relabelled_cayley = 0
-    for trial, (r, g, relabelled) in enumerate(_random_cayley_graphs()):
-        with monkeypatch.context() as m:
-            m.setattr(unioncode, "_is_cayley", lambda graph: False)
-            plain = unioncode.max_clique(g)
-        want = plain.size
-        if r <= 6:
-            assert want == _brute_max_clique_through_0(
-                [set(np.flatnonzero(row).tolist()) for row in g.adj])
-        assert (plain.optimal, plain.stats["symmetry"]) == (True, "none")
+def test_max_clique_translation_reduction():
+    """The translation-reduced exact search matches the set-colouring
+    oracle on every random connection set, r = 3..7."""
+    for trial, (r, g) in enumerate(_random_cayley_graphs()):
+        want = _oracle_max_clique(_dense_adjacency(g.leaders, g.target_d))
         exact = unioncode.max_clique(g)
         assert (exact.size, exact.optimal) == (want, True), trial
         assert exact.stats["symmetry"] == "translation"
-        idx = [int(v, 2) for v in exact.vertices]
-        assert idx[0] == 0
-        assert all(g.adj[u, v] for u in idx for v in idx if u != v)
-        nodes["translation"] += exact.stats["nodes"]
-        nodes["none"] += plain.stats["nodes"]
-        other = unioncode.max_clique(relabelled)
-        assert other.stats["symmetry"] == ("translation" if _is_cayley_oracle(
-            relabelled.adj) else "none"), trial
-        assert (other.size, other.optimal) == (want, True), trial
-        relabelled_cayley += other.stats["symmetry"] == "translation"
-        # the same adjacency with the identity's label on the last vertex;
-        # a Cayley graph is vertex-transitive, so the size stays
-        moved = unioncode.max_clique(dataclasses.replace(
-            g, labels=g.labels[::-1]))
-        assert (moved.size, moved.stats["symmetry"]) == (want, "none"), trial
-    # per graph, the reduced search can take a node or two more, since
-    # its colourings order the later branches differently
-    assert nodes["translation"] < nodes["none"]
-    assert relabelled_cayley <= 4
 
 
 def test_ring9_code_pinned():
@@ -610,27 +576,35 @@ def test_leader_scan_and_true_distance_caps():
 
 
 def test_leader_scan_memory_is_chunked():
-    # an unchunked 4^10-entry uint64 key array alone would take 8 MB;
-    # measured peak with 2^14-Pauli chunks: about 3.7 MB, mostly the
-    # 1024 x 1024 adjacency and its gather
+    # an unchunked 4^10-entry uint64 key array alone would take 8 MiB,
+    # and a dense 1024 x 1024 adjacency 1 MiB plus its gather index;
+    # measured peaks: 0.82 MiB for the 2^14-Pauli chunked scan, 2.9 MiB
+    # for the clique search, mostly one 2^20-entry gather chunk
     base = _ring(10)
     tracemalloc.start()
     try:
         g = unioncode.build_search_graph(base, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = unioncode.max_clique(g, budget=50)
+        clique_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert g.num_vertices == 1024
-    assert peak < 8 << 20
+    assert result.stats["nodes"] == 51 and not result.optimal
+    assert build_peak < 2 << 20
+    assert clique_peak < 4 << 20
 
 
-def test_clique_reverification_names_missing_edge():
-    """An adjacency matrix that is not symmetric lets greedy extension
-    build a set that is not a clique; re-verification rejects it."""
-    adj = np.array([[0, 1, 1], [1, 0, 1], [1, 0, 0]], dtype=bool)
-    g = unioncode.SearchGraph(labels=["00", "01", "10"],
-                              reps=np.zeros((3, 4), np.uint8), adj=adj,
+def test_clique_reverification_names_missing_edge(monkeypatch):
+    """Adjacency rows that claim every edge let greedy extension build a
+    set that is not a clique; re-verification against the leader table
+    rejects it, naming the pair at distance leaders[01 ^ 10] = 1 < 2."""
+    g = unioncode.SearchGraph(leaders=np.array([0, 2, 2, 1]),
+                              reps=np.zeros((4, 4), np.uint8),
                               target_d=2, base=None)
+    monkeypatch.setattr(unioncode, "_adjacency_chunks", lambda conn, verts:
+                        [(0, np.ones((len(verts), len(verts)), bool))])
     with pytest.raises(ConstructionMismatch,
-                       match="10 and 01 are not adjacent"):
+                       match="01 and 10 are not adjacent"):
         unioncode.max_clique(g, mode="greedy")

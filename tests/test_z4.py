@@ -161,13 +161,6 @@ def test_contains_matches_word_set_oracle(ctx3, ctx5):
         assert len(set(got)) == 2
 
 
-def test_format_parse_round_trip(ctx3):
-    k = z4.kerdock_z4(ctx3)
-    again = z4.parse_z4_code(z4.format_z4_code(k))
-    assert np.array_equal(again.generator, k.generator)
-    assert (again.k1, again.k2) == (k.k1, k.k2)
-
-
 def _dense_words(c) -> np.ndarray:
     """Every codeword from one dense int64 product, in message order."""
     radices = [4] * c.k1 + [2] * c.k2
