@@ -9,6 +9,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .errors import BadParams, UnionStabError
 
 SHOWN_FAILURES = 5  # failed items a verification writes to stderr
 UNION_FILE_MAX_K = 1024  # translations construct writes to a union file
+PARSER_CACHE_SIZE = 16  # distinct configs whose parsers a process keeps
 # the number of positional parameters each construct kind takes
 CONSTRUCT_PARAMS = {"rm": 2, "nr": 0, "preparata": 1, "goethals": 1,
                     "css": 2, "enlarge": 2, "css-union": 2, "family": 2}
@@ -284,14 +286,27 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _pre_parser() -> argparse.ArgumentParser:
+    """Finds --config, which precedes the subcommand taking the rest."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return pre
+
+
+@functools.lru_cache(maxsize=PARSER_CACHE_SIZE)
+def _parser(config: frozenset) -> argparse.ArgumentParser:
+    """build_parser for the config of these (key, value) items, built on
+    first use and kept: parsing leaves a parser as it was."""
+    return build_parser(dict(config))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        # --config precedes the subcommand, which takes the rest
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config")
-        pre.add_argument("rest", nargs=argparse.REMAINDER)
-        path = pre.parse_known_args(argv)[0].config
-        args = build_parser(path and _parse_config(path)).parse_args(argv)
+        path = _pre_parser().parse_known_args(argv)[0].config
+        cfg = _parse_config(path) if path else {}
+        args = _parser(frozenset(cfg.items())).parse_args(argv)
         header = {"command": args.command, "cap": args.cap,
                   "budget": args.budget, "seed": args.seed}
         report = Report(args.format, header)

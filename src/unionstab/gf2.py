@@ -143,13 +143,16 @@ def reduce_rows(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows is one vector or a matrix.  basis must be fully reduced without
     zero rows (rref up to its rank, in any row order), so column piv_i,
     the first 1 of row i, is 0 in every other row.  Clearing all pivots is
-    then one product, v ^ v[piv] @ basis; the uint8 product wraps mod 256,
-    which keeps its parity.
+    then one product, v ^ v[piv] @ basis.  np.einsum takes it in uint8
+    with vectorised sums, where uint8 matmul runs a plain loop, and sums
+    that wrap mod 256 keep their parity.  It calls no BLAS, whose buffers
+    a first float product would touch and keep resident.
     """
     basis = np.asarray(basis, dtype=np.uint8)
     rows = np.asarray(rows, dtype=np.uint8) % 2
     piv = basis.argmax(axis=1)
-    return rows ^ ((rows[..., piv] @ basis) & 1)
+    return rows ^ (np.einsum("...i,ij->...j", rows[..., piv], basis,
+                             dtype=np.uint8) & 1)
 
 
 def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:

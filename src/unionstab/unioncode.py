@@ -347,29 +347,36 @@ def _min_width_order(conn: np.ndarray, verts: np.ndarray) -> list[int]:
     return removed[::-1]
 
 
-def _color_classes(adjbits: list[int], cand: int,
+def _color_classes(nonadj: list[int], cand: int,
                    kmin: int) -> tuple[list[int], list[int]]:
     """Greedy colouring of the bitset cand, one colour class at a time.
 
-    Each class takes the lowest uncoloured bit, then the lowest bit
-    adjacent to none of its members, and so on; this gives each vertex
-    the smallest colour free of its lower neighbours, as a sequential
-    greedy colouring in ascending bit order does.  Returns the vertices
-    of colour >= kmin and their colours, in colour order.
+    nonadj[v] holds the vertices v is not adjacent to, v itself left
+    out.  Each class takes the lowest uncoloured bit, then the lowest bit
+    adjacent to none of its members (q &= nonadj[v] per member), and so
+    on; this gives each vertex the smallest colour free of its lower
+    neighbours, as a sequential greedy colouring in ascending bit order
+    does.  Returns the vertices of colour >= kmin and their colours, in
+    colour order; the classes below kmin are only stripped from cand.
     """
     verts, colors = [], []
     color = 0
     while cand:
         color += 1
         q = cand
+        if color < kmin:
+            while q:
+                low = q & -q
+                cand ^= low
+                q &= nonadj[low.bit_length() - 1]
+            continue
         while q:
             low = q & -q
             v = low.bit_length() - 1
             cand ^= low
-            q &= ~(adjbits[v] | low)
-            if color >= kmin:
-                verts.append(v)
-                colors.append(color)
+            q &= nonadj[v]
+            verts.append(v)
+        colors += [color] * (len(verts) - len(colors))
     return verts, colors
 
 
@@ -425,6 +432,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 best = clique
     elif mode == "exact":
         bit = {a: i for i, a in enumerate(verts)}
+        nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
 
         # the identity is left out of clique and best: both sides of
         # every size comparison drop it
@@ -437,7 +445,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
             if len(clique) > len(best):
                 best = list(clique)
             branch, colors = _color_classes(
-                adjbits, cand, len(best) - len(clique) + 1)
+                nonadj, cand, len(best) - len(clique) + 1)
             while branch:
                 v = branch.pop()
                 if truncated or len(clique) + colors.pop() <= len(best):
@@ -452,6 +460,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                         y = bit.get(a ^ u)
                         if y is not None:
                             adjbits[x] &= ~(1 << y)
+                            nonadj[x] |= 1 << y
         expand([], full)
     else:
         raise BadParams(f"unknown clique mode {mode!r}")
@@ -469,7 +478,8 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
         size=len(best_sorted),
         method=mode,
         optimal=(mode == "exact" and not truncated),
-        stats={"nodes": nodes, "seed": seed, "symmetry": "translation" if mode == "exact" else "none"},
+        stats={"nodes": nodes, "seed": seed,
+               "symmetry": "translation" if mode == "exact" else "none"},
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import os
 import resource
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import unionstab
-from unionstab import circuits, classical, cli, stab, unioncode
+from unionstab import circuits, classical, cli, gf2, stab, unioncode
 from unionstab.circuits import EncoderReport, KLReport, parse_circuit
 from unionstab.pauli import pauli_parse
 from unionstab.stab import format_stabilizer, stabilizer_from_generators
@@ -368,6 +369,40 @@ def test_config_supplies_required_d(tmp_path, capsys):
         cli.main(search)
     assert exc.value.code == 2
     assert "--d" in capsys.readouterr().err
+
+
+def test_cached_parsers_leak_nothing(tmp_path, capsys, monkeypatch):
+    """Each config's parser is built once per process and kept: its
+    values reach no later call without that config, a value typed
+    with '=' still beats it, and repeated plain calls build no parser."""
+    stab_file = tmp_path / "graph.stab"
+    gens = [pauli_parse(s) for s in
+            ["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"]]
+    stab_file.write_text(format_stabilizer(stabilizer_from_generators(gens)))
+    cfg = tmp_path / "cap7.cfg"
+    cfg.write_text("cap = 7\nd = 2\n")
+    search = ["search", str(stab_file)]
+    rc = cli.main(["--config", str(cfg)] + search)
+    assert rc == 2 and "exceeds cap 7" in capsys.readouterr().err
+    rc, out = _run(capsys, search + ["--d", "2"])
+    assert rc == 0 and f"config.cap: {gf2.DEFAULT_CAP}\n" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(search)
+    assert exc.value.code == 2 and "--d" in capsys.readouterr().err
+    rc, out = _run(capsys, ["--config", str(cfg)] + search + ["--cap=4096"])
+    assert rc == 0 and "config.cap: 4096\n" in out
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    for _ in range(3):
+        rc, out = _run(capsys, search + ["--d", "2"])
+        assert rc == 0 and f"config.cap: {gf2.DEFAULT_CAP}\n" in out
+    assert built == []
 
 
 def test_config_booleans_and_bad_keys(tmp_path, capsys):

@@ -285,6 +285,28 @@ def test_reduce_rows_is_least_coset_vector():
             assert gf2.to_string(r) == min(coset)
 
 
+def test_reduce_rows_matches_uint8_product():
+    """The einsum product equals the uint8 mod-2 product on random
+    shapes: a single vector, no rows, an inner dimension above 255 and a
+    basis given in any row order."""
+    rng = np.random.default_rng(17)
+    for n, nrows in ((1, 1), (7, 0), (40, 1), (64, 300), (300, 5),
+                     (300, 40)):
+        basis = _random_basis(rng, n)
+        if n == 300:  # pivots in 270 rows: the inner dimension tops 255
+            basis = gf2._independent_rows(
+                rng.integers(0, 2, (270, n)).astype(np.uint8))
+            assert len(basis) > 255
+        basis = basis[rng.permutation(len(basis))]
+        rows = rng.integers(0, 2, (nrows, n)).astype(np.uint8)
+        piv = basis.argmax(axis=1)
+        want = rows ^ ((rows[:, piv] @ basis) & 1)
+        got = gf2.reduce_rows(basis, rows)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), n
+        for v, w in zip(rows[:3], want):
+            assert np.array_equal(gf2.reduce_rows(basis, v), w), n
+
+
 def test_row_space_contains_matrix_matches_rank_oracle():
     rng = np.random.default_rng(12)
     for _ in range(60):

@@ -467,23 +467,30 @@ def _random_bitset_graph(rng, nv):
 
 
 def test_coloring_matches_set_oracle():
-    """Class-by-class colouring of a bitset equals sequential greedy
-    colouring in ascending vertex order; k_min keeps the top colours."""
+    """Class-by-class colouring of a bitset on complement rows equals
+    sequential greedy colouring in ascending vertex order; k_min keeps
+    the top colours, and an empty cand or a k_min above every colour
+    keeps none."""
     rng = np.random.default_rng(6)
     for _ in range(50):
         nv = int(rng.integers(1, 40))
         _, adj_sets, adjbits = _random_bitset_graph(rng, nv)
+        full = (1 << nv) - 1
+        nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
         verts = sorted(rng.permutation(nv)[:int(rng.integers(0, nv + 1))]
                        .tolist())
         cand = sum(1 << v for v in verts)
         want = dict(zip(verts, _oracle_coloring(adj_sets, verts)))
-        got, colors = unioncode._color_classes(adjbits, cand, 1)
+        got, colors = unioncode._color_classes(nonadj, cand, 1)
         assert dict(zip(got, colors)) == want and len(got) == len(verts)
         kmin = int(rng.integers(1, 6))
-        got, colors = unioncode._color_classes(adjbits, cand, kmin)
+        got, colors = unioncode._color_classes(nonadj, cand, kmin)
         assert colors == sorted(colors)
         assert [want[v] for v in got] == colors
         assert set(got) == {v for v, c in want.items() if c >= kmin}
+        above = max(want.values(), default=0) + 1
+        assert unioncode._color_classes(nonadj, cand, above) == ([], [])
+        assert unioncode._color_classes(nonadj, 0, kmin) == ([], [])
 
 
 def _brute_max_clique_through_0(adj_sets):
