@@ -28,7 +28,7 @@ from .errors import (
 )
 from .pauli import PauliVector, pauli_str
 from .stab import StabilizerCode
-from .unioncode import UnionStabilizerCode
+from .unioncode import UnionStabilizerCode, _xz_rows
 
 __all__ = [
     "Circuit",
@@ -113,13 +113,21 @@ def _gate_on_rows(x: np.ndarray, z: np.ndarray, signs: np.ndarray,
         raise NonCliffordGate(f"cannot conjugate through {name}")
 
 
-def conjugate(circ: Circuit, p: PauliVector) -> PauliVector:
-    """Returns U p U^dagger for the Clifford circuit U, sign included."""
-    x = p.x.copy().reshape(1, -1)
-    z = p.z.copy().reshape(1, -1)
-    signs = np.array([p.sign], dtype=np.int64)
+def _conjugate_all(circ: Circuit, ps) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """(x, z, signs) of U p U^dagger for every Pauli p of ps, one row each,
+    in one pass over the gates."""
+    rows = _xz_rows(circ.n, ps)
+    x, z = rows[:, :circ.n], rows[:, circ.n:]
+    signs = np.array([p.sign for p in ps], dtype=np.int64)
     for gate in circ.gates:
         _gate_on_rows(x, z, signs, gate)
+    return x, z, signs
+
+
+def conjugate(circ: Circuit, p: PauliVector) -> PauliVector:
+    """Returns U p U^dagger for the Clifford circuit U, sign included."""
+    x, z, signs = _conjugate_all(circ, [p])
     return PauliVector(x=x[0], z=z[0], sign=int(signs[0]))
 
 
@@ -127,10 +135,9 @@ def conjugate(circ: Circuit, p: PauliVector) -> PauliVector:
 # Inverse-encoder Clifford synthesis
 
 class _Tableau:
-    def __init__(self, rows: np.ndarray, n: int):
-        self.x = rows[:, :n].astype(np.uint8).copy()
-        self.z = rows[:, n:].astype(np.uint8).copy()
-        self.signs = np.ones(rows.shape[0], dtype=np.int64)
+    def __init__(self, ps: list[PauliVector], n: int):
+        # the empty circuit: the rows (x|z) and signs of ps as they are
+        self.x, self.z, self.signs = _conjugate_all(Circuit(n=n), ps)
         self.gates: list[tuple] = []
 
     def apply(self, *gates: tuple) -> None:
@@ -173,8 +180,8 @@ def synth_q1(code: StabilizerCode) -> Circuit:
     a trailing Pauli layer fixing all signs to +1.
     """
     n, k, r = code.n, code.k, code.n - code.k
-    rows = code.normalizer_binary()  # stab rows, then logical X, logical Z
-    tab = _Tableau(rows, n)
+    # stabilizer rows, then logical X, then logical Z, signs included
+    tab = _Tableau([*code.stab, *code.logical_x, *code.logical_z], n)
 
     for i in range(r):
         _clear_row_to_x(tab, i, i, n, r)
@@ -232,15 +239,14 @@ def canonicalize_translations(code: UnionStabilizerCode,
                               q1: Circuit) -> list[str]:
     """Coset labels: X-pattern of each translation after conjugation by q1.
 
-    The conjugated translations are reduced modulo the trivial code's
-    normalizer — Z-parts and X on the last k logical qubits are dropped —
-    leaving one (n-k)-bit string per translation, the identity first.
+    All translations are conjugated together, one row each.  They are
+    reduced modulo the trivial code's normalizer — Z-parts and X on the
+    last k logical qubits are dropped — leaving one (n-k)-bit string per
+    translation, the identity first.
     """
     r = code.base.n - code.base.k
-    labels = []
-    for t in code.translations:
-        image = conjugate(q1, t)
-        labels.append("".join(str(int(b)) for b in image.x[:r]))
+    x = _conjugate_all(q1, code.translations)[0]
+    labels = ["".join(map(str, row)) for row in x[:, :r].tolist()]
     if len(set(labels)) != len(labels):
         raise CollisionAfterReduction(
             "translations reduced to identical labels")
@@ -325,28 +331,57 @@ def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
             for t in range(w) if t not in c]
 
 
-def _packed_op(gate: tuple, w: int, fields: int, dtype):
-    """Vectorized action of a classical gate on packed K-tuples of w bits;
-    qubit q is bit w-1-q of each field, so qubit 0 is the most significant."""
-    *ctrl, t = (w - 1 - q for q in gate[1:])
-    mt = dtype(sum(1 << (w * i + t) for i in range(fields)))
+def _gate_table(gates: list[tuple], w: int, K: int) -> list[tuple]:
+    """(mask, shifts) of each gate on packed K-tuples of w bits.
 
-    def op(a, out=None):
-        hit = mt
-        for p in ctrl:
-            hit = hit & (a >> (p - t) if p >= t else a << (t - p))
-        return np.bitwise_xor(a, hit, out=out)
-    return op
+    mask has the gate's target bit set in every field, and shifts holds,
+    per control, how far the control bit lies above the target bit
+    (negative: below it).  Qubit q is bit w-1-q of each field, so qubit 0
+    is the most significant.
+    """
+    table = []
+    for g in gates:
+        *ctrl, t = (w - 1 - q for q in g[1:])
+        mask = sum(1 << (w * i + t) for i in range(K))
+        table.append((mask, tuple(p - t for p in ctrl)))
+    return table
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D array, as np.unique; sorts a in place.
+def _shift(a: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """a shifted d bits down (d < 0: -d bits up), written into out."""
+    if d >= 0:
+        return np.right_shift(a, d, out=out)
+    return np.left_shift(a, -d, out=out)
+
+
+def _broadcaster(table: list[tuple], dtype):
+    """A function mapping states a to their images under every gate of
+    table, one row per gate, in one broadcast expression: masks and shifts
+    become (G, 1) columns, and a gate's unused control slot matches all."""
+    G = len(table)
+    mask = np.array([m for m, _ in table], dtype).reshape(G, 1)
+    down, up = np.zeros((2, 2, G, 1), dtype)
+    free = np.full((2, G, 1), np.iinfo(dtype).max, dtype)
+    for g, (_, shifts) in enumerate(table):
+        for j, d in enumerate(shifts):
+            down[j, g], up[j, g], free[j, g] = max(d, 0), max(-d, 0), 0
+
+    def images(a):
+        hit = a >> down[0] << up[0] | free[0]
+        hit &= a >> down[1] << up[1] | free[1]
+        hit &= mask
+        hit ^= a
+        return hit
+    return images
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted 1-D array, as np.unique.
 
     At synthesis frontier sizes numpy 2.x's hash-path np.unique and a[mask]
-    on a sparse mask are many times slower than sorting and np.compress,
-    here by chunks to keep compress's index array small.
+    on a sparse mask are many times slower than np.compress, here by
+    chunks to keep compress's index array small.
     """
-    a.sort()
     out = [a[:1]]
     for lo in range(1, a.size, SYNTH_CHUNK):
         c = a[lo:lo + SYNTH_CHUNK]
@@ -361,7 +396,8 @@ def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of a's entries in b (both sorted, distinct); probes the smaller."""
+    """Mask of a's entries in b (both sorted, a distinct); probes the
+    smaller."""
     if a.size <= b.size:
         return _in_sorted(a, b)
     pos = np.minimum(np.searchsorted(a, b), a.size - 1)
@@ -415,10 +451,15 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     Bidirectional breadth-first search: each level is a sorted array of
     the packed states (uint32 when K*w <= 32) at exactly that distance from
     its side's root, and the smaller frontier is expanded, into one buffer
-    of every gate's images, until the newest levels of the two sides meet.
-    Forward levels are then pruned to states on some shortest path, and a
-    greedy walk from the start takes the smallest gate that stays on one.
-    Raises CapExceeded before an expansion would hold more than cap states.
+    of every gate's images written gate by gate from one table.  The
+    expansion is tested against the other side's newest level before it
+    is deduplicated and pruned: with f and b levels past the roots, the
+    distance exceeds f + b, so an image found there lies f + b + 1 steps
+    from the start and the search stops.  Forward levels are then pruned
+    to states on some shortest path, and a greedy walk from the start
+    takes the smallest gate that stays on one; both apply every gate at
+    once, broadcast over the table.  Raises CapExceeded before an
+    expansion would hold more than cap states.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -440,49 +481,80 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     start = sorted(vals) if any_order else vals
     canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
     gates = sorted(_bit_gates(w, tuple(gate_set)))
-    ops = [_packed_op(g, w, K, dtype) for g in gates]
+    table = _gate_table(gates, w, K)
+    images = _broadcaster(table, dtype)
+
+    def check_cap(level):
+        if level.size * len(gates) > cap:
+            raise CapExceeded(f"expanding {level.size} states by "
+                              f"{len(gates)} gates exceeds cap {cap}")
 
     def expand(level):
-        if level.size * len(ops) > cap:
-            raise CapExceeded(f"expanding {level.size} states by "
-                              f"{len(ops)} gates exceeds cap {cap}")
-        buf = np.empty((len(ops), level.size), dtype)
-        for op, row in zip(ops, buf):
-            op(level, out=row)
-        return _sorted_unique(canon(buf.reshape(-1)))
+        """Every gate's image of every state, canonicalised and sorted."""
+        check_cap(level)
+        buf = np.empty((len(gates), level.size), dtype)
+        tmp = np.empty_like(level)
+        for (mask, shifts), row in zip(table, buf):
+            if not shifts:
+                np.bitwise_xor(level, mask, out=row)
+                continue
+            _shift(level, shifts[0], row)
+            for d in shifts[1:]:
+                row &= _shift(level, d, tmp)
+            row &= mask
+            row ^= level
+        buf = canon(buf.reshape(-1))
+        buf.sort()
+        return buf
 
-    # one-element root levels, value i packed into bits w*i .. w*i + w - 1
-    fwd, back = ([np.array([sum(v << (w * i) for i, v in enumerate(vs))],
-                           dtype)] for vs in (start, range(K)))
-    while not (meet := np.compress(_members(fwd[-1], back[-1]),
-                                   fwd[-1])).size:
+    def packed(vs):  # value i into bits w*i .. w*i + w - 1 of one word
+        return np.array([sum(v << (w * i) for i, v in enumerate(vs))], dtype)
+
+    fwd, back = [packed(start)], [packed(range(K))]  # one-state roots
+    meet = np.compress(fwd[0] == back[0], fwd[0])
+    while not meet.size:
         if len(fwd) + len(back) - 2 >= max_gates:
             raise NotFound(max_gates)
-        side = fwd if fwd[-1].size <= back[-1].size else back
+        side, other = ((fwd, back) if fwd[-1].size <= back[-1].size
+                       else (back, fwd))
         new = expand(side[-1])
-        for old in side[-2:]:  # neighbours lie at most one level closer
-            new = np.compress(~_members(new, old), new)
-        if not new.size:  # this side's component is exhausted
-            raise NotFound(max_gates)
+        # before dedup and pruning: any image in the other side's newest
+        # level is the meet, as the docstring shows
+        meet = np.compress(_members(other[-1], new), other[-1])
+        if meet.size:
+            new = meet
+        else:
+            new = _distinct(new)
+            for old in side[-2:]:  # neighbours lie at most one level closer
+                new = np.compress(~_members(new, old), new)
+            if not new.size:  # this side's component is exhausted
+                raise NotFound(max_gates)
         side.append(new)
+
+    def step(states):
+        """Every gate's image of every state, canonicalised, gate-major."""
+        check_cap(states)
+        return canon(images(states).reshape(-1))
 
     # on_path[j]: states j steps from the start on some shortest path
     on_path = [meet]
     for level in fwd[-2::-1]:
-        on_path.insert(0, np.compress(_members(level, expand(on_path[0])),
-                                      level))
-    path = []
+        imgs = step(on_path[0])
+        imgs.sort()
+        on_path.insert(0, np.compress(_members(level, imgs), level))
+    picked = []
     cur = fwd[0]
     # all gates are involutions: back[k] is "k steps from the target"
     for level in on_path[1:] + back[-2::-1]:
-        imgs = canon(np.concatenate([op(cur) for op in ops]))
-        i = int(np.flatnonzero(_in_sorted(imgs, level))[0])
-        path.append(gates[i])
-        cur = imgs[i:i + 1]
-    end = np.array(vals, dtype=dtype)  # one input per word
-    for g in path:
-        end = _packed_op(g, w, 1, dtype)(end)
-    return path, tuple(np.argsort(end).tolist())
+        imgs = step(cur)
+        picked.append(int(np.flatnonzero(_in_sorted(imgs, level))[0]))
+        cur = imgs[picked[-1]:picked[-1] + 1]
+    end = packed(vals)  # the inputs in their own order, uncanonicalised
+    for i in picked:
+        end = images(end)[i]
+    ends = [int(end[0]) >> (w * i) & ((1 << w) - 1) for i in range(K)]
+    return ([gates[i] for i in picked],
+            tuple(sorted(range(K), key=ends.__getitem__)))
 
 
 def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
@@ -530,58 +602,56 @@ def _check_size(n: int) -> None:
 
 
 def simulate(circ: Circuit, state: np.ndarray) -> np.ndarray:
-    """Applies the circuit to a statevector (qubit 0 = leftmost bit)."""
+    """Applies the circuit to a statevector (qubit 0 = leftmost bit).
+
+    state is one vector of length 2^n or a block of shape (2^n, B), one
+    statevector per column; every gate acts on all columns at once and
+    the result has the shape of state.
+    """
     n = circ.n
     _check_size(n)
-    if state.shape != (1 << n,):
+    if state.shape[:1] != (1 << n,) or state.ndim > 2:
         raise BadParams("statevector length mismatch")
-    t = state.astype(np.complex128).reshape((2,) * n)
+    # a fresh array, so every gate may act on it in place
+    t = state.astype(np.complex128).reshape((2,) * n + state.shape[1:])
+
+    def at(*fixed):  # index setting the given qubit axes to 1
+        idx = [slice(None)] * n
+        for q in fixed:
+            idx[q] = 1
+        return tuple(idx)
     for gate in circ.gates:
         name = gate[0]
         if name == "H":
-            q = gate[1]
-            a = np.take(t, 0, axis=q)
-            b = np.take(t, 1, axis=q)
-            t = np.stack([(a + b), (a - b)], axis=q) / math.sqrt(2)
+            a, b = np.moveaxis(t, gate[1], 0)  # views of the two halves
+            a0 = a.copy()
+            a += b
+            np.subtract(a0, b, out=b)
+            t /= math.sqrt(2)
         elif name == "P":
-            q = gate[1]
-            idx = [slice(None)] * n
-            idx[q] = 1
-            t = t.copy()
-            t[tuple(idx)] *= 1j
+            t[at(gate[1])] *= 1j
         elif name == "X":
             t = np.flip(t, axis=gate[1])
         elif name == "Z":
-            idx = [slice(None)] * n
-            idx[gate[1]] = 1
-            t = t.copy()
-            t[tuple(idx)] *= -1
+            t[at(gate[1])] *= -1
         elif name == "CNOT":
             c, q = gate[1], gate[2]
-            idx = [slice(None)] * n
-            idx[c] = 1
-            t = t.copy()
-            t[tuple(idx)] = np.flip(t[tuple(idx)], axis=q - (q > c))
+            t[at(c)] = np.flip(t[at(c)], axis=q - (q > c))
         elif name == "CZ":
-            a, b = gate[1], gate[2]
-            idx = [slice(None)] * n
-            idx[a] = 1
-            idx[b] = 1
-            t = t.copy()
-            t[tuple(idx)] *= -1
+            t[at(gate[1], gate[2])] *= -1
         elif name == "CCX":
             c1, c2, q = gate[1], gate[2], gate[3]
-            idx = [slice(None)] * n
-            idx[c1] = 1
-            idx[c2] = 1
             axis = q - (q > c1) - (q > c2)
-            t = t.copy()
-            t[tuple(idx)] = np.flip(t[tuple(idx)], axis=axis)
-    return t.reshape(-1)
+            t[at(c1, c2)] = np.flip(t[at(c1, c2)], axis=axis)
+    return t.reshape(state.shape)
 
 
 def apply_pauli(p: PauliVector, state: np.ndarray) -> np.ndarray:
-    """Applies the Hermitian Pauli to a statevector."""
+    """Applies the Hermitian Pauli to a statevector.
+
+    state is one vector of length 2^n or a block of shape (2^n, B), one
+    statevector per column, all mapped at once.
+    """
     n = p.x.shape[0]
     _check_size(n)
     shifts = np.arange(n - 1, -1, -1)
@@ -590,11 +660,18 @@ def apply_pauli(p: PauliVector, state: np.ndarray) -> np.ndarray:
     idx = np.arange(1 << n)
     zsign = np.where(np.bitwise_count(idx & zint) & 1, -1, 1)
     phase = p.sign * (1j ** int((p.x & p.z).sum())) * zsign
-    return (phase * state)[idx ^ xint]
+    return (phase.reshape((-1,) + (1,) * (state.ndim - 1)) * state)[idx ^ xint]
 
 
 def code_basis(code: UnionStabilizerCode) -> list[np.ndarray]:
-    """Orthonormal basis: translated projections of computational states."""
+    """Orthonormal basis: translated projections of computational states.
+
+    The first computational state with a nonzero projection onto the +1
+    eigenspace of the stabilizer and of every logical Z is the logical
+    zero.  State (i << k) | j is translation i applied to the logical
+    state j, the logical X of every 1 of j applied to the logical zero;
+    each translation maps all 2^k logical states as one block.
+    """
     base = code.base
     n, k = base.n, base.k
     if n > 10:
@@ -604,7 +681,7 @@ def code_basis(code: UnionStabilizerCode) -> list[np.ndarray]:
     for seed in range(dim):
         v = np.zeros(dim, dtype=np.complex128)
         v[seed] = 1.0
-        for s in base.stab:
+        for s in (*base.stab, *base.logical_z):
             v = (v + apply_pauli(s, v)) / 2
         norm = np.linalg.norm(v)
         if norm > 1e-9:
@@ -620,17 +697,15 @@ def code_basis(code: UnionStabilizerCode) -> list[np.ndarray]:
             if (j >> (k - 1 - a)) & 1:
                 v = apply_pauli(base.logical_x[a], v)
         core.append(v)
-    states = []
-    for t in code.translations:
-        for v in core:
-            states.append(apply_pauli(t, v))
-    gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-    bad = ~np.isclose(gram, np.eye(len(states)), atol=1e-9)
+    core = np.array(core).T
+    mat = np.concatenate([apply_pauli(t, core).T for t in code.translations])
+    gram = mat.conj() @ mat.T
+    bad = ~np.isclose(gram, np.eye(len(mat)), atol=1e-9)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ConstructionMismatch(
             f"translated basis is not orthonormal: <{i}|{j}> = {gram[i, j]:.3g}")
-    return states
+    return list(mat)
 
 
 @dataclass(frozen=True)
@@ -642,16 +717,19 @@ class KLReport:
 
 
 def kl_verify(states: list[np.ndarray], d: int) -> KLReport:
-    """Knill-Laflamme check: <a|E|b> = lambda_E * I for all wgt(E) < d."""
+    """Knill-Laflamme check: <a|E|b> = lambda_E * I for all wgt(E) < d.
+
+    Each Pauli E maps all states at once, as one (2^n, K) block.
+    """
     K = len(states)
     n = int(round(math.log2(states[0].shape[0])))
     mat = np.array(states)
+    bra = mat.conj()
     worst = 0.0
     violations = []
     checked = 0
     for p in _paulis_up_to_weight(n, d - 1):
-        imgs = np.array([apply_pauli(p, s) for s in states])
-        m = mat.conj() @ imgs.T
+        m = bra @ apply_pauli(p, mat.T)
         lam = np.trace(m) / K
         dev = float(np.abs(m - lam * np.eye(K)).max())
         worst = max(worst, dev)
@@ -685,22 +763,22 @@ def full_encoder_check(code: UnionStabilizerCode, q1: Circuit,
                        qc: Circuit) -> EncoderReport:
     """Checks q1 then qc maps basis state i to |0..0 binary(i)> (phase-free).
 
-    qc acts on the first n-k label qubits; every code basis state must
-    land on the computational state whose integer value is its index.
+    qc acts on the first n-k label qubits.  Basis state (t << k) | j, the
+    t-th translation applied to logical state j, must land on label t and
+    logical state j, up to the logical X that q1 leaves on translation t:
+    q1 t q1^dagger flips logical qubit a when its X part holds qubit
+    n-k+a.  Both circuits run once, on all basis states as one block.
     """
     n, k = code.base.n, code.base.k
-    qc_full = Circuit(n=n, gates=qc.gates)
-    states = code_basis(code)
-    worst = 1.0
-    mismatches = []
-    for i, s in enumerate(states):
-        out = simulate(qc_full, simulate(q1, s))
-        label, j = i >> k, i & ((1 << k) - 1)
-        target = (label << k) | j
-        overlap = abs(out[target])
-        worst = min(worst, overlap)
-        if overlap < 1 - 1e-8:
-            mismatches.append((i, overlap))
+    x = _conjugate_all(q1, code.translations)[0]
+    flips = x[:, n - k:] @ (1 << np.arange(k - 1, -1, -1))
+    block = np.array(code_basis(code)).T
+    out = simulate(Circuit(n=n, gates=qc.gates), simulate(q1, block))
+    i = np.arange(block.shape[1])
+    overlaps = np.abs(out[i ^ flips[i >> k], i])
+    worst = min(1.0, overlaps.min())
+    mismatches = [(j, overlaps[j])
+                  for j in np.flatnonzero(overlaps < 1 - 1e-8).tolist()]
     return EncoderReport(ok=not mismatches, worst_overlap=worst,
                          mismatches=mismatches)
 

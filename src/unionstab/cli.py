@@ -196,7 +196,8 @@ def cmd_synth(args, report: Report) -> int:
         qc, order = circuits.synth_qc_any_order(
             labels, max_gates=args.max_gates, cap=args.cap)
         code = unioncode.union_code(
-            code.base, [code.translations[i] for i in order])
+            code.base, [code.translations[i] for i in order],
+            d=code.params.d)
         report.add("qc.order", " ".join(map(str, order)))
     else:
         qc = circuits.synth_qc(labels, max_gates=args.max_gates,

@@ -57,10 +57,8 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         raise ValueError("rref expects a 2-D matrix")
     nrows, ncols = r.shape
     nbytes = -(-ncols // 8)
-    packed = np.packbits(r, axis=1).tobytes()
     basis: dict[int, int] = {}  # bit length of the leading bit -> row
-    for i in range(nrows):
-        x = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "big")
+    for x in _row_ints(r):
         while x:
             lead = x.bit_length()
             if lead not in basis:
@@ -76,11 +74,25 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
         basis[lead] = x
     leads.reverse()
     reduced = np.zeros((nrows, ncols), dtype=np.uint8)
-    rows = b"".join(basis[lead].to_bytes(nbytes, "big") for lead in leads)
-    reduced[:len(leads)] = np.unpackbits(
-        np.frombuffer(rows, dtype=np.uint8).reshape(len(leads), nbytes),
-        axis=1, count=ncols)
+    reduced[:len(leads)] = _int_rows([basis[lead] for lead in leads], ncols)
     return reduced, [8 * nbytes - lead for lead in leads], len(leads)
+
+
+def _row_ints(m: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as Python ints, column 0 the most significant
+    bit: column c is bit 8 * ceil(cols / 8) - 1 - c, as np.packbits pads."""
+    packed = np.packbits(np.asarray(m, dtype=np.uint8), axis=1)
+    nbytes, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
+            for i in range(len(packed))]
+
+
+def _int_rows(xs: list[int], ncols: int) -> np.ndarray:
+    """The 0/1 matrix of ncols columns whose rows _row_ints gives as xs."""
+    nbytes = -(-ncols // 8)
+    data = b"".join(x.to_bytes(nbytes, "big") for x in xs)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(
+        len(xs), nbytes), axis=1, count=ncols)
 
 
 def rank(m: np.ndarray) -> int:

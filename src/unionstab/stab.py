@@ -99,9 +99,9 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
 
     Logical operators are chosen deterministically: each normalizer basis
     row is reduced modulo the stabilizer and the representatives kept so
-    far (gf2.reduce_rows against a span kept fully reduced), and the
-    nonzero ones are paired up by symplectic Gram-Schmidt in that order
-    (Gottesman's completion).
+    far, to the least vector of its coset (one pass over Python-int rows
+    against a span kept fully reduced), and the nonzero ones are paired
+    up by symplectic Gram-Schmidt in that order (Gottesman's completion).
     """
     if not gens:
         raise BadParams("a stabilizer code needs at least one generator")
@@ -117,18 +117,29 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     k = n - len(gens)
     # normalizer = kernel of the swapped stabilizer matrix
     norm = gf2.kernel_basis(_swap(rows, n))
+    # the span as Python-int rows keyed by leading bit, kept fully reduced
+    pivots = {x.bit_length(): x for x in gf2._row_ints(span)}
+    mask = sum(1 << (lead - 1) for lead in pivots)
     reps = []
-    for v in norm:
-        w = gf2.reduce_rows(span, v)
-        if w.any():
-            # clear w's first 1 from span, so span stays fully reduced
-            span = np.vstack([span ^ np.outer(span[:, w.argmax()], w), w])
-            reps.append(w)
+    for v in gf2._row_ints(norm):
+        hit = v & mask
+        while hit:  # clear v's pivot bits; each row holds only its own
+            lead = hit.bit_length()
+            v ^= pivots[lead]
+            hit ^= 1 << (lead - 1)
+        if v:
+            lead = v.bit_length()
+            for p, x in pivots.items():  # clear v's first 1 from the span
+                if x >> (lead - 1) & 1:
+                    pivots[p] = x ^ v
+            pivots[lead] = v
+            mask |= 1 << (lead - 1)
+            reps.append(v)
     if len(reps) != 2 * k:
         raise ConstructionMismatch(
             f"{len(reps)} logical representatives, expected {2 * k}")
     # symplectic Gram-Schmidt into hyperbolic pairs
-    pool = np.array(reps, dtype=np.uint8).reshape(-1, 2 * n)
+    pool = gf2._int_rows(reps, 2 * n)
     xs, zs = [], []
     while len(pool):
         v, pool = pool[0], pool[1:]

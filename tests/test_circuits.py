@@ -13,6 +13,7 @@ from unionstab import circuits, gf2, pauli, stab, unioncode
 from unionstab.errors import (
     BadParams,
     CapExceeded,
+    CollisionAfterReduction,
     ConstructionMismatch,
     NonCliffordGate,
     NotFound,
@@ -68,6 +69,48 @@ def test_conjugate_rejects_non_clifford():
     circ = circuits.Circuit(n=3, gates=(("CCX", 0, 1, 2),))
     with pytest.raises(NonCliffordGate):
         circuits.conjugate(circ, pauli.pauli_parse("XII"))
+
+
+def _random_clifford(rng, n, count):
+    """count seeded gates drawn from H, P, X, Z, CNOT and CZ on n qubits."""
+    gates = []
+    for _ in range(count):
+        name = ("H", "P", "X", "Z", "CNOT", "CZ")[int(rng.integers(6))]
+        qs = rng.choice(n, circuits._GATE_ARITY[name], replace=False)
+        gates.append((name, *(int(q) for q in qs)))
+    return circuits.Circuit(n=n, gates=tuple(gates))
+
+
+def _random_pauli(rng, n):
+    return pauli.pauli_from_parts(rng.integers(0, 2, n).astype(np.uint8),
+                                  rng.integers(0, 2, n).astype(np.uint8),
+                                  int(rng.choice([-1, 1])))
+
+
+def test_batched_conjugation_matches_per_translation_conjugate(five_base):
+    """One tableau pass over all translations, and the labels read from
+    it, match conjugate() one translation at a time, signs included."""
+    rng = np.random.default_rng(14)
+    for trial in range(30):
+        q1 = _random_clifford(rng, 5, 40)
+        ts = [_random_pauli(rng, 5) for _ in range(7)]
+        x, z, signs = circuits._conjugate_all(q1, ts)
+        for i, t in enumerate(ts):
+            one = circuits.conjugate(q1, t)
+            assert (np.array_equal(x[i], one.x) and np.array_equal(z[i], one.z)
+                    and signs[i] == one.sign), (trial, i)
+        if trial < 3:  # the one-row path itself against dense matrices
+            assert np.allclose(pauli.pauli_matrix(circuits.conjugate(q1, ts[0])),
+                               _dense_conjugate(q1, ts[0]))
+        code = unioncode.UnionStabilizerCode(base=five_base, translations=ts,
+                                             params=None)
+        want = ["".join(str(b) for b in circuits.conjugate(q1, t).x)
+                for t in ts]
+        if len(set(want)) < len(want):
+            with pytest.raises(CollisionAfterReduction):
+                circuits.canonicalize_translations(code, q1)
+        else:
+            assert circuits.canonicalize_translations(code, q1) == want
 
 
 def test_circuit_validation():
@@ -213,7 +256,7 @@ def test_synth_qc_matches_truth_table(rng):
         _truth_check(circ, inputs)
 
 
-def test_synth_qc_cap_bounds_allocation():
+def test_synth_qc_cap_bounds_allocation(monkeypatch):
     # uncapped, these six-gate searches peak near 5 MB and raise NotFound
     for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
         tracemalloc.start()
@@ -224,6 +267,59 @@ def test_synth_qc_cap_bounds_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+    # these inputs expand levels of at most 9 states by 12 gates, then
+    # prune a meet of 12 states to the shortest paths: the cap must stop
+    # that step before its 12 x 12 broadcast is built
+    built = []
+    broadcaster = circuits._broadcaster
+
+    def spy(table, dtype):
+        images = broadcaster(table, dtype)
+        return lambda a: (built.append(a.size * len(table)), images(a))[1]
+    monkeypatch.setattr(circuits, "_broadcaster", spy)
+    inputs = ["110", "011", "101"]
+    circuits.synth_qc_any_order(inputs, cap=144)
+    assert max(built) == 144
+    built.clear()
+    with pytest.raises(CapExceeded,
+                       match="expanding 12 states by 12 gates exceeds cap 108"):
+        circuits.synth_qc_any_order(inputs, cap=108)
+    assert not built
+
+
+@pytest.mark.parametrize("inputs, any_order, side", [
+    # one gate: the forward root expands first and meets the backward root
+    (["10", "11"], False, "forward"),
+    (["000", "001", "011"], True, "forward"),
+    # two gates: the forward level 1 holds several states, so the backward
+    # root, the smaller frontier, expands next and meets it
+    (["11", "10"], False, "backward"),
+    (["000", "001", "100"], False, "backward"),
+])
+def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
+                                          side):
+    """The expansion holding the meet is neither deduplicated nor pruned,
+    and the result is the lex-min oracle's, whichever side met."""
+    expanded, dedups = [], []
+    shift, distinct = circuits._shift, circuits._distinct
+    monkeypatch.setattr(circuits, "_shift", lambda a, d, out: (
+        expanded.append(a.copy()), shift(a, d, out))[1])
+    monkeypatch.setattr(circuits, "_distinct", lambda a: (
+        dedups.append(a.size), distinct(a))[1])
+    synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
+    got = synth(inputs)
+    circ, order = got if any_order else (got, None)
+    seq, want_order = _lexmin_oracle(inputs, any_order)
+    assert circ.gates == seq
+    assert order in (None, want_order)
+    # every expansion but the last was deduplicated
+    assert len(dedups) == len(seq) - 1
+    w = len(inputs[0])
+    vals = sorted(int(v, 2) for v in inputs) if any_order else \
+        [int(v, 2) for v in inputs]
+    root = {"forward": vals, "backward": range(len(inputs))}[side]
+    assert expanded[-1].tolist() == [sum(v << (w * i)
+                                         for i, v in enumerate(root))]
 
 
 def test_synth_qc_not_found():
@@ -336,7 +432,7 @@ def test_sorted_unique_matches_np_unique():
                       dtype=np.uint64),
              np.array([2**64 - 1], dtype=np.uint64)]
     for a in cases:
-        got = circuits._sorted_unique(a.copy())
+        got = circuits._distinct(np.sort(a))
         assert got.dtype == np.uint64
         assert np.array_equal(got, np.unique(a))
 
@@ -352,7 +448,7 @@ def test_sorted_unique_keeps_uint32_across_chunks(monkeypatch):
     for chunk in (1 << 16, 7, 2, 1):
         monkeypatch.setattr(circuits, "SYNTH_CHUNK", chunk)
         for a in cases:
-            got = circuits._sorted_unique(a.copy())
+            got = circuits._distinct(np.sort(a))
             assert got.dtype == a.dtype
             assert np.array_equal(got, np.unique(a)), chunk
 
@@ -443,12 +539,14 @@ def _forward_any_order_oracle(inputs):
 
 def _gates_on_counting_order(w, K, rng, count):
     """binary(0..K-1) after count seeded gates, as w-bit strings."""
-    vals = np.arange(K, dtype=np.uint64)
+    vals = list(range(K))
     gates = circuits._bit_gates(w, ("X", "CNOT", "CCX"))
     for _ in range(count):
         g = gates[int(rng.integers(len(gates)))]
-        vals = circuits._packed_op(g, w, 1, np.uint64)(vals)
-    return [format(int(v), f"0{w}b") for v in vals]
+        flip = 1 << (w - 1 - g[-1])
+        vals = [v ^ flip if all(v >> (w - 1 - q) & 1 for q in g[1:-1])
+                else v for v in vals]
+    return [format(v, f"0{w}b") for v in vals]
 
 
 def test_forward_any_order_oracle_matches_lexmin_oracle():
@@ -532,6 +630,34 @@ def test_apply_pauli_matches_matrix(rng):
                            pauli.pauli_matrix(p) @ psi)
 
 
+def test_simulate_and_apply_pauli_block_match_columns():
+    """A (2^n, B) block gives bit for bit the columns simulated one by
+    one, every gate kind included, and leaves the block untouched."""
+    rng = np.random.default_rng(15)
+    names = ("H", "P", "X", "Z", "CNOT", "CZ", "CCX")
+    for trial in range(20):
+        gates = []
+        for _ in range(12):
+            name = names[int(rng.integers(len(names)))]
+            qs = rng.choice(4, circuits._GATE_ARITY[name], replace=False)
+            gates.append((name, *(int(q) for q in qs)))
+        circ = circuits.Circuit(n=4, gates=tuple(gates))
+        block = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        kept = block.copy()
+        out = circuits.simulate(circ, block)
+        assert out.shape == block.shape and np.array_equal(block, kept)
+        for j in range(5):
+            assert np.array_equal(out[:, j], circuits.simulate(circ, block[:, j]))
+        p = _random_pauli(rng, 4)
+        out = circuits.apply_pauli(p, block)
+        for j in range(5):
+            assert np.array_equal(out[:, j], circuits.apply_pauli(p, block[:, j]))
+    with pytest.raises(BadParams, match="length mismatch"):
+        circuits.simulate(circ, np.zeros((16, 2, 2)))
+    with pytest.raises(BadParams, match="length mismatch"):
+        circuits.simulate(circ, np.zeros((8, 2)))
+
+
 def test_code_basis_bell(bell_base):
     code = unioncode.union_code(bell_base, [pauli.pauli_parse("II")])
     (state,) = circuits.code_basis(code)
@@ -587,6 +713,154 @@ def test_full_encoder_check_and_corruption(five_union, canonical_any_order):
     # corrupt the reversible stage: the check must fail
     bad = circuits.Circuit(n=qc.n, gates=qc.gates + (("X", qc.n - 1),))
     assert not circuits.full_encoder_check(reordered, q1, bad).ok
+
+
+PERFECT_STABILIZER = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+
+
+def _kl_per_state(states, d):
+    """Knill-Laflamme check applying each Pauli to one state at a time."""
+    K = len(states)
+    n = int(round(np.log2(states[0].shape[0])))
+    mat = np.array(states)
+    worst, violations, checked = 0.0, [], 0
+    for p in circuits._paulis_up_to_weight(n, d - 1):
+        imgs = np.array([circuits.apply_pauli(p, s) for s in states])
+        m = mat.conj() @ imgs.T
+        dev = float(np.abs(m - np.trace(m) / K * np.eye(K)).max())
+        worst = max(worst, dev)
+        checked += 1
+        if dev > 1e-8:
+            violations.append(pauli.pauli_str(p))
+    return worst, checked, violations[:16]
+
+
+def _encoder_per_state(code, q1, qc):
+    """Encoder check simulating one basis state at a time; the logical X
+    that q1 leaves on each translation is read from conjugate()."""
+    n, k = code.base.n, code.base.k
+    flips = [int("".join(str(b) for b in circuits.conjugate(q1, t).x[n - k:])
+                 or "0", 2) for t in code.translations]
+    qc_full = circuits.Circuit(n=n, gates=qc.gates)
+    worst, mismatches = 1.0, []
+    for i, s in enumerate(circuits.code_basis(code)):
+        out = circuits.simulate(qc_full, circuits.simulate(q1, s))
+        overlap = abs(out[i ^ flips[i >> k]])
+        worst = min(worst, overlap)
+        if overlap < 1 - 1e-8:
+            mismatches.append((i, overlap))
+    return worst, mismatches
+
+
+def _encoder_cases(five_union, canonical_any_order):
+    """(code, q1, qc) for the ((5, 6, 2)) code and for the [[5, 1, 3]] base
+    with translations XIIII and ZIIII, each also with qc corrupted."""
+    q1 = circuits.align_labels(five_union, circuits.synth_q1(five_union.base),
+                               CANONICAL_LABELS)
+    qc, order = canonical_any_order
+    five = unioncode.union_code(five_union.base,
+                                [five_union.translations[o] for o in order])
+    perfect = _perfect_union(["XIIII", "ZIIII"])
+    pq1 = circuits.synth_q1(perfect.base)
+    pqc, order = circuits.synth_qc_any_order(
+        circuits.canonicalize_translations(perfect, pq1))
+    perfect = unioncode.union_code(perfect.base,
+                                   [perfect.translations[o] for o in order])
+    cases = []
+    for code, q, c in ((five, q1, qc), (perfect, pq1, pqc)):
+        bad = circuits.Circuit(n=c.n, gates=c.gates + (("X", 1),))
+        cases += [(code, q, c), (code, q, bad)]
+    return cases
+
+
+def _perfect_union(translations):
+    base = stab.stabilizer_from_generators(
+        [pauli.pauli_parse(s) for s in PERFECT_STABILIZER])
+    return unioncode.union_code(
+        base, [pauli.pauli_parse(t) for t in translations])
+
+
+def test_kl_verify_matches_per_state_loop(five_union, full_space_union):
+    perfect = _perfect_union(["XIIII", "ZIIII"])
+    for code, d in ((five_union, 2), (full_space_union, 2), (perfect, 2),
+                    (_perfect_union([]), 3)):
+        states = circuits.code_basis(code)
+        report = circuits.kl_verify(states, d)
+        worst, checked, violations = _kl_per_state(states, d)
+        assert (report.num_checked, report.violations) == (checked, violations)
+        assert report.ok == (not violations)
+        assert report.worst_deviation == pytest.approx(worst, abs=1e-12)
+
+
+def test_full_encoder_check_matches_per_state_loop(five_union,
+                                                   canonical_any_order):
+    oks = []
+    for code, q1, qc in _encoder_cases(five_union, canonical_any_order):
+        report = circuits.full_encoder_check(code, q1, qc)
+        worst, mismatches = _encoder_per_state(code, q1, qc)
+        assert report.worst_overlap == worst
+        assert report.mismatches == mismatches
+        oks.append(report.ok)
+    assert oks == [True, False, True, False]
+
+
+def test_encoder_k1_translations_carrying_logical_x():
+    """On the [[5, 1, 3]] base every pair of the single-qubit translations
+    X0, Z0, X1, Z1 and Y0 gets a passing encoder, in either order; q1
+    leaves logical X on most of them."""
+    single = {"X0": "XIIII", "Z0": "ZIIII", "X1": "IXIII", "Z1": "IZIII",
+              "Y0": "YIIII"}
+    carried = 0
+    for pair in itertools.combinations(single.values(), 2):
+        code = _perfect_union(list(pair))
+        q1 = circuits.synth_q1(code.base)
+        carried += any(circuits.conjugate(q1, t).x[4] for t in code.translations)
+        labels = circuits.canonicalize_translations(code, q1)
+        assert circuits.full_encoder_check(
+            code, q1, circuits.synth_qc(labels)).ok, pair
+        qc, order = circuits.synth_qc_any_order(labels)
+        code = unioncode.union_code(code.base,
+                                    [code.translations[o] for o in order])
+        assert circuits.full_encoder_check(code, q1, qc).ok, pair
+        states = circuits.code_basis(code)
+        assert circuits.kl_verify(states, 1).ok
+    assert carried == 9
+
+
+def test_signed_generators_and_random_bases_encode():
+    """Signs of the generators reach q1, which maps each generator to +Z,
+    and seeded random bases with k = 0..2, signed generators and
+    translations carrying logical operators all pass the encoder check."""
+    signed = ["-XZZXI", "IXZZX", "-XIXZZ", "ZXIXZ"]
+    for strings in (signed, ["-" + FIVE_QUBIT_STABILIZER[0]]
+                    + FIVE_QUBIT_STABILIZER[1:]):
+        code = stab.stabilizer_from_generators(
+            [pauli.pauli_parse(s) for s in strings])
+        _assert_trivializes(code, circuits.synth_q1(code))
+    rng = np.random.default_rng(16)
+    checked = 0
+    while checked < 20:
+        n = int(rng.integers(3, 7))
+        r = n - int(rng.integers(0, 3))
+        u = _random_clifford(rng, n, 30)
+        eye = np.eye(n, dtype=np.uint8)
+        gens = [circuits.conjugate(u, pauli.pauli_from_parts(
+            np.zeros(n, np.uint8), eye[i], int(rng.choice([-1, 1]))))
+            for i in range(r)]
+        base = stab.stabilizer_from_generators(gens)
+        labels = rng.choice(1 << r, int(rng.integers(2, min(5, 1 << r) + 1)),
+                            replace=False)
+        ts = [circuits.conjugate(u, pauli.pauli_from_parts(
+            np.array([lab >> (r - 1 - j) & 1 for j in range(r)]
+                     + list(rng.integers(0, 2, n - r)), np.uint8),
+            rng.integers(0, 2, n).astype(np.uint8))) for lab in labels]
+        code = unioncode.union_code(base, ts)
+        q1 = circuits.synth_q1(base)
+        qc, order = circuits.synth_qc_any_order(
+            circuits.canonicalize_translations(code, q1), max_gates=12)
+        code = unioncode.union_code(base, [code.translations[o] for o in order])
+        assert circuits.full_encoder_check(code, q1, qc).ok, checked
+        checked += 1
 
 
 def test_format_parse_round_trip():

@@ -196,6 +196,22 @@ def test_synth_any_order(tmp_path, capsys):
     assert len(q1) > 0 and len(qc) <= 7
 
 
+def test_synth_k1_base_translations_carrying_logical_x(tmp_path, capsys):
+    """On the [[5, 1, 3]] base, q1 leaves logical X on the translation
+    XIIII: the encoder check reads it, in both orders, and --any-order
+    keeps the claimed distance 1 when it reorders the translations."""
+    base = stabilizer_from_generators(
+        [pauli_parse(s) for s in ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]])
+    code = unioncode.union_code(
+        base, [pauli_parse("XIIII"), pauli_parse("ZIIII")], d=1)
+    union_file = tmp_path / "perfect.union"
+    union_file.write_text(unioncode.format_union_code(code))
+    for extra in ([], ["--any-order"]):
+        rc, out = _run(capsys, ["synth", str(union_file)] + extra)
+        assert rc == 0, extra
+        assert "kl.ok: True" in out and "encoder.ok: True" in out, extra
+
+
 def test_synth_failure_names_items(tmp_path, capsys, monkeypatch):
     union_file = tmp_path / "five.union"
     _write_five_union(union_file)

@@ -283,6 +283,70 @@ def test_stabilizer_completion_matches_per_row_rref_oracle():
             assert want[:2] == (64, 35)
 
 
+def _per_row_reduce_completion(gens):
+    """Logicals by one gf2.reduce_rows call and one np.vstack per
+    normalizer row, then the array symplectic Gram-Schmidt."""
+    n = gens[0].n
+    rows = np.array([np.concatenate([p.x, p.z]) for p in gens], np.uint8)
+    span = gf2._independent_rows(rows)
+    reps = []
+    for v in gf2.kernel_basis(stab._swap(rows, n)):
+        w = gf2.reduce_rows(span, v)
+        if w.any():
+            span = np.vstack([span ^ np.outer(span[:, w.argmax()], w), w])
+            reps.append(w)
+    pool = np.array(reps, dtype=np.uint8).reshape(-1, 2 * n)
+    xs, zs = [], []
+    while len(pool):
+        v, pool = pool[0], pool[1:]
+        ipv = (pool @ stab._swap(v, n)) & 1
+        j = int(ipv.argmax())
+        w = pool[j]
+        pool, ipv = np.delete(pool, j, axis=0), np.delete(ipv, j)
+        ipw = (pool @ stab._swap(w, n)) & 1
+        pool = pool ^ np.outer(ipw, v) ^ np.outer(ipv, w)
+        xs.append(v)
+        zs.append(w)
+    return (n, n - len(gens), [str(p) for p in gens],
+            [str(stab._vec(v, n)) for v in xs],
+            [str(stab._vec(w, n)) for w in zs])
+
+
+def _scrambled(seed):
+    """A seeded graph-state prefix under random CNOT, H and P layers on the
+    binary rows, with random signs: a stabilizer with dense logicals."""
+    rng = np.random.default_rng(1000 + seed)
+    gens = _graph_prefix(seed)
+    n = gens[0].n
+    x = np.array([p.x for p in gens])
+    z = np.array([p.z for p in gens])
+    for _ in range(3 * n):
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False)) \
+            if n > 1 else (0, 0)
+        kind = int(rng.integers(3))
+        if kind == 0 and a != b:  # CNOT a -> b
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+        elif kind == 1:  # H a
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        else:  # P a
+            z[:, a] ^= x[:, a]
+    return [pauli.PauliVector(x=xr, z=zr, sign=int(rng.choice([-1, 1])))
+            for xr, zr in zip(x, z)]
+
+
+def test_stabilizer_completion_matches_per_row_reduce_path():
+    """The one-pass Python-int reduction picks bit for bit the logicals of
+    the per-row gf2.reduce_rows path, on the corpus and on seeded random
+    stabilizers."""
+    cases = _oracle_cases()
+    for seed in range(40):
+        cases[f"scrambled{seed}"] = _scrambled(seed)
+    for name, gens in cases.items():
+        want = _per_row_reduce_completion(list(gens))
+        assert _dump(stab.stabilizer_from_generators(list(gens))) == want, name
+
+
 def test_parse_rejects_bad_logicals_with_named_item():
     with pytest.raises(ConstructionMismatch,
                        match="logical X0 and Z0 do not pair"):
