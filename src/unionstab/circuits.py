@@ -759,8 +759,8 @@ class EncoderReport:
     mismatches: list = field(default_factory=list)
 
 
-def full_encoder_check(code: UnionStabilizerCode, q1: Circuit,
-                       qc: Circuit) -> EncoderReport:
+def full_encoder_check(code: UnionStabilizerCode, q1: Circuit, qc: Circuit,
+                       basis: list[np.ndarray] | None = None) -> EncoderReport:
     """Checks q1 then qc maps basis state i to |0..0 binary(i)> (phase-free).
 
     qc acts on the first n-k label qubits.  Basis state (t << k) | j, the
@@ -768,11 +768,12 @@ def full_encoder_check(code: UnionStabilizerCode, q1: Circuit,
     logical state j, up to the logical X that q1 leaves on translation t:
     q1 t q1^dagger flips logical qubit a when its X part holds qubit
     n-k+a.  Both circuits run once, on all basis states as one block.
+    basis, if given, is code_basis(code), computed once by the caller.
     """
     n, k = code.base.n, code.base.k
     x = _conjugate_all(q1, code.translations)[0]
     flips = x[:, n - k:] @ (1 << np.arange(k - 1, -1, -1))
-    block = np.array(code_basis(code)).T
+    block = np.array(code_basis(code) if basis is None else basis).T
     out = simulate(Circuit(n=n, gates=qc.gates), simulate(q1, block))
     i = np.arange(block.shape[1])
     overlaps = np.abs(out[i ^ flips[i >> k], i])

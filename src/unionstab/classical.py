@@ -349,10 +349,11 @@ def gray_to_rm_permutation(ctx: z4.GaloisRingContext) -> np.ndarray:
 def _gray_route_code(m: int) -> CosetCode:
     """Preparata-type code from the Gray image of the Kerdock dual.
 
-    Derived via the image's kernel and quotient representatives, it
+    Once the image's kernel is seen to contain RM(m-3, m), the image is a
+    union of its cosets, read off the Gray images of all codewords; it
     agrees with preparata_like at m = 4.  At m = 6 the Gray image's
     kernel is 27-dimensional and does not contain RM(3, 6), so this
-    raises ConstructionMismatch there.
+    raises ConstructionMismatch there, before any word is enumerated.
     """
     ctx = z4.gr4_build(m - 1)
     quat = z4.z4_dual(z4.kerdock_z4(ctx)) if m > 4 else z4.kerdock_z4(ctx)
@@ -366,13 +367,11 @@ def _gray_route_code(m: int) -> CosetCode:
             f"Gray-image kernel (dim {kernel.shape[0]}) does not contain "
             f"RM({m - 3},{m}) (dim {rm.k}); the Gray image is not a union "
             "of cosets of that Reed-Muller code")
-    kernel_code = linear_code(kernel_rm, name="gray-kernel")
-    reps = z4.z4_quotient_reps(quat, z4.kernel_preimage(quat))
-    ts = np.zeros((len(reps), len(perm)), dtype=np.uint8)
-    for t, rep in zip(ts, reps):
-        t[perm] = z4.gray_image(rep)
-    coarse = _make_coset_code(kernel_code, ts, name=f"Preparata({m})")
-    return rebase(coarse, rm)
+    words = np.zeros((quat.size, len(perm)), dtype=np.uint8)
+    words[:, perm] = z4.gray_image(quat.words())
+    canon = gf2.reduce_rows(rm.generator, words)
+    return _make_coset_code(rm, canon[gf2.distinct_rows(canon)[0]],
+                            name=f"Preparata({m})")
 
 
 def nordstrom_robinson() -> CosetCode:

@@ -137,10 +137,8 @@ def cmd_construct(args, report: Report) -> int:
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "css-union":
         cc1, cc2 = (_load_coset(f) for f in params[:2])
-        K = len(cc1.translations) * len(cc2.translations)
-        if args.out and K > UNION_FILE_MAX_K:
-            raise BadParams(f"css-union has K = {K:,} translations; a union "
-                            f"file holds at most {UNION_FILE_MAX_K:,}")
+        _check_union_file(args.out, kind,
+                          len(cc1.translations) * len(cc2.translations))
         cc1, cc2 = (unioncode._certified_coset_code(cc, args.cap)
                     for cc in (cc1, cc2))
         d = min(cc1.claimed_distance, cc2.claimed_distance)
@@ -151,8 +149,19 @@ def cmd_construct(args, report: Report) -> int:
             _write(args.out, unioncode.format_union_code(code))
     elif kind == "family":
         code = unioncode.family_build(params[0], int(params[1]))
+        _check_union_file(args.out, kind, len(code.translations))
         report.add("code", _union_report(code))
+        if args.out:
+            _write(args.out, unioncode.format_union_code(code))
     return 0
+
+
+def _check_union_file(path: str | None, kind: str, K: int) -> None:
+    """Raises BadParams when a union file is asked for and K, the number
+    of translations, is more than one holds."""
+    if path and K > UNION_FILE_MAX_K:
+        raise BadParams(f"{kind} has K = {K:,} translations; a union "
+                        f"file holds at most {UNION_FILE_MAX_K:,}")
 
 
 def _load_linear(path: str) -> classical.LinearCode:
@@ -212,7 +221,7 @@ def cmd_synth(args, report: Report) -> int:
     kl = circuits.kl_verify(states, d)
     report.add("kl.ok", kl.ok)
     report.add("kl.worst", f"{kl.worst_deviation:.2e}")
-    enc = circuits.full_encoder_check(code, q1, qc)
+    enc = circuits.full_encoder_check(code, q1, qc, states)
     report.add("encoder.ok", enc.ok)
     for p in kl.violations[:SHOWN_FAILURES]:
         sys.stderr.write(f"kl.violation {p}\n")

@@ -30,11 +30,7 @@ class NonIntegralTransform(UnionStabError):
 
 
 class NotASubcode(UnionStabError):
-    """Quotient requested over a set that is not a subcode."""
-
-
-class QuotientTooLarge(UnionStabError):
-    """Coset quotient exceeds the enumeration cap."""
+    """A vector required to lie in a code (or its mod-2 reduction) does not."""
 
 
 class ConstructionMismatch(UnionStabError):

@@ -285,8 +285,9 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
             f"{d_rows.shape[0]} coset representatives of c'/c, expected {kk}")
     ad = (a @ d_rows) % 2
     trans = np.concatenate([d_rows, ad], axis=1)   # rows (vD | vAD) basis
-    base = css(c, c)
-    sb = base.stab_binary()
+    h = c.parity_check
+    zero = np.zeros_like(h)
+    sb = np.block([[h, zero], [zero, h]])  # css(c, c).stab_binary()
     # keep the stabilizer subgroup commuting with every translation
     prods = _ip_rows(sb, trans, n)
     keep = gf2.kernel_basis(prods.T)

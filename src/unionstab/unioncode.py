@@ -517,6 +517,13 @@ def _family_coset_code(kind: str, m: int) -> CosetCode:
         goethals_binary(m) if kind == "goethals" else preparata_like(m))
 
 
+def _check_family(kind: str, m: int) -> None:
+    if kind not in ("goethals", "preparata"):
+        raise BadParams("kind must be 'goethals' or 'preparata'")
+    if m % 2 or m < 6:
+        raise BadParams("m must be even and at least 6")
+
+
 def family_params(kind: str, m: int) -> CodeParams:
     """Symbolic family parameters ((2^m, 2^dim, d)) by exponent arithmetic.
 
@@ -524,10 +531,7 @@ def family_params(kind: str, m: int) -> CodeParams:
     2^m - 2m (Preparata, distance 6) bits each on top of the CSS base, for
     a union code of log2-dimension 2^m - 6m + 2 respectively 2^m - 4m.
     """
-    if kind not in ("goethals", "preparata"):
-        raise BadParams("kind must be 'goethals' or 'preparata'")
-    if m % 2 or m < 6:
-        raise BadParams("m must be even and at least 6")
+    _check_family(kind, m)
     n = 1 << m
     if kind == "goethals":
         log2_dim, d = n - 6 * m + 2, 8
@@ -544,10 +548,7 @@ def family_build(kind: str, m: int) -> UnionStabilizerCode:
     For m = 6: ((64, 2^30, 8)) from the Goethals code and ((64, 2^40, 6))
     from the Preparata code, both over base css(RM(3,6), RM(3,6)).
     """
-    if kind not in ("goethals", "preparata"):
-        raise BadParams("kind must be 'goethals' or 'preparata'")
-    if m % 2:
-        raise BadParams("m must be even")
+    _check_family(kind, m)
     cc = _family_coset_code(kind, m)
     rm = cc.base
     code = css_like_union(rm, rm, cc.translations, cc.translations,

@@ -11,7 +11,9 @@ v = lo + 2 hi, one uint64 per 64 columns in each plane.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,11 +26,10 @@ from .errors import (
     ConstructionMismatch,
     NonIntegralTransform,
     NotASubcode,
-    QuotientTooLarge,
 )
 
 DEFAULT_CAP = gf2.DEFAULT_CAP
-# most words per block of Z4Code.word_chunks
+# most words per block of _plane_chunks
 WORD_CHUNK = 1 << 14
 
 # Primitive binary polynomials, as bit lists (constant term first).
@@ -155,18 +156,12 @@ class Z4Code:
         return v.astype(np.uint8)
 
     def words(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """All codewords as a (size x n4) uint8 matrix, message order."""
-        return np.concatenate(list(self.word_chunks(cap)))
+        """All codewords as a (size x n4) uint8 matrix, message order.
 
-    def word_chunks(self, cap: int = DEFAULT_CAP):
-        """The codewords in message order, in blocks of at most WORD_CHUNK
-        rows.
-
-        Returns an iterator of uint8 matrices.  Raises CapExceeded when
-        size > cap, before anything is allocated.
+        Raises CapExceeded when size > cap, before anything is allocated.
         """
-        return ((_unpack(lo, self.n4) | _unpack(hi, self.n4) << 1)
-                for lo, hi in _plane_chunks(self, cap))
+        return np.concatenate([_unpack(lo, self.n4) | _unpack(hi, self.n4) << 1
+                               for lo, hi in _plane_chunks(self, cap)])
 
 
 def _pack_planes(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,68 +224,61 @@ def _plane_chunks(c: Z4Code, cap: int):
     return (_plane_add(t_lo, t_hi, w_lo, w_hi) for w_lo, w_hi in zip(l_lo, l_hi))
 
 
+def _eliminate(active: list[tuple[int, int]], width: int, odd: bool):
+    """Pivot rows of one kind taken from active, left to right.
+
+    A row is a pair of bit planes (lo, hi), v = lo + 2 hi, each packed by
+    gf2._row_ints (column c is bit width - 1 - c).  Each pivot sits in the
+    leftmost column where an active row has an odd entry (odd=True; a
+    pivot 3 is scaled to 1) or an entry 2, in the first such row, and
+    entry // pivot times it is subtracted from the other active rows and
+    the earlier pivot rows, which clears that column there.  Returns
+    (pivot columns, pivot rows); active keeps the rows left over.
+    """
+    cols: list[int] = []
+    pivots: list[tuple[int, int]] = []
+    shift = 0 if odd else 1  # entry // pivot = entry >> shift
+    while True:
+        hits = [lo if odd else hi & ~lo for lo, hi in active]
+        mask = functools.reduce(operator.or_, hits, 0)
+        if not mask:
+            return cols, pivots
+        bit = mask.bit_length() - 1
+        pick = next(i for i, h in enumerate(hits) if h >> bit & 1)
+        lo, hi = active.pop(pick)
+        if odd and hi >> bit & 1:
+            hi ^= lo  # 3 * row
+        minus = {1: (lo, hi ^ lo), 2: (0, lo), 3: (lo, hi)}  # -c * row
+        for rows in (active, pivots):
+            for i, (x_lo, x_hi) in enumerate(rows):
+                c = (x_lo >> bit & 1 | (x_hi >> bit & 1) << 1) >> shift
+                if c:
+                    m_lo, m_hi = minus[c]
+                    rows[i] = (x_lo ^ m_lo, x_hi ^ m_hi ^ (x_lo & m_lo))
+        cols.append(width - 1 - bit)
+        pivots.append((lo, hi))
+
+
 def z4_standard_form(g: np.ndarray) -> Z4Code:
-    """Row-reduce a Z4 matrix, identifying (k1, k2); row span preserved."""
+    """Row-reduce a Z4 matrix, identifying (k1, k2); row span preserved.
+
+    One elimination takes the unit pivots and leaves even rows; the same
+    elimination then takes their pivots 2, which leaves only zero rows.
+    """
     g = np.asarray(g, dtype=np.int64) % 4
-    nrows, n4 = g.shape
-    active = [g[i].copy() for i in range(nrows)]
-    unit_rows: list[tuple[int, np.ndarray]] = []
-    # Pass 1: unit pivots, fully reduced among themselves.
-    for col in range(n4):
-        pick = None
-        for i, row in enumerate(active):
-            if row[col] % 2 == 1:
-                pick = i
-                break
-        if pick is None:
-            continue
-        row = active.pop(pick)
-        if row[col] == 3:
-            row = (3 * row) % 4
-        for j in range(len(active)):
-            c = active[j][col] % 4
-            if c:
-                active[j] = (active[j] - c * row) % 4
-        for idx in range(len(unit_rows)):
-            pcol, urow = unit_rows[idx]
-            c = urow[col] % 4
-            if c:
-                unit_rows[idx] = (pcol, (urow - c * row) % 4)
-        unit_rows.append((col, row))
-    # Remaining rows now have even entries only.
-    two_rows: list[tuple[int, np.ndarray]] = []
-    for col in range(n4):
-        pick = None
-        for i, row in enumerate(active):
-            if row[col] % 4 == 2:
-                pick = i
-                break
-        if pick is None:
-            continue
-        row = active.pop(pick)
-        for j in range(len(active)):
-            if active[j][col] % 4 == 2:
-                active[j] = (active[j] - row) % 4
-        for idx in range(len(two_rows)):
-            pcol, trow = two_rows[idx]
-            if trow[col] % 4 == 2:
-                two_rows[idx] = (pcol, (trow - row) % 4)
-        two_rows.append((col, row))
-    for row in active:
-        if (row % 4).any():
-            raise ConstructionMismatch(
-                f"row {row.tolist()} is left nonzero after Z4 reduction")
-    unit_rows.sort(key=lambda t: t[0])
-    two_rows.sort(key=lambda t: t[0])
-    pivots = [p for p, _ in unit_rows] + [p for p, _ in two_rows]
-    rows = [r for _, r in unit_rows] + [r for _, r in two_rows]
-    k1, k2 = len(unit_rows), len(two_rows)
-    gen = (
-        np.array(rows, dtype=np.uint8)
-        if rows
-        else np.zeros((0, n4), dtype=np.uint8)
-    )
-    return Z4Code(n4=n4, generator=gen, k1=k1, k2=k2, pivots=pivots)
+    n4 = g.shape[1]
+    width = 8 * -(-n4 // 8)
+    active = list(zip(gf2._row_ints(g & 1), gf2._row_ints(g >> 1)))
+    unit_cols, unit_rows = _eliminate(active, width, odd=True)
+    two_cols, two_rows = _eliminate(active, width, odd=False)
+    if any(lo | hi for lo, hi in active):
+        raise ConstructionMismatch("a row is left nonzero after Z4 reduction")
+    rows = unit_rows + two_rows
+    gen = (gf2._int_rows([lo for lo, _ in rows], n4)
+           | gf2._int_rows([hi for _, hi in rows], n4) << 1)
+    return Z4Code(n4=n4, generator=gen,
+                  k1=len(unit_cols), k2=len(two_cols),
+                  pivots=unit_cols + two_cols)
 
 
 def z4_dual(c: Z4Code) -> Z4Code:
@@ -402,12 +390,13 @@ def goethals_z4(ctx: GaloisRingContext) -> Z4Code:
 def gray_image(v: np.ndarray) -> np.ndarray:
     """Componentwise 0->00, 1->01, 2->11, 3->10; first bits then second bits.
 
-    Output = (carry(v) | carry(v) + (v mod 2)); Hamming weight of the image
-    equals the Lee weight of v.
+    Output = (carry(v) | carry(v) + (v mod 2)), of one vector or of each
+    row of a matrix; Hamming weight of the image equals the Lee weight
+    of v.
     """
     v = np.asarray(v, dtype=np.uint8) % 4
     carry = v // 2
-    return np.concatenate([carry, (carry + v) % 2]).astype(np.uint8)
+    return np.concatenate([carry, (carry + v) % 2], axis=-1)
 
 
 def gray_preimage(w: np.ndarray) -> np.ndarray:
@@ -528,7 +517,7 @@ def swe_macwilliams(
 
 
 # --------------------------------------------------------------------------
-# Gray-image kernel and coset quotients
+# Gray-image kernel
 # --------------------------------------------------------------------------
 
 def _even_half_basis(c: Z4Code) -> np.ndarray:
@@ -540,10 +529,10 @@ def _even_half_basis(c: Z4Code) -> np.ndarray:
     return gf2._independent_rows(np.array(rows, dtype=np.uint8))
 
 
-def _mod2_kernel_condition(c: Z4Code) -> np.ndarray:
-    """Basis of the binary residues x_bar with (x_bar AND g_bar) in B
-    for every generator g of c (order-2 generators impose nothing)."""
-    b = _even_half_basis(c)
+def _mod2_kernel_condition(c: Z4Code, b: np.ndarray) -> np.ndarray:
+    """Basis of the binary residues x_bar with (x_bar AND g_bar) in B,
+    b a basis of B, for every generator g of c (order-2 generators
+    impose nothing)."""
     h_b = gf2.kernel_basis(b)  # parity checks of B
     cbar = gf2._independent_rows(c.generator[: c.k1] % 2)
     kdim = cbar.shape[0]
@@ -582,7 +571,7 @@ def phi_kernel(c: Z4Code) -> np.ndarray:
     a binary linear code of length 2*n4 in Gray coordinate order.
     """
     b = _even_half_basis(c)
-    kbar = _mod2_kernel_condition(c)
+    kbar = _mod2_kernel_condition(c, b)
     rows = []
     for w in b:
         rows.append(np.concatenate([w, w]))
@@ -591,53 +580,3 @@ def phi_kernel(c: Z4Code) -> np.ndarray:
     if not rows:
         return np.zeros((0, 2 * c.n4), dtype=np.uint8)
     return gf2._independent_rows(np.array(rows, dtype=np.uint8))
-
-
-def kernel_preimage(c: Z4Code) -> Z4Code:
-    """Subcode {x in c : x mod 2 in the kernel residue space}."""
-    b = _even_half_basis(c)
-    kbar = _mod2_kernel_condition(c)
-    rows = [(2 * w.astype(np.int64) % 4).astype(np.uint8) for w in b]
-    rows += [_lift_mod2(c, xbar) for xbar in kbar]
-    if not rows:
-        return z4_standard_form(np.zeros((0, c.n4), dtype=np.uint8))
-    return z4_standard_form(np.array(rows))
-
-
-def z4_quotient_reps(
-    c: Z4Code, sub: Z4Code, cap: int = 1 << 20
-) -> list[np.ndarray]:
-    """One canonical representative per coset of sub inside c, zero first.
-
-    Raises NotASubcode when sub is not contained in c and QuotientTooLarge
-    when the index exceeds the cap.
-    """
-    for row in sub.generator:
-        if not c.contains(row):
-            raise NotASubcode("sub generator is not a codeword of c")
-    index = c.size // sub.size
-    if c.size % sub.size != 0 or index > cap:
-        raise QuotientTooLarge(f"quotient of size {c.size // sub.size} exceeds cap {cap}")
-    zero = sub.coset_canon(np.zeros(c.n4, dtype=np.uint8))
-    seen = {zero.tobytes(): zero}
-    frontier = [zero]
-    gens = [c.generator[i] for i in range(c.k1 + c.k2)]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for g in gens:
-                cand = sub.coset_canon((rep.astype(np.int64) + g) % 4)
-                key = cand.tobytes()
-                if key not in seen:
-                    if len(seen) >= index:
-                        raise NotASubcode("closure exceeded expected quotient size")
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    if len(seen) != index:
-        raise NotASubcode(f"closure found {len(seen)} cosets, expected {index}")
-    reps = sorted(seen.values(), key=lambda v: tuple(v))
-    if reps[0].any():
-        raise ConstructionMismatch(
-            f"first quotient representative {reps[0].tolist()} is not zero")
-    return reps

@@ -61,6 +61,33 @@ def test_construct_family(capsys):
     assert "((64, 2^30, 8" in out
 
 
+def test_construct_family_writes_union_file(tmp_path, capsys):
+    """family --out writes the union file when K fits one (Goethals(6),
+    K = 32^2) and otherwise exits 2 naming K, writing nothing."""
+    union_file = tmp_path / "fam.union"
+    rc, out = _run(capsys, ["construct", "family", "goethals", "6",
+                            "--out", str(union_file)])
+    assert rc == 0
+    assert "T 1024 8\n" in union_file.read_text()
+    rc, out = _run(capsys, ["verify", str(union_file)])
+    assert rc == 0 and "dimension: 2^30\n" in out
+    big = tmp_path / "big.union"
+    rc = cli.main(["construct", "family", "preparata", "6", "--out", str(big)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "family has K = 1,048,576 translations" in captured.err
+    assert captured.out == "" and not big.exists()
+
+
+def test_construct_family_rejects_small_or_odd_m(capsys):
+    """family shares family_params' check on m: preparata 4 and
+    goethals 7 exit 2 with it, before anything is built."""
+    for kind, m in (("preparata", "4"), ("goethals", "7")):
+        assert cli.main(["construct", "family", kind, m]) == 2
+        assert capsys.readouterr().err == \
+            "error: m must be even and at least 6\n", (kind, m)
+
+
 def test_construct_reports_certified_distance(capsys):
     rc, out = _run(capsys, ["construct", "preparata", "4"])
     assert rc == 0
@@ -220,7 +247,8 @@ def test_synth_failure_names_items(tmp_path, capsys, monkeypatch):
         ok=False, worst_deviation=0.5, num_checked=15,
         violations=violations))
     monkeypatch.setattr(
-        circuits, "full_encoder_check", lambda code, q1, qc: EncoderReport(
+        circuits, "full_encoder_check",
+        lambda code, q1, qc, basis: EncoderReport(
             ok=False, worst_overlap=0.25, mismatches=[(3, 0.25)]))
     rc = cli.main(["synth", str(union_file), "--max-gates", "8"])
     err = capsys.readouterr().err
@@ -228,6 +256,19 @@ def test_synth_failure_names_items(tmp_path, capsys, monkeypatch):
     lines = err.splitlines()
     assert lines == [f"kl.violation {p}" for p in violations[:5]] + \
         ["encoder.mismatch basis state 3: overlap 2.500e-01"]
+
+
+def test_synth_builds_code_basis_once(tmp_path, capsys, monkeypatch):
+    """kl_verify and full_encoder_check share one code basis."""
+    union_file = tmp_path / "five.union"
+    _write_five_union(union_file)
+    calls = []
+    code_basis = circuits.code_basis
+    monkeypatch.setattr(circuits, "code_basis",
+                        lambda code: calls.append(code) or code_basis(code))
+    rc, out = _run(capsys, ["synth", str(union_file), "--max-gates", "8"])
+    assert rc == 0 and "encoder.ok: True" in out
+    assert len(calls) == 1
 
 
 def test_exit_code_on_bad_input(tmp_path, capsys):

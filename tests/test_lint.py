@@ -77,3 +77,39 @@ def test_no_np_unique_in_package():
                    and node.value.id in ("np", "numpy"))
     assert not found, "np.unique in unionstab: " + ", ".join(
         f"{name}:{line}" for name, line in found)
+
+
+def _names(node: ast.AST | None) -> list[str]:
+    """Class names an exception expression refers to: a name, an
+    attribute (errors.X), a call of either, or a tuple of them."""
+    if isinstance(node, ast.Call):
+        return _names(node.func)
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def test_every_error_class_is_used():
+    """Each class in errors.py is raised, caught or subclassed somewhere
+    in the package, so no error class outlives its last raiser."""
+    modules = _modules()
+    errors = next(tree for path, tree in modules if path.name == "errors.py")
+    defined = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                used.update(_names(node.exc))
+            elif isinstance(node, ast.ExceptHandler):
+                used.update(_names(node.type))
+            elif isinstance(node, ast.ClassDef):
+                used.update(name for base in node.bases
+                            for name in _names(base))
+    assert defined, "no classes found in errors.py"
+    assert not defined - used, "error classes never raised, caught or " \
+        "subclassed: " + ", ".join(sorted(defined - used))

@@ -118,6 +118,35 @@ def test_enlarge_css_small():
     assert not stab._ip_rows(rows, rows, 16).any()
 
 
+def _oracle_enlarge_css(c, cp, a):
+    """The enlargement with its base rows read off a complete css(c, c)."""
+    d_rows = gf2.coset_rep_rows(cp.generator, c.generator)
+    trans = np.concatenate([d_rows, a @ d_rows % 2], axis=1)
+    sb = stab.css(c, c).stab_binary()
+    keep = gf2.kernel_basis(stab._ip_rows(sb, trans, c.n).T)
+    return stab.stabilizer_from_generators(
+        [stab._vec(row, c.n) for row in keep @ sb % 2])
+
+
+def test_enlarge_css_matches_css_base_oracle():
+    """Base rows [H|0; 0|H] from the parity check give the generators and
+    logicals of the path through css(c, c), for the default and another
+    fixed-point-free map."""
+    rm = {(r, m): classical.reed_muller(r, m)
+          for r, m in ((2, 4), (3, 4), (2, 5), (3, 5), (3, 6), (4, 6))}
+    for small, big in (((2, 4), (3, 4)), ((2, 5), (3, 5)), ((3, 6), (4, 6))):
+        c, cp = rm[small], rm[big]
+        kk = cp.k - c.k
+        fpf = stab.default_fixed_point_free(kk)
+        for a in (None, fpf.T.copy()):
+            got = stab.enlarge_css(c, cp, a)
+            want = _oracle_enlarge_css(c, cp, fpf if a is None else a)
+            assert (got.n, got.k) == (want.n, want.k)
+            assert np.array_equal(got.normalizer_binary(),
+                                  want.normalizer_binary())
+            assert np.array_equal(got.stab_binary(), want.stab_binary())
+
+
 def test_enlarge_css_rejects_identity_eigenvalue():
     rm24 = classical.reed_muller(2, 4)
     rm34 = classical.reed_muller(3, 4)

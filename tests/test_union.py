@@ -221,6 +221,15 @@ def test_family_params_symbolic():
         unioncode.family_params("goethals", 5)
 
 
+def test_family_build_checks_m_as_family_params():
+    """family_build rejects m = 4 as family_params does, rather than
+    failing later in the CSS base."""
+    for kind in ("goethals", "preparata"):
+        for m in (4, 5, 7):
+            with pytest.raises(BadParams, match="even and at least 6"):
+                unioncode.family_build(kind, m)
+
+
 def test_family_build_small():
     code = unioncode.family_build("goethals", 6)
     assert code.params.n == 64

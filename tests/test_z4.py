@@ -87,6 +87,13 @@ def test_gray_isometry(rng):
         assert np.array_equal(z4.gray_preimage(img), v)
 
 
+def test_gray_image_of_matrix_is_row_by_row(rng):
+    vs = rng.integers(0, 4, (50, 9)).astype(np.uint8)
+    assert np.array_equal(z4.gray_image(vs),
+                          np.array([z4.gray_image(v) for v in vs]))
+    assert z4.gray_image(vs[:0]).shape == (0, 18)
+
+
 def test_gray_addition_law(rng):
     for _ in range(500):
         u = rng.integers(0, 4, 7).astype(np.uint8)
@@ -147,7 +154,7 @@ def test_contains_matches_word_set_oracle(ctx3, ctx5):
         rng.integers(0, 4, (1, 6)), 2 * rng.integers(0, 2, (2, 6))]))
     assert (mixed.k1, mixed.k2) == (1, 2)
     for c in (kerdock, z4.z4_dual(kerdock), z4.goethals_check_z4(ctx5),
-              z4.kernel_preimage(z4.z4_dual(kerdock)), mixed):
+              mixed):
         words = c.words()
         oracle = {w.tobytes() for w in words}
         picks = words[rng.integers(0, len(words), 600)]
@@ -421,3 +428,126 @@ def test_hensel_lift_rejects_non_monic_lift():
     with pytest.raises(ConstructionMismatch, match="leading coefficient 0"):
         z4._hensel_lift([1, 0, 2])
     assert z4._hensel_lift([1, 1, 0, 1])[-1] == 1
+
+
+def _oracle_standard_form(g):
+    """The two-pass reduction: unit pivots, then pivots 2, each pass
+    copied out in full."""
+    g = np.asarray(g, dtype=np.int64) % 4
+    nrows, n4 = g.shape
+    active = [g[i].copy() for i in range(nrows)]
+    unit_rows = []
+    for col in range(n4):
+        pick = None
+        for i, row in enumerate(active):
+            if row[col] % 2 == 1:
+                pick = i
+                break
+        if pick is None:
+            continue
+        row = active.pop(pick)
+        if row[col] == 3:
+            row = (3 * row) % 4
+        for j in range(len(active)):
+            c = active[j][col] % 4
+            if c:
+                active[j] = (active[j] - c * row) % 4
+        for idx in range(len(unit_rows)):
+            pcol, urow = unit_rows[idx]
+            c = urow[col] % 4
+            if c:
+                unit_rows[idx] = (pcol, (urow - c * row) % 4)
+        unit_rows.append((col, row))
+    two_rows = []
+    for col in range(n4):
+        pick = None
+        for i, row in enumerate(active):
+            if row[col] % 4 == 2:
+                pick = i
+                break
+        if pick is None:
+            continue
+        row = active.pop(pick)
+        for j in range(len(active)):
+            if active[j][col] % 4 == 2:
+                active[j] = (active[j] - row) % 4
+        for idx in range(len(two_rows)):
+            pcol, trow = two_rows[idx]
+            if trow[col] % 4 == 2:
+                two_rows[idx] = (pcol, (trow - row) % 4)
+        two_rows.append((col, row))
+    assert not any((row % 4).any() for row in active)
+    unit_rows.sort(key=lambda t: t[0])
+    two_rows.sort(key=lambda t: t[0])
+    rows = [r for _, r in unit_rows] + [r for _, r in two_rows]
+    gen = (np.array(rows, dtype=np.uint8) if rows
+           else np.zeros((0, n4), dtype=np.uint8))
+    return (gen, [p for p, _ in unit_rows] + [p for p, _ in two_rows],
+            len(unit_rows), len(two_rows))
+
+
+def _random_standard_form_inputs(count):
+    """Seeded matrices mixing random rows, all-even rows, zero rows,
+    rows 3 times another (a pivot 3) and sums of earlier rows (rank
+    deficient)."""
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        nrows, n4 = int(rng.integers(0, 9)), int(rng.integers(1, 80))
+        g = rng.integers(0, 4, (nrows, n4))
+        kind = rng.integers(0, 5, nrows)
+        g[kind == 1] = 2 * rng.integers(0, 2, (int((kind == 1).sum()), n4))
+        g[kind == 2] = 0
+        for i in np.flatnonzero(kind >= 3):
+            j = int(rng.integers(0, nrows))
+            g[i] = 3 * g[j] if kind[i] == 3 else g[j] + g[i - 1]
+        yield g % 4
+
+
+def _first_pivot_is_3(g):
+    odd = g % 2 == 1
+    if not odd.any():
+        return False
+    col = int(odd.any(axis=0).argmax())
+    return g[int(odd[:, col].argmax()), col] == 3
+
+
+def test_standard_form_matches_two_pass_oracle(ctx3, ctx5, ctx7, monkeypatch):
+    """One elimination run twice gives the generator, pivots and type of
+    the two-pass reduction: on the Kerdock and Goethals-check rows, on
+    every matrix z4_dual reduces, and on seeded random matrices."""
+    inputs = []
+    for ctx in (ctx3, ctx5, ctx7):
+        m = ctx.m_prime
+        tr = z4._trace_table(ctx)
+        kerdock = np.vstack([np.ones(tr.size + 1, dtype=np.int64),
+                             z4._trace_rows(tr, m, 1)])
+        inputs.append(kerdock)
+        if m > 3:
+            inputs.append(np.vstack([kerdock,
+                                     2 * z4._trace_rows(tr, m, 3) % 4]))
+    form = z4.z4_standard_form
+    dual_inputs = []
+    monkeypatch.setattr(z4, "z4_standard_form",
+                        lambda g: dual_inputs.append(g) or form(g))
+    for c in [z4.kerdock_z4(ctx) for ctx in (ctx3, ctx5, ctx7)] + [
+            z4.goethals_check_z4(ctx5), z4.goethals_check_z4(ctx7),
+            z4.goethals_z4(ctx5)] + list(_random_z4_codes()):
+        dual_inputs.clear()
+        z4.z4_dual(c)
+        inputs += dual_inputs
+    monkeypatch.undo()
+    random_inputs = list(_random_standard_form_inputs(400))
+    assert any(g.shape[0] and not (g % 2).any() for g in random_inputs)
+    assert any(not g.any(axis=1).all() for g in random_inputs)
+    assert sum(_first_pivot_is_3(g) for g in random_inputs) > 50
+    deficient = 0
+    for g in inputs + random_inputs:
+        got = z4.z4_standard_form(g)
+        gen, pivots, k1, k2 = _oracle_standard_form(g)
+        assert got.generator.dtype == gen.dtype
+        assert np.array_equal(got.generator, gen)
+        assert (got.pivots, got.k1, got.k2) == (pivots, k1, k2)
+        assert got.n4 == g.shape[1]
+        deficient += k1 + k2 < g.shape[0]
+    assert deficient > 50
+
