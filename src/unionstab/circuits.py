@@ -27,8 +27,8 @@ from .errors import (
     TooManyQubits,
 )
 from .pauli import PauliVector, pauli_str
-from .stab import StabilizerCode
-from .unioncode import UnionStabilizerCode, _xz_rows
+from .stab import StabilizerCode, _xz_rows
+from .unioncode import UnionStabilizerCode
 
 __all__ = [
     "Circuit",

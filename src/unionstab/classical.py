@@ -5,7 +5,8 @@ echelon form.  Non-linear codes are represented as a ``CosetCode``: a
 linear base code together with explicit translation vectors, one per
 coset.  The Preparata and Goethals codes of length 2^m are built as
 unions of cosets of RM(m-3, m) inside RM(m-2, m), selected by power-sum
-conditions over GF(2^(m-1)); the Nordstrom-Robinson code is additionally
+conditions over GF(2^(m-1)), read off the Teichmueller set of
+GR(4, m-1) mod 2; the Nordstrom-Robinson code is additionally
 available through the quaternary (Gray-map) route.
 """
 
@@ -44,37 +45,6 @@ __all__ = [
     "format_coset_code",
     "parse_coset_code",
 ]
-
-
-# ---------------------------------------------------------------------------
-# GF(2^m) arithmetic (internal helper for the power-sum constructions)
-
-_FIELD_POLYS = {3: 0b1011, 5: 0b100101, 7: 0b10000011, 9: 0b1000010001}
-
-
-class _GF2m:
-    """Tiny GF(2^m) with exp/log tables; elements are ints of poly coeffs."""
-
-    def __init__(self, m: int):
-        if m not in _FIELD_POLYS:
-            raise BadParams(f"no field modulus stored for GF(2^{m})")
-        self.m = m
-        self.q = 1 << m
-        poly = _FIELD_POLYS[m]
-        exp = [1] * (2 * (self.q - 1))
-        x = 1
-        for i in range(1, 2 * (self.q - 1)):
-            x <<= 1
-            if x & self.q:
-                x ^= poly
-            exp[i] = x
-        self.exp = exp
-        self.log = {exp[i]: i for i in range(self.q - 1)}
-
-    def pw(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +196,26 @@ def _make_coset_code(base: LinearCode, ts: np.ndarray, **kw) -> CosetCode:
 # ---------------------------------------------------------------------------
 # Power-sum constructions (Preparata / Goethals, length 2^m, m even)
 
+def _residues(ctx: z4.GaloisRingContext) -> np.ndarray:
+    """The Teichmueller points 0, xi^0, ..., xi^(q-2) reduced mod 2.
+
+    Each is read as an int, bit i the coefficient of xi^i.  The Hensel
+    lift reduces to the base primitive polynomial, so these are 0,
+    alpha^0, ..., alpha^(q-2) in GF(2^m') for a root alpha of it.
+    """
+    t = np.array(ctx.teichmuller, dtype=np.int64) & 1
+    return t @ (1 << np.arange(ctx.m_prime))
+
+
+def _power_table(res: np.ndarray, e: int) -> np.ndarray:
+    """Entry a is a^e in the field whose elements res lists as
+    0, alpha^0, ...: alpha^j goes to alpha^(e j mod (q - 1))."""
+    q = res.size
+    out = np.zeros(q, dtype=np.int64)
+    out[res[1:]] = res[1 + e * np.arange(q - 1) % (q - 1)]
+    return out
+
+
 def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     """Scans RM(m-2,m)/RM(m-3,m) classes for power-sum members.
 
@@ -233,10 +223,11 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     contained in RM(m-2, m), testing one representative per class finds
     exactly the cosets making up the code; the classes are spanned by the
     C(m, 2) degree-(m-2) monomials.  A word splits into halves X, Y,
-    subsets of GF(2^(m-1)) (coordinate z sits at index int(z) within its
-    half).  Membership requires |X|, |Y| even, s1(X) = s1(Y),
-    s3(X) + s3(Y) = s1^3, and for the Goethals code also
-    s5(X) + s5(Y) = s1^5, where s_e is the e-th power sum of the subset.
+    subsets of GF(2^(m-1)), the Teichmueller set of GR(4, m-1) mod 2
+    (coordinate z sits at index int(z) within its half).  Membership
+    requires |X|, |Y| even, s1(X) = s1(Y), s3(X) + s3(Y) = s1^3, and
+    for the Goethals code also s5(X) + s5(Y) = s1^5, where s_e is the
+    e-th power sum of the subset.
     Every one of |X| mod 2, |Y| mod 2 and the six power sums is
     GF(2)-linear in the word, so each monomial's features are packed into
     one word and all classes' features come from a single span.
@@ -246,16 +237,15 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     t = math.comb(m, 2)
     if (1 << t) > (1 << 20):
         raise CapExceeded(f"class scan needs 2^{t} representatives")
-    fld = _GF2m(m - 1)
-    q, b = fld.q, m - 1
+    res = _residues(z4.gr4_build(m - 1))
+    q, b = res.size, m - 1
     base = reed_muller(m - 3, m)
     pts = _rm_points(m)
     top = np.array([pts[:, list(comb)].all(axis=1)
                     for comb in itertools.combinations(range(m), m - 2)],
                    dtype=np.uint8)
     # per half, the features of coordinate z: [1 | z | z^3 | z^5] in bits
-    pw3 = np.array([fld.pw(a, 3) for a in range(q)])
-    pw5 = np.array([fld.pw(a, 5) for a in range(q)])
+    pw3, pw5 = _power_table(res, 3), _power_table(res, 5)
     vals = np.stack([np.arange(q), pw3, pw5], axis=1)
     bits = ((vals[:, :, None] >> np.arange(b)) & 1).reshape(q, 3 * b)
     feat = np.hstack([np.ones((q, 1), np.int64), bits])
@@ -335,15 +325,8 @@ def gray_to_rm_permutation(ctx: z4.GaloisRingContext) -> np.ndarray:
     parity position maps to field element 0 and the point xi^j to the
     mod-2 reduction of xi^j, within the same half.
     """
-    n4 = 1 << ctx.m_prime
-    fieldidx = [0]
-    for t in ctx.teichmuller[1:]:
-        fieldidx.append(int(sum((int(c) % 2) << i for i, c in enumerate(t))))
-    perm = np.zeros(2 * n4, dtype=np.int64)
-    for p in range(2 * n4):
-        h, c = divmod(p, n4)
-        perm[p] = h * n4 + fieldidx[c]
-    return perm
+    res = _residues(ctx)
+    return np.concatenate([res, res.size + res])
 
 
 def _gray_route_code(m: int) -> CosetCode:

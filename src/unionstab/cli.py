@@ -18,7 +18,6 @@ from .errors import BadParams, UnionStabError
 
 SHOWN_FAILURES = 5  # failed items a verification writes to stderr
 UNION_FILE_MAX_K = 1024  # translations construct writes to a union file
-PARSER_CACHE_SIZE = 16  # distinct configs whose parsers a process keeps
 # the number of positional parameters each construct kind takes
 CONSTRUCT_PARAMS = {"rm": 2, "nr": 0, "preparata": 1, "goethals": 1,
                     "css": 2, "enlarge": 2, "css-union": 2, "family": 2}
@@ -305,18 +304,18 @@ def _pre_parser() -> argparse.ArgumentParser:
     return pre
 
 
-@functools.lru_cache(maxsize=PARSER_CACHE_SIZE)
-def _parser(config: frozenset) -> argparse.ArgumentParser:
-    """build_parser for the config of these (key, value) items, built on
-    first use and kept: parsing leaves a parser as it was."""
-    return build_parser(dict(config))
+@functools.cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """build_parser without a config, built on first use and kept:
+    parsing leaves a parser as it was."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         path = _pre_parser().parse_known_args(argv)[0].config
-        cfg = _parse_config(path) if path else {}
-        args = _parser(frozenset(cfg.items())).parse_args(argv)
+        parser = build_parser(_parse_config(path)) if path else _plain_parser()
+        args = parser.parse_args(argv)
         header = {"command": args.command, "cap": args.cap,
                   "budget": args.budget, "seed": args.seed}
         report = Report(args.format, header)

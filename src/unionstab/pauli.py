@@ -9,7 +9,7 @@ that would produce a +-i phase (anticommuting factors) are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

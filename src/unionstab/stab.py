@@ -9,7 +9,6 @@ and distance for small codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     NotDualContaining,
     StrategyInfeasible,
 )
-from .pauli import PauliVector, pauli_parse, pauli_str, symplectic_ip
+from .pauli import PauliVector, pauli_parse, pauli_str
 
 __all__ = [
     "StabilizerCode",
@@ -70,14 +69,18 @@ class StabilizerCode:
 
     def stab_binary(self) -> np.ndarray:
         """(n-k) x 2n binary matrix of stabilizer rows as (x|z)."""
-        return np.array([np.concatenate([p.x, p.z]) for p in self.stab],
-                        dtype=np.uint8).reshape(len(self.stab), 2 * self.n)
+        return _xz_rows(self.n, self.stab)
 
     def normalizer_binary(self) -> np.ndarray:
         """(n+k) x 2n binary matrix spanning the normalizer code."""
-        rows = [np.concatenate([p.x, p.z])
-                for p in (*self.stab, *self.logical_x, *self.logical_z)]
-        return np.array(rows, dtype=np.uint8).reshape(-1, 2 * self.n)
+        return _xz_rows(
+            self.n, (*self.stab, *self.logical_x, *self.logical_z))
+
+
+def _xz_rows(n: int, ps) -> np.ndarray:
+    """Pauli vectors as the rows (x|z) of a 0/1 matrix."""
+    rows = [np.concatenate([p.x, p.z]) for p in ps]
+    return np.array(rows, dtype=np.uint8).reshape(-1, 2 * n)
 
 
 def _swap(a: np.ndarray, n: int) -> np.ndarray:
@@ -106,7 +109,7 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     if not gens:
         raise BadParams("a stabilizer code needs at least one generator")
     n = gens[0].n
-    rows = np.array([np.concatenate([p.x, p.z]) for p in gens], np.uint8)
+    rows = _xz_rows(n, gens)
     span = gf2._independent_rows(rows)
     if len(span) != len(gens):
         raise DependentGenerators("stabilizer generators are dependent")

@@ -11,7 +11,6 @@ coset graph.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from .errors import (
     NotPureEnough,
     StrategyInfeasible,
 )
-from .pauli import PauliVector, pauli_parse, pauli_str, pauli_weight
+from .pauli import PauliVector, pauli_parse, pauli_str
 from .stab import (
     CodeParams,
     StabilizerCode,
@@ -41,6 +40,9 @@ from .stab import (
     _commutation_bits,
     _ip_rows,
     _normalizer_span,
+    _swap,
+    _vec,
+    _xz_rows,
     _xz_weights,
     format_stabilizer,
     parse_stabilizer,
@@ -132,12 +134,6 @@ def union_code(base: StabilizerCode, ts: list[PauliVector],
     params = CodeParams(n=base.n, log2_dim=log2_dim, d=d, purity=None,
                         provenance=prov)
     return UnionStabilizerCode(base=base, translations=ordered, params=params)
-
-
-def _xz_rows(n: int, ps) -> np.ndarray:
-    """Pauli vectors as the rows (x|z) of a 0/1 matrix."""
-    rows = [np.concatenate([p.x, p.z]) for p in ps]
-    return np.array(rows, dtype=np.uint8).reshape(-1, 2 * n)
 
 
 def _difference_classes(code: UnionStabilizerCode) -> np.ndarray:
@@ -304,8 +300,7 @@ def build_search_graph(base: StabilizerCode, d: int,
         raise NotPureEnough(
             f"base is pure only up to {params.purity}, need {d}")
     r = n - k
-    sb = base.stab_binary()
-    cols = np.concatenate([sb[:, n:], sb[:, :n]], axis=1).T[:, ::-1]
+    cols = _swap(base.stab_binary(), n).T[:, ::-1]
     c = min(LEADER_CHUNK_BITS, 2 * n)
     low = gf2.span_words(cols[:c], cap)
     idx = np.arange(1 << c, dtype=np.uint64)
@@ -485,11 +480,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
 
 def union_from_clique(g: SearchGraph, result: CliqueResult) -> UnionStabilizerCode:
     """Union code from a clique's coset representatives."""
-    n = g.base.n
-    ts = []
-    for label in result.vertices:
-        rep = g.reps[int(label, 2)]
-        ts.append(PauliVector(x=rep[:n], z=rep[n:]))
+    ts = [_vec(g.reps[int(label, 2)], g.base.n) for label in result.vertices]
     return union_code(g.base, ts, d=g.target_d,
                       provenance="clique-coset-distances")
 
@@ -509,12 +500,6 @@ def _certified_coset_code(cc: CosetCode,
     return CosetCode(base=cc.base, translations=cc.translations,
                      claimed_distance=d, distance_provenance="enumerator",
                      name=cc.name)
-
-
-@functools.lru_cache(maxsize=None)
-def _family_coset_code(kind: str, m: int) -> CosetCode:
-    return _certified_coset_code(
-        goethals_binary(m) if kind == "goethals" else preparata_like(m))
 
 
 def _check_family(kind: str, m: int) -> None:
@@ -549,7 +534,8 @@ def family_build(kind: str, m: int) -> UnionStabilizerCode:
     from the Preparata code, both over base css(RM(3,6), RM(3,6)).
     """
     _check_family(kind, m)
-    cc = _family_coset_code(kind, m)
+    cc = _certified_coset_code(
+        goethals_binary(m) if kind == "goethals" else preparata_like(m))
     rm = cc.base
     code = css_like_union(rm, rm, cc.translations, cc.translations,
                           d=cc.claimed_distance,

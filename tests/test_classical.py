@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -72,6 +73,96 @@ def test_gray_route_fails_at_m6():
     """The length-64 Gray image has a 27-dim kernel and cannot be rebased."""
     with pytest.raises(ConstructionMismatch):
         classical._gray_route_code(6)
+
+
+class _OracleGF2m:
+    """GF(2^m') by exp/log tables over a primitive polynomial (an int,
+    bit i the coefficient of x^i); elements are ints of polynomial
+    coefficients.  The power-sum scan used this field before it read
+    the Teichmueller set."""
+
+    def __init__(self, m: int, poly: int):
+        self.q = 1 << m
+        exp = [1] * (2 * (self.q - 1))
+        x = 1
+        for i in range(1, 2 * (self.q - 1)):
+            x <<= 1
+            if x & self.q:
+                x ^= poly
+            exp[i] = x
+        self.exp = exp
+        self.log = {exp[i]: i for i in range(self.q - 1)}
+
+    def pw(self, a: int, e: int) -> int:
+        if a == 0:
+            return 0
+        return self.exp[(self.log[a] * e) % (self.q - 1)]
+
+
+def _oracle_field(m_prime: int) -> _OracleGF2m:
+    poly = sum(c << i for i, c in enumerate(z4._BASE_POLYS[m_prime]))
+    fld = _OracleGF2m(m_prime, poly)
+    assert len(fld.log) == fld.q - 1  # the polynomial is primitive
+    return fld
+
+
+def _oracle_gray_permutation(ctx: z4.GaloisRingContext) -> np.ndarray:
+    """gray_to_rm_permutation as the per-coordinate loop it was."""
+    n4 = 1 << ctx.m_prime
+    fieldidx = [0]
+    for t in ctx.teichmuller[1:]:
+        fieldidx.append(int(sum((int(c) % 2) << i for i, c in enumerate(t))))
+    perm = np.zeros(2 * n4, dtype=np.int64)
+    for p in range(2 * n4):
+        h, c = divmod(p, n4)
+        perm[p] = h * n4 + fieldidx[c]
+    return perm
+
+
+@pytest.mark.parametrize("m_prime", [3, 5, 7])
+def test_residue_field_matches_exp_log_oracle(m_prime):
+    """The Teichmueller set mod 2 lists 0, alpha^0, ... of the exp/log
+    field; its power tables and the Gray permutation match the old ones."""
+    ctx = z4.gr4_build(m_prime)
+    res = classical._residues(ctx)
+    fld = _oracle_field(m_prime)
+    assert res.tolist() == [0] + fld.exp[:fld.q - 1]
+    for e in (3, 5):
+        assert classical._power_table(res, e).tolist() == [
+            fld.pw(a, e) for a in range(fld.q)]
+    perm = classical.gray_to_rm_permutation(ctx)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, _oracle_gray_permutation(ctx))
+
+
+# sha256 prefixes of the translations as built over the exp/log field
+_POWER_SUM_DIGESTS = {
+    ("preparata", 4): ((8, 16), "70a745e7abae0b8a"),
+    ("preparata", 6): ((1024, 64), "d20f428f28c3c481"),
+    ("goethals", 4): ((1, 16), "374708fff7719dd5"),
+    ("goethals", 6): ((32, 64), "5862b84ffcd85980"),
+}
+
+
+def test_power_sum_codes_keep_translations(monkeypatch):
+    """Both power-sum codes at m = 4 and 6 keep their translations: the
+    pinned digests, and the scan run on the oracle's power tables."""
+    build = {"preparata": classical.preparata_like,
+             "goethals": classical.goethals_binary}
+    got = {(kind, m): build[kind](m).translations
+           for kind, m in _POWER_SUM_DIGESTS}
+    for key, (shape, digest) in _POWER_SUM_DIGESTS.items():
+        t = got[key]
+        assert t.shape == shape and t.dtype == np.uint8
+        assert hashlib.sha256(t.tobytes()).hexdigest()[:16] == digest
+
+    def oracle_table(res, e):
+        fld = _oracle_field(res.size.bit_length() - 1)
+        return np.array([fld.pw(a, e) for a in range(fld.q)])
+
+    monkeypatch.setattr(classical, "_power_table", oracle_table)
+    for kind, m in _POWER_SUM_DIGESTS:
+        assert np.array_equal(build[kind](m).translations, got[kind, m])
 
 
 def test_preparata_m6_structure():

@@ -429,9 +429,9 @@ def test_config_supplies_required_d(tmp_path, capsys):
 
 
 def test_cached_parsers_leak_nothing(tmp_path, capsys, monkeypatch):
-    """Each config's parser is built once per process and kept: its
-    values reach no later call without that config, a value typed
-    with '=' still beats it, and repeated plain calls build no parser."""
+    """A --config call builds its own parser, whose values reach no later
+    call without that config; a value typed with '=' still beats them,
+    and repeated plain calls reuse the one kept parser and build none."""
     stab_file = tmp_path / "graph.stab"
     gens = [pauli_parse(s) for s in
             ["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"]]

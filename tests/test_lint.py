@@ -113,3 +113,43 @@ def test_every_error_class_is_used():
     assert defined, "no classes found in errors.py"
     assert not defined - used, "error classes never raised, caught or " \
         "subclassed: " + ", ".join(sorted(defined - used))
+
+
+def _import_bindings(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each name a top-level import binds; a
+    ``from __future__`` import binds none."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found += [(alias.asname or alias.name.partition(".")[0],
+                       node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(alias.asname or alias.name, node.lineno)
+                      for alias in node.names]
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module's top-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    """Every name a module binds by a top-level import is used in that
+    module or listed in its __all__; __init__.py only re-exports."""
+    found = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        used = _exported(tree) | {node.id for node in ast.walk(tree)
+                                  if isinstance(node, ast.Name)}
+        found += [(path.name, line, name)
+                  for name, line in _import_bindings(tree)
+                  if name not in used]
+    assert not found, "unused imports in unionstab: " + ", ".join(
+        f"{name}:{line} ({what})" for name, line, what in sorted(found))

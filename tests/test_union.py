@@ -27,7 +27,7 @@ def test_five_union_parameters(five_union):
 def _syndromes(base, ts) -> list[bytes]:
     """Symplectic products of each translation with the stabilizer rows,
     one product over all of them, as bytes."""
-    rows = unioncode._xz_rows(base.n, ts)
+    rows = stab._xz_rows(base.n, ts)
     return [s.tobytes()
             for s in stab._ip_rows(rows, base.stab_binary(), base.n)]
 
