@@ -331,47 +331,47 @@ def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
             for t in range(w) if t not in c]
 
 
-def _gate_table(gates: list[tuple], w: int, K: int) -> list[tuple]:
-    """(mask, shifts) of each gate on packed K-tuples of w bits.
+def _gate_images(gates: list[tuple], w: int, K: int, dtype):
+    """A function mapping packed states a, K fields of w bits each, to
+    their (G, N) images under the G gates, row g for gates[g].
 
-    mask has the gate's target bit set in every field, and shifts holds,
-    per control, how far the control bit lies above the target bit
-    (negative: below it).  Qubit q is bit w-1-q of each field, so qubit 0
-    is the most significant.
+    Qubit q is bit w-1-q of each field, so qubit 0 is the most
+    significant.  Each gate is a (G, 1) column: its target bit in every
+    field (mask), and per control how far that bit lies above the target
+    (down) or below it (up).  The rows are written in place: the first
+    control (all ones for X) is shifted into them, the second controls
+    of the CCX rows are and-ed in through a scratch block of at most
+    SYNTH_CHUNK words, then out &= mask and out ^= a.  gates must be
+    sorted by name: that alone puts the CCX rows first and the X rows
+    last ('CCX' < 'CNOT' < 'X').
     """
-    table = []
-    for g in gates:
-        *ctrl, t = (w - 1 - q for q in g[1:])
-        mask = sum(1 << (w * i + t) for i in range(K))
-        table.append((mask, tuple(p - t for p in ctrl)))
-    return table
-
-
-def _shift(a: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """a shifted d bits down (d < 0: -d bits up), written into out."""
-    if d >= 0:
-        return np.right_shift(a, d, out=out)
-    return np.left_shift(a, -d, out=out)
-
-
-def _broadcaster(table: list[tuple], dtype):
-    """A function mapping states a to their images under every gate of
-    table, one row per gate, in one broadcast expression: masks and shifts
-    become (G, 1) columns, and a gate's unused control slot matches all."""
-    G = len(table)
-    mask = np.array([m for m, _ in table], dtype).reshape(G, 1)
+    G = len(gates)
+    ones = sum(1 << (w * i) for i in range(K))
+    mask = np.array([ones << (w - 1 - g[-1]) for g in gates],
+                    dtype).reshape(G, 1)
     down, up = np.zeros((2, 2, G, 1), dtype)
-    free = np.full((2, G, 1), np.iinfo(dtype).max, dtype)
-    for g, (_, shifts) in enumerate(table):
-        for j, d in enumerate(shifts):
-            down[j, g], up[j, g], free[j, g] = max(d, 0), max(-d, 0), 0
+    for g, (_, *ctrl, t) in enumerate(gates):
+        for j, c in enumerate(ctrl):
+            down[j, g], up[j, g] = max(t - c, 0), max(c - t, 0)
+    two = sum(len(g) == 4 for g in gates)  # the leading CCX rows
+    one = G - sum(len(g) == 2 for g in gates)  # rows with a control
+    chunk = SYNTH_CHUNK // max(two, 1)
 
     def images(a):
-        hit = a >> down[0] << up[0] | free[0]
-        hit &= a >> down[1] << up[1] | free[1]
-        hit &= mask
-        hit ^= a
-        return hit
+        out = np.empty((G, a.size), dtype)
+        np.right_shift(a, down[0, :one], out=out[:one])
+        out[:one] <<= up[0, :one]
+        out[one:] = np.iinfo(dtype).max
+        if two:
+            tmp = np.empty((two, min(chunk, a.size)), dtype)
+            for lo in range(0, a.size, chunk):
+                c = a[lo:lo + chunk]
+                t = np.right_shift(c, down[1, :two], out=tmp[:, :c.size])
+                t <<= up[1, :two]
+                out[:two, lo:lo + chunk] &= t
+        out &= mask
+        out ^= a
+        return out
     return images
 
 
@@ -391,8 +391,8 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the entries of a that occur in the sorted, nonempty array b."""
-    pos = np.minimum(np.searchsorted(b, a), b.size - 1)
-    return b[pos] == a
+    pos = np.searchsorted(b, a)
+    return b[np.minimum(pos, b.size - 1, out=pos)] == a
 
 
 def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,16 +450,16 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     any_order the search runs modulo permutations of the packed fields.
     Bidirectional breadth-first search: each level is a sorted array of
     the packed states (uint32 when K*w <= 32) at exactly that distance from
-    its side's root, and the smaller frontier is expanded, into one buffer
-    of every gate's images written gate by gate from one table.  The
-    expansion is tested against the other side's newest level before it
-    is deduplicated and pruned: with f and b levels past the roots, the
-    distance exceeds f + b, so an image found there lies f + b + 1 steps
-    from the start and the search stops.  Forward levels are then pruned
-    to states on some shortest path, and a greedy walk from the start
-    takes the smallest gate that stays on one; both apply every gate at
-    once, broadcast over the table.  Raises CapExceeded before an
-    expansion would hold more than cap states.
+    its side's root, and the smaller frontier is expanded.  One routine,
+    _gate_images, applies the gates everywhere: level expansion, the
+    pruning of forward levels to states on some shortest path, the greedy
+    walk from the start that takes the smallest gate staying on one, and
+    the replay on the inputs.  The expansion is tested against the other
+    side's newest level before it is deduplicated and pruned: with f and
+    b levels past the roots, the distance exceeds f + b, so an image
+    found there lies f + b + 1 steps from the start and the search stops.
+    Raises CapExceeded before an expansion would hold more than cap
+    states.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -481,31 +481,20 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     start = sorted(vals) if any_order else vals
     canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
     gates = sorted(_bit_gates(w, tuple(gate_set)))
-    table = _gate_table(gates, w, K)
-    images = _broadcaster(table, dtype)
+    images = _gate_images(gates, w, K, dtype)
 
-    def check_cap(level):
-        if level.size * len(gates) > cap:
-            raise CapExceeded(f"expanding {level.size} states by "
+    def step(states):
+        """Every gate's image of every state, canonicalised, gate-major."""
+        if states.size * len(gates) > cap:
+            raise CapExceeded(f"expanding {states.size} states by "
                               f"{len(gates)} gates exceeds cap {cap}")
+        return canon(images(states).reshape(-1))
 
     def expand(level):
-        """Every gate's image of every state, canonicalised and sorted."""
-        check_cap(level)
-        buf = np.empty((len(gates), level.size), dtype)
-        tmp = np.empty_like(level)
-        for (mask, shifts), row in zip(table, buf):
-            if not shifts:
-                np.bitwise_xor(level, mask, out=row)
-                continue
-            _shift(level, shifts[0], row)
-            for d in shifts[1:]:
-                row &= _shift(level, d, tmp)
-            row &= mask
-            row ^= level
-        buf = canon(buf.reshape(-1))
-        buf.sort()
-        return buf
+        """step's images, sorted."""
+        new = step(level)
+        new.sort()
+        return new
 
     def packed(vs):  # value i into bits w*i .. w*i + w - 1 of one word
         return np.array([sum(v << (w * i) for i, v in enumerate(vs))], dtype)
@@ -531,16 +520,10 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
                 raise NotFound(max_gates)
         side.append(new)
 
-    def step(states):
-        """Every gate's image of every state, canonicalised, gate-major."""
-        check_cap(states)
-        return canon(images(states).reshape(-1))
-
     # on_path[j]: states j steps from the start on some shortest path
     on_path = [meet]
     for level in fwd[-2::-1]:
-        imgs = step(on_path[0])
-        imgs.sort()
+        imgs = expand(on_path[0])
         on_path.insert(0, np.compress(_members(level, imgs), level))
     picked = []
     cur = fwd[0]

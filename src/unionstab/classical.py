@@ -641,13 +641,9 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     n = c.n
     poly = [0] * (n + 1)
     for w, a_w in enumerate(acc.tolist()):
-        if not a_w:
-            continue
-        p1 = [math.comb(n - w, i) for i in range(n - w + 1)]
-        p2 = [math.comb(w, i) * (-1) ** i for i in range(w + 1)]
-        for i, a in enumerate(p1):
-            for j, b in enumerate(p2):
-                poly[i + j] += a_w * a * b
+        if a_w:  # (1+z)^(n-w) (1-z)^w has coefficients K_i(w; n)
+            for i, k in enumerate(z4._krawtchouk_rows(w, n)[-1]):
+                poly[i] += a_w * k
     if any(coeff % (1 << r) for coeff in poly):
         raise ConstructionMismatch("enumerator transform is not integral")
     return [coeff >> r for coeff in poly]

@@ -65,10 +65,6 @@ class PauliVector:
     def __hash__(self):
         return hash((self.sign, self.x.tobytes(), self.z.tobytes()))
 
-    def key(self) -> bytes:
-        """Sign-free coset key: the concatenated (x|z) bits."""
-        return self.x.tobytes() + self.z.tobytes()
-
 
 def pauli_from_parts(x, z, sign: int = 1) -> PauliVector:
     return PauliVector(x=np.asarray(x, dtype=np.uint8),

@@ -141,22 +141,24 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     if len(reps) != 2 * k:
         raise ConstructionMismatch(
             f"{len(reps)} logical representatives, expected {2 * k}")
-    # symplectic Gram-Schmidt into hyperbolic pairs
-    pool = gf2._int_rows(reps, 2 * n)
-    xs, zs = [], []
-    while len(pool):
-        v, pool = pool[0], pool[1:]
-        ipv = (pool @ _swap(v, n)) & 1
-        if not ipv.any():
+    # symplectic Gram-Schmidt into hyperbolic pairs, on the int rows: the
+    # x half lies n bits above the z half
+    def ip(a, b):
+        return ((a >> n & b) ^ (a & b >> n)).bit_count() & 1
+
+    pool, xs, zs = reps, [], []
+    while pool:
+        v, *pool = pool
+        j = next((j for j, u in enumerate(pool) if ip(u, v)), None)
+        if j is None:
             raise ConstructionMismatch(
                 "degenerate symplectic form on the normalizer quotient")
-        j = int(ipv.argmax())
-        w = pool[j]
-        pool, ipv = np.delete(pool, j, axis=0), np.delete(ipv, j)
-        ipw = (pool @ _swap(w, n)) & 1
-        pool = pool ^ np.outer(ipw, v) ^ np.outer(ipv, w)
+        w = pool.pop(j)
+        pool = [u ^ (v if ip(u, w) else 0) ^ (w if ip(u, v) else 0)
+                for u in pool]
         xs.append(v)
         zs.append(w)
+    xs, zs = gf2._int_rows(xs, 2 * n), gf2._int_rows(zs, 2 * n)
     return StabilizerCode(
         n=n, k=k, stab=tuple(gens),
         logical_x=tuple(_vec(v, n) for v in xs),

@@ -269,14 +269,14 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
         assert peak < 1 << 20
     # these inputs expand levels of at most 9 states by 12 gates, then
     # prune a meet of 12 states to the shortest paths: the cap must stop
-    # that step before its 12 x 12 broadcast is built
+    # that step before its 12 x 12 images are built
     built = []
-    broadcaster = circuits._broadcaster
+    gate_images = circuits._gate_images
 
-    def spy(table, dtype):
-        images = broadcaster(table, dtype)
-        return lambda a: (built.append(a.size * len(table)), images(a))[1]
-    monkeypatch.setattr(circuits, "_broadcaster", spy)
+    def spy(gates, w, K, dtype):
+        images = gate_images(gates, w, K, dtype)
+        return lambda a: (built.append(a.size * len(gates)), images(a))[1]
+    monkeypatch.setattr(circuits, "_gate_images", spy)
     inputs = ["110", "011", "101"]
     circuits.synth_qc_any_order(inputs, cap=144)
     assert max(built) == 144
@@ -284,7 +284,7 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
     with pytest.raises(CapExceeded,
                        match="expanding 12 states by 12 gates exceeds cap 108"):
         circuits.synth_qc_any_order(inputs, cap=108)
-    assert not built
+    assert built and max(built) <= 108
 
 
 @pytest.mark.parametrize("inputs, any_order, side", [
@@ -300,12 +300,15 @@ def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
                                           side):
     """The expansion holding the meet is neither deduplicated nor pruned,
     and the result is the lex-min oracle's, whichever side met."""
-    expanded, dedups = [], []
-    shift, distinct = circuits._shift, circuits._distinct
-    monkeypatch.setattr(circuits, "_shift", lambda a, d, out: (
-        expanded.append(a.copy()), shift(a, d, out))[1])
+    calls = []  # the states of each image call; None for each dedup
+    gate_images, distinct = circuits._gate_images, circuits._distinct
+
+    def spy(*args):
+        images = gate_images(*args)
+        return lambda a: (calls.append(a.copy()), images(a))[1]
+    monkeypatch.setattr(circuits, "_gate_images", spy)
     monkeypatch.setattr(circuits, "_distinct", lambda a: (
-        dedups.append(a.size), distinct(a))[1])
+        calls.append(None), distinct(a))[1])
     synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
     got = synth(inputs)
     circ, order = got if any_order else (got, None)
@@ -313,13 +316,49 @@ def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
     assert circ.gates == seq
     assert order in (None, want_order)
     # every expansion but the last was deduplicated
+    dedups = [i for i, c in enumerate(calls) if c is None]
     assert len(dedups) == len(seq) - 1
+    # the meeting expansion is the image call after the last dedup
+    met = calls[dedups[-1] + 1 if dedups else 0]
     w = len(inputs[0])
     vals = sorted(int(v, 2) for v in inputs) if any_order else \
         [int(v, 2) for v in inputs]
     root = {"forward": vals, "backward": range(len(inputs))}[side]
-    assert expanded[-1].tolist() == [sum(v << (w * i)
-                                         for i, v in enumerate(root))]
+    assert met.tolist() == [sum(v << (w * i) for i, v in enumerate(root))]
+
+
+def _field_images(gates, w, K, state):
+    """Per-field reference: each gate applied to each w-bit field of the
+    packed state, qubit q being bit w-1-q of a field."""
+    fields = [state >> (w * i) & ((1 << w) - 1) for i in range(K)]
+    images = []
+    for _, *ctrl, t in gates:
+        new = [f ^ (1 << (w - 1 - t))
+               if all(f >> (w - 1 - c) & 1 for c in ctrl) else f
+               for f in fields]
+        images.append(sum(f << (w * i) for i, f in enumerate(new)))
+    return images
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_gate_images_match_per_field_reference(monkeypatch, w, dtype):
+    """The one image routine against the per-field reference, for every
+    gate on w bits and K fields up to the packing limit, with a scratch
+    block small enough that the CCX rows take several chunks."""
+    monkeypatch.setattr(circuits, "SYNTH_CHUNK", 300)
+    gates = sorted(circuits._bit_gates(w, ("X", "CNOT", "CCX")))
+    rng = np.random.default_rng(w)
+    limit = np.iinfo(dtype).bits // w
+    for K in sorted({1, (limit + 1) // 2, limit}):
+        states = [int(v) for v in rng.integers(0, 1 << w, (150, K))
+                  @ (np.array([1 << (w * i) for i in range(K)], object))]
+        got = circuits._gate_images(gates, w, K, dtype)(
+            np.array(states, dtype))
+        assert got.dtype == dtype and got.shape == (len(gates), len(states))
+        want = np.array([_field_images(gates, w, K, s) for s in states],
+                        dtype).T
+        np.testing.assert_array_equal(got, want, err_msg=f"w={w} K={K}")
 
 
 def test_synth_qc_not_found():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import sys
 from pathlib import Path
 
@@ -153,3 +154,38 @@ def test_no_unused_imports():
                   if name not in used]
     assert not found, "unused imports in unionstab: " + ", ".join(
         f"{name}:{line} ({what})" for name, line, what in sorted(found))
+
+
+def _private_defs(tree: ast.Module) -> list[ast.AST]:
+    """The top-level defs and classes, and the methods of top-level
+    classes, whose names start with one underscore."""
+    nodes = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body]
+    return [node for node in tree.body + nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _references(node: ast.AST) -> list[str]:
+    """The names and attribute names that node's subtree reads."""
+    return [sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))]
+
+
+def test_every_private_function_is_used():
+    """Each private function, class and method is referenced somewhere
+    in the package outside its own body, so no helper outlives its last
+    caller."""
+    modules = _modules()
+    everywhere = collections.Counter(
+        name for _, tree in modules for name in _references(tree))
+    defs = [(path.name, node) for path, tree in modules
+            for node in _private_defs(tree)]
+    assert defs, "no private definitions found"
+    found = sorted((name, node.lineno, node.name) for name, node in defs
+                   if everywhere[node.name]
+                   <= _references(node).count(node.name))
+    assert not found, "private definitions never referenced: " + ", ".join(
+        f"{name}:{line} ({what})" for name, line, what in found)
