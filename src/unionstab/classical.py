@@ -506,13 +506,13 @@ def _dickson_quadratics(lift: np.ndarray, s: int) -> np.ndarray | None:
     It applies when the length is n = 2^m, the last rows are exactly
     RM(1, m) (m + 1 rows of degree at most 1; they are independent) and
     the first s > 0 rows have degree at most 2.  Row i of the result holds
-    the coefficients of the C(m, 2) monomials x_a x_b, a < b, of row i,
-    which pack into one word for m <= 11.  Returns None otherwise.
+    the coefficients of the C(m, 2) monomials x_a x_b, a < b, of row i;
+    m <= 11, so a row of its alternating form fits _form_ranks' uint16.
+    Returns None otherwise.
     """
     n = lift.shape[1]
     m = n.bit_length() - 1
-    if (n != 1 << m or s == 0 or lift.shape[0] - s != m + 1
-            or math.comb(m, 2) > 64):
+    if n != 1 << m or m > 11 or s == 0 or lift.shape[0] - s != m + 1:
         return None
     anf = _anf(lift)
     degree = np.where(anf, np.bitwise_count(np.arange(n)), 0).max(axis=1)
@@ -522,32 +522,55 @@ def _dickson_quadratics(lift: np.ndarray, s: int) -> np.ndarray | None:
     return anf[:s, masks]
 
 
-def _alternating_ranks(forms: np.ndarray, m: int) -> np.ndarray:
-    """GF(2) rank of each alternating m x m form.
+def _span_rows(basis: np.ndarray) -> np.ndarray:
+    """Column p of the result is the XOR of the columns of basis picked by p.
 
-    Bit k of forms[i] is entry (a, b) = (b, a) of form i, for the k-th
-    pair a < b of itertools.combinations(range(m), 2).  The forms are
-    unpacked to m rows of m bits and eliminated together, row by row: the
-    lowest set bit of a reduced row is its pivot, cleared from every
-    later row holding it, and each nonzero reduced row adds one to the
-    rank.
+    basis is m x k; built by doubling, out[:, 2^i : 2^(i+1)] =
+    out[:, :2^i] ^ basis[:, i].
     """
-    forms = np.asarray(forms, dtype=np.int64)
-    rows = [np.zeros_like(forms) for _ in range(m)]
-    for k, (a, b) in enumerate(itertools.combinations(range(m), 2)):
-        bit = (forms >> k) & 1
-        rows[a] |= bit << b
-        rows[b] |= bit << a
-    ranks = np.zeros(forms.size, dtype=np.uint8)
-    for i, row in enumerate(rows):
-        low = row & -row
-        for later in rows[i + 1:]:
-            later ^= row * ((later & low) != 0)
-        ranks += row != 0
-    return ranks
+    out = np.zeros((basis.shape[0], 1 << basis.shape[1]), dtype=basis.dtype)
+    for i in range(basis.shape[1]):
+        np.bitwise_xor(out[:, :1 << i], basis[:, i:i + 1],
+                       out=out[:, 1 << i:2 << i])
+    return out
 
 
 _RANK_CHUNK = 1 << 16
+
+
+def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
+    """GF(2) rank of each of the 2^s alternating m x m forms spanned by quad.
+
+    Column k of quad is entry (a, b) = (b, a) of a form, for the k-th pair
+    a < b of itertools.combinations(range(m), 2), and entry p of the
+    result is the rank of the form combining the rows of quad picked by p.
+    Row a of a form, an m-bit int (uint8 for m <= 8, else uint16), is
+    linear in the form, so the m rows of every form are spanned from the
+    basis forms' rows: chunk by chunk of _RANK_CHUNK forms, the span of
+    the low bits of p XORed with one column of the high bits' span.  Each
+    chunk's rows are eliminated together, row by row: the lowest set bit
+    of a reduced row is its pivot, cleared from every later row holding
+    it, and each nonzero reduced row adds one to the rank.
+    """
+    s = quad.shape[0]
+    a, b = np.triu_indices(m, 1)
+    forms = np.zeros((s, m, m), dtype=np.uint8)
+    forms[:, a, b] = forms[:, b, a] = quad
+    # basis[a, i] = row a of the form of quad's row i
+    basis = gf2.pack_rows(forms.reshape(s * m, m)).reshape(s, m).T.astype(
+        np.uint8 if m <= 8 else np.uint16)
+    c = min(s, _RANK_CHUNK.bit_length() - 1)
+    low = _span_rows(basis[:, :c])
+    ranks = np.zeros(1 << s, dtype=np.uint8)
+    for h, high in enumerate(_span_rows(basis[:, c:]).T):
+        rows = low ^ high[:, None]
+        out = ranks[h << c:(h + 1) << c]
+        for i, row in enumerate(rows):
+            pivot = row & -row
+            for later in rows[i + 1:]:
+                later ^= row * ((later & pivot) != 0)
+            out += row != 0
+    return ranks
 
 
 def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
@@ -557,15 +580,12 @@ def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
     The weights of a coset of RM(1, m) in RM(2, m) depend only on the
     rank of the alternating form of its quadratic part (Dickson; the
     theory of error-correcting codes, MacWilliams and Sloane, ch. 15).
-    So chi2 is summed by rank, and one coset per rank that occurs, the
-    first column p of that rank, is enumerated.
+    So the 2^s ranks come from _form_ranks, chi2 is summed by rank, and
+    one coset per rank that occurs, the first p of that rank, is
+    enumerated.
     """
     s, n = quad.shape[0], lift.shape[1]
-    forms = gf2.span_words(quad).view(np.int64)
-    ranks = np.empty(forms.size, dtype=np.uint8)
-    for lo in range(0, forms.size, _RANK_CHUNK):
-        ranks[lo:lo + _RANK_CHUNK] = _alternating_ranks(
-            forms[lo:lo + _RANK_CHUNK], n.bit_length() - 1)
+    ranks = _form_ranks(quad, n.bit_length() - 1)
     acc = np.zeros(n + 1, dtype=np.int64)
     for rk in np.flatnonzero(np.bincount(ranks)):
         cols = ranks == rk
@@ -607,14 +627,15 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     - rank path, when D0 is RM(1, m) and P lies in RM(2, m), as for the
       power-sum codes over RM(m-3, m): by Dickson's theorem a coset's
       weights depend only on the rank of its quadratic part, so the 2^s
-      ranks are computed and one coset is enumerated per rank.  It
-      allocates about 2^s words;
+      ranks are computed and one coset is enumerated per rank.  It holds
+      2^s rank bytes, one chunk of form rows and the 2^s values of chi;
     - span path, otherwise: all 2^r dual words, whose weights reshape to
       a 2^(r-s) x 2^s table with column p for the coset of p.
 
     The cap bounds what the chosen path allocates.  The polynomial
-    expansion uses exact integers and the division by 2^r is checked,
-    which certifies the arithmetic.
+    expansion uses exact integers, one Krawtchouk row
+    z4._krawtchouk_row(w, n) per weight w that occurs, and the division by
+    2^r is checked, which certifies the arithmetic.
     """
     h = c.base.parity_check
     r = h.shape[0]
@@ -642,7 +663,7 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     poly = [0] * (n + 1)
     for w, a_w in enumerate(acc.tolist()):
         if a_w:  # (1+z)^(n-w) (1-z)^w has coefficients K_i(w; n)
-            for i, k in enumerate(z4._krawtchouk_rows(w, n)[-1]):
+            for i, k in enumerate(z4._krawtchouk_row(w, n)):
                 poly[i] += a_w * k
     if any(coeff % (1 << r) for coeff in poly):
         raise ConstructionMismatch("enumerator transform is not integral")

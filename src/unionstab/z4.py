@@ -72,21 +72,25 @@ class GaloisRingContext:
         self.m_prime = m_prime
         self.modulus = _hensel_lift(_BASE_POLYS[m_prime])
         n = 2**m_prime - 1
-        top = -self.modulus[:m_prime].astype(np.int64) % 4  # xi^m' in the basis
-
-        def times_xi(e: np.ndarray) -> np.ndarray:
-            shifted = np.concatenate([[0], e[:-1]]) + int(e[-1]) * top
-            return (shifted % 4).astype(np.uint8)
-
-        powers = [self.one()]
-        for _ in range(n - 1):
-            powers.append(times_xi(powers[-1]))
+        # row i of step is xi^i * xi: the unit row i + 1, then xi^m'
+        step = np.eye(m_prime, k=1, dtype=np.int64)
+        step[-1] = -self.modulus[:m_prime].astype(np.int64) % 4
+        # powers[k] = xi^k for k = 0 .. n, by doubling:
+        # powers[h:2h] = powers[:h] step^h
+        powers = np.zeros((n + 1, m_prime), dtype=np.int64)
+        powers[0, 0] = 1
+        h = 1
+        while h <= n:
+            k = min(h, n + 1 - h)
+            powers[h:h + k] = powers[:k] @ step % 4
+            step = step @ step % 4
+            h <<= 1
         # Order check: xi^(2^m'-1) = 1 and all powers distinct.
-        if not np.array_equal(times_xi(powers[-1]), self.one()):
+        if not np.array_equal(powers[n], self.one()):
             raise BadDegree("Hensel lift failed the xi-order check")
-        keys = {p.tobytes() for p in powers}
-        if len(keys) != n:
+        if len(set((powers[:n] @ 4 ** np.arange(m_prime)).tolist())) != n:
             raise BadDegree("Teichmueller powers are not distinct")
+        powers = list(powers[:n].astype(np.uint8))
         self.xi = powers[1]
         self.teichmuller = [self.zero()] + powers
 
@@ -449,20 +453,19 @@ def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
     return SymmetrizedWeightEnumerator(n4=c.n4, coeffs=coeffs)
 
 
-def _krawtchouk_rows(x: int, n: int) -> list[list[int]]:
-    """Row N - x lists K_k(x; N) over k = 0 .. N, for N = x .. n.
+def _krawtchouk_row(x: int, n: int) -> list[int]:
+    """K_k(x; n) for k = 0 .. n: the z^k coefficients of (1-z)^x (1+z)^(n-x).
 
-    K_k(x; N) = sum_j (-1)^j C(x, j) C(N - x, k - j), the coefficient of
-    z^k in (1 - z)^x (1 + z)^(N - x).
+    K_k(x; n) = sum_j (-1)^j C(x, j) C(n - x, k - j).  The row comes from
+    K_0 = 1 by the three-term recurrence (MacWilliams and Sloane, ch. 5)
+    (k + 1) K_(k+1) = (n - 2x) K_k - (n - k + 1) K_(k-1), whose division
+    is exact.
     """
-    row = [1]
-    for _ in range(x):
-        row = [p - q for p, q in zip(row + [0], [0] + row)]
-    rows = [row]
-    for _ in range(n - x):
-        row = [p + q for p, q in zip(row + [0], [0] + row)]
-        rows.append(row)
-    return rows
+    row, prev = [1], 0
+    for k in range(n):
+        row.append(((n - 2 * x) * row[-1] - (n - k + 1) * prev) // (k + 1))
+        prev = row[-2]
+    return row
 
 
 def swe_macwilliams(
@@ -488,18 +491,17 @@ def swe_macwilliams(
     for a, b in swe.coeffs:
         if min(a, b) < 0 or a + b > n4:
             raise NonIntegralTransform(f"term {(a, b)} does not fit length {n4}")
-    # kraw[x][N - x][k] = K_k(x; N)
-    kraw = {x: _krawtchouk_rows(x, n4) for x in set().union(*swe.coeffs)}
+    kraw = functools.cache(_krawtchouk_row)  # the (x, N) rows read, once each
     partial: dict[int, list[int]] = {}  # a -> S(a, a') over a' = 0 .. n4 - a
     for (a, b), coeff in swe.coeffs.items():
         s = partial.get(a, [0] * (n4 - a + 1))
-        partial[a] = [t + coeff * k for t, k in zip(s, kraw[b][n4 - a - b])]
+        partial[a] = [t + coeff * k for t, k in zip(s, kraw(b, n4 - a))]
     acc = []  # acc[a'][b'], before the factor 2^a'
     for ap in range(n4 + 1):
         col = [0] * (n4 - ap + 1)
         for a, s in partial.items():
             if a + ap <= n4 and s[ap]:
-                col = [t + s[ap] * k for t, k in zip(col, kraw[a][n4 - ap - a])]
+                col = [t + s[ap] * k for t, k in zip(col, kraw(a, n4 - ap))]
         acc.append(col)
     out: dict[tuple[int, int], int] = {}
     for deg in range(n4 + 1):

@@ -487,15 +487,47 @@ def _alternating_matrix(form: int, m: int) -> np.ndarray:
     return a
 
 
-def test_alternating_ranks_match_gf2_rank():
-    """All 64 alternating 4 x 4 forms and 500 seeded 6 x 6 ones."""
-    sample = np.random.default_rng(5).integers(0, 1 << 15, 500)
-    for m, forms, ranks in ((4, np.arange(64), {0, 2, 4}),
-                            (6, sample, {0, 2, 4, 6})):
-        got = classical._alternating_ranks(forms, m).tolist()
+def test_form_ranks_match_gf2_rank():
+    """All 64 alternating 4 x 4 forms, then seeded spans at m = 6 and 8
+    (uint8 rows) and m = 11 (uint16 rows)."""
+    got = classical._form_ranks(np.eye(6, dtype=np.uint8), 4).tolist()
+    assert got == [gf2.rank(_alternating_matrix(f, 4)) for f in range(64)]
+    assert set(got) == {0, 2, 4}
+    rng = np.random.default_rng(5)
+    for m, s in ((6, 9), (8, 8), (11, 7)):
+        quad = rng.integers(0, 2, (s, math.comb(m, 2))).astype(np.uint8)
+        got = classical._form_ranks(quad, m).tolist()
         assert got == [gf2.rank(_alternating_matrix(int(f), m))
-                       for f in forms]
-        assert set(got) == ranks
+                       for f in gf2.span_words(quad)]
+        assert max(got) >= m - 1
+
+
+def test_form_ranks_in_chunks_equal_one_chunk(monkeypatch):
+    """2^10 forms ranked in 64 chunks equal one chunk, and Goethals(6)'s
+    2^15 forms in 8 chunks give the same distribution."""
+    quad = np.random.default_rng(6).integers(0, 2, (10, 28)).astype(np.uint8)
+    whole = classical._form_ranks(quad, 8)
+    c = classical.goethals_binary(6)
+    dist = classical.distance_enumerator(c)
+    monkeypatch.setattr(classical, "_RANK_CHUNK", 1 << 4)
+    assert np.array_equal(classical._form_ranks(quad, 8), whole)
+    monkeypatch.setattr(classical, "_RANK_CHUNK", 1 << 12)
+    assert classical.distance_enumerator(c) == dist
+
+
+def test_rank_path_memory_is_bounded():
+    """The rank path holds 2^s rank bytes and one chunk of form rows, so
+    Goethals(6)'s enumerator, s = 15, peaks below 1 MiB."""
+    c = classical.goethals_binary(6)
+    c.base.parity_check
+    tracemalloc.start()
+    try:
+        d, _ = classical.distance_enumerator(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 8
+    assert peak < 1 << 20
 
 
 def test_rank_path_cap_bounds_its_table():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import collections
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -189,3 +191,24 @@ def test_every_private_function_is_used():
                    <= _references(node).count(node.name))
     assert not found, "private definitions never referenced: " + ", ".join(
         f"{name}:{line} ({what})" for name, line, what in found)
+
+
+def test_trace_entry_points_resolve():
+    """Every name in perfbench/tracing.py's ENTRY_POINTS is a function of
+    its unionstab module, so a rename fails here, not only under
+    ``perfbench/run.py --trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    entry_points = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)]
+        == ["ENTRY_POINTS"])
+    assert entry_points
+    found = sorted(
+        f"{mod}.{name}" for mod, names in entry_points.items()
+        for name in names
+        if not inspect.isfunction(getattr(
+            importlib.import_module(f"unionstab.{mod}"), name, None)))
+    assert not found, "ENTRY_POINTS names no unionstab function: " + \
+        ", ".join(found)

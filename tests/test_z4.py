@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,42 @@ def test_teichmuller_powers_are_ring_powers():
         for k in range(len(pts)):
             nxt = pts[(k + 1) % len(pts)]
             assert np.array_equal(_oracle_mul(ctx, pts[k], ctx.xi), nxt)
+
+
+def _oracle_teichmuller(ctx) -> list[np.ndarray]:
+    """0, then xi^0 .. xi^(n-1), stepped by one multiply-by-xi each."""
+    m = ctx.m_prime
+    top = -ctx.modulus[:m].astype(np.int64) % 4  # xi^m' in the basis
+    powers = [np.eye(1, m, dtype=np.uint8)[0]]
+    for _ in range(2**m - 2):
+        e = powers[-1]
+        shifted = np.concatenate([[0], e[:-1]]) + int(e[-1]) * top
+        powers.append((shifted % 4).astype(np.uint8))
+    return [np.zeros(m, dtype=np.uint8)] + powers
+
+
+def test_teichmuller_matches_stepwise_oracle():
+    """The doubled powers equal the one-step-per-power loop, element for
+    element, at m' = 3, 5, 7 and 9."""
+    for m in (3, 5, 7, 9):
+        ctx = z4.gr4_build(m)
+        want = _oracle_teichmuller(ctx)
+        assert len(ctx.teichmuller) == len(want) == 2**m
+        for got, exp in zip(ctx.teichmuller, want):
+            assert got.dtype == np.uint8 and got.shape == (m,)
+            assert np.array_equal(got, exp)
+        assert np.array_equal(ctx.xi, want[2])
+
+
+def test_krawtchouk_row_matches_binomial_sum():
+    """The three-term recurrence equals sum_j (-1)^j C(x, j) C(N - x, k - j)
+    for every 0 <= x <= N <= 64."""
+    for n in range(65):
+        for x in range(n + 1):
+            assert z4._krawtchouk_row(x, n) == [
+                sum((-1) ** j * math.comb(x, j) * math.comb(n - x, k - j)
+                    for j in range(min(x, k) + 1))
+                for k in range(n + 1)]
 
 
 def _oracle_message_words(c, start, stop):
