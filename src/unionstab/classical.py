@@ -413,34 +413,24 @@ def rebase(c: CosetCode, new_base: LinearCode) -> CosetCode:
 # ---------------------------------------------------------------------------
 # Distances
 
-def _linear_brute(c: LinearCode, cap: int) -> int:
-    if (1 << c.k) > cap:
-        raise StrategyInfeasible(f"2^{c.k} words exceed cap {cap}")
-    w = gf2.span_weights(c.generator, cap)
-    if not w.any():
-        raise ValueError("code has no nonzero words")
-    return int(w[w > 0].min())
-
-
 def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
     """Exact minimum distance of a LinearCode or CosetCode.
 
     Strategies: "brute" enumerates words (pairwise differences for coset
-    codes); "coset-brute" enumerates one base coset per translation
-    difference; "enumerator" uses the dual-character coset weight
-    enumerator (exact integer arithmetic); "analytic" applies only to
-    codes carrying a proved distance.
+    codes); "enumerator" uses the dual-character coset weight enumerator
+    (exact integer arithmetic).
     """
-    if strategy == "analytic":
-        if isinstance(c, LinearCode) and c.distance_provenance == "proved-analytic":
-            return c.known_distance
-        raise StrategyInfeasible("analytic strategy needs a proved distance")
     if isinstance(c, LinearCode):
-        if strategy in ("brute", "coset-brute"):
-            return _linear_brute(c, cap)
         if strategy == "enumerator":
             return min_distance(_as_coset(c), strategy, cap)
-        raise StrategyInfeasible(f"unknown strategy {strategy!r}")
+        if strategy != "brute":
+            raise StrategyInfeasible(f"unknown strategy {strategy!r}")
+        if (1 << c.k) > cap:
+            raise StrategyInfeasible(f"2^{c.k} words exceed cap {cap}")
+        w = gf2.span_weights(c.generator, cap)
+        if not w.any():
+            raise ValueError("code has no nonzero words")
+        return int(w[w > 0].min())
     if not isinstance(c, CosetCode):
         raise BadParams("min_distance wants a LinearCode or CosetCode")
     if strategy == "brute":
@@ -453,16 +443,6 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
             if diff.size:
                 best = min(best, int(diff.min()))
         return best
-    if strategy == "coset-brute":
-        # one leader per distinct class of translation differences: the
-        # odd entries of the span of [d; G] are the words of d + base
-        i, j = np.triu_indices(c.num_cosets, 1)
-        diffs = gf2.reduce_rows(
-            c.base.generator, c.translations[i] ^ c.translations[j])
-        diffs = diffs[gf2.distinct_rows(diffs)[0]]
-        return min([_linear_brute(c.base, cap)] + [
-            int(gf2.span_weights(np.vstack([d, c.base.generator]), cap)
-                [1::2].min()) for d in diffs])
     if strategy == "enumerator":
         return _first_nonzero_weight(_pair_weights(c, cap))
     raise StrategyInfeasible(f"unknown strategy {strategy!r}")
@@ -522,19 +502,6 @@ def _dickson_quadratics(lift: np.ndarray, s: int) -> np.ndarray | None:
     return anf[:s, masks]
 
 
-def _span_rows(basis: np.ndarray) -> np.ndarray:
-    """Column p of the result is the XOR of the columns of basis picked by p.
-
-    basis is m x k; built by doubling, out[:, 2^i : 2^(i+1)] =
-    out[:, :2^i] ^ basis[:, i].
-    """
-    out = np.zeros((basis.shape[0], 1 << basis.shape[1]), dtype=basis.dtype)
-    for i in range(basis.shape[1]):
-        np.bitwise_xor(out[:, :1 << i], basis[:, i:i + 1],
-                       out=out[:, 1 << i:2 << i])
-    return out
-
-
 _RANK_CHUNK = 1 << 16
 
 
@@ -546,11 +513,10 @@ def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
     result is the rank of the form combining the rows of quad picked by p.
     Row a of a form, an m-bit int (uint8 for m <= 8, else uint16), is
     linear in the form, so the m rows of every form are spanned from the
-    basis forms' rows: chunk by chunk of _RANK_CHUNK forms, the span of
-    the low bits of p XORed with one column of the high bits' span.  Each
-    chunk's rows are eliminated together, row by row: the lowest set bit
-    of a reduced row is its pivot, cleared from every later row holding
-    it, and each nonzero reduced row adds one to the rank.
+    basis forms' rows by gf2.xor_span_chunks, _RANK_CHUNK forms a chunk.
+    Each chunk's rows are eliminated together, row by row: the lowest set
+    bit of a reduced row is its pivot, cleared from every later row
+    holding it, and each nonzero reduced row adds one to the rank.
     """
     s = quad.shape[0]
     a, b = np.triu_indices(m, 1)
@@ -559,12 +525,9 @@ def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
     # basis[a, i] = row a of the form of quad's row i
     basis = gf2.pack_rows(forms.reshape(s * m, m)).reshape(s, m).T.astype(
         np.uint8 if m <= 8 else np.uint16)
-    c = min(s, _RANK_CHUNK.bit_length() - 1)
-    low = _span_rows(basis[:, :c])
     ranks = np.zeros(1 << s, dtype=np.uint8)
-    for h, high in enumerate(_span_rows(basis[:, c:]).T):
-        rows = low ^ high[:, None]
-        out = ranks[h << c:(h + 1) << c]
+    for h, rows in gf2.xor_span_chunks(basis, _RANK_CHUNK.bit_length() - 1):
+        out = ranks[h * rows.shape[1]:(h + 1) * rows.shape[1]]
         for i, row in enumerate(rows):
             pivot = row & -row
             for later in rows[i + 1:]:

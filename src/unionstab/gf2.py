@@ -7,13 +7,15 @@ handled by two primitives: reduce_rows (the canonical representative of
 each row) and coset_rep_rows (rows independent modulo the subspace);
 distinct_rows finds the distinct rows of a matrix, as canonical coset
 representatives are deduplicated.
-Vectors of length at most 64 can also be packed into uint64 words
-(bit j = position j) and a whole row space spanned at once by span_words;
-span_weights and word_matrix read such spans per block of 64 columns.
+Rows can also be packed into uint64 words, one per block of 64 columns
+(bit j of word b = position 64 b + j; pack_words, unpack_rows), and
+spanned by XOR doubling in one kernel, xor_span (whole, or chunk by
+chunk in xor_span_chunks), through which every GF(2) span goes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -225,70 +227,113 @@ def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All codewords as a (2^rank x n) matrix, in Gray-code message order.
 
     Row i is the XOR of the rows j of the rref basis with bit j of
-    i ^ (i >> 1) set: entry i ^ (i >> 1) of the packed span of each block
-    of 64 columns, unpacked.
+    i ^ (i >> 1) set: entry i ^ (i >> 1) of the span of the basis's
+    packed words, unpacked.
     """
     g = np.asarray(g, dtype=np.uint8)
-    basis = _independent_rows(g)
-    k = basis.shape[0]
-    if 2**k > cap:
-        raise CapExceeded(f"2^{k} words exceed cap {cap}")
-    gray = np.arange(1 << k)
+    words = xor_span(pack_words(_independent_rows(g)).T, cap)
+    gray = np.arange(words.shape[1])
     gray ^= gray >> 1
-    out = np.empty((1 << k, g.shape[1]), dtype=np.uint8)
-    for j in range(0, g.shape[1], 64):
-        words = span_words(basis[:, j:j + 64], cap)[gray]
-        out[:, j:j + 64] = np.unpackbits(
-            words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
-            axis=1, count=min(64, g.shape[1] - j), bitorder="little")
-    return out
+    return unpack_rows(words.T[gray], g.shape[1])
+
+
+def pack_words(m: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as uint64 words, one per block of 64 columns.
+
+    Bit j of word b holds column 64 b + j; a row has at least one word.
+    """
+    m = np.asarray(m, dtype=np.uint8) % 2
+    padded = np.zeros((m.shape[0], 64 * max(1, -(-m.shape[1] // 64))),
+                      dtype=np.uint8)
+    padded[:, :m.shape[1]] = m
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def pack_rows(m: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix with at most 64 columns as uint64 words.
-
-    Bit j of each word holds column j.
-    """
-    m = np.asarray(m, dtype=np.uint8) % 2
-    if m.ndim != 2 or m.shape[1] > 64:
+    """Rows of a 0/1 matrix with at most 64 columns as uint64 words: the
+    one pack_words word of each row."""
+    if np.ndim(m) != 2 or np.shape(m)[1] > 64:
         raise ValueError("pack_rows expects a 2-D matrix of at most 64 columns")
-    padded = np.zeros((m.shape[0], 64), dtype=np.uint8)
-    padded[:, :m.shape[1]] = m
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").ravel()
+    return pack_words(m)[:, 0]
+
+
+def unpack_rows(words: np.ndarray, ncols: int) -> np.ndarray:
+    """The 0/1 uint8 rows of ncols columns that pack_words gives as
+    words, (..., words per row) -> (..., ncols)."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=ncols,
+                         bitorder="little")
+
+
+def _check_span(basis: np.ndarray, k: int, cap: int) -> None:
+    """Raises CapExceeded when spans of k entries of basis's last axis,
+    one per index of its leading axes, hold more than cap words."""
+    lead = math.prod(basis.shape[:-1])
+    if lead << k > cap:
+        raise CapExceeded(f"{lead} x 2^{k} words exceed cap {cap}")
+
+
+def xor_span(basis: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """All XOR combinations of packed words along the last axis of basis,
+    (..., k) -> (..., 2^k), in basis's unsigned dtype.
+
+    Entry a is the XOR of the entries i with bit i of a set, built by
+    doubling: out[..., 2^i : 2^(i+1)] = out[..., :2^i] ^ basis[..., i].
+    Raises CapExceeded when the result, leading axes included, holds more
+    than cap words, before allocating it.
+    """
+    basis = np.asarray(basis)
+    k = basis.shape[-1]
+    _check_span(basis, k, cap)
+    out = np.empty(basis.shape[:-1] + (1 << k,), dtype=basis.dtype)
+    out[..., 0] = 0
+    for i in range(k):
+        np.bitwise_xor(out[..., :1 << i], basis[..., i:i + 1],
+                       out=out[..., 1 << i:2 << i])
+    return out
+
+
+def xor_span_chunks(basis: np.ndarray, bits: int, cap: int = DEFAULT_CAP):
+    """xor_span(basis) in chunks of 2^bits entries along the last axis.
+
+    Yields (h, chunk), chunk equal to xor_span(basis)[..., h << bits :
+    (h + 1) << bits]: the span of basis's first bits entries XORed with
+    entry h of the span of the rest.  bits is clipped to k.  Every chunk
+    is written into one buffer, which the next chunk overwrites, so a
+    caller may modify it in place.  Raises CapExceeded when either span
+    holds more than cap words, before allocating anything.
+    """
+    basis = np.asarray(basis)
+    k = basis.shape[-1]
+    bits = min(bits, k)
+    _check_span(basis, max(bits, k - bits), cap)
+    low = xor_span(basis[..., :bits], cap)
+    high = xor_span(basis[..., bits:], cap)
+    chunk = np.empty_like(low)
+    for h in range(high.shape[-1]):
+        np.bitwise_xor(low, high[..., h:h + 1], out=chunk)
+        yield h, chunk
 
 
 def span_words(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All 2^k XOR combinations of the k rows of m, as packed uint64 words.
 
-    Rows are packed by pack_rows and need not be independent.  Entry a of
-    the result is the XOR of the rows i with bit i of a set, built by
-    doubling: out[2^i : 2^(i+1)] = out[:2^i] ^ row_i.  Raises CapExceeded
-    when 2^k > cap, before allocating anything of that size.
+    Rows are packed by pack_rows and need not be independent; entry a of
+    the result is the XOR of the rows i with bit i of a set (xor_span).
     """
-    k = np.shape(m)[0]
-    if (1 << k) > cap:
-        raise CapExceeded(f"2^{k} words exceed cap {cap}")
-    rows = pack_rows(m)
-    out = np.empty(1 << k, dtype=np.uint64)
-    out[0] = 0
-    for i, row in enumerate(rows):
-        np.bitwise_xor(out[:1 << i], row, out=out[1 << i:2 << i])
-    return out
+    return xor_span(pack_rows(m), cap)
 
 
 def span_weights(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Hamming weight of every XOR combination of the rows of m.
 
     Entry a is the weight of span_words entry a; any column count works,
-    one packed span per block of 64 columns.
+    one block of 64 columns spanned at a time.
     """
-    m = np.asarray(m, dtype=np.uint8)
-    k = m.shape[0]
-    if (1 << k) > cap:
-        raise CapExceeded(f"2^{k} words exceed cap {cap}")
-    weights = np.zeros(1 << k, dtype=np.intp)
-    for j in range(0, m.shape[1], 64):
-        weights += np.bitwise_count(span_words(m[:, j:j + 64], cap))
+    blocks = pack_words(m).T
+    weights = np.bitwise_count(xor_span(blocks[0], cap)).astype(np.intp)
+    for block in blocks[1:]:
+        weights += np.bitwise_count(xor_span(block, cap))
     return weights
 
 

@@ -285,10 +285,9 @@ def build_search_graph(base: StabilizerCode, d: int,
     cosets u, v equals the leader weight at syndrome u + v.  Pauli index
     a is the packed (x|z) word a, whose syndrome is entry a of the span
     of the swapped stabilizer's columns (row 0 the most significant
-    label bit).  Chunks of 2^LEADER_CHUNK_BITS indices share the span of
-    the low columns, XORed with one entry of the high columns' span.  The
-    leader of a syndrome is the least (weight, index), kept as the
-    minimum key weight << 2n | index.
+    label bit), read by gf2.xor_span_chunks in chunks of
+    2^LEADER_CHUNK_BITS indices.  The leader of a syndrome is the least
+    (weight, index), kept as the minimum key weight << 2n | index.
     """
     if d < 0:
         raise BadParams(f"target distance must be at least 0, got {d}")
@@ -300,19 +299,15 @@ def build_search_graph(base: StabilizerCode, d: int,
         raise NotPureEnough(
             f"base is pure only up to {params.purity}, need {d}")
     r = n - k
-    cols = _swap(base.stab_binary(), n).T[:, ::-1]
-    c = min(LEADER_CHUNK_BITS, 2 * n)
-    low = gf2.span_words(cols[:c], cap)
-    idx = np.arange(1 << c, dtype=np.uint64)
+    cols = gf2.pack_rows(_swap(base.stab_binary(), n).T[:, ::-1])
     keys = np.full(1 << r, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for h, high in enumerate(gf2.span_words(cols[c:], cap)):
-        pauli = idx | (h << c)
+    for h, syn in gf2.xor_span_chunks(cols, LEADER_CHUNK_BITS, cap):
+        pauli = np.arange(h * syn.size, (h + 1) * syn.size, dtype=np.uint64)
         key = _xz_weights(pauli, n).astype(np.uint64) << (2 * n) | pauli
-        np.minimum.at(keys, low ^ high, key)
-    reps = ((keys[:, None] >> np.arange(2 * n, dtype=np.uint64)) & 1
-            ).astype(np.uint8)
-    return SearchGraph(leaders=keys >> (2 * n), reps=reps, target_d=d,
-                       base=base)
+        np.minimum.at(keys, syn, key)
+    return SearchGraph(leaders=keys >> (2 * n),
+                       reps=gf2.unpack_rows(keys[:, None], 2 * n),
+                       target_d=d, base=base)
 
 
 def _adjacency_chunks(conn: np.ndarray, verts: np.ndarray):

@@ -5,8 +5,8 @@ Ring elements are represented as uint8 coefficient vectors of length m'
 (coefficients of 1, xi, ..., xi^(m'-1), reduced mod 4).  The Hensel lift
 of the base primitive polynomial is computed by the Graeffe square-root
 method and verified by the xi-order check at construction time.
-Codewords are enumerated as packed bit planes (lo, hi) with
-v = lo + 2 hi, one uint64 per 64 columns in each plane.
+Codewords are enumerated as bit planes (lo, hi) with v = lo + 2 hi,
+each packed by gf2.pack_words and read back by gf2.unpack_rows.
 """
 
 from __future__ import annotations
@@ -164,23 +164,9 @@ class Z4Code:
 
         Raises CapExceeded when size > cap, before anything is allocated.
         """
-        return np.concatenate([_unpack(lo, self.n4) | _unpack(hi, self.n4) << 1
+        return np.concatenate([gf2.unpack_rows(lo, self.n4)
+                               | gf2.unpack_rows(hi, self.n4) << 1
                                for lo, hi in _plane_chunks(self, cap)])
-
-
-def _pack_planes(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a Z4 matrix as bit planes (lo, hi), v = lo + 2 hi, with
-    one gf2.pack_rows word per 64-column block."""
-    g = np.asarray(g, dtype=np.uint8)
-    return tuple(np.stack([gf2.pack_rows(bits[:, j:j + 64])
-                           for j in range(0, g.shape[1], 64)], axis=1)
-                 for bits in (g & 1, g >> 1 & 1))
-
-
-def _unpack(plane: np.ndarray, n4: int) -> np.ndarray:
-    """One bit plane back to a (words x n4) 0/1 uint8 matrix."""
-    return np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8),
-                         axis=1, count=n4, bitorder="little")
 
 
 def _plane_add(lo, hi, g_lo, g_hi):
@@ -222,7 +208,7 @@ def _plane_chunks(c: Z4Code, cap: int):
     while split and tail * radices[split - 1] <= WORD_CHUNK:
         split -= 1
         tail *= radices[split]
-    lo, hi = _pack_planes(c.generator)
+    lo, hi = gf2.pack_words(c.generator % 2), gf2.pack_words(c.generator // 2)
     t_lo, t_hi = _span_planes(lo[split:], hi[split:], radices[split:])
     l_lo, l_hi = _span_planes(lo[:split], hi[:split], radices[:split])
     return (_plane_add(t_lo, t_hi, w_lo, w_hi) for w_lo, w_hi in zip(l_lo, l_hi))

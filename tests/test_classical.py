@@ -254,7 +254,7 @@ def test_distance_enumerator_matches_brute():
     nr = classical.nordstrom_robinson()
     d, dist = classical.distance_enumerator(nr)
     assert d == 6
-    assert classical.min_distance(nr, "coset-brute") == 6
+    assert classical.min_distance(nr, "brute") == 6
     assert dist[0] == 1 and sum(dist) == nr.size
     assert [a * nr.size for a in dist] == _brute_pair_weights(nr)
 
@@ -308,8 +308,15 @@ def test_pair_enumerator_matches_brute_on_random_coset_codes():
         pairs = classical._pair_weights(c, gf2.DEFAULT_CAP)
         assert [p << base.k for p in pairs] == _brute_pair_weights(c)
         assert classical.min_distance(c, "enumerator") == \
-            classical.min_distance(c, "coset-brute") == \
             classical.min_distance(c, "brute")
+
+
+@pytest.mark.parametrize("strategy", ["coset-brute", "analytic"])
+def test_removed_distance_strategies_raise(strategy):
+    """min_distance keeps "brute" and "enumerator"; other names raise."""
+    for c in (classical.reed_muller(1, 4), classical.nordstrom_robinson()):
+        with pytest.raises(StrategyInfeasible, match=repr(strategy)):
+            classical.min_distance(c, strategy)
 
 
 def test_enumerator_on_codes_longer_than_64():
@@ -683,7 +690,7 @@ classical.distance_enumerator(classical.CosetCode(
     base=prep.base, translations=prep.translations[:128]))
 nr = classical.nordstrom_robinson()
 classical.rebase(classical.rebase(nr, classical.reed_muller(0, 4)), nr.base)
-classical.min_distance(classical.preparata_like(4), "coset-brute")
+classical.min_distance(classical.preparata_like(4), "brute")
 assert "numpy.ma" not in sys.modules, "the coset layer imported numpy.ma"
 """
 

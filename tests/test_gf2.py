@@ -221,6 +221,91 @@ def test_span_words_cap_fires_before_allocation():
     assert peak < 1 << 20
 
 
+def _xor_span_oracle(words: list[int]) -> list[int]:
+    """Entry a XORs the words i with bit i of a set, as Python ints."""
+    out = []
+    for a in range(1 << len(words)):
+        x = 0
+        for i, w in enumerate(words):
+            if a >> i & 1:
+                x ^= w
+        out.append(x)
+    return out
+
+
+_SPAN_SHAPES = [(0,), (1,), (5,), (3, 0), (3, 4), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+@pytest.mark.parametrize("shape", _SPAN_SHAPES)
+def test_xor_span_matches_int_oracle(dtype, shape):
+    """Every entry of every leading index against the Python-int XOR."""
+    rng = np.random.default_rng(sum(shape) + np.dtype(dtype).itemsize)
+    basis = rng.integers(0, np.iinfo(dtype).max, shape, dtype=dtype,
+                         endpoint=True)
+    span = gf2.xor_span(basis)
+    assert span.dtype == dtype
+    assert span.shape == shape[:-1] + (1 << shape[-1],)
+    for idx in np.ndindex(shape[:-1]):
+        assert span[idx].tolist() == _xor_span_oracle(basis[idx].tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+@pytest.mark.parametrize("shape", _SPAN_SHAPES)
+def test_xor_span_chunks_tile_the_span(dtype, shape):
+    """Chunks of 2^bits entries, bits = 0, 1, k and past k, laid end to
+    end in h order give the whole span, also when one chunk is all of it;
+    every chunk comes in the same buffer."""
+    rng = np.random.default_rng(sum(shape))
+    basis = rng.integers(0, np.iinfo(dtype).max, shape, dtype=dtype,
+                         endpoint=True)
+    k = shape[-1]
+    want = np.array([_xor_span_oracle(basis[idx].tolist())
+                     for idx in np.ndindex(shape[:-1])], dtype=dtype
+                    ).reshape(shape[:-1] + (1 << k,))
+    for bits in sorted({0, 1, k, k + 3}):
+        got, buffers = [], []
+        for h, chunk in gf2.xor_span_chunks(basis, bits):
+            assert h == len(got)
+            assert chunk.shape == shape[:-1] + (1 << min(bits, k),)
+            buffers.append(chunk)
+            got.append(chunk.copy())
+        assert len(got) == 1 << (k - min(bits, k))
+        assert all(chunk is buffers[0] for chunk in buffers)
+        assert np.array_equal(np.concatenate(got, axis=-1), want)
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 63, 64, 65, 128, 150])
+def test_unpack_rows_inverts_pack_words(ncols):
+    rng = np.random.default_rng(ncols)
+    m = rng.integers(0, 2, (7, ncols)).astype(np.uint8)
+    words = gf2.pack_words(m)
+    assert words.dtype == np.uint64
+    assert words.shape == (7, max(1, -(-ncols // 64)))
+    assert np.array_equal(gf2.unpack_rows(words, ncols), m)
+    if ncols <= 64:
+        assert words[:, 0].tolist() == gf2.pack_rows(m).tolist()
+
+
+def test_xor_span_cap_counts_leading_axes_before_allocation():
+    """A (3, k) basis holds 3 * 2^k words: 2^k <= cap < 3 * 2^k raises,
+    whole or in chunks, with a traced peak far below the 3 * 2^k words."""
+    k = 22
+    basis = np.ones((3, k), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            gf2.xor_span(basis, cap=2 << k)
+        for bits in (0, k):  # the high span, then the low span
+            with pytest.raises(CapExceeded):
+                next(gf2.xor_span_chunks(basis, bits, cap=2 << k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert gf2.xor_span(basis[:, :4], cap=3 << 4).shape == (3, 16)
+
+
 def _oracle_kernel_basis(m):
     """The nested loop: free column i set, pivot columns read from rref."""
     red, pivots, _ = gf2.rref(m)

@@ -82,6 +82,19 @@ def test_no_np_unique_in_package():
         f"{name}:{line}" for name, line in found)
 
 
+def test_packed_word_format_only_in_gf2():
+    """np.unpackbits and the "<u8" word dtype appear only in gf2.py: the
+    packed-word format lives behind gf2.pack_words and gf2.unpack_rows."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules() if path.name != "gf2.py"
+                   for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute)
+                       and node.attr == "unpackbits")
+                   or (isinstance(node, ast.Constant) and node.value == "<u8"))
+    assert not found, "packed-word format outside gf2.py: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
+
+
 def _names(node: ast.AST | None) -> list[str]:
     """Class names an exception expression refers to: a name, an
     attribute (errors.X), a call of either, or a tuple of them."""
