@@ -505,7 +505,8 @@ def _dickson_quadratics(lift: np.ndarray, s: int) -> np.ndarray | None:
 _RANK_CHUNK = 1 << 16
 
 
-def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
+def _form_ranks(quad: np.ndarray, m: int,
+                cap: int = gf2.DEFAULT_CAP) -> np.ndarray:
     """GF(2) rank of each of the 2^s alternating m x m forms spanned by quad.
 
     Column k of quad is entry (a, b) = (b, a) of a form, for the k-th pair
@@ -513,10 +514,11 @@ def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
     result is the rank of the form combining the rows of quad picked by p.
     Row a of a form, an m-bit int (uint8 for m <= 8, else uint16), is
     linear in the form, so the m rows of every form are spanned from the
-    basis forms' rows by gf2.xor_span_chunks, _RANK_CHUNK forms a chunk.
-    Each chunk's rows are eliminated together, row by row: the lowest set
-    bit of a reduced row is its pivot, cleared from every later row
-    holding it, and each nonzero reduced row adds one to the rank.
+    basis forms' rows by gf2.xor_span_chunks, _RANK_CHUNK forms a chunk,
+    or the largest power of two whose m rows per form fit in cap.  Each
+    chunk's rows are eliminated together, row by row: the lowest set bit
+    of a reduced row is its pivot, cleared from every later row holding
+    it, and each nonzero reduced row adds one to the rank.
     """
     s = quad.shape[0]
     a, b = np.triu_indices(m, 1)
@@ -526,7 +528,8 @@ def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
     basis = gf2.pack_rows(forms.reshape(s * m, m)).reshape(s, m).T.astype(
         np.uint8 if m <= 8 else np.uint16)
     ranks = np.zeros(1 << s, dtype=np.uint8)
-    for h, rows in gf2.xor_span_chunks(basis, _RANK_CHUNK.bit_length() - 1):
+    bits = max(0, min(_RANK_CHUNK, cap // m).bit_length() - 1)
+    for h, rows in gf2.xor_span_chunks(basis, bits, cap):
         out = ranks[h * rows.shape[1]:(h + 1) * rows.shape[1]]
         for i, row in enumerate(rows):
             pivot = row & -row
@@ -537,7 +540,7 @@ def _form_ranks(quad: np.ndarray, m: int) -> np.ndarray:
 
 
 def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
-                  ) -> np.ndarray:
+                  cap: int) -> np.ndarray:
     """acc[w] = sum_p chi2[p] * #(weight-w words of P[p] + RM(1, m)).
 
     The weights of a coset of RM(1, m) in RM(2, m) depend only on the
@@ -548,7 +551,7 @@ def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
     enumerated.
     """
     s, n = quad.shape[0], lift.shape[1]
-    ranks = _form_ranks(quad, n.bit_length() - 1)
+    ranks = _form_ranks(quad, n.bit_length() - 1, cap)
     acc = np.zeros(n + 1, dtype=np.int64)
     for rk in np.flatnonzero(np.bincount(ranks)):
         cols = ranks == rk
@@ -621,7 +624,7 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     if quad is None:
         acc = _span_weights_by_chi(lift, s, chi)
     else:
-        acc = _rank_weights(quad, lift, chi)
+        acc = _rank_weights(quad, lift, chi, cap)
     n = c.n
     poly = [0] * (n + 1)
     for w, a_w in enumerate(acc.tolist()):

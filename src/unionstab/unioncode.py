@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import gf2, symmetry
 from .classical import (
     CosetCode,
     LinearCode,
@@ -24,6 +24,7 @@ from .classical import (
     min_distance,
     preparata_like,
 )
+from .clique import _adjacency_chunks, _color_classes, _min_width_order
 from .errors import (
     BadParams,
     ConstructionMismatch,
@@ -40,7 +41,6 @@ from .stab import (
     _commutation_bits,
     _ip_rows,
     _normalizer_span,
-    _swap,
     _vec,
     _xz_rows,
     _xz_weights,
@@ -172,8 +172,8 @@ def union_distance_bound(code: UnionStabilizerCode,
     weights = _xz_weights(words, n)
     purity = int(weights[weights > 0].min())
     best = purity
-    for rep in _difference_classes(code):
-        best = min(best, int(_xz_weights(words ^ rep, n).min()))
+    for _, block in _class_blocks(_difference_classes(code), words, cap):
+        best = min(best, int(_xz_weights(block, n).min()))
     return CodeParams(
         n=n, log2_dim=code.params.log2_dim, d=best, purity=purity,
         provenance={"d": "coset-enumeration-bound",
@@ -190,26 +190,36 @@ def true_distance(code: UnionStabilizerCode,
     normalizer span is shifted by one representative per difference
     class.  A word lies in the closure dual when it commutes with every
     closure generator; the commutation bits are linear, so those of a
-    shifted word are the span's XOR the representative's.
+    shifted word are the span's XOR the representative's.  The cap
+    bounds the span and each (classes x words) block of _class_blocks.
     """
     n = code.n
-    if (1 << (2 * n)) > cap:
-        raise StrategyInfeasible(f"4^{n} enumeration exceeds cap {cap}")
     words = _normalizer_span(code.base, cap)
     gens = np.concatenate([code.base.normalizer_binary(),
                            _xz_rows(n, code.translations)])
     closure = gf2._independent_rows(gens)
     reps = np.concatenate([np.zeros(1, np.uint64), _difference_classes(code)])
     word_bits = _commutation_bits(words, closure, n)
+    rep_bits = _commutation_bits(reps, closure, n)
     best = None
-    for rep, rep_bits in zip(reps, _commutation_bits(reps, closure, n)):
-        outside = word_bits != rep_bits
-        if outside.any():
-            m = int(_xz_weights(words[outside] ^ rep, n).min())
+    for i, block in _class_blocks(reps, words, cap):
+        outside = rep_bits[i:i + len(block), None] != word_bits
+        weights = _xz_weights(block[outside], n)
+        if weights.size:
+            m = int(weights.min())
             best = m if best is None else min(best, m)
     if best is None:
         raise StrategyInfeasible("difference set lies inside the closure dual")
     return best
+
+
+def _class_blocks(reps: np.ndarray, words: np.ndarray, cap: int):
+    """Yields (i, reps[i:j, None] ^ words), the normalizer span shifted by
+    each difference class i..j-1: at most 2^LEADER_CHUNK_BITS and cap
+    words a block, or one class when the span alone holds more."""
+    step = max(1, min(cap, 1 << LEADER_CHUNK_BITS) // len(words))
+    for i in range(0, len(reps), step):
+        yield i, reps[i:i + step, None] ^ words
 
 
 def css_like_union(c1: LinearCode, c2: LinearCode,
@@ -269,11 +279,10 @@ class CliqueResult:
     stats: dict
 
 
-# Paulis per chunk of the leader scan, as a power of two: bounds its
+# Paulis per chunk of the leader scan, and shifted normalizer words per
+# block of the distance checks, as a power of two: bounds their
 # temporaries to a few MB whatever n is
 LEADER_CHUNK_BITS = 14
-# adjacency entries per row chunk of the clique search, as a power of two
-GATHER_CHUNK_BITS = 20
 
 
 def build_search_graph(base: StabilizerCode, d: int,
@@ -298,76 +307,15 @@ def build_search_graph(base: StabilizerCode, d: int,
     if params.purity < d:
         raise NotPureEnough(
             f"base is pure only up to {params.purity}, need {d}")
-    r = n - k
-    cols = gf2.pack_rows(_swap(base.stab_binary(), n).T[:, ::-1])
-    keys = np.full(1 << r, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for h, syn in gf2.xor_span_chunks(cols, LEADER_CHUNK_BITS, cap):
+    keys = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for h, syn in gf2.xor_span_chunks(symmetry.pauli_labels(base),
+                                      LEADER_CHUNK_BITS, cap):
         pauli = np.arange(h * syn.size, (h + 1) * syn.size, dtype=np.uint64)
         key = _xz_weights(pauli, n).astype(np.uint64) << (2 * n) | pauli
         np.minimum.at(keys, syn, key)
     return SearchGraph(leaders=keys >> (2 * n),
                        reps=gf2.unpack_rows(keys[:, None], 2 * n),
                        target_d=d, base=base)
-
-
-def _adjacency_chunks(conn: np.ndarray, verts: np.ndarray):
-    """Yields (i, conn[verts[i:j, None] ^ verts]), the adjacency rows i:j
-    induced on verts, about 2^GATHER_CHUNK_BITS entries at a time."""
-    step = max(1, (1 << GATHER_CHUNK_BITS) // max(len(verts), 1))
-    for i in range(0, len(verts), step):
-        yield i, conn[verts[i:i + step, None] ^ verts]
-
-
-def _min_width_order(conn: np.ndarray, verts: np.ndarray) -> list[int]:
-    """Positions in verts in minimum-width order, last removed first.
-
-    Repeatedly removes a vertex of least remaining degree in the graph
-    induced on verts, the lowest position on ties; the core left at the
-    end comes first, so the ascending-bit colouring colours it first.
-    """
-    deg = np.zeros(len(verts), dtype=np.int64)
-    for i, rows in _adjacency_chunks(conn, verts):
-        deg[i:i + len(rows)] = rows.sum(axis=1)
-    removed = []
-    for _ in range(len(deg)):
-        v = int(np.argmin(deg))
-        removed.append(v)
-        deg -= conn[verts ^ verts[v]]
-        deg[v] = np.iinfo(np.int64).max
-    return removed[::-1]
-
-
-def _color_classes(nonadj: list[int], cand: int,
-                   kmin: int) -> tuple[list[int], list[int]]:
-    """Greedy colouring of the bitset cand, one colour class at a time.
-
-    nonadj[v] holds the vertices v is not adjacent to, v itself left
-    out.  Each class takes the lowest uncoloured bit, then the lowest bit
-    adjacent to none of its members (q &= nonadj[v] per member), and so
-    on; this gives each vertex the smallest colour free of its lower
-    neighbours, as a sequential greedy colouring in ascending bit order
-    does.  Returns the vertices of colour >= kmin and their colours, in
-    colour order; the classes below kmin are only stripped from cand.
-    """
-    verts, colors = [], []
-    color = 0
-    while cand:
-        color += 1
-        q = cand
-        if color < kmin:
-            while q:
-                low = q & -q
-                cand ^= low
-                q &= nonadj[low.bit_length() - 1]
-            continue
-        while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            cand ^= low
-            q &= nonadj[v]
-            verts.append(v)
-        colors += [color] * (len(verts) - len(colors))
-    return verts, colors
 
 
 def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
@@ -381,24 +329,32 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     multi-start extension.  The returned clique is always re-verified
     edge by edge against the leader table.
 
-    Exact mode also reduces by translations, since g is a Cayley graph
-    on GF(2)^r: a clique C through 0 shifted by any member a is another
-    clique C ^ a through 0 of the same size, with the same difference
-    set C ^ C.  Let U be the top-level vertices whose branches have
-    finished.  If a ^ b is in U for members a, b of C, let u be the
-    first such difference to finish: C ^ a contains u, and none of its
-    differences finished before u, so u's branch already searched it.
-    So once the branch of u finishes, every edge {x, y} with x ^ y = u
-    is deleted: later branches search, and colour, the graph without
-    those edges.  stats["symmetry"] is "translation" in exact mode and
-    "none" in greedy mode.
+    Exact mode also reduces by symmetry.  g is a Cayley graph on
+    GF(2)^r, so a clique C through 0 shifted by any member a is another
+    clique C ^ a through 0 with the same difference set C ^ C.  And each
+    qubit automorphism of the base (symmetry.qubit_automorphisms) acts on
+    labels by a linear map M keeping the leader table, so M C is a
+    clique through 0 with difference set M(C ^ C).  Orbits are taken
+    under the full group G of those maps, trivial when g has no base.
+    Once the top-level branch of u finishes, every edge {x, y} with
+    x ^ y in the orbit G u is deleted, the edges {0, w} included, which
+    drops u's orbit-mates from the top-level candidates; later branches
+    search, and colour, the graph without them.  This is exact.  Take a
+    clique C through 0 with a difference a ^ b in a finished orbit, and
+    let O be the first such orbit to finish, at the end of the branch of
+    u, with a ^ b = M u.  Then M^-1 (C ^ a) is a clique through 0 that
+    contains u, and its differences lie in the orbits of C's, orbits
+    being closed under G.  None of those finished before O, so none of
+    its edges was deleted while u's branch ran, and that branch searched
+    it.  stats["symmetry"] is "translation", or "translation+aut(|G|)"
+    when G is nontrivial, in exact mode, and "none" in greedy mode.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
     conn = g.leaders >= g.target_d
     conn[0] = False
     nbrs = np.flatnonzero(conn).astype(np.min_scalar_type(len(conn) - 1))
-    order = nbrs[_min_width_order(conn, nbrs)]
+    order = _min_width_order(conn, nbrs)
     adjbits = [int.from_bytes(row.tobytes(), "little")
                for _, rows in _adjacency_chunks(conn, order)
                for row in np.packbits(rows, axis=1, bitorder="little")]
@@ -408,6 +364,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     nodes = 0
     truncated = False
 
+    reduction = "none"
     if mode == "greedy":
         rng = np.random.default_rng(seed)
         for _ in range(64):
@@ -421,6 +378,8 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
             if len(clique) > len(best):
                 best = clique
     elif mode == "exact":
+        perms, group_order = symmetry.qubit_automorphisms(g)
+        maps = symmetry.label_maps(g, perms)
         bit = {a: i for i, a in enumerate(verts)}
         nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
 
@@ -440,18 +399,23 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 v = branch.pop()
                 if truncated or len(clique) + colors.pop() <= len(best):
                     return
+                if not cand >> v & 1:  # an orbit-mate of a finished vertex
+                    continue
                 clique.append(v)
                 expand(clique, cand & adjbits[v])
                 clique.pop()
                 cand ^= 1 << v
-                if not clique:
-                    u = verts[v]
-                    for x, a in enumerate(verts):
-                        y = bit.get(a ^ u)
-                        if y is not None:
-                            adjbits[x] &= ~(1 << y)
-                            nonadj[x] |= 1 << y
+                if not clique and not truncated:
+                    for u in symmetry.label_orbit(maps, verts[v]):
+                        cand &= ~(1 << bit[u])
+                        for x, a in enumerate(verts):
+                            y = bit.get(a ^ u)
+                            if y is not None:
+                                adjbits[x] &= ~(1 << y)
+                                nonadj[x] |= 1 << y
         expand([], full)
+        reduction = "translation" + (f"+aut({group_order})"
+                                     if group_order > 1 else "")
     else:
         raise BadParams(f"unknown clique mode {mode!r}")
 
@@ -468,8 +432,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
         size=len(best_sorted),
         method=mode,
         optimal=(mode == "exact" and not truncated),
-        stats={"nodes": nodes, "seed": seed,
-               "symmetry": "translation" if mode == "exact" else "none"},
+        stats={"nodes": nodes, "seed": seed, "symmetry": reduction},
     )
 
 

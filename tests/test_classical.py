@@ -553,6 +553,28 @@ def test_rank_path_cap_bounds_its_table():
     assert peak < 1 << 20
 
 
+def test_rank_path_spans_within_the_callers_cap(monkeypatch):
+    """Goethals(6)'s form rows are spanned in chunks that fit the cap the
+    enumerator was given: the same distribution at caps 2^15 and 2^26,
+    and no xor_span_chunks call spans more than its cap."""
+    calls = []
+    real = gf2.xor_span_chunks
+
+    def spy(basis, bits, cap=gf2.DEFAULT_CAP):
+        k = basis.shape[-1]
+        bits = min(bits, k)
+        calls.append((basis.shape[0] << max(bits, k - bits), cap))
+        return real(basis, bits, cap)
+
+    monkeypatch.setattr(gf2, "xor_span_chunks", spy)
+    c = classical.goethals_binary(6)
+    wide = classical.distance_enumerator(c, cap=1 << 26)
+    assert calls == [(6 << 15, 1 << 26)]
+    calls.clear()
+    assert classical.distance_enumerator(c, cap=1 << 15) == wide
+    assert calls and all(words <= cap == 1 << 15 for words, cap in calls)
+
+
 def _oracle_coset_canonical(base, v):
     """Lexicographically least vector in v + base, pivot by pivot."""
     out = np.asarray(v, dtype=np.uint8) % 2

@@ -165,7 +165,7 @@ def test_search_and_verify(tmp_path, capsys):
     assert "clique.size: 6" in out
     assert "clique.optimal: True" in out
     assert "clique.nodes: 7" in out
-    assert "clique.symmetry: translation" in out
+    assert "clique.symmetry: translation+aut(10)\n" in out
     rc, out = _run(capsys, ["verify", str(union_file), "--level", "full"])
     assert rc == 0
     assert "cosets.distinct: True" in out
@@ -173,7 +173,7 @@ def test_search_and_verify(tmp_path, capsys):
     rc, out = _run(capsys, ["search", str(stab_file), "--d", "3",
                             "--format", "csv"])
     assert rc == 0 and "clique.nodes,2\n" in out
-    assert "clique.symmetry,translation\n" in out
+    assert "clique.symmetry,translation+aut(10)\n" in out
 
 
 def test_verify_fails_on_overclaimed_distance(tmp_path, capsys):

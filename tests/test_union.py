@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unionstab import circuits, classical, gf2, pauli, stab, unioncode
+from unionstab import (circuits, classical, clique, gf2, pauli, stab,
+                       symmetry, unioncode)
 from unionstab.errors import (
     BadParams,
     ConstructionMismatch,
@@ -137,8 +139,8 @@ def test_max_clique_exact(graph_state_code):
 
 
 def test_max_clique_search_pinned(graph_state_code):
-    # the BBMC search, reduced by translations, visits exactly these nodes
-    # and returns these cliques
+    # the BBMC search, reduced by translations and qubit automorphisms,
+    # visits exactly these nodes and returns these cliques
     ring = unioncode.max_clique(
         unioncode.build_search_graph(graph_state_code, 2))
     assert ring.vertices == ["00000", "00011", "01100", "10110", "11011",
@@ -155,8 +157,8 @@ def test_max_clique_search_pinned(graph_state_code):
         "0011000", "0011110", "0100011", "0100100", "0101000", "0101111",
         "0110000", "0110111", "0111011", "0111100", "1000100", "1001111",
         "1010111", "1011100", "1100010", "1101001", "1110001", "1111010"]
-    assert r.stats["nodes"] == 1734 and r.optimal
-    assert r.stats["symmetry"] == "translation"
+    assert r.stats["nodes"] == 1353 and r.optimal
+    assert r.stats["symmetry"] == "translation+aut(2)"
 
 
 def test_max_clique_greedy_and_budget(graph_state_code):
@@ -555,6 +557,33 @@ def test_max_clique_random_graphs_match_brute_force():
         assert unioncode.max_clique(g, budget=1).optimal == (want == 1)
 
 
+def _oracle_min_width_order(conn, verts):
+    """Minimum-width order by recounting every remaining degree at each
+    removal, the lowest label on ties, last removed first."""
+    adj = conn[verts[:, None] ^ verts]
+    left, removed = list(range(len(verts))), []
+    while left:
+        v = min(left, key=lambda x: (int(adj[x, left].sum()), x))
+        left.remove(v)
+        removed.append(v)
+    return verts[removed[::-1]]
+
+
+def test_min_width_order_matches_oracle(monkeypatch):
+    """Both ways of keeping degrees, the whole adjacency and the per-label
+    scatter (forced by a one-entry gather chunk), on every random
+    connection set, N(0) below and above half the labels."""
+    for trial, (r, g) in enumerate(_random_cayley_graphs()):
+        conn = g.leaders >= g.target_d
+        conn[0] = False
+        verts = np.flatnonzero(conn).astype(np.uint8)
+        want = _oracle_min_width_order(conn, verts).tolist()
+        for bits in (clique.GATHER_CHUNK_BITS, 0):
+            monkeypatch.setattr(clique, "GATHER_CHUNK_BITS", bits)
+            got = clique._min_width_order(conn, verts)
+            assert got.tolist() == want, (trial, bits)
+
+
 def test_max_clique_translation_reduction():
     """The translation-reduced exact search matches the set-colouring
     oracle on every random connection set, r = 3..7."""
@@ -569,26 +598,137 @@ def test_ring9_code_pinned():
     """The ((9, 12, 3)) code of the 9-qubit ring graph state."""
     g = unioncode.build_search_graph(_ring(9), 3)
     r = unioncode.max_clique(g)
-    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 1736)
+    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 264)
+    assert r.stats["symmetry"] == "translation+aut(18)"
     code = unioncode.union_from_clique(g, r)
     assert unioncode.true_distance(code) == 3
     assert unioncode.union_distance_bound(code).d == 3
     assert circuits.kl_verify(circuits.code_basis(code), 3).ok
 
 
+def _brute_automorphisms(base):
+    """Every qubit permutation p (qubit q to p[q]) mapping the stabilizer
+    rows into their span, by one reduction of all n! permuted copies."""
+    n, sb = base.n, base.stab_binary()
+    perms = np.array(list(itertools.permutations(range(n))))
+    inverse = np.argsort(perms, axis=1)
+    moved = sb[:, np.concatenate([inverse, inverse + n], axis=1)]
+    left = gf2.reduce_rows(gf2._independent_rows(sb), moved.transpose(1, 0, 2))
+    return {tuple(p) for p in perms[~left.any(axis=(1, 2))].tolist()}
+
+
+def _generated_group(perms, n):
+    """The closure of perms under composition, identity included."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for s in perms:
+            h = tuple(s[q] for q in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return group
+
+
+def _random_signed_bases():
+    """Seeded random graph states on 3..7 qubits, edge density 0.2, 0.5 or
+    0.8, random generator signs, 0..2 generators dropped (k = 0..2)."""
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        n = int(rng.integers(3, 8))
+        a = np.triu(rng.random((n, n)) < rng.choice([0.2, 0.5, 0.8]), 1)
+        a = a | a.T
+        gens = [("-" if rng.integers(2) else "") + "".join(
+            "X" if u == v else ("Z" if a[v, u] else "I") for u in range(n))
+            for v in range(n)]
+        yield stab.stabilizer_from_generators([
+            pauli.pauli_parse(g) for g in gens[:n - int(rng.integers(0, 3))]])
+
+
+def test_automorphisms_match_brute_force():
+    """On every base with n <= 7 (the oracle graphs', ring-5 to ring-7 and
+    seeded random signed bases) the generators found generate exactly the
+    group of all n! permutations fixing the stabilizer group, of the
+    order reported; each generator's label map keeps the leader table and
+    sends every label u to the label of its permuted representative."""
+    bases = [_graph_state(n, s) for n, _, s in ORACLE_GRAPH_STATES if n <= 7]
+    bases += [_ring(n) for n in (5, 6, 7)] + list(_random_signed_bases())
+    orders = []
+    for base in bases:
+        n, r = base.n, base.n - base.k
+        g = unioncode.build_search_graph(base, 1)
+        perms, order = symmetry.qubit_automorphisms(g)
+        group = _generated_group(perms, n)
+        assert group == _brute_automorphisms(base)
+        assert order == len(group)
+        orders.append(order)
+        sb = base.stab_binary()
+        swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
+        for s, images in zip(perms, symmetry.label_maps(g, perms)):
+            moved = np.zeros_like(g.reps)
+            moved[:, s + [n + q for q in s]] = g.reps
+            want = (moved @ swapped.T % 2) @ (1 << np.arange(r)[::-1])
+            got = [symmetry.map_label(images, u) for u in range(1 << r)]
+            assert got == want.tolist()
+            assert np.array_equal(g.leaders[got], g.leaders)
+    # the rings' dihedral groups, and some nontrivial random ones
+    assert orders[-13:-10] == [10, 12, 14]
+    assert sum(o > 1 for o in orders[-10:]) >= 3
+
+
+def test_orbit_reduction_never_adds_nodes(monkeypatch):
+    """On the 15 oracle graphs and ring-5 to ring-9, the search modulo
+    the qubit automorphisms returns the translation-only clique, as
+    optimal, in no more nodes."""
+    graphs = [(_ring(5), d) for d in (0, 2, 3)]
+    graphs += [(_graph_state(n, s), d) for n, d, s in ORACLE_GRAPH_STATES]
+    graphs += [(_ring(n), d) for n in (6, 7) for d in (2, 3)]
+    graphs += [(_ring(n), 3) for n in (8, 9)]
+    results = []
+    for base, d in graphs:
+        g = unioncode.build_search_graph(base, d)
+        results.append((g, unioncode.max_clique(g)))
+    monkeypatch.setattr(symmetry, "qubit_automorphisms", lambda g: ([], 1))
+    for g, orbit in results:
+        plain = unioncode.max_clique(g)
+        assert plain.stats["symmetry"] == "translation"
+        assert (orbit.vertices, orbit.optimal) == (plain.vertices, True)
+        assert orbit.stats["nodes"] <= plain.stats["nodes"]
+
+
 def test_leader_scan_and_true_distance_caps():
+    """Each cap counts what is allocated, and raises before allocating
+    it: the 4^10 leader scan, and the 2^10 normalizer words that
+    true_distance spans and shifts by each difference class."""
     base = _ring(10)
-    code = unioncode.union_code(base, [])
+    code = unioncode.union_code(base, [pauli.pauli_parse("ZZIIIIIIII")])
     tracemalloc.start()
     try:
         with pytest.raises(StrategyInfeasible):
             unioncode.build_search_graph(base, 2, cap=(1 << 20) - 1)
         with pytest.raises(StrategyInfeasible):
-            unioncode.true_distance(code, cap=(1 << 20) - 1)
+            unioncode.true_distance(code, cap=(1 << 10) - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+    assert unioncode.true_distance(code, cap=1 << 10) == 2
+
+
+def test_true_distance_past_13_qubits():
+    """A 14-qubit ring union code: true_distance spans 2^14 normalizer
+    words per difference class, well inside the default cap, where the
+    4^14 Paulis are not; the distance matches the coset bound."""
+    code = unioncode.union_code(_ring(14), [
+        pauli.pauli_parse(t) for t in ("ZZIIIIIIIIIIII", "IIIIIIIZZIIIII")])
+    tracemalloc.start()
+    try:
+        d = unioncode.true_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == unioncode.union_distance_bound(code).d == 2
+    assert peak < 2 << 20
 
 
 def test_leader_scan_memory_is_chunked():
