@@ -448,22 +448,6 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
     raise StrategyInfeasible(f"unknown strategy {strategy!r}")
 
 
-def _fwht(a: np.ndarray) -> None:
-    """Unnormalised Walsh-Hadamard transform of a length-2^r array, in place.
-
-    Afterwards a[u] = sum_s a_old[s] (-1)^popcount(u & s); one vectorised
-    butterfly pass per bit.
-    """
-    h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h <<= 1
-
-
 def _anf(rows: np.ndarray) -> np.ndarray:
     """Algebraic normal form of each row, a truth table of length 2^m.
 
@@ -619,7 +603,7 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
             f"rank table 2^{s} or coset span 2^{r - s + 1} exceeds cap {cap}")
     chi = np.bincount(gf2.pack_rows(syn[:, piv]).astype(np.int64),
                       minlength=1 << s)
-    _fwht(chi)
+    gf2.fwht(chi)
     chi *= chi
     if quad is None:
         acc = _span_weights_by_chi(lift, s, chi)

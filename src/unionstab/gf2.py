@@ -1,8 +1,8 @@
 """Dense GF(2) linear algebra on numpy uint8 arrays.
 
 Vectors are 1-D uint8 arrays with entries in {0, 1}; matrices are 2-D.
-Position 0 is the leftmost printed bit.  All public functions leave their
-inputs untouched and return fresh arrays.  Cosets of a subspace are
+Position 0 is the leftmost printed bit.  All public functions but fwht
+leave their inputs untouched and return fresh arrays.  Cosets of a subspace are
 handled by two primitives: reduce_rows (the canonical representative of
 each row) and coset_rep_rows (rows independent modulo the subspace);
 distinct_rows finds the distinct rows of a matrix, as canonical coset
@@ -11,6 +11,7 @@ Rows can also be packed into uint64 words, one per block of 64 columns
 (bit j of word b = position 64 b + j; pack_words, unpack_rows), and
 spanned by XOR doubling in one kernel, xor_span (whole, or chunk by
 chunk in xor_span_chunks), through which every GF(2) span goes.
+fwht is the Walsh-Hadamard transform of a table over GF(2)^r, in place.
 """
 
 from __future__ import annotations
@@ -335,6 +336,22 @@ def span_weights(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     for block in blocks[1:]:
         weights += np.bitwise_count(xor_span(block, cap))
     return weights
+
+
+def fwht(a: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of a length-2^r array, in place.
+
+    Afterwards a[u] = sum_s a_old[s] (-1)^popcount(u & s); one vectorised
+    butterfly pass per bit.
+    """
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h <<= 1
 
 
 # --- text format: first line "rows cols", then one 0/1 string per row ---

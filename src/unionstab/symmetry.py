@@ -6,9 +6,9 @@ normalizer coset of the Paulis with syndrome u.  A qubit permutation
 that maps the stabilizer group onto itself, signs ignored, maps
 normalizer cosets onto normalizer cosets and keeps Pauli weights, so it
 acts on labels by a linear map that keeps the coset-leader table.
-qubit_automorphisms finds the group from a search graph, label_maps
-gives each permutation's map as the images of the unit labels, and
-label_orbit closes a label under those maps.
+qubit_automorphisms finds the group from a search graph, with each
+generator's map as the images of the unit labels, and label_orbit
+closes a label under those maps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ if TYPE_CHECKING:
     from .unioncode import SearchGraph
 
 # backtracking steps the qubit automorphism search may take before it
-# settles for the trivial group
+# settles for the trivial group; the ring graph states take 26 steps at
+# n = 5, 130 at n = 9 and 378 at n = 13
 AUT_STEP_CAP = 1 << 12
 
 
@@ -34,8 +35,10 @@ def pauli_labels(base: StabilizerCode) -> np.ndarray:
     return gf2.pack_rows(_swap(base.stab_binary(), base.n).T[:, ::-1])
 
 
-def qubit_automorphisms(g: SearchGraph) -> tuple[list[list[int]], int]:
-    """Generators and order of the qubit automorphism group of g's base.
+def qubit_automorphisms(
+        g: SearchGraph) -> tuple[list[list[int]], list[list[int]], int]:
+    """Generators, their label maps and the order of the qubit
+    automorphism group of g's base.
 
     An automorphism is a qubit permutation s (qubit q to s[q]) mapping
     the stabilizer group onto itself, signs ignored: equivalently, one
@@ -48,11 +51,14 @@ def qubit_automorphisms(g: SearchGraph) -> tuple[list[list[int]], int]:
     0..i-1, and for each image j of qubit i that the generators found so
     far do not reach, one automorphism fixing 0..i-1 and sending i to j
     is searched for.  The generators found generate the group, whose
-    order is the product of the level orbit sizes.  Returns ([], 1) when
-    g has no base or the backtracking takes more than AUT_STEP_CAP steps.
+    order is the product of the level orbit sizes.  Each generator's map
+    on labels is given as the images of the unit labels 1 << b: the
+    labels of the permuted least representatives of 1 << b (see
+    map_label).  Returns ([], [], 1) when g has no base or the
+    backtracking takes more than AUT_STEP_CAP steps.
     """
     if g.base is None:
-        return [], 1
+        return [], [], 1
     n = g.base.n
     lab = pauli_labels(g.base).tolist()
     leaders = g.leaders.tolist()
@@ -92,27 +98,19 @@ def qubit_automorphisms(g: SearchGraph) -> tuple[list[list[int]], int]:
                 gens.append(s)
                 reached = _orbit(i, lambda q: (p[q] for p in gens))
         order *= len(reached)
+    # extend holds itself through its closure: drop it, so that the
+    # tables it closes over go now rather than at a cyclic collection
+    del extend
     if steps > AUT_STEP_CAP:
-        return [], 1
-    return gens, order
-
-
-def label_maps(g: SearchGraph, perms: list[list[int]]) -> list[list[int]]:
-    """The linear map on labels of each automorphism in perms, as the
-    images of the unit labels 1 << b: the label of the permuted least
-    representative of 1 << b (see map_label)."""
-    if not perms:
-        return []
-    n = g.base.n
-    lab = pauli_labels(g.base).tolist()
+        return [], [], 1
     units = [g.reps[1 << b].tolist()
              for b in range(len(g.leaders).bit_length() - 1)]
     maps = []
-    for s in perms:
+    for s in gens:
         both = s + [n + q for q in s]
         maps.append([_xor(lab[both[j]] for j, b in enumerate(row) if b)
                      for row in units])
-    return maps
+    return gens, maps, order
 
 
 def label_orbit(maps: list[list[int]], u: int) -> set[int]:

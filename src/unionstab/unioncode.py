@@ -5,8 +5,8 @@ of a base stabilizer code, the t_i lying in pairwise-distinct cosets of
 the base's normalizer.  This module computes coset distances (minimum
 weight in a normalizer coset), the resulting distance bound, the exact
 true distance at small length, builds CSS-like unions from classical
-coset codes, and searches for good translation sets as cliques in a
-coset graph.
+coset codes, and builds the coset graph in which clique.max_clique
+searches for good translation sets.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .classical import (
     min_distance,
     preparata_like,
 )
-from .clique import _adjacency_chunks, _color_classes, _min_width_order
+from .clique import CliqueResult, max_clique
 from .errors import (
     BadParams,
-    ConstructionMismatch,
     DuplicateCoset,
     LengthMismatch,
     NotPureEnough,
@@ -270,15 +269,6 @@ class SearchGraph:
         return len(self.leaders) * degree // 2
 
 
-@dataclass(frozen=True)
-class CliqueResult:
-    vertices: list[str]
-    size: int
-    method: str
-    optimal: bool
-    stats: dict
-
-
 # Paulis per chunk of the leader scan, and shifted normalizer words per
 # block of the distance checks, as a power of two: bounds their
 # temporaries to a few MB whatever n is
@@ -311,129 +301,15 @@ def build_search_graph(base: StabilizerCode, d: int,
     for h, syn in gf2.xor_span_chunks(symmetry.pauli_labels(base),
                                       LEADER_CHUNK_BITS, cap):
         pauli = np.arange(h * syn.size, (h + 1) * syn.size, dtype=np.uint64)
-        key = _xz_weights(pauli, n).astype(np.uint64) << (2 * n) | pauli
+        # keys built in place: these chunk temporaries are the search's
+        # peak memory
+        key = _xz_weights(pauli, n).astype(np.uint64)
+        key <<= 2 * n
+        key |= pauli
         np.minimum.at(keys, syn, key)
     return SearchGraph(leaders=keys >> (2 * n),
                        reps=gf2.unpack_rows(keys[:, None], 2 * n),
                        target_d=d, base=base)
-
-
-def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
-               budget: int = 10**7) -> CliqueResult:
-    """Maximum clique through the pinned identity vertex.
-
-    Exact mode is BBMC (San Segundo et al., 2011): a deterministic
-    branch-and-bound over bitset candidate sets, the identity's
-    neighbours N(0) numbered once in minimum-width order, bounded by a
-    greedy colouring built class by class.  Greedy mode runs randomized
-    multi-start extension.  The returned clique is always re-verified
-    edge by edge against the leader table.
-
-    Exact mode also reduces by symmetry.  g is a Cayley graph on
-    GF(2)^r, so a clique C through 0 shifted by any member a is another
-    clique C ^ a through 0 with the same difference set C ^ C.  And each
-    qubit automorphism of the base (symmetry.qubit_automorphisms) acts on
-    labels by a linear map M keeping the leader table, so M C is a
-    clique through 0 with difference set M(C ^ C).  Orbits are taken
-    under the full group G of those maps, trivial when g has no base.
-    Once the top-level branch of u finishes, every edge {x, y} with
-    x ^ y in the orbit G u is deleted, the edges {0, w} included, which
-    drops u's orbit-mates from the top-level candidates; later branches
-    search, and colour, the graph without them.  This is exact.  Take a
-    clique C through 0 with a difference a ^ b in a finished orbit, and
-    let O be the first such orbit to finish, at the end of the branch of
-    u, with a ^ b = M u.  Then M^-1 (C ^ a) is a clique through 0 that
-    contains u, and its differences lie in the orbits of C's, orbits
-    being closed under G.  None of those finished before O, so none of
-    its edges was deleted while u's branch ran, and that branch searched
-    it.  stats["symmetry"] is "translation", or "translation+aut(|G|)"
-    when G is nontrivial, in exact mode, and "none" in greedy mode.
-    """
-    if budget < 1:
-        raise BadParams(f"clique budget must be at least 1, got {budget}")
-    conn = g.leaders >= g.target_d
-    conn[0] = False
-    nbrs = np.flatnonzero(conn).astype(np.min_scalar_type(len(conn) - 1))
-    order = _min_width_order(conn, nbrs)
-    adjbits = [int.from_bytes(row.tobytes(), "little")
-               for _, rows in _adjacency_chunks(conn, order)
-               for row in np.packbits(rows, axis=1, bitorder="little")]
-    verts = order.tolist()
-    full = (1 << len(verts)) - 1
-    best: list[int] = []
-    nodes = 0
-    truncated = False
-
-    reduction = "none"
-    if mode == "greedy":
-        rng = np.random.default_rng(seed)
-        for _ in range(64):
-            clique, cand = [], full
-            pool = list(range(len(verts)))
-            rng.shuffle(pool)
-            for v in pool:
-                if cand >> v & 1:
-                    clique.append(v)
-                    cand &= adjbits[v]
-            if len(clique) > len(best):
-                best = clique
-    elif mode == "exact":
-        perms, group_order = symmetry.qubit_automorphisms(g)
-        maps = symmetry.label_maps(g, perms)
-        bit = {a: i for i, a in enumerate(verts)}
-        nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
-
-        # the identity is left out of clique and best: both sides of
-        # every size comparison drop it
-        def expand(clique: list[int], cand: int):
-            nonlocal best, nodes, truncated
-            nodes += 1
-            if nodes > budget:
-                truncated = True
-                return
-            if len(clique) > len(best):
-                best = list(clique)
-            branch, colors = _color_classes(
-                nonadj, cand, len(best) - len(clique) + 1)
-            while branch:
-                v = branch.pop()
-                if truncated or len(clique) + colors.pop() <= len(best):
-                    return
-                if not cand >> v & 1:  # an orbit-mate of a finished vertex
-                    continue
-                clique.append(v)
-                expand(clique, cand & adjbits[v])
-                clique.pop()
-                cand ^= 1 << v
-                if not clique and not truncated:
-                    for u in symmetry.label_orbit(maps, verts[v]):
-                        cand &= ~(1 << bit[u])
-                        for x, a in enumerate(verts):
-                            y = bit.get(a ^ u)
-                            if y is not None:
-                                adjbits[x] &= ~(1 << y)
-                                nonadj[x] |= 1 << y
-        expand([], full)
-        reduction = "translation" + (f"+aut({group_order})"
-                                     if group_order > 1 else "")
-    else:
-        raise BadParams(f"unknown clique mode {mode!r}")
-
-    best_sorted = [0] + sorted(verts[v] for v in best)
-    label = f"0{(len(g.leaders) - 1).bit_length()}b"
-    missing = [(a, b) for a in best_sorted for b in best_sorted
-               if a != b and g.leaders[a ^ b] < g.target_d]
-    if missing:
-        raise ConstructionMismatch(
-            "clique re-verification failed: {} and {} are not adjacent"
-            .format(*(format(v, label) for v in missing[0])))
-    return CliqueResult(
-        vertices=[format(v, label) for v in best_sorted],
-        size=len(best_sorted),
-        method=mode,
-        optimal=(mode == "exact" and not truncated),
-        stats={"nodes": nodes, "seed": seed, "symmetry": reduction},
-    )
 
 
 def union_from_clique(g: SearchGraph, result: CliqueResult) -> UnionStabilizerCode:

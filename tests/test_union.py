@@ -492,16 +492,16 @@ def test_coloring_matches_set_oracle():
                        .tolist())
         cand = sum(1 << v for v in verts)
         want = dict(zip(verts, _oracle_coloring(adj_sets, verts)))
-        got, colors = unioncode._color_classes(nonadj, cand, 1)
+        got, colors = clique._color_classes(nonadj, cand, 1)
         assert dict(zip(got, colors)) == want and len(got) == len(verts)
         kmin = int(rng.integers(1, 6))
-        got, colors = unioncode._color_classes(nonadj, cand, kmin)
+        got, colors = clique._color_classes(nonadj, cand, kmin)
         assert colors == sorted(colors)
         assert [want[v] for v in got] == colors
         assert set(got) == {v for v, c in want.items() if c >= kmin}
         above = max(want.values(), default=0) + 1
-        assert unioncode._color_classes(nonadj, cand, above) == ([], [])
-        assert unioncode._color_classes(nonadj, 0, kmin) == ([], [])
+        assert clique._color_classes(nonadj, cand, above) == ([], [])
+        assert clique._color_classes(nonadj, 0, kmin) == ([], [])
 
 
 def _brute_max_clique_through_0(adj_sets):
@@ -569,19 +569,16 @@ def _oracle_min_width_order(conn, verts):
     return verts[removed[::-1]]
 
 
-def test_min_width_order_matches_oracle(monkeypatch):
-    """Both ways of keeping degrees, the whole adjacency and the per-label
-    scatter (forced by a one-entry gather chunk), on every random
+def test_min_width_order_matches_oracle():
+    """The per-label degrees give the recounted order on every random
     connection set, N(0) below and above half the labels."""
     for trial, (r, g) in enumerate(_random_cayley_graphs()):
         conn = g.leaders >= g.target_d
         conn[0] = False
         verts = np.flatnonzero(conn).astype(np.uint8)
         want = _oracle_min_width_order(conn, verts).tolist()
-        for bits in (clique.GATHER_CHUNK_BITS, 0):
-            monkeypatch.setattr(clique, "GATHER_CHUNK_BITS", bits)
-            got = clique._min_width_order(conn, verts)
-            assert got.tolist() == want, (trial, bits)
+        got = clique._min_width_order(conn, verts)
+        assert got.tolist() == want, trial
 
 
 def test_max_clique_translation_reduction():
@@ -657,14 +654,15 @@ def test_automorphisms_match_brute_force():
     for base in bases:
         n, r = base.n, base.n - base.k
         g = unioncode.build_search_graph(base, 1)
-        perms, order = symmetry.qubit_automorphisms(g)
+        perms, maps, order = symmetry.qubit_automorphisms(g)
         group = _generated_group(perms, n)
         assert group == _brute_automorphisms(base)
         assert order == len(group)
         orders.append(order)
         sb = base.stab_binary()
         swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
-        for s, images in zip(perms, symmetry.label_maps(g, perms)):
+        assert len(maps) == len(perms)
+        for s, images in zip(perms, maps):
             moved = np.zeros_like(g.reps)
             moved[:, s + [n + q for q in s]] = g.reps
             want = (moved @ swapped.T % 2) @ (1 << np.arange(r)[::-1])
@@ -688,12 +686,27 @@ def test_orbit_reduction_never_adds_nodes(monkeypatch):
     for base, d in graphs:
         g = unioncode.build_search_graph(base, d)
         results.append((g, unioncode.max_clique(g)))
-    monkeypatch.setattr(symmetry, "qubit_automorphisms", lambda g: ([], 1))
+    monkeypatch.setattr(symmetry, "qubit_automorphisms", lambda g: ([], [], 1))
     for g, orbit in results:
         plain = unioncode.max_clique(g)
         assert plain.stats["symmetry"] == "translation"
         assert (orbit.vertices, orbit.optimal) == (plain.vertices, True)
         assert orbit.stats["nodes"] <= plain.stats["nodes"]
+
+
+def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):
+    """Past AUT_STEP_CAP backtracking steps the group is left trivial,
+    and the exact search returns the same clique, as optimal, reduced by
+    translations only."""
+    graphs = [unioncode.build_search_graph(_ring(n), 2) for n in (5, 6, 7)]
+    full = [unioncode.max_clique(g) for g in graphs]
+    monkeypatch.setattr(symmetry, "AUT_STEP_CAP", 2)
+    for g, want in zip(graphs, full):
+        assert symmetry.qubit_automorphisms(g) == ([], [], 1)
+        got = unioncode.max_clique(g)
+        assert want.stats["symmetry"] != "translation"
+        assert got.stats["symmetry"] == "translation"
+        assert (got.vertices, got.optimal) == (want.vertices, True)
 
 
 def test_leader_scan_and_true_distance_caps():
@@ -759,7 +772,7 @@ def test_clique_reverification_names_missing_edge(monkeypatch):
     g = unioncode.SearchGraph(leaders=np.array([0, 2, 2, 1]),
                               reps=np.zeros((4, 4), np.uint8),
                               target_d=2, base=None)
-    monkeypatch.setattr(unioncode, "_adjacency_chunks", lambda conn, verts:
+    monkeypatch.setattr(clique, "_adjacency_chunks", lambda conn, verts:
                         [(0, np.ones((len(verts), len(verts)), bool))])
     with pytest.raises(ConstructionMismatch,
                        match="01 and 10 are not adjacent"):
