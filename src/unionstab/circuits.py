@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf2
+from . import gf2, reversible
 from .errors import (
     BadParams,
-    CapExceeded,
     CollisionAfterReduction,
     ConstructionMismatch,
     NonCliffordGate,
-    NotFound,
     TooManyQubits,
 )
 from .pauli import PauliVector, pauli_str
@@ -52,7 +50,6 @@ __all__ = [
 _GATE_ARITY = {"H": 1, "P": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2, "CCX": 3}
 _CLIFFORD = ("H", "P", "X", "Z", "CNOT", "CZ")
 MAX_SIM_QUBITS = 12
-SYNTH_CHUNK = 1 << 16  # words canonicalised or deduplicated at once
 
 
 @dataclass(frozen=True)
@@ -311,247 +308,18 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
 # ---------------------------------------------------------------------------
 # Reversible synthesis over {X, CNOT, CCX}
 
-_BIT_GATES = ("X", "CNOT", "CCX")
-
-
-def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
-    """The X, CNOT and CCX of gate_set on w bits: (name, *controls, target).
-
-    Raises BadParams naming any other gate name, or when gate_set holds
-    none of the three.
-    """
-    unknown = [g for g in gate_set if g not in _BIT_GATES]
-    if unknown:
-        raise BadParams(f"unknown gate names {unknown} in gate_set; "
-                        f"synthesis takes {', '.join(_BIT_GATES)}")
-    if not gate_set:
-        raise BadParams(f"gate_set holds none of {', '.join(_BIT_GATES)}")
-    return [(g, *c, t) for g in _BIT_GATES if g in gate_set
-            for c in itertools.combinations(range(w), _GATE_ARITY[g] - 1)
-            for t in range(w) if t not in c]
-
-
-def _gate_images(gates: list[tuple], w: int, K: int, dtype):
-    """A function mapping packed states a, K fields of w bits each, to
-    their (G, N) images under the G gates, row g for gates[g].
-
-    Qubit q is bit w-1-q of each field, so qubit 0 is the most
-    significant.  Each gate is a (G, 1) column: its target bit in every
-    field (mask), and per control how far that bit lies above the target
-    (down) or below it (up).  The rows are written in place: the first
-    control (all ones for X) is shifted into them, the second controls
-    of the CCX rows are and-ed in through a scratch block of at most
-    SYNTH_CHUNK words, then out &= mask and out ^= a.  gates must be
-    sorted by name: that alone puts the CCX rows first and the X rows
-    last ('CCX' < 'CNOT' < 'X').
-    """
-    G = len(gates)
-    ones = sum(1 << (w * i) for i in range(K))
-    mask = np.array([ones << (w - 1 - g[-1]) for g in gates],
-                    dtype).reshape(G, 1)
-    down, up = np.zeros((2, 2, G, 1), dtype)
-    for g, (_, *ctrl, t) in enumerate(gates):
-        for j, c in enumerate(ctrl):
-            down[j, g], up[j, g] = max(t - c, 0), max(c - t, 0)
-    two = sum(len(g) == 4 for g in gates)  # the leading CCX rows
-    one = G - sum(len(g) == 2 for g in gates)  # rows with a control
-    chunk = SYNTH_CHUNK // max(two, 1)
-
-    def images(a):
-        out = np.empty((G, a.size), dtype)
-        np.right_shift(a, down[0, :one], out=out[:one])
-        out[:one] <<= up[0, :one]
-        out[one:] = np.iinfo(dtype).max
-        if two:
-            tmp = np.empty((two, min(chunk, a.size)), dtype)
-            for lo in range(0, a.size, chunk):
-                c = a[lo:lo + chunk]
-                t = np.right_shift(c, down[1, :two], out=tmp[:, :c.size])
-                t <<= up[1, :two]
-                out[:two, lo:lo + chunk] &= t
-        out &= mask
-        out ^= a
-        return out
-    return images
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Distinct values of a sorted 1-D array, as np.unique.
-
-    At synthesis frontier sizes numpy 2.x's hash-path np.unique and a[mask]
-    on a sparse mask are many times slower than np.compress, here by
-    chunks to keep compress's index array small.
-    """
-    out = [a[:1]]
-    for lo in range(1, a.size, SYNTH_CHUNK):
-        c = a[lo:lo + SYNTH_CHUNK]
-        out.append(np.compress(c != a[lo - 1:lo - 1 + c.size], c))
-    return np.concatenate(out)
-
-
-def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a that occur in the sorted, nonempty array b."""
-    pos = np.searchsorted(b, a)
-    return b[np.minimum(pos, b.size - 1, out=pos)] == a
-
-
-def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of a's entries in b (both sorted, a distinct); probes the
-    smaller."""
-    if a.size <= b.size:
-        return _in_sorted(a, b)
-    pos = np.minimum(np.searchsorted(a, b), a.size - 1)
-    mask = np.zeros(a.size, dtype=bool)
-    mask[pos[a[pos] == b]] = True
-    return mask
-
-
-def _batcher_pairs(n: int) -> list[tuple[int, int]]:
-    """Batcher's odd-even merge sort of n keys as comparators (i, j), i < j."""
-    return [(i + j, i + j + k)
-            for p in (1 << e for e in range((n - 1).bit_length()))
-            for k in (p >> e for e in range(p.bit_length()))
-            for j in range(k % p, n - k, 2 * k)
-            for i in range(min(k, n - j - k))
-            if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
-
-
-def _canonicaliser(w: int, K: int, hold: int, dtype):
-    """Sorts the packed fields hold..K-1 of each word in place, by chunks
-    split into per-field columns that pass a compare-exchange network.
-
-    Gates act on every field alike, so they commute with permutations of
-    the fields and searching the sorted representatives is exact.
-    """
-    if hold >= K - 1:
-        return lambda a: a
-    shifts = [w * i for i in range(hold, K)]
-    mask, keep = dtype((1 << w) - 1), dtype((1 << (w * hold)) - 1)
-    pairs = _batcher_pairs(K - hold)
-
-    def canon(a):
-        for c in np.split(a, range(SYNTH_CHUNK, a.size, SYNTH_CHUNK)):
-            cols = [(c >> s) & mask for s in shifts]
-            for i, j in pairs:
-                cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
-                                    np.maximum(cols[i], cols[j]))
-            c &= keep
-            for col, s in zip(cols, shifts):
-                c |= col << s
-        return a
-    return canon
-
-
-def _search(inputs: list[str], gate_set: tuple, max_gates: int,
-            any_order: bool, cap: int) -> tuple[list[tuple], tuple]:
-    """Lex-min minimum-gate sequence sending the inputs to 0..K-1, and order.
-
-    The order lists the indices of the inputs sent to 0, 1, ...  With
-    any_order the search runs modulo permutations of the packed fields.
-    Bidirectional breadth-first search: each level is a sorted array of
-    the packed states (uint32 when K*w <= 32) at exactly that distance from
-    its side's root, and the smaller frontier is expanded.  One routine,
-    _gate_images, applies the gates everywhere: level expansion, the
-    pruning of forward levels to states on some shortest path, the greedy
-    walk from the start that takes the smallest gate staying on one, and
-    the replay on the inputs.  The expansion is tested against the other
-    side's newest level before it is deduplicated and pruned: with f and
-    b levels past the roots, the distance exceeds f + b, so an image
-    found there lies f + b + 1 steps from the start and the search stops.
-    Raises CapExceeded before an expansion would hold more than cap
-    states.
-    """
-    K = len(inputs)
-    if K == 0 or K > 64:
-        raise BadParams("need between 1 and 64 input strings")
-    w = len(inputs[0])
-    if w > 8 or any(len(s) != w for s in inputs):
-        raise BadParams("inputs must share one width of at most 8 bits")
-    if len(set(inputs)) != K:
-        raise BadParams("inputs must be distinct")
-    if K > (1 << w):
-        raise BadParams("more inputs than w-bit strings")
-    if K * w > 64:
-        raise BadParams("packed search supports K*w <= 64")
-    if max_gates < 0:
-        raise BadParams(f"max_gates must be at least 0, got {max_gates}")
-    dtype = np.uint32 if K * w <= 32 else np.uint64
-    vals = [int(s, 2) for s in inputs]
-    # any order: the all-zero input, if present, sorts into field 0 and stays
-    start = sorted(vals) if any_order else vals
-    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
-    gates = sorted(_bit_gates(w, tuple(gate_set)))
-    images = _gate_images(gates, w, K, dtype)
-
-    def step(states):
-        """Every gate's image of every state, canonicalised, gate-major."""
-        if states.size * len(gates) > cap:
-            raise CapExceeded(f"expanding {states.size} states by "
-                              f"{len(gates)} gates exceeds cap {cap}")
-        return canon(images(states).reshape(-1))
-
-    def expand(level):
-        """step's images, sorted."""
-        new = step(level)
-        new.sort()
-        return new
-
-    def packed(vs):  # value i into bits w*i .. w*i + w - 1 of one word
-        return np.array([sum(v << (w * i) for i, v in enumerate(vs))], dtype)
-
-    fwd, back = [packed(start)], [packed(range(K))]  # one-state roots
-    meet = np.compress(fwd[0] == back[0], fwd[0])
-    while not meet.size:
-        if len(fwd) + len(back) - 2 >= max_gates:
-            raise NotFound(max_gates)
-        side, other = ((fwd, back) if fwd[-1].size <= back[-1].size
-                       else (back, fwd))
-        new = expand(side[-1])
-        # before dedup and pruning: any image in the other side's newest
-        # level is the meet, as the docstring shows
-        meet = np.compress(_members(other[-1], new), other[-1])
-        if meet.size:
-            new = meet
-        else:
-            new = _distinct(new)
-            for old in side[-2:]:  # neighbours lie at most one level closer
-                new = np.compress(~_members(new, old), new)
-            if not new.size:  # this side's component is exhausted
-                raise NotFound(max_gates)
-        side.append(new)
-
-    # on_path[j]: states j steps from the start on some shortest path
-    on_path = [meet]
-    for level in fwd[-2::-1]:
-        imgs = expand(on_path[0])
-        on_path.insert(0, np.compress(_members(level, imgs), level))
-    picked = []
-    cur = fwd[0]
-    # all gates are involutions: back[k] is "k steps from the target"
-    for level in on_path[1:] + back[-2::-1]:
-        imgs = step(cur)
-        picked.append(int(np.flatnonzero(_in_sorted(imgs, level))[0]))
-        cur = imgs[picked[-1]:picked[-1] + 1]
-    end = packed(vals)  # the inputs in their own order, uncanonicalised
-    for i in picked:
-        end = images(end)[i]
-    ends = [int(end[0]) >> (w * i) & ((1 << w) - 1) for i in range(K)]
-    return ([gates[i] for i in picked],
-            tuple(sorted(range(K), key=ends.__getitem__)))
-
-
 def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
              max_gates: int = 10, cap: int = gf2.DEFAULT_CAP) -> Circuit:
     """Minimum-gate reversible circuit mapping input i to binary(i).
 
-    Runs the meet-in-the-middle search of synth_qc_any_order with the
+    Runs the meet-in-the-middle search of reversible._search with the
     identity canonicaliser.  Among minimum-gate circuits it returns the
     lexicographically smallest gate sequence, gates compared as tuples.
-    Raises CapExceeded before a level expansion would hold more than cap
-    states.
+    Raises CapExceeded before a level expansion or a search key table
+    would hold more than cap words.
     """
-    gates, _ = _search(inputs, gate_set, max_gates, any_order=False,
-                       cap=cap)
+    gates, _ = reversible._search(inputs, gate_set, max_gates,
+                                  any_order=False, cap=cap)
     return Circuit(n=len(inputs[0]), gates=tuple(gates))
 
 
@@ -571,8 +339,8 @@ def synth_qc_any_order(inputs: list[str],
     that input i maps to binary(i).  K is bounded only by K*w <= 64, and
     memory by cap as in synth_qc.
     """
-    gates, order = _search(inputs, gate_set, max_gates, any_order=True,
-                           cap=cap)
+    gates, order = reversible._search(inputs, gate_set, max_gates,
+                                      any_order=True, cap=cap)
     return Circuit(n=len(inputs[0]), gates=tuple(gates)), order
 
 

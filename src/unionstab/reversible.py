@@ -1,0 +1,333 @@
+"""Minimum-gate reversible synthesis over {X, CNOT, CCX} on packed words.
+
+The classical stage of an encoder sends the coset labels, K strings of
+w bits, to counting order.  The search runs over states that pack the K
+strings into one uint32 or uint64 word, w bits per field, and applies
+gates to whole arrays of such words at once.  It uses no Pauli or
+stabilizer type: circuits wraps its gate list in a Circuit.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from .errors import BadParams, CapExceeded, NotFound
+
+SYNTH_CHUNK = 1 << 16  # words canonicalised or deduplicated at once
+_CONTROLS = {"X": 0, "CNOT": 1, "CCX": 2}
+
+
+def _bit_gates(w: int, gate_set: tuple) -> list[tuple]:
+    """The X, CNOT and CCX of gate_set on w bits: (name, *controls, target).
+
+    Raises BadParams naming any other gate name, or when gate_set holds
+    none of the three.
+    """
+    unknown = [g for g in gate_set if g not in _CONTROLS]
+    if unknown:
+        raise BadParams(f"unknown gate names {unknown} in gate_set; "
+                        f"synthesis takes {', '.join(_CONTROLS)}")
+    if not gate_set:
+        raise BadParams(f"gate_set holds none of {', '.join(_CONTROLS)}")
+    return [(g, *c, t) for g in _CONTROLS if g in gate_set
+            for c in itertools.combinations(range(w), _CONTROLS[g])
+            for t in range(w) if t not in c]
+
+
+def _gate_images(gates: list[tuple], w: int, K: int, dtype):
+    """A function mapping packed states a, K fields of w bits each, to
+    their (G, N) images under the G gates, row g for gates[g].
+
+    Qubit q is bit w-1-q of each field, so qubit 0 is the most
+    significant.  Each gate is a (G, 1) column: its target bit in every
+    field (mask), and per control how far that bit lies above the target
+    (down) or below it (up).  The rows are written in place: the first
+    control (all ones for X) is shifted into them, the second controls
+    of the CCX rows are and-ed in through a scratch block of at most
+    SYNTH_CHUNK words, then out &= mask and out ^= a.  gates must be
+    sorted by name: that alone puts the CCX rows first and the X rows
+    last ('CCX' < 'CNOT' < 'X').
+    """
+    G = len(gates)
+    ones = sum(1 << (w * i) for i in range(K))
+    mask = np.array([ones << (w - 1 - g[-1]) for g in gates],
+                    dtype).reshape(G, 1)
+    # target minus each control; a missing control stands at the target
+    tc = np.array([(g[-1], *g[1:-1], g[-1], g[-1])[:3] for g in gates],
+                  np.int64).reshape(G, 3)
+    d = (tc[:, :1] - tc[:, 1:]).T[..., None]
+    down, up = np.maximum(d, 0).astype(dtype), np.maximum(-d, 0).astype(dtype)
+    two = sum(len(g) == 4 for g in gates)  # the leading CCX rows
+    one = G - sum(len(g) == 2 for g in gates)  # rows with a control
+    chunk = SYNTH_CHUNK // max(two, 1)
+    top = np.iinfo(dtype).max
+
+    def images(a):
+        out = np.empty((G, a.size), dtype)
+        np.right_shift(a, down[0, :one], out=out[:one])
+        out[:one] <<= up[0, :one]
+        out[one:] = top
+        if two:
+            tmp = np.empty((two, min(chunk, a.size)), dtype)
+            for lo in range(0, a.size, chunk):
+                c = a[lo:lo + chunk]
+                t = np.right_shift(c, down[1, :two], out=tmp[:, :c.size])
+                t <<= up[1, :two]
+                out[:two, lo:lo + chunk] &= t
+        out &= mask
+        out ^= a
+        return out
+    return images
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted 1-D array, as np.unique.
+
+    At synthesis frontier sizes numpy 2.x's hash-path np.unique and a[mask]
+    on a sparse mask are many times slower than np.compress, here by
+    chunks to keep compress's index array small.
+    """
+    out = [a[:1]]
+    for lo in range(1, a.size, SYNTH_CHUNK):
+        c = a[lo:lo + SYNTH_CHUNK]
+        out.append(np.compress(c != a[lo - 1:lo - 1 + c.size], c))
+    return np.concatenate(out)
+
+
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a that occur in the sorted, nonempty array b."""
+    pos = np.searchsorted(b, a)
+    return b[np.minimum(pos, b.size - 1, out=pos)] == a
+
+
+def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of a's entries in b (both sorted, a distinct); probes the
+    smaller."""
+    if a.size <= b.size:
+        return _in_sorted(a, b)
+    pos = np.minimum(np.searchsorted(a, b), a.size - 1)
+    mask = np.zeros(a.size, dtype=bool)
+    mask[pos[a[pos] == b]] = True
+    return mask
+
+
+def _shared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values of both sorted distinct arrays a and b, sorted."""
+    both = np.concatenate([a, b])
+    both.sort()
+    return np.compress(both[1:] == both[:-1], both[1:])
+
+
+def _batcher_pairs(n: int) -> list[tuple[int, int]]:
+    """Batcher's odd-even merge sort of n keys as comparators (i, j), i < j."""
+    return [(i + j, i + j + k)
+            for p in (1 << e for e in range((n - 1).bit_length()))
+            for k in (p >> e for e in range(p.bit_length()))
+            for j in range(k % p, n - k, 2 * k)
+            for i in range(min(k, n - j - k))
+            if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+
+
+def _canonicaliser(w: int, K: int, hold: int, dtype):
+    """Sorts the packed fields hold..K-1 of each word in place, by chunks
+    split into per-field uint8 columns that pass a compare-exchange
+    network.
+
+    Gates act on every field alike, so they commute with permutations of
+    the fields and searching the sorted representatives is exact.
+    """
+    if hold >= K - 1:
+        return lambda a: a
+    shifts = np.array([w * i for i in range(hold, K)], dtype).reshape(-1, 1)
+    mask, keep = np.uint8((1 << w) - 1), dtype((1 << (w * hold)) - 1)
+    pairs = _batcher_pairs(K - hold)
+
+    def canon(a):
+        for lo in range(0, a.size, SYNTH_CHUNK):
+            c = a[lo:lo + SYNTH_CHUNK]
+            cols = list((c >> shifts).astype(np.uint8) & mask)
+            for i, j in pairs:
+                cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
+                                    np.maximum(cols[i], cols[j]))
+            c &= keep
+            for col, s in zip(cols, shifts[:, 0]):
+                c |= np.left_shift(col, s, dtype=dtype)
+        return a
+    return canon
+
+
+def _joiner(gates: list[tuple], w: int, K: int, dtype, canon, cap: int):
+    """join(S, O): the sorted states of level O one gate from level S.
+
+    A state's plane-t key is canon(x | m), m its bit w-1-t in every
+    field.  Each level's w keys per state are sorted and deduplicated
+    once, and that table is kept while the level is its side's newest.
+    The keys S and O share pick the states of S to expand: a state
+    whose plane-t key hashes like a shared one is expanded by the gates
+    with target t, and the distinct images that lie in O are the join.
+    A key of one plane may equal a key of another, and two keys may
+    hash alike; both only add candidates.  Raises CapExceeded before a
+    table would take more than cap words (2w per state: the keys and
+    their sorted distinct values), and before the candidate images
+    would.
+    """
+    ones = sum(1 << (w * i) for i in range(K))
+    fill = np.array([ones << (w - 1 - t) for t in range(w)],
+                    dtype).reshape(w, 1)
+    by_target = [[g for g in gates if g[-1] == t] for t in range(w)]
+    tables = {}  # id of a side's newest level -> its sorted keys
+    plane_images = {}  # target -> its gates' image function, on first use
+    bits = np.iinfo(dtype).bits
+    golden = dtype(0x9E3779B97F4A7C15 >> (64 - bits))
+
+    def hash16(keys):  # Fibonacci hashing to 16 bits
+        return (keys * golden) >> (bits - 16)
+
+    def keyed(level):  # the (w, N) plane keys of level's states
+        return canon((level | fill).reshape(-1)).reshape(w, -1)
+
+    def table(level):  # level's sorted distinct keys, computed once
+        if id(level) not in tables:
+            if 2 * w * level.size > cap:
+                raise CapExceeded(f"keying {level.size} states on {w} "
+                                  f"planes exceeds cap {cap}")
+            keys = keyed(level).reshape(-1)
+            keys.sort()
+            tables[id(level)] = _distinct(keys)
+        return tables[id(level)]
+
+    def join(S, O):
+        shared = _shared(table(S), table(O))
+        del tables[id(S)]  # S's side expands next, or the search is over
+        if not shared.size:
+            return shared
+        lut = np.zeros(1 << 16, bool)  # a filter: the images are exact
+        lut[hash16(shared)] = True
+        hit = lut[hash16(keyed(S))]
+        found, size = [], 0
+        for t in np.flatnonzero(hit.any(axis=1)).tolist():
+            cand = np.compress(hit[t], S)
+            size += cand.size * len(by_target[t])
+            if size > cap:
+                raise CapExceeded(f"the join's {size} candidate images "
+                                  f"exceed cap {cap}")
+            if t not in plane_images:
+                plane_images[t] = _gate_images(by_target[t], w, K, dtype)
+            found.append(plane_images[t](cand).reshape(-1))
+        imgs = canon(np.concatenate(found))
+        imgs.sort()
+        return np.compress(_members(O, imgs), O)
+    return join
+
+
+def _search(inputs: list[str], gate_set: tuple, max_gates: int,
+            any_order: bool, cap: int) -> tuple[list[tuple], tuple]:
+    """Lex-min minimum-gate sequence sending the inputs to 0..K-1, and order.
+
+    The order lists the indices of the inputs sent to 0, 1, ...  With
+    any_order the search runs modulo permutations of the packed fields.
+    Bidirectional breadth-first search: each level is a sorted array of
+    the packed states (uint32 when K*w <= 32) at exactly that distance from
+    its side's root.  With f and b levels past the roots and no meet yet,
+    the distance exceeds f + b; the smaller newest frontier S is joined
+    with the other side's newest level O, and a state of O one gate from
+    S lies f + b + 1 steps from the start, so the join's output is the
+    meet and the search stops.  Otherwise S is expanded, deduplicated and
+    pruned, unless f + b + 1 = max_gates: no later join could use the
+    new level, and NotFound is raised at once.
+
+    The join is exact.  A gate with target t changes only plane t, bit
+    w-1-t of every field, so x and its image agree once every field has
+    that bit set.  Setting a plane commutes with the canonicaliser's
+    permutations of the fields, so x and canon(image) share the plane-t
+    key canon(x | m).  Every state of O one gate from S is thus the
+    image, under a gate with target t, of a state of S whose plane-t key
+    is also one of O's.  The join builds those images and checks them
+    exactly against O, so extra candidates cost time, not correctness.
+
+    One routine, _gate_images, applies the gates everywhere: level
+    expansion, the join, the pruning of forward levels to states on some
+    shortest path, the greedy walk from the start that takes the smallest
+    gate staying on one, and the replay on the inputs.  Raises
+    CapExceeded before an expansion, a key table or the join's candidate
+    images would hold more than cap words.
+    """
+    K = len(inputs)
+    if K == 0 or K > 64:
+        raise BadParams("need between 1 and 64 input strings")
+    w = len(inputs[0])
+    if w > 8 or any(len(s) != w for s in inputs):
+        raise BadParams("inputs must share one width of at most 8 bits")
+    if len(set(inputs)) != K:
+        raise BadParams("inputs must be distinct")
+    if K > (1 << w):
+        raise BadParams("more inputs than w-bit strings")
+    if K * w > 64:
+        raise BadParams("packed search supports K*w <= 64")
+    if max_gates < 0:
+        raise BadParams(f"max_gates must be at least 0, got {max_gates}")
+    dtype = np.uint32 if K * w <= 32 else np.uint64
+    vals = [int(s, 2) for s in inputs]
+    # any order: the all-zero input, if present, sorts into field 0 and stays
+    start = sorted(vals) if any_order else vals
+    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
+    gates = sorted(_bit_gates(w, tuple(gate_set)))
+    images = _gate_images(gates, w, K, dtype)
+    join = _joiner(gates, w, K, dtype, canon, cap)
+
+    def step(states):
+        """Every gate's image of every state, canonicalised, gate-major."""
+        if states.size * len(gates) > cap:
+            raise CapExceeded(f"expanding {states.size} states by "
+                              f"{len(gates)} gates exceeds cap {cap}")
+        return canon(images(states).reshape(-1))
+
+    def expand(level):
+        """step's images, sorted."""
+        new = step(level)
+        new.sort()
+        return new
+
+    def packed(vs):  # value i into bits w*i .. w*i + w - 1 of one word
+        return np.array([sum(v << (w * i) for i, v in enumerate(vs))], dtype)
+
+    fwd, back = [packed(start)], [packed(range(K))]  # one-state roots
+    meet = np.compress(fwd[0] == back[0], fwd[0])
+    while not meet.size:
+        if len(fwd) + len(back) - 2 >= max_gates:
+            raise NotFound(max_gates)
+        side, other = ((fwd, back) if fwd[-1].size <= back[-1].size
+                       else (back, fwd))
+        meet = join(side[-1], other[-1])
+        if meet.size:
+            new = meet
+        elif len(fwd) + len(back) - 1 >= max_gates:
+            raise NotFound(max_gates)
+        else:
+            new = _distinct(expand(side[-1]))
+            for old in side[-2:]:  # neighbours lie at most one level closer
+                new = np.compress(~_members(new, old), new)
+            if not new.size:  # this side's component is exhausted
+                raise NotFound(max_gates)
+        side.append(new)
+
+    # on_path[j]: states j steps from the start on some shortest path
+    on_path = [meet]
+    for level in fwd[-2::-1]:
+        imgs = expand(on_path[0])
+        on_path.insert(0, np.compress(_members(level, imgs), level))
+    picked = []
+    cur = fwd[0]
+    # all gates are involutions: back[k] is "k steps from the target"
+    for level in on_path[1:] + back[-2::-1]:
+        imgs = step(cur)
+        picked.append(int(np.flatnonzero(_in_sorted(imgs, level))[0]))
+        cur = imgs[picked[-1]:picked[-1] + 1]
+    end = packed(vals)  # the inputs in their own order, uncanonicalised
+    for i in picked:
+        end = images(end)[i]
+    ends = [int(end[0]) >> (w * i) & ((1 << w) - 1) for i in range(K)]
+    return ([gates[i] for i in picked],
+            tuple(sorted(range(K), key=ends.__getitem__)))

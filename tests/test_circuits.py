@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unionstab import circuits, gf2, pauli, stab, unioncode
+from unionstab import circuits, gf2, pauli, reversible, stab, unioncode
 from unionstab.errors import (
     BadParams,
     CapExceeded,
@@ -271,12 +271,12 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
     # prune a meet of 12 states to the shortest paths: the cap must stop
     # that step before its 12 x 12 images are built
     built = []
-    gate_images = circuits._gate_images
+    gate_images = reversible._gate_images
 
     def spy(gates, w, K, dtype):
         images = gate_images(gates, w, K, dtype)
         return lambda a: (built.append(a.size * len(gates)), images(a))[1]
-    monkeypatch.setattr(circuits, "_gate_images", spy)
+    monkeypatch.setattr(reversible, "_gate_images", spy)
     inputs = ["110", "011", "101"]
     circuits.synth_qc_any_order(inputs, cap=144)
     assert max(built) == 144
@@ -285,46 +285,126 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
                        match="expanding 12 states by 12 gates exceeds cap 108"):
         circuits.synth_qc_any_order(inputs, cap=108)
     assert built and max(built) <= 108
+    # counting order: the largest expansion is 4,557 states by 55 gates,
+    # but keying the 51,625-state level takes 2 * 5 words per state; the
+    # refusal comes before that table, 4 bytes a word, is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="keying 51625 states on 5 "
+                           "planes exceeds cap 300000"):
+            circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 * 5 * 51625
+    # one CNOT apart: each root's table takes 2 * 5 words, but the plane
+    # the roots share has 11 gates to apply to the forward root
+    with pytest.raises(CapExceeded,
+                       match="the join's 11 candidate images exceed cap 10"):
+        circuits.synth_qc(["00000", "00011"], cap=10)
+
+
+@pytest.mark.parametrize("any_order, max_gates, limit", [
+    (False, 8, 4 << 20),
+    (True, 7, 5 << 19),
+])
+def test_synthesis_peak_memory(any_order, max_gates, limit):
+    """The ((5, 6, 2)) searches of the encoder benchmark stay below 4 MiB
+    and 2.5 MiB: the join keys two levels instead of expanding one."""
+    synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
+    tracemalloc.start()
+    try:
+        synth(CANONICAL_LABELS, max_gates=max_gates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 @pytest.mark.parametrize("inputs, any_order, side", [
-    # one gate: the forward root expands first and meets the backward root
+    # one gate: the forward root is joined first and meets the backward root
     (["10", "11"], False, "forward"),
     (["000", "001", "011"], True, "forward"),
     # two gates: the forward level 1 holds several states, so the backward
-    # root, the smaller frontier, expands next and meets it
+    # root, the smaller frontier, is joined with it next and meets it
     (["11", "10"], False, "backward"),
     (["000", "001", "100"], False, "backward"),
 ])
 def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
                                           side):
-    """The expansion holding the meet is neither deduplicated nor pruned,
-    and the result is the lex-min oracle's, whichever side met."""
-    calls = []  # the states of each image call; None for each dedup
-    gate_images, distinct = circuits._gate_images, circuits._distinct
+    """The meet is the join of the named side's newest level, that level
+    is never expanded as a whole, and the result is the lex-min oracle's,
+    whichever side met."""
+    calls = []  # ("images", gate count, states) and ("join", S, meet)
+    gate_images, joiner = reversible._gate_images, reversible._joiner
 
-    def spy(*args):
-        images = gate_images(*args)
-        return lambda a: (calls.append(a.copy()), images(a))[1]
-    monkeypatch.setattr(circuits, "_gate_images", spy)
-    monkeypatch.setattr(circuits, "_distinct", lambda a: (
-        calls.append(None), distinct(a))[1])
+    def images_spy(gates, *args):
+        images = gate_images(gates, *args)
+        return lambda a: (calls.append(("images", len(gates), a.copy())),
+                          images(a))[1]
+
+    def joiner_spy(*args):
+        join = joiner(*args)
+
+        def join_spy(S, O):
+            meet = join(S, O)
+            calls.append(("join", S.copy(), meet.copy()))
+            return meet
+        return join_spy
+    monkeypatch.setattr(reversible, "_gate_images", images_spy)
+    monkeypatch.setattr(reversible, "_joiner", joiner_spy)
     synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
     got = synth(inputs)
     circ, order = got if any_order else (got, None)
     seq, want_order = _lexmin_oracle(inputs, any_order)
     assert circ.gates == seq
     assert order in (None, want_order)
-    # every expansion but the last was deduplicated
-    dedups = [i for i, c in enumerate(calls) if c is None]
-    assert len(dedups) == len(seq) - 1
-    # the meeting expansion is the image call after the last dedup
-    met = calls[dedups[-1] + 1 if dedups else 0]
-    w = len(inputs[0])
+    # every join but the last found nothing; the last one met
+    joins = [i for i, c in enumerate(calls) if c[0] == "join"]
+    assert len(joins) == len(seq)
+    assert all(not calls[i][2].size for i in joins[:-1])
+    _, S, meet = calls[joins[-1]]
+    assert meet.size
+    w, K = len(inputs[0]), len(inputs)
     vals = sorted(int(v, 2) for v in inputs) if any_order else \
         [int(v, 2) for v in inputs]
-    root = {"forward": vals, "backward": range(len(inputs))}[side]
-    assert met.tolist() == [sum(v << (w * i) for i, v in enumerate(root))]
+    root = {"forward": vals, "backward": range(K)}[side]
+    assert S.tolist() == [sum(v << (w * i) for i, v in enumerate(root))]
+    # before the meet, no image call took that frontier with every gate;
+    # the meeting join expanded states of it by one target's gates
+    G = len(reversible._bit_gates(w, ("X", "CNOT", "CCX")))
+    assert not [c for c in calls[:joins[-1]] if c[0] == "images"
+                and c[1] == G and c[2].tolist() == S.tolist()]
+    first = joins[-2] + 1 if len(joins) > 1 else 0
+    cands = [c[2] for c in calls[first:joins[-1]] if c[1] < G]
+    assert cands and all(set(c.tolist()) <= set(S.tolist()) for c in cands)
+
+
+@pytest.mark.parametrize("any_order, max_gates, expanded", [
+    (False, 7, [1, 1, 23, 44, 353, 1154]),
+    (True, 6, [1, 1, 19, 42, 240]),
+])
+def test_not_found_builds_no_level_past_the_last_join(
+        monkeypatch, any_order, max_gates, expanded):
+    """The ((5, 6, 2)) labels need 8 gates in counting order and 7 in any
+    order.  One gate short, the search stops at the join that tests
+    max_gates gates: with f and b levels past the roots it expands only
+    until f + b = max_gates - 1, and builds no level that only a join of
+    more than max_gates gates could use."""
+    sizes = []  # the states of each image call applying every gate
+    gate_images = reversible._gate_images
+    G = len(reversible._bit_gates(5, ("X", "CNOT", "CCX")))
+
+    def spy(gates, *args):
+        images = gate_images(gates, *args)
+        return lambda a: (len(gates) == G and sizes.append(a.size),
+                          images(a))[1]
+    monkeypatch.setattr(reversible, "_gate_images", spy)
+    synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
+    with pytest.raises(NotFound):
+        synth(CANONICAL_LABELS, max_gates=max_gates)
+    assert len(sizes) == max_gates - 1
+    assert sorted(sizes) == expanded
 
 
 def _field_images(gates, w, K, state):
@@ -346,14 +426,14 @@ def test_gate_images_match_per_field_reference(monkeypatch, w, dtype):
     """The one image routine against the per-field reference, for every
     gate on w bits and K fields up to the packing limit, with a scratch
     block small enough that the CCX rows take several chunks."""
-    monkeypatch.setattr(circuits, "SYNTH_CHUNK", 300)
-    gates = sorted(circuits._bit_gates(w, ("X", "CNOT", "CCX")))
+    monkeypatch.setattr(reversible, "SYNTH_CHUNK", 300)
+    gates = sorted(reversible._bit_gates(w, ("X", "CNOT", "CCX")))
     rng = np.random.default_rng(w)
     limit = np.iinfo(dtype).bits // w
     for K in sorted({1, (limit + 1) // 2, limit}):
         states = [int(v) for v in rng.integers(0, 1 << w, (150, K))
                   @ (np.array([1 << (w * i) for i in range(K)], object))]
-        got = circuits._gate_images(gates, w, K, dtype)(
+        got = reversible._gate_images(gates, w, K, dtype)(
             np.array(states, dtype))
         assert got.dtype == dtype and got.shape == (len(gates), len(states))
         want = np.array([_field_images(gates, w, K, s) for s in states],
@@ -395,9 +475,10 @@ def test_synth_qc_any_order():
     assert len(circ) <= len(circuits.synth_qc(inputs, max_gates=4))
 
 
-def _lexmin_oracle(inputs, any_order):
+def _lexmin_oracle(inputs, any_order, gate_set=("X", "CNOT", "CCX")):
     """Plain BFS over K-tuples of ints from the goal set, then a greedy
-    walk from the inputs taking the smallest gate one step closer."""
+    walk from the inputs taking the smallest gate of gate_set one step
+    closer; None when the inputs cannot reach a goal."""
     K, w = len(inputs), len(inputs[0])
     start = tuple(int(s, 2) for s in inputs)
     gates = sorted([("X", q) for q in range(w)]
@@ -405,6 +486,7 @@ def _lexmin_oracle(inputs, any_order):
                        range(w), 2)]
                    + [("CCX", a, b, t) for a, b in itertools.combinations(
                        range(w), 2) for t in range(w) if t not in (a, b)])
+    gates = [g for g in gates if g[0] in gate_set]
 
     def apply(g, state):  # controls g[1:-1], target g[-1]; qubit 0 = MSB
         flip = 1 << (w - 1 - g[-1])
@@ -418,7 +500,8 @@ def _lexmin_oracle(inputs, any_order):
     dist = dict.fromkeys(goals, 0)
     frontier = goals
     while start not in dist:
-        assert frontier, "inputs cannot reach the goal"
+        if not frontier:
+            return None
         nxt = []
         for s in frontier:
             for t in (apply(g, s) for g in gates):
@@ -471,7 +554,7 @@ def test_sorted_unique_matches_np_unique():
                       dtype=np.uint64),
              np.array([2**64 - 1], dtype=np.uint64)]
     for a in cases:
-        got = circuits._distinct(np.sort(a))
+        got = reversible._distinct(np.sort(a))
         assert got.dtype == np.uint64
         assert np.array_equal(got, np.unique(a))
 
@@ -485,9 +568,9 @@ def test_sorted_unique_keeps_uint32_across_chunks(monkeypatch):
                        3)]
     # runs of equal values straddle the chunk boundaries at every size
     for chunk in (1 << 16, 7, 2, 1):
-        monkeypatch.setattr(circuits, "SYNTH_CHUNK", chunk)
+        monkeypatch.setattr(reversible, "SYNTH_CHUNK", chunk)
         for a in cases:
-            got = circuits._distinct(np.sort(a))
+            got = reversible._distinct(np.sort(a))
             assert got.dtype == a.dtype
             assert np.array_equal(got, np.unique(a)), chunk
 
@@ -499,9 +582,21 @@ def test_members_matches_isin():
                        (300, 20), (20, 300), (200, 200)):
             a = np.unique(rng.integers(0, 400, size=na).astype(dtype))
             b = np.unique(rng.integers(0, 400, size=nb).astype(dtype))
-            got = circuits._members(a, b)
+            got = reversible._members(a, b)
             assert got.dtype == bool and got.shape == a.shape
             assert np.array_equal(got, np.isin(a, b)), (na, nb)
+
+
+def test_shared_matches_intersect1d():
+    rng = np.random.default_rng(15)
+    for dtype in (np.uint32, np.uint64):
+        for na, nb in ((0, 0), (0, 5), (5, 0), (1, 1), (40, 300), (300, 40),
+                       (200, 200)):
+            a = np.unique(rng.integers(0, 400, size=na).astype(dtype))
+            b = np.unique(rng.integers(0, 400, size=nb).astype(dtype))
+            got = reversible._shared(a, b)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.intersect1d(a, b)), (na, nb)
 
 
 def test_batcher_pairs_sort_every_binary_input():
@@ -509,7 +604,7 @@ def test_batcher_pairs_sort_every_binary_input():
     # sorts every input
     for n in range(1, 17):
         x = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        for i, j in circuits._batcher_pairs(n):
+        for i, j in reversible._batcher_pairs(n):
             assert 0 <= i < j < n
             x[:, [i, j]] = np.sort(x[:, [i, j]], axis=1)
         assert not (np.diff(x, axis=1) < 0).any(), n
@@ -517,7 +612,7 @@ def test_batcher_pairs_sort_every_binary_input():
 
 def test_canonicaliser_matches_sort_oracle(monkeypatch):
     # a small chunk makes every array below span several chunks
-    monkeypatch.setattr(circuits, "SYNTH_CHUNK", 7)
+    monkeypatch.setattr(reversible, "SYNTH_CHUNK", 7)
     rng = np.random.default_rng(10)
     widths = [(w, K) for w in range(1, 9) for K in range(1, (1 << w) + 1)
               if K * w <= 64]
@@ -533,7 +628,7 @@ def test_canonicaliser_matches_sort_oracle(monkeypatch):
             want = fields.copy()
             want[:, hold:].sort(axis=1)
             want = np.bitwise_or.reduce(want << shifts, axis=1)
-            got = circuits._canonicaliser(w, K, hold, dtype)(words.copy())
+            got = reversible._canonicaliser(w, K, hold, dtype)(words.copy())
             assert got.dtype == dtype
             assert np.array_equal(got.astype(np.uint64), want), (w, K, hold)
 
@@ -576,10 +671,12 @@ def _forward_any_order_oracle(inputs):
     return tuple(seq), tuple(sorted(range(K), key=state.__getitem__))
 
 
-def _gates_on_counting_order(w, K, rng, count):
-    """binary(0..K-1) after count seeded gates, as w-bit strings."""
+def _gates_on_counting_order(w, K, rng, count,
+                             gate_set=("X", "CNOT", "CCX")):
+    """binary(0..K-1) after count seeded gates of gate_set, as w-bit
+    strings."""
     vals = list(range(K))
-    gates = circuits._bit_gates(w, ("X", "CNOT", "CCX"))
+    gates = reversible._bit_gates(w, gate_set)
     for _ in range(count):
         g = gates[int(rng.integers(len(gates)))]
         flip = 1 << (w - 1 - g[-1])
@@ -611,6 +708,50 @@ def test_synth_qc_matches_lexmin_oracle_on_wide_words():
             circ, got = circuits.synth_qc_any_order(inputs)
             assert (circ.gates, got) == (seq, order), inputs
             _truth_check(circ, [inputs[o] for o in order])
+
+
+def test_synthesis_edge_cases_match_lexmin_oracle():
+    """Gate sets that leave planes without a gate of their own, one input
+    or one bit, the zero input held in any order, and uint64 words: the
+    search returns the oracle's circuit and order, or both find none."""
+    rng = np.random.default_rng(14)
+    cases = [
+        # no CCX fits on 2 bits and no CNOT on 1: every plane lacks a gate
+        (["01", "00"], ("CCX",)), (["00", "01"], ("CCX",)),
+        (["1", "0"], ("CNOT",)), (["0", "1"], ("CNOT",)),
+        # K = 1 and w = 1
+        (["1"], ("X", "CNOT", "CCX")), (["0"], ("CNOT",)),
+        (["110"], ("X", "CNOT", "CCX")), (["0110"], ("CNOT", "CCX")),
+        (["1", "0"], ("X", "CNOT", "CCX")), (["1", "0"], ("X",)),
+        # the zero input held in field 0, wherever it stands
+        (["101", "000", "011"], ("X", "CNOT", "CCX")),
+        (["110", "011", "000", "100"], ("CNOT",)),
+        (["0110", "1011", "0000"], ("CNOT", "CCX")),
+        # uint64 words, K * w > 32; CNOT alone keeps the zero input held
+        (_gates_on_counting_order(4, 9, rng, 3, ("X", "CNOT")),
+         ("X", "CNOT")),
+        (["00000", "00001", "00011", "00010", "00100", "00101", "00111"],
+         ("CNOT",)),
+    ]
+    for gate_set in (("X",), ("CNOT",), ("CCX",)):  # one gate kind each
+        for _ in range(3):
+            w = int(rng.integers(2, 4))
+            K = int(rng.integers(1, min(4, 1 << w) + 1))
+            cases.append(([format(int(v), f"0{w}b") for v in
+                           rng.choice(1 << w, K, replace=False)], gate_set))
+    for inputs, gate_set in cases:
+        # the any-order oracle starts from every admissible ordering
+        for any_order in (False, True)[:1 + (len(inputs) <= 7)]:
+            want = _lexmin_oracle(inputs, any_order, gate_set)
+            synth = circuits.synth_qc_any_order if any_order else \
+                circuits.synth_qc
+            if want is None or len(want[0]) > 6:
+                with pytest.raises(NotFound):
+                    synth(inputs, gate_set=gate_set, max_gates=6)
+                continue
+            got = synth(inputs, gate_set=gate_set, max_gates=6)
+            circ, order = got if any_order else (got, want[1])
+            assert (circ.gates, order) == want, (inputs, gate_set, any_order)
 
 
 @pytest.fixture(scope="module")
