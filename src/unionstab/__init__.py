@@ -43,10 +43,7 @@ from .classical import (
 )
 from .errors import UnionStabError
 from .pauli import (
-    GF4Symbol,
     PauliVector,
-    gf4_convert,
-    gf4_to_pauli,
     pauli_mul,
     pauli_parse,
     pauli_str,

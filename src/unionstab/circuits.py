@@ -315,8 +315,11 @@ def synth_qc(inputs: list[str], gate_set: tuple = ("X", "CNOT", "CCX"),
     Runs the meet-in-the-middle search of reversible._search with the
     identity canonicaliser.  Among minimum-gate circuits it returns the
     lexicographically smallest gate sequence, gates compared as tuples.
-    Raises CapExceeded before a level expansion or a search key table
-    would hold more than cap words.
+    A max_gates close to the optimum is what bounds the search: levels
+    within w gates of it keep only the states whose plane bound leaves
+    room for a circuit of max_gates gates.  Raises NotFound when none
+    exists, and CapExceeded before a level expansion or a search key
+    table would hold more than cap words.
     """
     gates, _ = reversible._search(inputs, gate_set, max_gates,
                                   any_order=False, cap=cap)
@@ -337,7 +340,9 @@ def synth_qc_any_order(inputs: list[str],
     circuit over all admissible orderings, and the ordering, recovered
     by running the circuit on the inputs: the permuted input list such
     that input i maps to binary(i).  K is bounded only by K*w <= 64, and
-    memory by cap as in synth_qc.
+    memory by cap as in synth_qc.  As there, a max_gates close to the
+    optimum is what bounds the search; the plane bound compares
+    popcounts, which permuting the fields keeps.
     """
     gates, order = reversible._search(inputs, gate_set, max_gates,
                                       any_order=True, cap=cap)

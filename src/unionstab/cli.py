@@ -281,7 +281,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     y = sub.add_parser("synth", parents=[common])
     y.add_argument("code", help="union code file")
-    y.add_argument("--max-gates", type=int, default=10)
+    y.add_argument("--max-gates", type=int, default=10,
+                   help="most reversible gates to search; a value close "
+                   "to the optimum is what bounds the search")
     y.add_argument("--any-order", action="store_true",
                    help="allow any label-to-index bijection")
     y.set_defaults(func=cmd_synth)

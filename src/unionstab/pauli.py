@@ -13,20 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSymbol, ConstructionMismatch, LengthMismatch
+from .errors import BadSymbol, LengthMismatch
 
 __all__ = [
     "PauliVector",
-    "GF4Symbol",
     "pauli_parse",
     "pauli_str",
     "pauli_from_parts",
     "symplectic_ip",
     "pauli_weight",
-    "weight_identity",
     "pauli_mul",
-    "gf4_convert",
-    "gf4_to_pauli",
     "pauli_matrix",
 ]
 
@@ -112,16 +108,6 @@ def pauli_weight(p: PauliVector) -> int:
     return int((p.x | p.z).sum())
 
 
-def weight_identity(p: PauliVector) -> tuple[int, int]:
-    """Both sides of wgt(p) = (wgt(x) + wgt(z) + wgt(x+z)) / 2."""
-    lhs = pauli_weight(p)
-    rhs = (int(p.x.sum()) + int(p.z.sum()) + int((p.x ^ p.z).sum())) // 2
-    if lhs != rhs:
-        raise ConstructionMismatch(
-            f"weight identity fails for {pauli_str(p)}: {lhs} != {rhs}")
-    return lhs, rhs
-
-
 # single-qubit product table: (a, b) -> (c, i-phase exponent mod 4)
 # with symbols indexed I=0, X=1, Z=2, Y=3 (= x + 2z)
 _MUL_PHASE = np.zeros((4, 4), dtype=np.int64)
@@ -147,59 +133,6 @@ def pauli_mul(p: PauliVector, q: PauliVector) -> PauliVector:
         raise BadSymbol("product of anticommuting operators has an i phase")
     sign = p.sign * q.sign * (1 if phase == 0 else -1)
     return PauliVector(x=p.x ^ q.x, z=p.z ^ q.z, sign=sign)
-
-
-# ---------------------------------------------------------------------------
-# GF(4)
-
-_GF4_NAMES = ("0", "1", "w", "w2")
-_GF4_MUL_LOG = {1: 0, 2: 1, 3: 2}  # 1, w, w^2
-
-
-@dataclass(frozen=True)
-class GF4Symbol:
-    """Element of GF(4) = {0, 1, w, w2} with w^2 + w + 1 = 0."""
-
-    value: int  # 0, 1, 2 (=w), 3 (=w^2)
-
-    def __post_init__(self):
-        if self.value not in (0, 1, 2, 3):
-            raise BadSymbol("GF4 value must be one of 0..3")
-
-    def __add__(self, other: "GF4Symbol") -> "GF4Symbol":
-        # addition = XOR of (a, b) coordinates in the basis {1, w}
-        table = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-        inv = {v: k for k, v in table.items()}
-        a, b = table[self.value], table[other.value]
-        return GF4Symbol(inv[(a[0] ^ b[0], a[1] ^ b[1])])
-
-    def __mul__(self, other: "GF4Symbol") -> "GF4Symbol":
-        if self.value == 0 or other.value == 0:
-            return GF4Symbol(0)
-        lg = (_GF4_MUL_LOG[self.value] + _GF4_MUL_LOG[other.value]) % 3
-        return GF4Symbol({0: 1, 1: 2, 2: 3}[lg])
-
-    def __str__(self) -> str:
-        return _GF4_NAMES[self.value]
-
-
-def gf4_convert(p: PauliVector) -> list[GF4Symbol]:
-    """Position-wise X -> 1, Z -> w, Y -> w^2, I -> 0."""
-    out = []
-    for a, b in zip(p.x, p.z):
-        # basis {1, w}: symbol = x*1 + z*w, so Y = 1 + w = w^2
-        out.append(GF4Symbol({(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}[
-            (int(a), int(b))]))
-    return out
-
-
-def gf4_to_pauli(symbols: list[GF4Symbol], sign: int = 1) -> PauliVector:
-    x = np.zeros(len(symbols), np.uint8)
-    z = np.zeros(len(symbols), np.uint8)
-    back = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-    for i, s in enumerate(symbols):
-        x[i], z[i] = back[s.value]
-    return PauliVector(x=x, z=z, sign=sign)
 
 
 # ---------------------------------------------------------------------------

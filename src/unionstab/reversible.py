@@ -82,6 +82,14 @@ def _gate_images(gates: list[tuple], w: int, K: int, dtype):
     return images
 
 
+def _planes(w: int, K: int, dtype) -> np.ndarray:
+    """Row t masks plane t of a packed state, bit w-1-t of every field:
+    the bits only a gate with target t changes.  A (w, 1) array."""
+    ones = sum(1 << (w * i) for i in range(K))
+    return np.array([ones << (w - 1 - t) for t in range(w)],
+                    dtype).reshape(w, 1)
+
+
 def _distinct(a: np.ndarray) -> np.ndarray:
     """Distinct values of a sorted 1-D array, as np.unique.
 
@@ -173,9 +181,7 @@ def _joiner(gates: list[tuple], w: int, K: int, dtype, canon, cap: int):
     their sorted distinct values), and before the candidate images
     would.
     """
-    ones = sum(1 << (w * i) for i in range(K))
-    fill = np.array([ones << (w - 1 - t) for t in range(w)],
-                    dtype).reshape(w, 1)
+    fill = _planes(w, K, dtype)
     by_target = [[g for g in gates if g[-1] == t] for t in range(w)]
     tables = {}  # id of a side's newest level -> its sorted keys
     plane_images = {}  # target -> its gates' image function, on first use
@@ -231,12 +237,13 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     Bidirectional breadth-first search: each level is a sorted array of
     the packed states (uint32 when K*w <= 32) at exactly that distance from
     its side's root.  With f and b levels past the roots and no meet yet,
-    the distance exceeds f + b; the smaller newest frontier S is joined
-    with the other side's newest level O, and a state of O one gate from
-    S lies f + b + 1 steps from the start, so the join's output is the
-    meet and the search stops.  Otherwise S is expanded, deduplicated and
-    pruned, unless f + b + 1 = max_gates: no later join could use the
-    new level, and NotFound is raised at once.
+    the distance exceeds f + b; the newest level S of the side the
+    schedule below picks is joined with the other side's newest level O,
+    and a state of O one gate from S lies f + b + 1 steps from the start,
+    so the join's output is the meet and the search stops.  Otherwise S
+    is expanded, deduplicated and pruned, unless f + b + 1 = max_gates:
+    no later join could use the new level, and NotFound is raised at
+    once.
 
     The join is exact.  A gate with target t changes only plane t, bit
     w-1-t of every field, so x and its image agree once every field has
@@ -246,6 +253,32 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     image, under a gate with target t, of a state of S whose plane-t key
     is also one of O's.  The join builds those images and checks them
     exactly against O, so extra candidates cost time, not correctness.
+
+    A max_gates close to the optimum is what bounds the search.  Only a
+    gate with target t changes plane t, so the planes in which a state
+    differs from a root, by value, or in any order by popcount, which
+    permuting the fields keeps, are a lower bound on the gates between
+    them.  A new level at depth d keeps a state only when d plus its
+    bound to the other side's root is at most max_gates.  The bound is
+    computed on the images by SYNTH_CHUNK blocks before they are
+    canonicalised and sorted, and only once max_gates - d < w; before
+    that every state passes.  The pruning is exact.  A state i gates
+    from one root on a shortest path of D <= max_gates gates lies D - i
+    gates, at least its bound, from the other, so every state on a
+    shortest path is kept.  The joins thus meet at the same depth on the
+    same states, and the shortest-path pruning and the lex-min walk are
+    unchanged: they keep only states on a shortest path, which every
+    pruned level still holds.  A state dropped at its own depth is
+    dropped at every later one, so the levels stay exact distance
+    levels, and an empty level still means that no circuit of max_gates
+    gates exists.
+    The schedule expands the side whose next level costs less: the
+    size of its newest level if that next level is bounded, as its
+    images are filtered before any sort, else w times that size, as the
+    next level will be sorted and keyed on w planes.  It changes which
+    levels are built, not which states lie on a shortest path, so the
+    circuit and order are those of any other schedule.  With a loose
+    max_gates no level is bounded and each side costs w times its size.
 
     One routine, _gate_images, applies the gates everywhere: level
     expansion, the join, the pruning of forward levels to states on some
@@ -278,17 +311,42 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     join = _joiner(gates, w, K, dtype, canon, cap)
 
     def step(states):
-        """Every gate's image of every state, canonicalised, gate-major."""
+        """Every gate's image of every state, gate-major."""
         if states.size * len(gates) > cap:
             raise CapExceeded(f"expanding {states.size} states by "
                               f"{len(gates)} gates exceeds cap {cap}")
-        return canon(images(states).reshape(-1))
+        return images(states).reshape(-1)
 
-    def expand(level):
-        """step's images, sorted."""
+    planes = _planes(w, K, dtype)
+    # a plane's value, or in any order its popcount, which permuting the
+    # fields keeps
+    key = np.bitwise_count if any_order else (lambda p: p)
+
+    def bound(a, root):
+        """Planes in which the states a differ from root: a lower bound
+        on the gates between them, as only a gate with target t changes
+        plane t."""
+        far = np.zeros(a.size, np.uint8)
+        for m in planes:
+            far += key(a & m) != key(root & m)
+        return far
+
+    def expand(level, slack=w, root=None):
+        """step's images, canonicalised and sorted; when slack < w, only
+        those at most slack planes from root."""
         new = step(level)
+        if slack < w:
+            keep = np.empty(new.size, bool)
+            for lo in range(0, new.size, SYNTH_CHUNK):
+                keep[lo:lo + SYNTH_CHUNK] = \
+                    bound(new[lo:lo + SYNTH_CHUNK], root) <= slack
+            new = np.compress(keep, new)
+        new = canon(new)
         new.sort()
         return new
+
+    def cost(side):  # words keyed or sorted to build side's next level
+        return side[-1].size * (1 if max_gates - len(side) < w else w)
 
     def packed(vs):  # value i into bits w*i .. w*i + w - 1 of one word
         return np.array([sum(v << (w * i) for i, v in enumerate(vs))], dtype)
@@ -298,7 +356,7 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     while not meet.size:
         if len(fwd) + len(back) - 2 >= max_gates:
             raise NotFound(max_gates)
-        side, other = ((fwd, back) if fwd[-1].size <= back[-1].size
+        side, other = ((fwd, back) if cost(fwd) <= cost(back)
                        else (back, fwd))
         meet = join(side[-1], other[-1])
         if meet.size:
@@ -306,7 +364,8 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
         elif len(fwd) + len(back) - 1 >= max_gates:
             raise NotFound(max_gates)
         else:
-            new = _distinct(expand(side[-1]))
+            new = _distinct(expand(side[-1], max_gates - len(side),
+                                   other[0]))
             for old in side[-2:]:  # neighbours lie at most one level closer
                 new = np.compress(~_members(new, old), new)
             if not new.size:  # this side's component is exhausted
@@ -322,7 +381,7 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     cur = fwd[0]
     # all gates are involutions: back[k] is "k steps from the target"
     for level in on_path[1:] + back[-2::-1]:
-        imgs = step(cur)
+        imgs = canon(step(cur))
         picked.append(int(np.flatnonzero(_in_sorted(imgs, level))[0]))
         cur = imgs[picked[-1]:picked[-1] + 1]
     end = packed(vals)  # the inputs in their own order, uncanonicalised

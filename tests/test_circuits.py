@@ -257,12 +257,13 @@ def test_synth_qc_matches_truth_table(rng):
 
 
 def test_synth_qc_cap_bounds_allocation(monkeypatch):
-    # uncapped, these six-gate searches peak near 5 MB and raise NotFound
+    # these inputs need 10 gates, and at max_gates=10 the levels outgrow
+    # the cap; at 6 the plane bound answers NotFound before they do
     for synth in (circuits.synth_qc, circuits.synth_qc_any_order):
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded, match="exceeds cap 10000"):
-                synth(SEED3_LABELS, max_gates=6, cap=10_000)
+                synth(SEED3_LABELS, max_gates=10, cap=10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,18 +286,23 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
                        match="expanding 12 states by 12 gates exceeds cap 108"):
         circuits.synth_qc_any_order(inputs, cap=108)
     assert built and max(built) <= 108
-    # counting order: the largest expansion is 4,557 states by 55 gates,
-    # but keying the 51,625-state level takes 2 * 5 words per state; the
-    # refusal comes before that table, 4 bytes a word, is allocated
+    # counting order under a loose max_gates: the largest expansion is
+    # 4,557 states by 55 gates, but keying the 51,625-state level takes
+    # 2 * 5 words per state; the refusal comes before that table, 4 bytes
+    # a word, is allocated
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match="keying 51625 states on 5 "
                            "planes exceeds cap 300000"):
-            circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=300_000)
+            circuits.synth_qc(CANONICAL_LABELS, max_gates=10, cap=300_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 * 5 * 51625
+    # at the optimum the plane bound keeps that level from being built
+    circ = circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=300_000)
+    assert circ == circuits.synth_qc(CANONICAL_LABELS, max_gates=10)
+    assert len(circ) == 8
     # one CNOT apart: each root's table takes 2 * 5 words, but the plane
     # the roots share has 11 gates to apply to the forward root
     with pytest.raises(CapExceeded,
@@ -381,8 +387,8 @@ def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
 
 
 @pytest.mark.parametrize("any_order, max_gates, expanded", [
-    (False, 7, [1, 1, 23, 44, 353, 1154]),
-    (True, 6, [1, 1, 19, 42, 240]),
+    (False, 7, [1, 1, 23, 44, 123, 353]),
+    (True, 6, [1, 1, 19, 42, 175]),
 ])
 def test_not_found_builds_no_level_past_the_last_join(
         monkeypatch, any_order, max_gates, expanded):
@@ -390,7 +396,8 @@ def test_not_found_builds_no_level_past_the_last_join(
     order.  One gate short, the search stops at the join that tests
     max_gates gates: with f and b levels past the roots it expands only
     until f + b = max_gates - 1, and builds no level that only a join of
-    more than max_gates gates could use."""
+    more than max_gates gates could use.  The plane bound shrinks the
+    levels within w gates of max_gates."""
     sizes = []  # the states of each image call applying every gate
     gate_images = reversible._gate_images
     G = len(reversible._bit_gates(5, ("X", "CNOT", "CCX")))
@@ -405,6 +412,36 @@ def test_not_found_builds_no_level_past_the_last_join(
         synth(CANONICAL_LABELS, max_gates=max_gates)
     assert len(sizes) == max_gates - 1
     assert sorted(sizes) == expanded
+
+
+@pytest.mark.parametrize("any_order, max_gates, joined", [
+    # at the optimum the last levels are bounded: the backward side, whose
+    # next level is filtered before any sort, is expanded instead of the
+    # forward one, and no level of 22,315 or 51,625 states is built
+    (False, 8, [(1, 1), (1, 44), (23, 44), (44, 353), (353, 1154),
+                (4557, 1154), (2274, 1154), (532, 1154)]),
+    (True, 7, [(1, 1), (1, 42), (19, 42), (42, 240), (240, 926),
+               (926, 1764), (1764, 9178)]),
+    # a loose max_gates bounds no level: the levels of the unbounded search
+    (False, 10, [(1, 1), (1, 44), (23, 44), (44, 353), (353, 1154),
+                 (1154, 4557), (4557, 22315), (22315, 51625)]),
+    (True, 10, [(1, 1), (1, 42), (19, 42), (42, 240), (240, 926),
+                (926, 2503), (2503, 13434)]),
+])
+def test_schedule_expands_the_side_the_bound_shrinks(
+        monkeypatch, any_order, max_gates, joined):
+    """The sizes of the levels S and O of every join on the ((5, 6, 2))
+    labels, S being the newest level of the side the schedule picks."""
+    sizes = []
+    joiner = reversible._joiner
+
+    def spy(*args):
+        join = joiner(*args)
+        return lambda S, O: (sizes.append((S.size, O.size)), join(S, O))[1]
+    monkeypatch.setattr(reversible, "_joiner", spy)
+    synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
+    synth(CANONICAL_LABELS, max_gates=max_gates)
+    assert sizes == joined
 
 
 def _field_images(gates, w, K, state):
@@ -752,6 +789,52 @@ def test_synthesis_edge_cases_match_lexmin_oracle():
             got = synth(inputs, gate_set=gate_set, max_gates=6)
             circ, order = got if any_order else (got, want[1])
             assert (circ.gates, order) == want, (inputs, gate_set, any_order)
+
+
+GATE_SETS = [s for r in (1, 2, 3)
+             for s in itertools.combinations(("X", "CNOT", "CCX"), r)]
+
+
+def test_plane_bound_keeps_the_lexmin_circuit():
+    """At the optimum every level deeper than max_gates - w is filtered
+    by the plane bound, and the search still returns the oracle's circuit
+    and order; one gate short it raises NotFound.  Seeded inputs of 2 to 4
+    bits, 2 to 6 of them, both orders, every gate set."""
+    rng = np.random.default_rng(15)
+    for gate_set in GATE_SETS:
+        for _ in range(5):
+            w = int(rng.integers(2, 5))
+            K = int(rng.integers(2, min(6, 1 << w) + 1))
+            if w < 4:
+                inputs = [format(int(v), f"0{w}b") for v in
+                          rng.choice(1 << w, K, replace=False)]
+            else:  # a few gates from counting order keep the oracle small
+                inputs = _gates_on_counting_order(
+                    w, K, rng, int(rng.integers(1, 4)), gate_set)
+            for any_order in (False, True):
+                want = _lexmin_oracle(inputs, any_order, gate_set)
+                case = (inputs, gate_set, any_order)
+                if want is None:  # bounded levels run out of states
+                    short = w
+                else:
+                    n = len(want[0])
+                    got = reversible._search(inputs, gate_set, n, any_order,
+                                             gf2.DEFAULT_CAP)
+                    assert (tuple(got[0]), got[1]) == want, case
+                    short = n - 1
+                if short >= 0:
+                    with pytest.raises(NotFound):
+                        reversible._search(inputs, gate_set, short,
+                                           any_order, gf2.DEFAULT_CAP)
+    # the ((5, 6, 2)) labels: the bounded search at the optimum and the
+    # unbounded one at max_gates=10 return the same circuit and order
+    gates = ("X", "CNOT", "CCX")
+    for any_order, n in ((False, 8), (True, 7)):
+        got = [reversible._search(CANONICAL_LABELS, gates, m, any_order,
+                                  gf2.DEFAULT_CAP) for m in (n, 10)]
+        assert got[0] == got[1] and len(got[0][0]) == n
+        assert got[0][1] == ((0, 4, 1, 5, 2, 3) if any_order
+                             else tuple(range(6)))
 
 
 @pytest.fixture(scope="module")

@@ -490,7 +490,9 @@ def test_synth_rejects_negative_max_gates(tmp_path, capsys):
 
 
 def test_synth_cap(tmp_path, capsys):
-    """--cap bounds the synthesis search; the zero label joins as index 0."""
+    """--cap bounds the synthesis search; the zero label joins as index 0.
+    At --max-gates 10 the levels outgrow the cap; at 6 the plane bound
+    answers NotFound before they do."""
     gens = [pauli_parse("I" * i + "Z" + "I" * (5 - i)) for i in range(6)]
     ts = [pauli_parse(s.replace("0", "I").replace("1", "X"))
           for s in SEED3_LABELS[:9]]
@@ -499,7 +501,7 @@ def test_synth_cap(tmp_path, capsys):
         unioncode.union_code(stabilizer_from_generators(gens), ts)))
     for extra in ([], ["--any-order"]):
         rc = cli.main(["synth", str(union_file), "--cap", "10000",
-                       "--max-gates", "6"] + extra)
+                       "--max-gates", "10"] + extra)
         err = capsys.readouterr().err
         assert rc == 2 and "exceeds cap 10000" in err, extra
 

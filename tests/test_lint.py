@@ -82,6 +82,25 @@ def test_no_np_unique_in_package():
         f"{name}:{line}" for name, line in found)
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_environment_reads_in_package():
+    """Configuration never silently overrides what the user typed: no
+    module reads os.environ or os.getenv, so no option or speed switch
+    can hide in an environment variable."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in _ENVIRONMENT
+                   or isinstance(node, ast.ImportFrom)
+                   and node.module == "os"
+                   and _ENVIRONMENT & {a.name for a in node.names})
+    assert not found, "environment reads in unionstab: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
+
+
 def test_packed_word_format_only_in_gf2():
     """np.unpackbits and the "<u8" word dtype appear only in gf2.py: the
     packed-word format lives behind gf2.pack_words and gf2.unpack_rows."""

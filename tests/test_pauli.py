@@ -49,26 +49,6 @@ def test_mul_length_mismatch():
         pauli.pauli_mul(pauli.pauli_parse("XX"), pauli.pauli_parse("X"))
 
 
-def test_weight_identity_random(rng):
-    for _ in range(200):
-        x = rng.integers(0, 2, 12).astype(np.uint8)
-        z = rng.integers(0, 2, 12).astype(np.uint8)
-        lhs, rhs = pauli.weight_identity(pauli.PauliVector(x=x, z=z))
-        assert lhs == rhs == int((x | z).sum())
-
-
-def test_gf4_round_trip_and_arithmetic():
-    p = pauli.pauli_parse("IXZY")
-    syms = pauli.gf4_convert(p)
-    assert [str(s) for s in syms] == ["0", "1", "w", "w2"]
-    assert pauli.gf4_to_pauli(syms) == p
-    one, w = pauli.GF4Symbol(1), pauli.GF4Symbol(2)
-    w2 = pauli.GF4Symbol(3)
-    assert (one + w).value == w2.value
-    assert (w * w).value == w2.value
-    assert (w * w2).value == one.value
-
-
 def test_sign_tracking():
     p = pauli.pauli_parse("-X")
     q = pauli.pauli_parse("-X")
