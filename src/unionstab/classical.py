@@ -101,6 +101,15 @@ def _rm_points(m: int) -> np.ndarray:
     return (p >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
 
 
+def _monomials(m: int, deg: int) -> np.ndarray:
+    """Evaluation vectors of the degree-deg monomials in x_1 .. x_m, one
+    uint8 row each, in the lexicographic order of their variables."""
+    pts = _rm_points(m)
+    return np.array([pts[:, list(comb)].all(axis=1)
+                     for comb in itertools.combinations(range(m), deg)],
+                    dtype=np.uint8)
+
+
 def reed_muller(r: int, m: int) -> LinearCode:
     """Reed-Muller code RM(r, m) = [2^m, sum_{i<=r} C(m,i), 2^(m-r)].
 
@@ -110,16 +119,8 @@ def reed_muller(r: int, m: int) -> LinearCode:
     """
     if not (0 <= r <= m) or m < 1 or m > 12:
         raise BadParams(f"reed_muller needs 0 <= r <= m <= 12, got r={r}, m={m}")
-    pts = _rm_points(m)
-    rows = []
-    for deg in range(r + 1):
-        for comb in itertools.combinations(range(m), deg):
-            row = np.ones(1 << m, dtype=np.uint8)
-            for v in comb:
-                row &= pts[:, v]
-            rows.append(row)
     return linear_code(
-        np.array(rows, dtype=np.uint8),
+        np.vstack([_monomials(m, deg) for deg in range(r + 1)]),
         known_distance=1 << (m - r),
         distance_provenance="proved-analytic",
         name=f"RM({r},{m})",
@@ -217,82 +218,74 @@ def _power_table(res: np.ndarray, e: int) -> np.ndarray:
 
 
 def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
-    """Scans RM(m-2,m)/RM(m-3,m) classes for power-sum members.
+    """Translations of the power-sum code over RM(m-3, m), by class spans.
 
-    Since the power-sum code is closed under addition of RM(m-3, m) and
-    contained in RM(m-2, m), testing one representative per class finds
-    exactly the cosets making up the code; the classes are spanned by the
-    C(m, 2) degree-(m-2) monomials.  A word splits into halves X, Y,
-    subsets of GF(2^(m-1)), the Teichmueller set of GR(4, m-1) mod 2
-    (coordinate z sits at index int(z) within its half).  Membership
-    requires |X|, |Y| even, s1(X) = s1(Y), s3(X) + s3(Y) = s1^3, and
-    for the Goethals code also s5(X) + s5(Y) = s1^5, where s_e is the
-    e-th power sum of the subset.
-    Every one of |X| mod 2, |Y| mod 2 and the six power sums is
-    GF(2)-linear in the word, so each monomial's features are packed into
-    one word and all classes' features come from a single span.
+    The code lies in RM(m-2, m) and is closed under adding RM(m-3, m), so
+    it is a union of classes of RM(m-2, m)/RM(m-3, m), each named by its
+    bits c over the C(m, 2) degree-(m-2) monomials.  A word splits into
+    halves X, Y, subsets of GF(2^(m-1)), the Teichmueller set of
+    GR(4, m-1) mod 2 (coordinate z sits at index int(z) within its half).
+    Membership requires |X|, |Y| even, s1(X) = s1(Y), s3(X) + s3(Y) = s1^3,
+    and for the Goethals code also s5(X) + s5(Y) = s1^5, s_e the e-th
+    power sum.  Parities and power sums are GF(2)-linear in c, so with
+    sigma = s1(X) fixed, membership is one affine system M c = r(sigma):
+    M's rows are s1(X), s3(X) + s3(Y) (, s5(X) + s5(Y)), s1(X) + s1(Y),
+    |X| and |Y|, and r(sigma) = [sigma; sigma^3 (; sigma^5); 0; 0; 0].
+    sigma enters only r, so one elimination of M beside all q right-hand
+    sides finds the consistent sigma and a solution c_sigma of each; the
+    classes are the c_sigma + ker M.  Raises CapExceeded, before building
+    them, when K translations of n = 2^m bytes exceed gf2.DEFAULT_CAP.
     """
-    if m % 2 or m < 4:
-        raise BadParams("power-sum construction needs even m >= 4")
-    t = math.comb(m, 2)
-    if (1 << t) > (1 << 20):
-        raise CapExceeded(f"class scan needs 2^{t} representatives")
     res = _residues(z4.gr4_build(m - 1))
-    q, b = res.size, m - 1
-    base = reed_muller(m - 3, m)
-    pts = _rm_points(m)
-    top = np.array([pts[:, list(comb)].all(axis=1)
-                    for comb in itertools.combinations(range(m), m - 2)],
-                   dtype=np.uint8)
-    # per half, the features of coordinate z: [1 | z | z^3 | z^5] in bits
-    pw3, pw5 = _power_table(res, 3), _power_table(res, 5)
-    vals = np.stack([np.arange(q), pw3, pw5], axis=1)
+    q, b, n = res.size, m - 1, 1 << m
+    top = _monomials(m, m - 2)
+    # per half, the features of coordinate z: [z | z^3 | z^5 | 1] in bits
+    vals = np.stack([np.arange(q), _power_table(res, 3), _power_table(res, 5)],
+                    axis=1)
     bits = ((vals[:, :, None] >> np.arange(b)) & 1).reshape(q, 3 * b)
-    feat = np.hstack([np.ones((q, 1), np.int64), bits])
-    halves = [top[:, h * q:(h + 1) * q].astype(np.int64) @ feat % 2
-              for h in (0, 1)]
-    # bits 0 .. 3b of each class's word hold X's features, Y's sit above
-    x = gf2.span_words(np.hstack(halves)).view(np.int64)
-    y = x >> (1 + 3 * b)
-
-    def s(half, k):  # power sums s1, s3, s5 for k = 0, 1, 2
-        return (half >> (1 + k * b)) & (q - 1)
-
-    s1 = s(x, 0)
-    ok = (((x | y) & 1) == 0) & (s1 == s(y, 0))
-    ok &= (s(x, 1) ^ s(y, 1)) == pw3[s1]
-    if kind == "goethals":
-        ok &= (s(x, 2) ^ s(y, 2)) == pw5[s1]
-    idx = np.flatnonzero(ok)
-    msgs = (idx[:, None] >> np.arange(t)) & 1
-    return base, (msgs @ top.astype(np.int64) % 2).astype(np.uint8)
+    feat = np.hstack([bits, np.ones((q, 1), np.int64)])
+    hx, hy = top.reshape(-1, 2, q).swapaxes(0, 1) @ feat % 2
+    d, k, t = hx ^ hy, (3 if kind == "goethals" else 2) * b, len(top)
+    mat = np.hstack([hx[:, :b], d[:, b:k], d[:, :b], hx[:, -1:],
+                     hy[:, -1:]]).T
+    rhs = np.pad(bits[:, :k].T, ((0, b + 2), (0, 0)))  # column sigma: r(sigma)
+    red, piv, _ = gf2.rref(np.hstack([mat, rhs]))
+    # rows past M's rank are zero on M, and on rhs where sigma is consistent
+    rk = np.searchsorted(piv, t)
+    y = red[:rk, t:].T[~red[rk:, t:].any(axis=0)]
+    ker = gf2.kernel_basis(mat)
+    K = len(y) << len(ker)
+    if K * n > gf2.DEFAULT_CAP:
+        raise CapExceeded(f"K = {K:,} translations of n = {n} bytes exceed "
+                          f"cap {gf2.DEFAULT_CAP:,}")
+    # a class's word: c_sigma's monomial sum XOR one of the span of ker's
+    words = gf2.pack_words(np.vstack([y @ top[piv[:rk]], ker @ top]) & 1)
+    ts = words[:len(y), :, None] ^ gf2.xor_span(words[len(y):].T)
+    ts = gf2.unpack_rows(ts.transpose(0, 2, 1), n).reshape(K, n)
+    return reed_muller(m - 3, m), ts
 
 
 def preparata_like(m: int) -> CosetCode:
     """Preparata code of length 2^m as cosets of RM(m-3, m).
 
     Args:
-        m: Even length exponent, m in {4, 6} at desk scale.
+        m: Even length exponent, at least 4.
 
     Returns:
         CosetCode with 2^(C(m,2) - m + 1) translations over RM(m-3, m),
-        from the power-sum construction.
+        from the power-sum construction; CapExceeded from m = 8.
     """
     if m % 2 or m < 4:
         raise BadParams("preparata_like needs even m >= 4")
-    base, ts = _power_sum_translations(m, "preparata")
-    expect = 1 << (math.comb(m, 2) - m + 1)
-    if ts.shape[0] != expect:
-        raise ConstructionMismatch(
-            f"expected {expect} cosets, found {ts.shape[0]}")
-    return _make_coset_code(base, ts, name=f"Preparata({m})")
+    return _power_sum_code(m, "Preparata", math.comb(m, 2) - m + 1)
 
 
 def goethals_binary(m: int) -> CosetCode:
     """Goethals code of length 2^m as cosets of RM(m-3, m).
 
     At m = 4 the coset count 2^(C(m,2) - 2m + 2) degenerates to one and
-    the constructor returns RM(1, 4) as a single-coset code.
+    the constructor returns RM(1, 4) as a single-coset code.  m = 8 gives
+    2^14 cosets; CapExceeded from m = 10.
     """
     if m % 2 or m < 4:
         raise BadParams("goethals_binary needs even m >= 4")
@@ -305,12 +298,16 @@ def goethals_binary(m: int) -> CosetCode:
             distance_provenance="proved-analytic",
             name="Goethals(4)",
         )
-    base, ts = _power_sum_translations(m, "goethals")
-    expect = 1 << (math.comb(m, 2) - 2 * m + 2)
-    if ts.shape[0] != expect:
+    return _power_sum_code(m, "Goethals", math.comb(m, 2) - 2 * m + 2)
+
+
+def _power_sum_code(m: int, name: str, log2_k: int) -> CosetCode:
+    """The power-sum code name(m), checked to have 2^log2_k cosets."""
+    base, ts = _power_sum_translations(m, name.lower())
+    if len(ts) != 1 << log2_k:
         raise ConstructionMismatch(
-            f"expected {expect} cosets, found {ts.shape[0]}")
-    return _make_coset_code(base, ts, name=f"Goethals({m})")
+            f"expected {1 << log2_k} cosets, found {len(ts)}")
+    return _make_coset_code(base, ts, name=f"{name}({m})")
 
 
 # ---------------------------------------------------------------------------
@@ -666,17 +663,11 @@ def nesting_check(inner, outer) -> tuple[bool, list]:
     ci, co = _as_coset(inner), _as_coset(outer)
     if ci.n != co.n:
         raise BadParams("length mismatch")
-    cert = []
-    ok = True
-    for row in ci.base.generator:
-        good = co.contains(row)
-        cert.append(("base-row", row.copy(), good))
-        ok &= good
-    for t in ci.translations:
-        good = co.contains(t)
-        cert.append(("translation", t.copy(), good))
-        ok &= good
-    return ok, cert
+    cert = [(kind, v.copy(), co.contains(v))
+            for kind, rows in (("base-row", ci.base.generator),
+                               ("translation", ci.translations))
+            for v in rows]
+    return all(good for _, _, good in cert), cert
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +677,7 @@ def format_coset_code(c: CosetCode) -> str:
     """Linear-base matrix block followed by a translations block."""
     lines = [gf2.format_matrix(c.base.generator).rstrip("\n")]
     lines.append(f"translations {c.num_cosets}")
-    for t in c.translations:
-        lines.append("".join(str(int(b)) for b in t))
+    lines.extend(gf2.to_string(t) for t in c.translations)
     return "\n".join(lines) + "\n"
 
 

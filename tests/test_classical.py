@@ -16,6 +16,7 @@ import unionstab
 from unionstab import classical, gf2, z4
 from unionstab.errors import (
     BadParams,
+    CapExceeded,
     ConstructionMismatch,
     DuplicateCoset,
     NotAUnionOfCosets,
@@ -163,6 +164,110 @@ def test_power_sum_codes_keep_translations(monkeypatch):
     monkeypatch.setattr(classical, "_power_table", oracle_table)
     for kind, m in _POWER_SUM_DIGESTS:
         assert np.array_equal(build[kind](m).translations, got[kind, m])
+
+
+def _oracle_class_scan(m: int, kind: str) -> np.ndarray:
+    """The power-sum translations as the class scan found them: all
+    2^C(m, 2) classes of RM(m-2, m)/RM(m-3, m) spanned as words of packed
+    features (|X| mod 2 and s1, s3, s5 of X in the low bits, Y's above),
+    then filtered by the power-sum conditions; one translation, the sum
+    of its class's degree-(m-2) monomials, per class found."""
+    t = math.comb(m, 2)
+    res = classical._residues(z4.gr4_build(m - 1))
+    q, b = res.size, m - 1
+    pts = classical._rm_points(m)
+    top = np.array([pts[:, list(comb)].all(axis=1)
+                    for comb in itertools.combinations(range(m), m - 2)],
+                   dtype=np.uint8)
+    pw3, pw5 = classical._power_table(res, 3), classical._power_table(res, 5)
+    vals = np.stack([np.arange(q), pw3, pw5], axis=1)
+    bits = ((vals[:, :, None] >> np.arange(b)) & 1).reshape(q, 3 * b)
+    feat = np.hstack([np.ones((q, 1), np.int64), bits])
+    halves = [top[:, h * q:(h + 1) * q].astype(np.int64) @ feat % 2
+              for h in (0, 1)]
+    x = gf2.span_words(np.hstack(halves)).view(np.int64)
+    y = x >> (1 + 3 * b)
+
+    def s(half, k):  # power sums s1, s3, s5 for k = 0, 1, 2
+        return (half >> (1 + k * b)) & (q - 1)
+
+    s1 = s(x, 0)
+    ok = (((x | y) & 1) == 0) & (s1 == s(y, 0))
+    ok &= (s(x, 1) ^ s(y, 1)) == pw3[s1]
+    if kind == "goethals":
+        ok &= (s(x, 2) ^ s(y, 2)) == pw5[s1]
+    msgs = (np.flatnonzero(ok)[:, None] >> np.arange(t)) & 1
+    return (msgs @ top.astype(np.int64) % 2).astype(np.uint8)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("kind", ["preparata", "goethals"])
+def test_class_spans_match_class_scan(m, kind):
+    """The affine class spans give exactly the classes the scan of all
+    2^C(m, 2) classes finds, each once."""
+    base, ts = classical._power_sum_translations(m, kind)
+    want = _oracle_class_scan(m, kind)
+    assert gf2.row_spaces_equal(base.generator,
+                                classical.reed_muller(m - 3, m).generator)
+    assert ts.dtype == np.uint8 and ts.shape == want.shape
+    assert gf2.distinct_rows(ts)[0].size == len(ts)
+    assert {r.tobytes() for r in ts} == {r.tobytes() for r in want}
+
+
+def _power_sums(fld: _OracleGF2m, half: np.ndarray) -> list[int]:
+    """[|Z| mod 2, s1, s3, s5] of the subset Z of the field that half
+    holds, coordinate z at index z, summed in the exp/log field."""
+    out = [int(half.sum()) % 2, 0, 0, 0]
+    for z in np.flatnonzero(half).tolist():
+        for i, e in enumerate((1, 3, 5), 1):
+            out[i] ^= fld.pw(z, e)
+    return out
+
+
+def test_preparata_m8_refused_before_allocation():
+    """Preparata(8)'s 2^21 translations of 256 bytes exceed the cap, and
+    the builder says so before allocating them."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded,
+                           match="K = 2,097,152 translations of n = 256 "):
+            classical.preparata_like(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_goethals_m8_cosets_meet_power_sums():
+    """Goethals(8) has 2^14 distinct cosets of RM(5, 8); 64 seeded words,
+    each a translation plus a random word of the base, meet the power-sum
+    conditions in the exp/log field."""
+    g = classical.goethals_binary(8)
+    assert (g.n, g.num_cosets, g.base.k) == (256, 1 << 14, 219)
+    assert gf2.distinct_rows(g.translations)[0].size == 1 << 14
+    fld = _oracle_field(7)
+    rng = np.random.default_rng(8)
+    picks = rng.choice(g.num_cosets, 64, replace=False)
+    shift = rng.integers(0, 2, (64, g.base.k)) @ g.base.generator % 2
+    for word in g.translations[picks] ^ shift.astype(np.uint8):
+        px, x1, x3, x5 = _power_sums(fld, word[:fld.q])
+        py, y1, y3, y5 = _power_sums(fld, word[fld.q:])
+        assert px == py == 0 and x1 == y1
+        assert x3 ^ y3 == fld.pw(x1, 3) and x5 ^ y5 == fld.pw(x1, 5)
+
+
+@pytest.mark.parametrize("build", [classical.preparata_like,
+                                   classical.goethals_binary])
+def test_power_sum_builders_memory_is_bounded(build):
+    """Building Preparata(6) or Goethals(6) peaks at or below 0.5 MiB:
+    spans of the member classes, not a table of all 2^15 classes."""
+    tracemalloc.start()
+    try:
+        build(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 19
 
 
 def test_preparata_m6_structure():

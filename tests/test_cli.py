@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,79 @@ def test_construct_reports_certified_distance(capsys):
     rc, out = _run(capsys, ["construct", "preparata", "4"])
     assert rc == 0
     assert "code: (16, 2^8 words, 6 [enumerator])" in out
+
+
+def test_construct_m8_exits_2_in_one_line(capsys):
+    """At m = 8, Preparata's 2^21 translations exceed the cap and
+    Goethals' 2^14 cosets overflow the enumerator's int64 sums: each
+    construct exits 2 with a one-line message, within 2 s."""
+    refused = "K = 2,097,152 translations of n = 256 bytes exceed cap"
+    overflow = "16384^2 * 2^37 overflows int64 sums"
+    for argv, msg in ((["family", "preparata", "8"], refused),
+                      (["family", "goethals", "8"], overflow),
+                      (["preparata", "8"], refused),
+                      (["goethals", "8"], overflow)):
+        start = time.perf_counter()
+        rc = cli.main(["construct", *argv])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: ") and msg in captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert elapsed < 2, (argv, elapsed)
+
+
+def _mutated(rng, text: str) -> str:
+    """text with one to three seeded edits, most of them a bit flipped in
+    a 0/1 line (the file still parses); the others put a stray character
+    in, or drop, repeat or swap lines."""
+    lines = text.splitlines()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = (int(v) for v in rng.integers(0, len(lines), 2))
+        at = int(rng.integers(0, max(len(lines[i]), 1)))
+        edit = int(rng.choice([0, 0, 0, 1, 2, 3, 4]))
+        if edit == 0 and set(lines[i]) <= set("01"):
+            lines[i] = lines[i][:at] + "10"[lines[i][at] == "1"] + \
+                lines[i][at + 1:]
+        elif edit == 1:
+            lines[i] = lines[i][:at] + "2x -#"[at % 5] + lines[i][at + 1:]
+        elif edit == 2 and len(lines) > 1:
+            del lines[i]
+        elif edit == 3:
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
+        tmp_path, capsys):
+    """construct preparata, goethals and family over m in {-2, 0, 3, 4,
+    5, 6, 7, 8, 10, x}, and css-union on 20 seeded mutations of a coset
+    file, each exit 0, 1 or 2, with a one-line message on 2; an uncaught
+    exception would fail the test."""
+    calls = []
+    for m in ("-2", "0", "3", "4", "5", "6", "7", "8", "10", "x"):
+        calls += [["preparata", m], ["goethals", m],
+                  ["family", "preparata", m], ["family", "goethals", m]]
+    rng = np.random.default_rng(29)
+    good = tmp_path / "g6.code"
+    good.write_text(classical.format_coset_code(classical.goethals_binary(6)))
+    for i in range(20):
+        path = tmp_path / f"mutant{i}.code"
+        path.write_text(_mutated(rng, good.read_text()))
+        calls.append(["css-union", str(path), str(good)])
+    start = time.perf_counter()
+    codes = []
+    for argv in calls:
+        rc = cli.main(["construct", *argv])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        codes.append(rc)
+    assert time.perf_counter() - start < 5
+    assert {0, 2} <= set(codes[-20:])  # some mutants still build
 
 
 def test_construct_css_union_round_trip(tmp_path, capsys):
