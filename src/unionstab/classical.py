@@ -682,20 +682,14 @@ def format_coset_code(c: CosetCode) -> str:
 
 
 def parse_coset_code(text: str) -> CosetCode:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    gen = gf2.parse_matrix(lines)
-    rows, cols = gen.shape
-    head = lines[rows + 1].split() if len(lines) > rows + 1 else []
-    if len(head) != 2 or head[0] != "translations":
-        raise BadParams("expected a 'translations <count>' block")
-    body = lines[rows + 2:]
-    if len(body) != int(head[1]):
-        raise BadParams(f"translation count mismatch: header says {head[1]}, "
-                        f"found {len(body)}")
-    for i, ln in enumerate(body):
-        if len(ln) != cols or set(ln) - set("01"):
-            raise BadParams(f"translation {i} {ln!r} is not a 0/1 string "
-                            f"of length {cols}")
-    ts = gf2.as_matrix(body).reshape(-1, cols)
+    gen, rest = gf2.read_matrix(gf2.numbered_lines(text))
+    at, found = rest[0] if rest else (len(text.splitlines()) + 1, "")
+    head = found.split()
+    if len(head) != 2 or head[0] != "translations" or not head[1].isdigit():
+        raise BadParams(f"line {at}: expected a 'translations <count>' "
+                        f"block, found {found!r}")
+    if len(rest) - 1 != int(head[1]):
+        raise BadParams(f"translation count mismatch: the header on line "
+                        f"{at} says {head[1]}, found {len(rest) - 1}")
+    ts = gf2.bit_rows(rest[1:], gen.shape[1], "translation")
     return _make_coset_code(linear_code(gen), ts)

@@ -363,17 +363,44 @@ def format_matrix(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str | Iterable[str]) -> np.ndarray:
+def numbered_lines(text: str | Iterable[str]) -> list[tuple[int, str]]:
+    """(line number from 1, stripped text) of each line that is neither
+    blank nor a '#' comment."""
     if isinstance(text, str):
         text = text.splitlines()
-    lines = [ln.strip() for ln in text if ln.strip() and not ln.strip().startswith("#")]
+    return [(i, ln.strip()) for i, ln in enumerate(text, 1)
+            if ln.strip() and not ln.strip().startswith("#")]
+
+
+def bit_rows(lines: list[tuple[int, str]], ncols: int,
+             name: str) -> np.ndarray:
+    """The numbered 0/1 lines as a (len(lines), ncols) matrix; a
+    ValueError names the first other line as name i, its number and
+    text."""
+    for i, (at, ln) in enumerate(lines):
+        if len(ln) != ncols or set(ln) - {"0", "1"}:
+            raise ValueError(f"{name} {i} {ln!r} on line {at} is not a 0/1 "
+                             f"string of length {ncols}")
+    data = "".join(ln for _, ln in lines).encode()
+    return (np.frombuffer(data, np.uint8) - 48).reshape(len(lines), ncols)
+
+
+def read_matrix(lines: list[tuple[int, str]]):
+    """(matrix, the lines after it) from numbered lines that open with
+    a "rows cols" header; a ValueError names the failing line."""
     if not lines:
         raise ValueError("empty matrix text")
-    nrows, ncols = (int(t) for t in lines[0].split())
-    rows = lines[1 : 1 + nrows]
-    if len(rows) != nrows:
-        raise ValueError("matrix text is truncated")
-    m = as_matrix(rows)
-    if m.shape != (nrows, ncols):
-        raise ValueError("matrix text dimensions do not match header")
-    return m
+    at, head = lines[0]
+    dims = head.split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        raise ValueError(f"line {at}: expected a 'rows cols' header, "
+                         f"found {head!r}")
+    nrows, ncols = int(dims[0]), int(dims[1])
+    if len(lines) <= nrows:
+        raise ValueError(f"matrix text is truncated: the header on line "
+                         f"{at} says {nrows} rows, found {len(lines) - 1}")
+    return bit_rows(lines[1:1 + nrows], ncols, "row"), lines[1 + nrows:]
+
+
+def parse_matrix(text: str | Iterable[str]) -> np.ndarray:
+    return read_matrix(numbered_lines(text))[0]

@@ -141,7 +141,8 @@ def _batcher_pairs(n: int) -> list[tuple[int, int]]:
 def _canonicaliser(w: int, K: int, hold: int, dtype):
     """Sorts the packed fields hold..K-1 of each word in place, by chunks
     split into per-field uint8 columns that pass a compare-exchange
-    network.
+    network.  A chunk is short enough that its (fields, chunk) shift
+    temporary holds at most SYNTH_CHUNK words.
 
     Gates act on every field alike, so they commute with permutations of
     the fields and searching the sorted representatives is exact.
@@ -151,10 +152,11 @@ def _canonicaliser(w: int, K: int, hold: int, dtype):
     shifts = np.array([w * i for i in range(hold, K)], dtype).reshape(-1, 1)
     mask, keep = np.uint8((1 << w) - 1), dtype((1 << (w * hold)) - 1)
     pairs = _batcher_pairs(K - hold)
+    chunk = max(SYNTH_CHUNK // (K - hold), 1)
 
     def canon(a):
-        for lo in range(0, a.size, SYNTH_CHUNK):
-            c = a[lo:lo + SYNTH_CHUNK]
+        for lo in range(0, a.size, chunk):
+            c = a[lo:lo + chunk]
             cols = list((c >> shifts).astype(np.uint8) & mask)
             for i, j in pairs:
                 cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
@@ -166,7 +168,8 @@ def _canonicaliser(w: int, K: int, hold: int, dtype):
     return canon
 
 
-def _joiner(gates: list[tuple], w: int, K: int, dtype, canon, cap: int):
+def _joiner(by_target: list[list], target_images: list, fill: np.ndarray,
+            canon, cap: int):
     """join(S, O): the sorted states of level O one gate from level S.
 
     A state's plane-t key is canon(x | m), m its bit w-1-t in every
@@ -179,12 +182,11 @@ def _joiner(gates: list[tuple], w: int, K: int, dtype, canon, cap: int):
     hash alike; both only add candidates.  Raises CapExceeded before a
     table would take more than cap words (2w per state: the keys and
     their sorted distinct values), and before the candidate images
-    would.
+    would.  by_target[t] lists the gates with target t, target_images[t]
+    applies them, and fill holds _planes' (w, 1) plane masks.
     """
-    fill = _planes(w, K, dtype)
-    by_target = [[g for g in gates if g[-1] == t] for t in range(w)]
+    w, dtype = len(by_target), fill.dtype.type
     tables = {}  # id of a side's newest level -> its sorted keys
-    plane_images = {}  # target -> its gates' image function, on first use
     bits = np.iinfo(dtype).bits
     golden = dtype(0x9E3779B97F4A7C15 >> (64 - bits))
 
@@ -219,13 +221,59 @@ def _joiner(gates: list[tuple], w: int, K: int, dtype, canon, cap: int):
             if size > cap:
                 raise CapExceeded(f"the join's {size} candidate images "
                                   f"exceed cap {cap}")
-            if t not in plane_images:
-                plane_images[t] = _gate_images(by_target[t], w, K, dtype)
-            found.append(plane_images[t](cand).reshape(-1))
+            found.append(target_images[t](cand).reshape(-1))
         imgs = canon(np.concatenate(found))
         imgs.sort()
         return np.compress(_members(O, imgs), O)
     return join
+
+
+def _bounded_expander(by_target: list[list], target_images: list,
+                      planes: np.ndarray, hold: int, cap: int):
+    """near(level, slack, root): the images of level at most slack planes
+    from root, uncanonicalised, built one target plane at a time as
+    _search describes.  Plane t of the held fields 0..hold-1 is compared
+    with root's by value, of the other fields by popcount.  Raises
+    CapExceeded before a target's block of images would hold more than
+    cap words, and once the kept images do.
+    """
+    w = len(by_target)
+    held = planes[:, 0] & planes.dtype.type((1 << (w * hold)) - 1)
+    free = planes[:, 0] ^ held
+
+    def far(a, root, t):
+        """Whether the states a differ from root in plane t."""
+        h, f = held[t], free[t]
+        out = (a & h) != (root & h)
+        if f:
+            out |= np.bitwise_count(a & f) != np.bitwise_count(root & f)
+        return out
+
+    def near(level, slack, root):
+        # w bytes per state, less than the key table the join just built
+        fars = [far(level, root, t) for t in range(w)]
+        base = np.full(level.size, slack, np.int8)  # slack - bound
+        for f in fars:
+            base -= f
+        kept, size = [level[:0]], 0
+        for t, f in enumerate(fars):
+            if not by_target[t]:
+                continue
+            room = base + f
+            some = room >= 0
+            src = np.compress(some, level)
+            if src.size * len(by_target[t]) > cap:
+                raise CapExceeded(
+                    f"expanding {src.size} states by the {len(by_target[t])}"
+                    f" gates with target {t} exceeds cap {cap}")
+            imgs = target_images[t](src)
+            keep = far(imgs, root, t) <= np.compress(some, room)
+            kept.append(np.compress(keep.reshape(-1), imgs.reshape(-1)))
+            size += kept[-1].size
+            if size > cap:
+                raise CapExceeded(f"keeping {size} images exceeds cap {cap}")
+        return np.concatenate(kept)
+    return near
 
 
 def _search(inputs: list[str], gate_set: tuple, max_gates: int,
@@ -256,13 +304,21 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
 
     A max_gates close to the optimum is what bounds the search.  Only a
     gate with target t changes plane t, so the planes in which a state
-    differs from a root, by value, or in any order by popcount, which
-    permuting the fields keeps, are a lower bound on the gates between
-    them.  A new level at depth d keeps a state only when d plus its
-    bound to the other side's root is at most max_gates.  The bound is
-    computed on the images by SYNTH_CHUNK blocks before they are
-    canonicalised and sorted, and only once max_gates - d < w; before
-    that every state passes.  The pruning is exact.  A state i gates
+    differs from a root are a lower bound on the gates between them.  A
+    plane is compared by value in counting order; in any order the held
+    field's bit is compared by value and the other fields by popcount,
+    which permuting them keeps.  A new level at depth d keeps a state
+    only when d plus its bound to the other side's root is at most
+    max_gates.  Before slack = max_gates - d < w every state passes;
+    after, the level is expanded one target plane at a time.  An image
+    under a gate with target t differs from its state only in plane t,
+    so its bound is the state's, less the state's plane-t term far_t,
+    plus the image's.  Each state's w terms are computed once; then for
+    each t, room = slack - bound + far_t, only the states with room >= 0
+    are expanded, by the gates with target t alone, and an image is kept
+    when its own far_t is at most room (room >= 1, or plane t matches
+    the root's).  The kept set is that of testing every image on all w
+    planes.  The pruning is exact.  A state i gates
     from one root on a shortest path of D <= max_gates gates lies D - i
     gates, at least its bound, from the other, so every state on a
     shortest path is kept.  The joins thus meet at the same depth on the
@@ -284,8 +340,9 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     expansion, the join, the pruning of forward levels to states on some
     shortest path, the greedy walk from the start that takes the smallest
     gate staying on one, and the replay on the inputs.  Raises
-    CapExceeded before an expansion, a key table or the join's candidate
-    images would hold more than cap words.
+    CapExceeded before an expansion or one target's block of a bounded
+    expansion, a key table or the join's candidate images would hold more
+    than cap words, and when a bounded level's kept images would.
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -305,10 +362,15 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     vals = [int(s, 2) for s in inputs]
     # any order: the all-zero input, if present, sorts into field 0 and stays
     start = sorted(vals) if any_order else vals
-    canon = _canonicaliser(w, K, int(0 in vals) if any_order else K, dtype)
+    hold = int(0 in vals) if any_order else K
+    canon = _canonicaliser(w, K, hold, dtype)
     gates = sorted(_bit_gates(w, tuple(gate_set)))
     images = _gate_images(gates, w, K, dtype)
-    join = _joiner(gates, w, K, dtype, canon, cap)
+    by_target = [[g for g in gates if g[-1] == t] for t in range(w)]
+    target_images = [_gate_images(g, w, K, dtype) for g in by_target]
+    planes = _planes(w, K, dtype)
+    join = _joiner(by_target, target_images, planes, canon, cap)
+    near = _bounded_expander(by_target, target_images, planes, hold, cap)
 
     def step(states):
         """Every gate's image of every state, gate-major."""
@@ -317,30 +379,10 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
                               f"{len(gates)} gates exceeds cap {cap}")
         return images(states).reshape(-1)
 
-    planes = _planes(w, K, dtype)
-    # a plane's value, or in any order its popcount, which permuting the
-    # fields keeps
-    key = np.bitwise_count if any_order else (lambda p: p)
-
-    def bound(a, root):
-        """Planes in which the states a differ from root: a lower bound
-        on the gates between them, as only a gate with target t changes
-        plane t."""
-        far = np.zeros(a.size, np.uint8)
-        for m in planes:
-            far += key(a & m) != key(root & m)
-        return far
-
     def expand(level, slack=w, root=None):
-        """step's images, canonicalised and sorted; when slack < w, only
-        those at most slack planes from root."""
-        new = step(level)
-        if slack < w:
-            keep = np.empty(new.size, bool)
-            for lo in range(0, new.size, SYNTH_CHUNK):
-                keep[lo:lo + SYNTH_CHUNK] = \
-                    bound(new[lo:lo + SYNTH_CHUNK], root) <= slack
-            new = np.compress(keep, new)
+        """The images of level, canonicalised and sorted; when slack < w,
+        only those at most slack planes from root."""
+        new = step(level) if slack >= w else near(level, slack, root)
         new = canon(new)
         new.sort()
         return new

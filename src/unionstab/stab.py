@@ -97,14 +97,40 @@ def _vec(row: np.ndarray, n: int) -> PauliVector:
     return PauliVector(x=row[:n], z=row[n:])
 
 
+def _least_reps(span: list[int], rows: list[int]) -> list[int]:
+    """Each row, as a Python int, reduced modulo span and the nonzero
+    representatives kept before it to the least vector of its coset; the
+    nonzero ones, in order.
+
+    span's rows must have distinct leading bits.  The basis stays in
+    echelon form, keyed by leading bit, and a row's pivot bits are
+    cleared from the highest down: a basis row's highest bit is its
+    lead, so that reaches the coset's unique vector with no pivot bit
+    set, and any other vector of the coset is larger.
+    """
+    pivots = {x.bit_length(): x for x in span}
+    mask = sum(1 << (lead - 1) for lead in pivots)
+    reps = []
+    for v in rows:
+        hit = v & mask
+        while hit:
+            v ^= pivots[hit.bit_length()]
+            hit = v & mask
+        if v:
+            pivots[v.bit_length()] = v
+            mask |= 1 << (v.bit_length() - 1)
+            reps.append(v)
+    return reps
+
+
 def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     """Completes commuting, independent generators to a full code.
 
     Logical operators are chosen deterministically: each normalizer basis
     row is reduced modulo the stabilizer and the representatives kept so
-    far, to the least vector of its coset (one pass over Python-int rows
-    against a span kept fully reduced), and the nonzero ones are paired
-    up by symplectic Gram-Schmidt in that order (Gottesman's completion).
+    far, to the least vector of its coset (_least_reps), and the nonzero
+    ones are paired up by symplectic Gram-Schmidt in that order
+    (Gottesman's completion).
     """
     if not gens:
         raise BadParams("a stabilizer code needs at least one generator")
@@ -120,24 +146,7 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     k = n - len(gens)
     # normalizer = kernel of the swapped stabilizer matrix
     norm = gf2.kernel_basis(_swap(rows, n))
-    # the span as Python-int rows keyed by leading bit, kept fully reduced
-    pivots = {x.bit_length(): x for x in gf2._row_ints(span)}
-    mask = sum(1 << (lead - 1) for lead in pivots)
-    reps = []
-    for v in gf2._row_ints(norm):
-        hit = v & mask
-        while hit:  # clear v's pivot bits; each row holds only its own
-            lead = hit.bit_length()
-            v ^= pivots[lead]
-            hit ^= 1 << (lead - 1)
-        if v:
-            lead = v.bit_length()
-            for p, x in pivots.items():  # clear v's first 1 from the span
-                if x >> (lead - 1) & 1:
-                    pivots[p] = x ^ v
-            pivots[lead] = v
-            mask |= 1 << (lead - 1)
-            reps.append(v)
+    reps = _least_reps(gf2._row_ints(span), gf2._row_ints(norm))
     if len(reps) != 2 * k:
         raise ConstructionMismatch(
             f"{len(reps)} logical representatives, expected {2 * k}")
@@ -321,9 +330,16 @@ def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
         a = default_fixed_point_free(kk)
     d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
     ad = (np.asarray(a, np.uint8) @ d_rows) % 2
-    # entry v of each span is the weight of v D, v AD or v (D + AD)
-    w = [gf2.span_weights(m, cap)[1:] for m in (d_rows, ad, d_rows ^ ad)]
-    return int(np.minimum(np.minimum(w[0], w[1]), w[2]).min())
+    # entry v of each span is the weight of v D, v AD or v (D + AD), summed
+    # over 64-column blocks as in gf2.span_weights; one span at a time
+    # folds into a running minimum, in the narrowest dtype holding n
+    low = None
+    for m in (d_rows, ad, d_rows ^ ad):
+        w = np.zeros(1 << kk, np.min_scalar_type(m.shape[1]))
+        for block in gf2.pack_words(m).T:
+            w += np.bitwise_count(gf2.xor_span(block, cap))
+        low = w if low is None else np.minimum(low, w, out=low)
+    return int(low[1:].min())
 
 
 def _normalizer_span(code: StabilizerCode, cap: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,20 @@ def full_space_union(bell_base) -> unioncode.UnionStabilizerCode:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args, **kw) -> (fn's result, or the exception it
+    raised, and the peak bytes tracemalloc traced during the call)."""
+    def run(fn, *args, **kw):
+        tracemalloc.start()
+        try:
+            try:
+                out = fn(*args, **kw)
+            except Exception as exc:
+                out = exc
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

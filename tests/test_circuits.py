@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import runpy
 import tracemalloc
 from pathlib import Path
@@ -310,21 +311,44 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
         circuits.synth_qc(["00000", "00011"], cap=10)
 
 
-@pytest.mark.parametrize("any_order, max_gates, limit", [
-    (False, 8, 4 << 20),
-    (True, 7, 5 << 19),
-])
-def test_synthesis_peak_memory(any_order, max_gates, limit):
-    """The ((5, 6, 2)) searches of the encoder benchmark stay below 4 MiB
-    and 2.5 MiB: the join keys two levels instead of expanding one."""
+@pytest.mark.parametrize("any_order, max_gates", [(False, 8), (True, 7)])
+def test_synthesis_peak_memory(traced_peak, any_order, max_gates):
+    """The ((5, 6, 2)) searches of the encoder benchmark peak at no more
+    than 1 MiB: the join keys two levels instead of expanding one, and a
+    bounded level is expanded one target plane at a time."""
     synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
-    tracemalloc.start()
-    try:
-        synth(CANONICAL_LABELS, max_gates=max_gates)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit
+    got, peak = traced_peak(synth, CANONICAL_LABELS, max_gates=max_gates)
+    assert len(got[0] if any_order else got) == max_gates
+    assert peak <= 1 << 20
+
+
+def test_bounded_expansion_cap_counts_each_target_block(monkeypatch):
+    """Counting order at max_gates=8 expands the 4,557-state level one
+    target plane at a time, so the cap counts 11 x 4,557 = 50,127 words
+    per block, not 55 x 4,557: 60,000 suffices, and 50,000 is refused,
+    naming the block, before that block is built."""
+    built = []
+    gate_images = reversible._gate_images
+
+    def spy(gates, *args):
+        images = gate_images(gates, *args)
+        return lambda a: (built.append(a.size * len(gates)), images(a))[1]
+    monkeypatch.setattr(reversible, "_gate_images", spy)
+    circ = circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=60_000)
+    assert circ == circuits.synth_qc(CANONICAL_LABELS, max_gates=10)
+    assert len(circ) == 8 and 11 * 4557 in built
+    built.clear()
+    with pytest.raises(CapExceeded, match="expanding 4557 states by the 11 "
+                       "gates with target 0 exceeds cap 50000"):
+        circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=50_000)
+    assert built and max(built) <= 50_000
+    # in any order most images are kept: their total counts too
+    built.clear()
+    with pytest.raises(CapExceeded,
+                       match="keeping 35242 images exceeds cap 30000"):
+        circuits.synth_qc_any_order(CANONICAL_LABELS, max_gates=7,
+                                    cap=30_000)
+    assert built and max(built) <= 30_000
 
 
 @pytest.mark.parametrize("inputs, any_order, side", [
@@ -388,7 +412,7 @@ def test_search_meets_on_either_expansion(monkeypatch, inputs, any_order,
 
 @pytest.mark.parametrize("any_order, max_gates, expanded", [
     (False, 7, [1, 1, 23, 44, 123, 353]),
-    (True, 6, [1, 1, 19, 42, 175]),
+    (True, 6, [1, 1, 19, 42, 169]),
 ])
 def test_not_found_builds_no_level_past_the_last_join(
         monkeypatch, any_order, max_gates, expanded):
@@ -397,19 +421,40 @@ def test_not_found_builds_no_level_past_the_last_join(
     max_gates gates: with f and b levels past the roots it expands only
     until f + b = max_gates - 1, and builds no level that only a join of
     more than max_gates gates could use.  The plane bound shrinks the
-    levels within w gates of max_gates."""
-    sizes = []  # the states of each image call applying every gate
-    gate_images = reversible._gate_images
-    G = len(reversible._bit_gates(5, ("X", "CNOT", "CCX")))
+    levels within w gates of max_gates, expanded one target plane at a
+    time: an expansion is every image call between two joins, and its
+    size the number of distinct states those calls take."""
+    calls, joining = [], []  # image calls outside joins; None ends a join
+    gate_images, joiner = reversible._gate_images, reversible._joiner
 
-    def spy(gates, *args):
+    def images_spy(gates, *args):
         images = gate_images(gates, *args)
-        return lambda a: (len(gates) == G and sizes.append(a.size),
-                          images(a))[1]
-    monkeypatch.setattr(reversible, "_gate_images", spy)
+        return lambda a: (joining or calls.append(a.copy()), images(a))[1]
+
+    def joiner_spy(*args):
+        join = joiner(*args)
+
+        def join_spy(S, O):
+            joining.append(True)
+            try:
+                return join(S, O)
+            finally:
+                joining.pop()
+                calls.append(None)
+        return join_spy
+    monkeypatch.setattr(reversible, "_gate_images", images_spy)
+    monkeypatch.setattr(reversible, "_joiner", joiner_spy)
     synth = circuits.synth_qc_any_order if any_order else circuits.synth_qc
     with pytest.raises(NotFound):
         synth(CANONICAL_LABELS, max_gates=max_gates)
+    sizes, group = [], set()
+    for a in calls:
+        if a is not None:
+            group.update(a.tolist())
+        elif group:
+            sizes.append(len(group))
+            group = set()
+    assert calls[-1] is None and not group  # the last call was a join
     assert len(sizes) == max_gates - 1
     assert sorted(sizes) == expanded
 
@@ -421,7 +466,7 @@ def test_not_found_builds_no_level_past_the_last_join(
     (False, 8, [(1, 1), (1, 44), (23, 44), (44, 353), (353, 1154),
                 (4557, 1154), (2274, 1154), (532, 1154)]),
     (True, 7, [(1, 1), (1, 42), (19, 42), (42, 240), (240, 926),
-               (926, 1764), (1764, 9178)]),
+               (926, 1595), (1595, 8695)]),
     # a loose max_gates bounds no level: the levels of the unbounded search
     (False, 10, [(1, 1), (1, 44), (23, 44), (44, 353), (353, 1154),
                  (1154, 4557), (4557, 22315), (22315, 51625)]),
@@ -512,10 +557,12 @@ def test_synth_qc_any_order():
     assert len(circ) <= len(circuits.synth_qc(inputs, max_gates=4))
 
 
-def _lexmin_oracle(inputs, any_order, gate_set=("X", "CNOT", "CCX")):
+def _lexmin_oracle(inputs, any_order, gate_set=("X", "CNOT", "CCX"),
+                   limit=None):
     """Plain BFS over K-tuples of ints from the goal set, then a greedy
     walk from the inputs taking the smallest gate of gate_set one step
-    closer; None when the inputs cannot reach a goal."""
+    closer; None when the inputs cannot reach a goal, or not within
+    limit gates."""
     K, w = len(inputs), len(inputs[0])
     start = tuple(int(s, 2) for s in inputs)
     gates = sorted([("X", q) for q in range(w)]
@@ -537,7 +584,7 @@ def _lexmin_oracle(inputs, any_order, gate_set=("X", "CNOT", "CCX")):
     dist = dict.fromkeys(goals, 0)
     frontier = goals
     while start not in dist:
-        if not frontier:
+        if not frontier or dist[frontier[0]] == limit:
             return None
         nxt = []
         for s in frontier:
@@ -670,10 +717,25 @@ def test_canonicaliser_matches_sort_oracle(monkeypatch):
             assert np.array_equal(got.astype(np.uint64), want), (w, K, hold)
 
 
-def _forward_any_order_oracle(inputs):
+@pytest.mark.parametrize("w, K, dtype", [(5, 6, np.uint32),
+                                         (4, 16, np.uint64)])
+def test_canonicaliser_shift_block_holds_a_chunk(traced_peak, w, K, dtype):
+    """Sorting K - 1 fields of 2^17 words peaks below two SYNTH_CHUNK
+    blocks of words: the chunks are short enough that the (fields, chunk)
+    shift temporary holds at most SYNTH_CHUNK words."""
+    words = np.random.default_rng(w).integers(
+        0, np.iinfo(dtype).max, 1 << 17, dtype, endpoint=True)
+    canon = reversible._canonicaliser(w, K, 1, dtype)
+    _, peak = traced_peak(canon, words)
+    assert peak < 2 * reversible.SYNTH_CHUNK * np.dtype(dtype).itemsize
+
+
+def _forward_any_order_oracle(inputs, gate_set=("X", "CNOT", "CCX"),
+                              limit=None):
     """Breadth-first search from the inputs over K-tuples of ints to the
     first level holding an admissible ordering, then a greedy walk taking
-    the smallest gate that stays on a shortest path to one."""
+    the smallest gate of gate_set that stays on a shortest path to one;
+    None when no level within limit gates holds one."""
     K, w = len(inputs), len(inputs[0])
     start = tuple(int(s, 2) for s in inputs)
     gates = sorted([("X", q) for q in range(w)]
@@ -681,6 +743,7 @@ def _forward_any_order_oracle(inputs):
                        range(w), 2)]
                    + [("CCX", a, b, t) for a, b in itertools.combinations(
                        range(w), 2) for t in range(w) if t not in (a, b)])
+    gates = [g for g in gates if g[0] in gate_set]
 
     def apply(g, state):  # controls g[1:-1], target g[-1]; qubit 0 = MSB
         flip = 1 << (w - 1 - g[-1])
@@ -693,6 +756,8 @@ def _forward_any_order_oracle(inputs):
 
     levels, seen = [{start}], {start}
     while not any(map(is_goal, levels[-1])):
+        if not levels[-1] or len(levels) - 1 == limit:
+            return None
         nxt = {apply(g, s) for s in levels[-1] for g in gates} - seen
         seen |= nxt
         levels.append(nxt)
@@ -835,6 +900,95 @@ def test_plane_bound_keeps_the_lexmin_circuit():
         assert got[0] == got[1] and len(got[0][0]) == n
         assert got[0][1] == ((0, 4, 1, 5, 2, 3) if any_order
                              else tuple(range(6)))
+
+
+def _bounded_level_reference(level, slack, root, w, K, hold, gates):
+    """All gates' images of level, then the w-plane filter: an image is
+    kept when it differs from root in at most slack planes, the bits of
+    the held fields 0..hold-1 compared by value, the rest by popcount."""
+    dtype = level.dtype.type
+    images = reversible._gate_images(gates, w, K, dtype)(level).reshape(-1)
+    far = np.zeros(images.size, int)
+    for t in range(w):
+        plane = sum(1 << (w * i + w - 1 - t) for i in range(K))
+        held = dtype(plane & ((1 << (w * hold)) - 1))
+        free = dtype(plane) ^ held
+        far += ((images & held) != (root & held)) | (
+            np.bitwise_count(images & free) != np.bitwise_count(root & free))
+    return np.sort(images[far <= slack])
+
+
+def _oracle_depth(w, K, gates, budget=20_000):
+    """The deepest max_gates, at most 10, whose oracle search applies at
+    most about budget gates: levels 0..d-1 hold at most the G^i tuples
+    reached, and at most the perm(2^w, K) tuples of distinct values."""
+    G, tuples = len(gates), math.perm(1 << w, K)
+    for d in range(11):
+        if G * min(sum(G ** i for i in range(d + 1)), tuples) > budget:
+            return d
+    return 10
+
+
+def test_bounded_levels_match_the_all_gates_reference(monkeypatch):
+    """Over 1,000 seeded searches (w 1-6, K 1-10 with K*w <= 64, every
+    gate set, both orders, max_gates 0-10), every level expanded one
+    target plane at a time equals all gates' images filtered on all w
+    planes, and the circuit, order or NotFound are the oracle's."""
+    expansions = []  # (level, slack, root, images) of bounded levels
+    bounded_expander = reversible._bounded_expander
+
+    def spy(*args):
+        near = bounded_expander(*args)
+
+        def near_spy(level, slack, root):
+            out = near(level, slack, root)
+            expansions.append((level.copy(), slack, root.copy(), out.copy()))
+            return out
+        return near_spy
+    monkeypatch.setattr(reversible, "_bounded_expander", spy)
+    rng = np.random.default_rng(16)
+    seen, cases, levels = set(), 0, 0
+    while cases < 1000:
+        w = int(rng.choice(range(1, 7), p=[.05, .15, .2, .2, .2, .2]))
+        K = int(rng.integers(1, min(10, 1 << w, 64 // w) + 1))
+        gate_set = GATE_SETS[int(rng.integers(len(GATE_SETS)))]
+        gates = sorted(reversible._bit_gates(w, gate_set))
+        any_order = bool(rng.integers(2))
+        if w <= 3:
+            inputs = [format(int(v), f"0{w}b")
+                      for v in rng.choice(1 << w, K, replace=False)]
+        else:  # a few gates from counting order, in a seeded order
+            inputs = _gates_on_counting_order(
+                w, K, rng, int(rng.integers(0, 5)), gate_set)
+            inputs = [inputs[i] for i in rng.permutation(K)] \
+                if rng.integers(2) else inputs
+        depth = _oracle_depth(w, K, gates)
+        want = (_forward_any_order_oracle(inputs, gate_set, depth)
+                if any_order else
+                _lexmin_oracle(inputs, False, gate_set, depth))
+        hold = int("0" * w in inputs) if any_order else K
+        for m in range(depth + 1):
+            expansions.clear()
+            case = (inputs, gate_set, any_order, m)
+            if want is None or len(want[0]) > m:
+                with pytest.raises(NotFound):
+                    reversible._search(inputs, gate_set, m, any_order,
+                                       gf2.DEFAULT_CAP)
+            else:
+                got = reversible._search(inputs, gate_set, m, any_order,
+                                         gf2.DEFAULT_CAP)
+                assert (tuple(got[0]), got[1]) == want, case
+            for level, slack, root, out in expansions:
+                assert slack < w, case
+                assert np.array_equal(np.sort(out), _bounded_level_reference(
+                    level, slack, root, w, K, hold, gates)), case
+            levels += len(expansions)
+            seen.add((w, K, gate_set, any_order, m))
+            cases += 1
+    for i, values in enumerate((range(1, 7), range(1, 11), GATE_SETS,
+                                (False, True), range(11))):
+        assert {s[i] for s in seen} == set(values)
+    assert levels >= cases // 5
 
 
 @pytest.fixture(scope="module")

@@ -258,15 +258,10 @@ def test_goethals_m8_cosets_meet_power_sums():
 
 @pytest.mark.parametrize("build", [classical.preparata_like,
                                    classical.goethals_binary])
-def test_power_sum_builders_memory_is_bounded(build):
+def test_power_sum_builders_memory_is_bounded(traced_peak, build):
     """Building Preparata(6) or Goethals(6) peaks at or below 0.5 MiB:
     spans of the member classes, not a table of all 2^15 classes."""
-    tracemalloc.start()
-    try:
-        build(6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build, 6)
     assert peak <= 1 << 19
 
 
@@ -462,16 +457,12 @@ def test_m6_distributions_match_lee_route():
     assert preparata == preparata_lee
 
 
-def test_distance_enumerator_cap_fires_before_allocation():
+def test_distance_enumerator_cap_fires_before_allocation(traced_peak):
     c = classical._as_coset(classical.reed_muller(3, 6))  # dual dim 22
     c.base.parity_check
-    tracemalloc.start()
-    try:
-        with pytest.raises(StrategyInfeasible):
-            classical.distance_enumerator(c, cap=(1 << 22) - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    err, peak = traced_peak(classical.distance_enumerator, c,
+                            cap=(1 << 22) - 1)
+    assert isinstance(err, StrategyInfeasible)
     assert peak < 1 << 20
 
 
@@ -627,17 +618,12 @@ def test_form_ranks_in_chunks_equal_one_chunk(monkeypatch):
     assert classical.distance_enumerator(c) == dist
 
 
-def test_rank_path_memory_is_bounded():
+def test_rank_path_memory_is_bounded(traced_peak):
     """The rank path holds 2^s rank bytes and one chunk of form rows, so
     Goethals(6)'s enumerator, s = 15, peaks below 1 MiB."""
     c = classical.goethals_binary(6)
     c.base.parity_check
-    tracemalloc.start()
-    try:
-        d, _ = classical.distance_enumerator(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (d, _), peak = traced_peak(classical.distance_enumerator, c)
     assert d == 8
     assert peak < 1 << 20
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 import unionstab
 from unionstab import circuits, classical, cli, gf2, stab, unioncode
 from unionstab.circuits import EncoderReport, KLReport, parse_circuit
+from unionstab.errors import UnionStabError
 from unionstab.pauli import pauli_parse
 from unionstab.stab import format_stabilizer, stabilizer_from_generators
 
@@ -143,7 +145,8 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
     """construct preparata, goethals and family over m in {-2, 0, 3, 4,
     5, 6, 7, 8, 10, x}, and css-union on 20 seeded mutations of a coset
     file, each exit 0, 1 or 2, with a one-line message on 2; an uncaught
-    exception would fail the test."""
+    exception would fail the test.  A mutant that does not parse names
+    its failing line or the translations block."""
     calls = []
     for m in ("-2", "0", "3", "4", "5", "6", "7", "8", "10", "x"):
         calls += [["preparata", m], ["goethals", m],
@@ -151,10 +154,15 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
     rng = np.random.default_rng(29)
     good = tmp_path / "g6.code"
     good.write_text(classical.format_coset_code(classical.goethals_binary(6)))
+    unparsed = set()
     for i in range(20):
         path = tmp_path / f"mutant{i}.code"
         path.write_text(_mutated(rng, good.read_text()))
         calls.append(["css-union", str(path), str(good)])
+        try:
+            classical.parse_coset_code(path.read_text())
+        except (UnionStabError, ValueError):
+            unparsed.add(str(path))
     start = time.perf_counter()
     codes = []
     for argv in calls:
@@ -163,9 +171,12 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
         assert rc in (0, 1, 2), argv
         if rc == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        if argv[1] in unparsed:
+            assert rc == 2 and re.search(r"line \d+|translation", err), err
         codes.append(rc)
     assert time.perf_counter() - start < 5
     assert {0, 2} <= set(codes[-20:])  # some mutants still build
+    assert len(unparsed) >= 8
 
 
 def test_construct_css_union_round_trip(tmp_path, capsys):
@@ -420,7 +431,13 @@ def test_bad_coset_file_exits_2(tmp_path, capsys):
             (lambda ls: ls.__delitem__(slice(at + 8, None)),
              "translation count mismatch"),
             (lambda ls: ls.__delitem__(slice(at, None)),
-             "expected a 'translations <count>' block")):
+             "expected a 'translations <count>' block"),
+            # the generator block: its header, and a row, name their line
+            (lambda ls: ls.__setitem__(0, "translations 8"),
+             "line 1: expected a 'rows cols' header, found 'translations 8'"),
+            (lambda ls: ls.__setitem__(2, ls[2][:3] + "2" + ls[2][4:]),
+             "row 1 '" + lines[2][:3] + "2" + lines[2][4:] + "' on line 3 "
+             "is not a 0/1 string")):
         ls = list(lines)
         edit(ls)
         path.write_text("\n".join(ls) + "\n")

@@ -182,6 +182,24 @@ def test_format_parse_round_trip():
     assert np.array_equal(m, again)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty matrix text"),
+    ("# c\n2 x\n10\n", "line 2: expected a 'rows cols' header, found '2 x'"),
+    ("2 3\n101\n", "truncated: the header on line 1 says 2 rows, found 1"),
+    ("2 3\n\n101\n# c\n1#1\n", "row 1 '1#1' on line 5 is not a 0/1"),
+    ("1 3\n1012\n", "row 0 '1012' on line 2 is not a 0/1 string of length 3"),
+    ("1 2\n12\n", "row 0 '12' on line 2"),
+])
+def test_parse_matrix_errors_name_the_line(text, message):
+    """Line numbers count blank and comment lines; every character of a
+    row must be 0 or 1."""
+    with pytest.raises(ValueError, match=message):
+        gf2.parse_matrix(text)
+    lines = gf2.numbered_lines("3 1\n\n# c\n 1 \n0\n1\ntail\n")
+    m, rest = gf2.read_matrix(lines)
+    assert m.tolist() == [[1], [0], [1]] and rest == [(7, "tail")]
+
+
 def test_pack_rows_bit_order():
     m = gf2.as_matrix(["1000", "0101", "0011"])
     assert gf2.pack_rows(m).tolist() == [1, 10, 12]
@@ -209,15 +227,10 @@ def test_span_words_matches_xor_combinations():
         set(gf2.pack_rows(gf2.word_matrix(g)).tolist())
 
 
-def test_span_words_cap_fires_before_allocation():
+def test_span_words_cap_fires_before_allocation(traced_peak):
     m = np.eye(40, 64, dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceeded):
-            gf2.span_words(m, cap=1 << 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    err, peak = traced_peak(gf2.span_words, m, cap=1 << 20)
+    assert isinstance(err, CapExceeded)
     assert peak < 1 << 20
 
 

@@ -178,6 +178,37 @@ def test_enlargement_weight_check_small():
     assert w == best
 
 
+def test_enlargement_weight_check_running_minimum(traced_peak):
+    """One span's weights at a time, folded into a running minimum, give
+    the minimum of the three gf2.span_weights arrays on seeded random
+    chains C < C' (up to 300 columns: several 64-column blocks, and
+    weights past a byte); on RM(3, 6) < RM(4, 6) the check is 4 and
+    peaks at or below 0.5 MiB."""
+    rng = np.random.default_rng(33)
+    # n = 400: a word of weight 299, which a byte would wrap to 43, below
+    # the minimum of 199
+    heavy = np.zeros((3, 400), np.uint8)
+    heavy[0, 399] = heavy[1, :300] = heavy[2, 100:] = 1
+    chains = [(heavy, 1)]
+    while len(chains) < 31:
+        n = int(rng.choice([5, 17, 64, 65, 130, 300]))
+        k = int(rng.integers(1, min(n - 2, 6) + 1))
+        kk = int(rng.integers(2, min(n - k, 8) + 1))
+        g = rng.integers(0, 2, (k + kk, n), np.uint8)
+        if gf2.rank(g) == k + kk:
+            chains.append((g, k))
+    for g, k in chains:
+        c, cp = classical.linear_code(g[:k]), classical.linear_code(g)
+        d = gf2.coset_rep_rows(cp.generator, c.generator)
+        ad = stab.default_fixed_point_free(len(g) - k) @ d % 2
+        w = [gf2.span_weights(m)[1:] for m in (d, ad, d ^ ad)]
+        assert stab.enlargement_weight_check(c, cp) == \
+            int(np.minimum(np.minimum(w[0], w[1]), w[2]).min()), g.shape
+    rm36, rm46 = classical.reed_muller(3, 6), classical.reed_muller(4, 6)
+    got, peak = traced_peak(stab.enlargement_weight_check, rm36, rm46)
+    assert got == 4 and peak <= 1 << 19
+
+
 def _oracle_coset_rep_rows(big, small):
     """Greedy loop: keep each row of big that raises the rank of the span
     of small and the rows kept so far."""
@@ -302,9 +333,8 @@ def _oracle_cases():
 
 
 def test_stabilizer_completion_matches_per_row_rref_oracle():
-    """Reducing against one span kept fully reduced picks the same
-    representatives, and the array pairing the same pairs, as the per-row
-    rref loop."""
+    """Reducing against one echelon basis picks the same representatives,
+    and the array pairing the same pairs, as the per-row rref loop."""
     for name, gens in _oracle_cases().items():
         want = _oracle_stabilizer_from_generators(list(gens))
         assert _dump(stab.stabilizer_from_generators(list(gens))) == want, name
@@ -344,8 +374,11 @@ def _per_row_reduce_completion(gens):
 def _scrambled(seed):
     """A seeded graph-state prefix under random CNOT, H and P layers on the
     binary rows, with random signs: a stabilizer with dense logicals."""
-    rng = np.random.default_rng(1000 + seed)
-    gens = _graph_prefix(seed)
+    return _scramble(np.random.default_rng(1000 + seed), _graph_prefix(seed))
+
+
+def _scramble(rng, gens):
+    """gens under 3n random CNOT, H and P layers, with random signs."""
     n = gens[0].n
     x = np.array([p.x for p in gens])
     z = np.array([p.z for p in gens])
@@ -374,6 +407,60 @@ def test_stabilizer_completion_matches_per_row_reduce_path():
     for name, gens in cases.items():
         want = _per_row_reduce_completion(list(gens))
         assert _dump(stab.stabilizer_from_generators(list(gens))) == want, name
+
+
+def _fully_reduced_reps(span, rows):
+    """The representatives loop that _least_reps replaced: span (an rref)
+    kept fully reduced, so each basis row holds only its own pivot bit,
+    and a row's pivot bits cleared in any order."""
+    pivots = {x.bit_length(): x for x in span}
+    mask = sum(1 << (lead - 1) for lead in pivots)
+    reps = []
+    for v in rows:
+        hit = v & mask
+        while hit:
+            lead = hit.bit_length()
+            v ^= pivots[lead]
+            hit ^= 1 << (lead - 1)
+        if v:
+            lead = v.bit_length()
+            for p, x in pivots.items():
+                if x >> (lead - 1) & 1:
+                    pivots[p] = x ^ v
+            pivots[lead] = v
+            mask |= 1 << (lead - 1)
+            reps.append(v)
+    return reps
+
+
+def test_least_reps_matches_the_fully_reduced_loop():
+    """Clearing pivot bits top-down against an echelon basis gives the
+    representatives of the fully reduced loop: seeded stabilizers with
+    n = 2..12 and k = 0..4 (normalizer rows, and random rows that are
+    often dependent), and the [[64, 35]] enlargement."""
+    rng = np.random.default_rng(32)
+    rm36, rm46 = classical.reed_muller(3, 6), classical.reed_muller(4, 6)
+    cases = [stab.enlarge_css(rm36, rm46).stab]
+    for n in range(2, 13):
+        for k in range(min(4, n - 1) + 1):
+            for _ in range(3):  # n - k generators of a seeded graph state
+                a = np.triu(rng.integers(0, 2, (n, n), np.uint8), 1)
+                cases.append(_scramble(rng, [
+                    pauli.PauliVector(x=np.eye(n, dtype=np.uint8)[i],
+                                      z=(a | a.T)[i]) for i in range(n - k)]))
+    seen = set()
+    for gens in cases:
+        n = gens[0].n
+        rows = stab._xz_rows(n, gens)
+        span = gf2._row_ints(gf2._independent_rows(rows))
+        norm = gf2._row_ints(gf2.kernel_basis(stab._swap(rows, n)))
+        noise = [int(v) for v in rng.integers(0, 1 << min(2 * n, 62), 8)]
+        for vs in (norm, norm[::-1] + noise):
+            assert stab._least_reps(span, vs) == \
+                _fully_reduced_reps(span, vs), (n, len(gens))
+        seen.add((n, n - len(gens)))
+    assert seen == {(n, k) for n in range(2, 13)
+                    for k in range(min(4, n - 1) + 1)} | {(64, 35)}
 
 
 def test_parse_rejects_bad_logicals_with_named_item():

@@ -728,18 +728,13 @@ def test_leader_scan_and_true_distance_caps():
     assert unioncode.true_distance(code, cap=1 << 10) == 2
 
 
-def test_true_distance_past_13_qubits():
+def test_true_distance_past_13_qubits(traced_peak):
     """A 14-qubit ring union code: true_distance spans 2^14 normalizer
     words per difference class, well inside the default cap, where the
     4^14 Paulis are not; the distance matches the coset bound."""
     code = unioncode.union_code(_ring(14), [
         pauli.pauli_parse(t) for t in ("ZZIIIIIIIIIIII", "IIIIIIIZZIIIII")])
-    tracemalloc.start()
-    try:
-        d = unioncode.true_distance(code)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    d, peak = traced_peak(unioncode.true_distance, code)
     assert d == unioncode.union_distance_bound(code).d == 2
     assert peak < 2 << 20
 
