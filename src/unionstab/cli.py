@@ -9,6 +9,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -90,12 +91,23 @@ def _coset_report(code: classical.CosetCode) -> str:
             f"{code.claimed_distance} [{prov}])")
 
 
+@contextlib.contextmanager
+def _naming(what: str):
+    """Puts what, the input files at fault, before the message of an
+    input error raised inside."""
+    try:
+        yield
+    except (UnionStabError, ValueError) as e:
+        raise UnionStabError(f"{what}: {e}") from e
+
+
 def _load_stabilizer(path: str) -> stab.StabilizerCode:
     return stab.parse_stabilizer(Path(path).read_text())
 
 
 def _load_coset(path: str) -> classical.CosetCode:
-    return classical.parse_coset_code(Path(path).read_text())
+    with _naming(path):
+        return classical.parse_coset_code(Path(path).read_text())
 
 
 def cmd_construct(args, report: Report) -> int:
@@ -126,7 +138,8 @@ def cmd_construct(args, report: Report) -> int:
         _write(args.out, classical.format_coset_code(code))
     elif kind == "css":
         c1, c2 = _load_linear(params[0]), _load_linear(params[1])
-        code = stab.css(c1, c2)
+        with _naming(f"c1 {params[0]}, c2 {params[1]}"):
+            code = stab.css(c1, c2)
         report.add("code", f"[[{code.n}, {code.k}]]")
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "enlarge":
@@ -141,8 +154,9 @@ def cmd_construct(args, report: Report) -> int:
         cc1, cc2 = (unioncode._certified_coset_code(cc, args.cap)
                     for cc in (cc1, cc2))
         d = min(cc1.claimed_distance, cc2.claimed_distance)
-        code = unioncode.css_like_union(
-            cc1.base, cc2.base, cc1.translations, cc2.translations, d=d)
+        with _naming(f"c1 {params[0]}, c2 {params[1]}"):
+            code = unioncode.css_like_union(
+                cc1.base, cc2.base, cc1.translations, cc2.translations, d=d)
         report.add("code", _union_report(code))
         if args.out:
             _write(args.out, unioncode.format_union_code(code))
@@ -164,7 +178,8 @@ def _check_union_file(path: str | None, kind: str, K: int) -> None:
 
 
 def _load_linear(path: str) -> classical.LinearCode:
-    return classical.linear_code(gf2.parse_matrix(Path(path).read_text()))
+    with _naming(path):
+        return classical.linear_code(gf2.parse_matrix(Path(path).read_text()))
 
 
 def _union_report(code: unioncode.UnionStabilizerCode) -> str:

@@ -64,8 +64,19 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     contains u, and its differences lie in the orbits of C's, orbits
     being closed under G.  None of those finished before O, so none of
     its edges was deleted while u's branch ran, and that branch searched
-    it.  stats["symmetry"] is "translation", or "translation+aut(|G|)"
-    when G is nontrivial, in exact mode, and "none" in greedy mode.
+    it.
+
+    One level down, inside the branch of u, the translation by u swaps
+    0 and u, so once the sub-branch of v finishes, v ^ u leaves the
+    candidates too.  This is exact as well.  Take a clique C through 0
+    and u that u's branch would search without this, and let v be the
+    first vertex finished there with v or v ^ u in C.  Then C or C ^ u
+    is a clique through 0, u and v that holds no earlier finished w or
+    w ^ u, as C ^ u holds w exactly when C holds w ^ u.  Its differences
+    are C's, so the top-level edge deletions treat it as C, and v's
+    sub-branch searched it.  stats["symmetry"] is "translation", or
+    "translation+aut(|G|)" when G is nontrivial, in exact mode, and
+    "none" in greedy mode.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
@@ -122,7 +133,9 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 expand(clique, cand & adjbits[v])
                 clique.pop()
                 cand ^= 1 << v
-                if not clique and not truncated:
+                if len(clique) == 1:  # in u's branch, v ^ u goes with v
+                    cand &= ~(1 << bit[verts[v] ^ verts[clique[0]]])
+                elif not clique and not truncated:
                     for u in symmetry.label_orbit(maps, verts[v]):
                         cand &= ~(1 << bit[u])
                         for x, a in enumerate(verts):

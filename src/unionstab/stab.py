@@ -197,7 +197,10 @@ def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
     h2 = c2.parity_check
     h1 = c1.parity_check
     if not gf2.row_space_contains(c1.generator, h2):
-        raise NotDualContaining("dual(c2) is not contained in c1")
+        outside = gf2.reduce_rows(gf2._independent_rows(c1.generator), h2)
+        raise NotDualContaining(
+            "dual(c2) is not contained in c1: parity-check row "
+            f"{int(outside.any(axis=1).argmax())} of c2 lies outside c1")
     k = c1.k + c2.k - n
     if k < 0:
         raise NotDualContaining("negative quantum dimension")
@@ -286,13 +289,7 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
     kk = c_prime.k - c.k
     if kk < 2:
         raise BadChain("enlargement needs k' > k + 1")
-    if a is None:
-        a = default_fixed_point_free(kk)
-    a = np.asarray(a, dtype=np.uint8) % 2
-    if a.shape != (kk, kk):
-        raise BadMap(f"map must be {kk} x {kk}")
-    _gf2_inverse(a)                      # singular -> BadMap
-    _gf2_inverse((a ^ np.eye(kk, dtype=np.uint8)))  # eigenvalue-1 check
+    a = _fixed_point_free(a, kk)
     d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
     if d_rows.shape[0] != kk:
         raise ConstructionMismatch(
@@ -314,32 +311,40 @@ def enlarge_css(c: LinearCode, c_prime: LinearCode,
     return code
 
 
+def _fixed_point_free(a: np.ndarray | None, kk: int) -> np.ndarray:
+    """a as a kk x kk 0/1 matrix, default_fixed_point_free(kk) when None;
+    BadMap unless a and a + I are both invertible."""
+    a = default_fixed_point_free(kk) if a is None else \
+        np.asarray(a, dtype=np.uint8) % 2
+    if a.shape != (kk, kk):
+        raise BadMap(f"map must be {kk} x {kk}")
+    _gf2_inverse(a)                      # singular -> BadMap
+    _gf2_inverse((a ^ np.eye(kk, dtype=np.uint8)))  # eigenvalue-1 check
+    return a
+
+
 def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
                              a: np.ndarray | None = None,
                              cap: int = 1 << 20) -> int:
     """Min over nonzero v of min(wgt(vD), wgt(vAD), wgt(vD + vAD)).
 
-    This is the quantity that drives the enlargement distance bound; it
-    is at least d' automatically because A and A + I are invertible, and
-    this routine certifies it by enumeration.
+    This is the quantity that drives the enlargement distance bound, D a
+    transversal of c'/c.  A and A + I must be invertible (BadMap
+    otherwise, as in enlarge_css), so v -> vA and v -> v(I + A) permute
+    the nonzero messages: the three spans hold the same nonzero weights,
+    and the value is the least weight of a nonzero v D.  That one span's
+    weights are summed over 64-column blocks as in gf2.span_weights, in
+    the narrowest dtype holding n.
     """
     kk = c_prime.k - c.k
     if (1 << kk) > cap:
         raise StrategyInfeasible(f"2^{kk} exceeds cap {cap}")
-    if a is None:
-        a = default_fixed_point_free(kk)
+    _fixed_point_free(a, kk)
     d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
-    ad = (np.asarray(a, np.uint8) @ d_rows) % 2
-    # entry v of each span is the weight of v D, v AD or v (D + AD), summed
-    # over 64-column blocks as in gf2.span_weights; one span at a time
-    # folds into a running minimum, in the narrowest dtype holding n
-    low = None
-    for m in (d_rows, ad, d_rows ^ ad):
-        w = np.zeros(1 << kk, np.min_scalar_type(m.shape[1]))
-        for block in gf2.pack_words(m).T:
-            w += np.bitwise_count(gf2.xor_span(block, cap))
-        low = w if low is None else np.minimum(low, w, out=low)
-    return int(low[1:].min())
+    w = np.zeros(1 << kk, np.min_scalar_type(d_rows.shape[1]))
+    for block in gf2.pack_words(d_rows).T:
+        w += np.bitwise_count(gf2.xor_span(block, cap))
+    return int(w[1:].min())
 
 
 def _normalizer_span(code: StabilizerCode, cap: int) -> np.ndarray:

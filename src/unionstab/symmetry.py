@@ -45,7 +45,8 @@ def qubit_automorphisms(
     mapping each normalizer basis row into the normalizer, to label 0.
     It keeps Pauli weights, so it keeps the 3 x 3 block
     leaders[l(P_q) ^ l(Q_p)] of every qubit pair (q, p), l(P_q) the label
-    of Pauli P in X, Z, Y on qubit q; comparing blocks prunes a
+    of Pauli P in X, Z, Y on qubit q (each entry at most 2, so the
+    clipped table holds it exactly); comparing blocks prunes a
     backtracking over qubit images.  Sims' scheme finds the group: level
     i, from the last qubit down, holds the automorphisms fixing qubits
     0..i-1, and for each image j of qubit i that the generators found so
@@ -103,8 +104,8 @@ def qubit_automorphisms(
     del extend
     if steps > AUT_STEP_CAP:
         return [], [], 1
-    units = [g.reps[1 << b].tolist()
-             for b in range(len(g.leaders).bit_length() - 1)]
+    r = len(g.leaders).bit_length() - 1
+    units = g.reps([1 << b for b in range(r)]).tolist()
     maps = []
     for s in gens:
         both = s + [n + q for q in s]

@@ -40,12 +40,12 @@ from .stab import (
     _commutation_bits,
     _ip_rows,
     _normalizer_span,
+    _swap,
     _vec,
     _xz_rows,
     _xz_weights,
     format_stabilizer,
     parse_stabilizer,
-    purity_and_distance,
 )
 
 __all__ = [
@@ -214,8 +214,9 @@ def true_distance(code: UnionStabilizerCode,
 
 def _class_blocks(reps: np.ndarray, words: np.ndarray, cap: int):
     """Yields (i, reps[i:j, None] ^ words), the normalizer span shifted by
-    each difference class i..j-1: at most 2^LEADER_CHUNK_BITS and cap
-    words a block, or one class when the span alone holds more."""
+    each of reps i..j-1 (difference classes, or one Pauli per coset): at
+    most 2^LEADER_CHUNK_BITS and cap words a block, or one shift when the
+    span alone holds more."""
     step = max(1, min(cap, 1 << LEADER_CHUNK_BITS) // len(words))
     for i in range(0, len(reps), step):
         yield i, reps[i:i + step, None] ^ words
@@ -254,10 +255,11 @@ class SearchGraph:
     """Cayley graph on the 2^(n-k) normalizer cosets, vertex i syndrome i:
     u ~ v when the coset leader at syndrome u ^ v weighs >= target_d."""
 
-    leaders: np.ndarray         # coset-leader weight per syndrome
-    reps: np.ndarray            # minimal-weight (x|z) representative per vertex
+    # leader weight per syndrome, clipped at max(target_d, 3)
+    leaders: np.ndarray
     target_d: int
     base: StabilizerCode
+    cap: int = gf2.DEFAULT_CAP  # bounds the normalizer span that reps shifts
 
     @property
     def num_vertices(self) -> int:
@@ -268,53 +270,88 @@ class SearchGraph:
         degree = int(np.count_nonzero(self.leaders[1:] >= self.target_d))
         return len(self.leaders) * degree // 2
 
+    def reps(self, labels) -> np.ndarray:
+        """The least-weight (x|z) representative of each coset in labels,
+        one 0/1 row of 2n columns per label.
 
-# Paulis per chunk of the leader scan, and shifted normalizer words per
-# block of the distance checks, as a power of two: bounds their
-# temporaries to a few MB whatever n is
+        The Paulis at syndrome u are any one of them XOR the normalizer
+        span, so a coset's leader is the least key weight << 2n | word
+        over one shifted span: the least (weight, packed word).  The one
+        Pauli at u is the XOR of the pure errors of u's bits, solved once
+        by one rref of the one-bit Paulis' labels beside the identity; the
+        span is shifted by _class_blocks, a block of labels at a time.
+        """
+        n, r = self.base.n, self.base.n - self.base.k
+        # row j < r of the rref of (one-bit Paulis' label bits | I): the
+        # unit label 1 << (r - 1 - j), then a Pauli that has it
+        rows = np.concatenate([_swap(self.base.stab_binary(), n).T,
+                               np.eye(2 * n, dtype=np.uint8)], axis=1)
+        errors = gf2.pack_rows(gf2.rref(rows)[0][r - 1::-1, r:]).tolist()
+        shifts = np.array([symmetry.map_label(errors, u) for u in labels],
+                          dtype=np.uint64)
+        words = _normalizer_span(self.base, self.cap)
+        best = np.empty_like(shifts)
+        for i, block in _class_blocks(shifts, words, self.cap):
+            key = _xz_weights(block, n).astype(np.uint64)
+            key <<= 2 * n
+            key |= block
+            best[i:i + len(block)] = key.min(axis=1)
+        return gf2.unpack_rows(best[:, None], 2 * n)
+
+
+# shifted normalizer words per block of the distance checks and of
+# SearchGraph.reps, as a power of two: bounds their temporaries to a few
+# MB whatever n is
 LEADER_CHUNK_BITS = 14
 
 
 def build_search_graph(base: StabilizerCode, d: int,
                        cap: int = gf2.DEFAULT_CAP) -> SearchGraph:
-    """Builds the coset search graph via a full coset-leader table.
+    """Builds the coset search graph from the Paulis of weight below
+    D = max(d, 3).
 
-    Every Pauli vector is scanned once; the minimum weight per stabilizer
-    syndrome gives all pairwise coset distances, since the distance of
-    cosets u, v equals the leader weight at syndrome u + v.  Pauli index
-    a is the packed (x|z) word a, whose syndrome is entry a of the span
-    of the swapped stabilizer's columns (row 0 the most significant
-    label bit), read by gf2.xor_span_chunks in chunks of
-    2^LEADER_CHUNK_BITS indices.  The leader of a syndrome is the least
-    (weight, index), kept as the minimum key weight << 2n | index.
+    The distance of cosets u, v is the leader weight at syndrome u ^ v,
+    the least weight of a Pauli there.  Every reader compares it with d,
+    or reads it at the syndromes of Paulis of weight at most 2
+    (symmetry.qubit_automorphisms), so the table holds it clipped at D:
+    the least weight among the Paulis of weight < D at that syndrome, and
+    D where there is none.  Those sum_{w<D} C(n, w) 3^w Paulis are grown
+    one qubit at a time, each with room for one more letter taking X, Z
+    or Y there, its syndrome XORed with that letter's label
+    (symmetry.pauli_labels); one np.minimum.at scatters their weights.
+    A nonzero one at syndrome 0 lies in the normalizer, so the least such
+    weight, when below d, is the base's purity.  The cap counts those
+    Paulis and the 2^(n-k) table before either is built.
     """
     if d < 0:
         raise BadParams(f"target distance must be at least 0, got {d}")
-    n, k = base.n, base.k
-    if (1 << (2 * n)) > cap:
-        raise StrategyInfeasible(f"4^{n} leader scan exceeds cap {cap}")
-    params = purity_and_distance(base, cap)
-    if params.purity < d:
+    n, r = base.n, base.n - base.k
+    top = max(d, 3)
+    count = sum(math.comb(n, w) * 3 ** w for w in range(min(top, n + 1)))
+    if count + (1 << r) > cap:
+        raise StrategyInfeasible(
+            f"enumerating {count} Paulis of weight below {top} into a "
+            f"2^{r} leader table exceeds cap {cap}")
+    lab = symmetry.pauli_labels(base)
+    syn, wt = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
+    for x, z in zip(lab[:n], lab[n:]):
+        grow = wt < top - 1
+        s, w = syn[grow], wt[grow] + 1
+        syn = np.concatenate([syn, s ^ x, s ^ z, s ^ x ^ z])
+        wt = np.concatenate([wt, w, w, w])
+    pure = wt[1:][syn[1:] == 0]
+    if pure.size and pure.min() < d:
         raise NotPureEnough(
-            f"base is pure only up to {params.purity}, need {d}")
-    keys = np.full(1 << (n - k), np.iinfo(np.uint64).max, dtype=np.uint64)
-    for h, syn in gf2.xor_span_chunks(symmetry.pauli_labels(base),
-                                      LEADER_CHUNK_BITS, cap):
-        pauli = np.arange(h * syn.size, (h + 1) * syn.size, dtype=np.uint64)
-        # keys built in place: these chunk temporaries are the search's
-        # peak memory
-        key = _xz_weights(pauli, n).astype(np.uint64)
-        key <<= 2 * n
-        key |= pauli
-        np.minimum.at(keys, syn, key)
-    return SearchGraph(leaders=keys >> (2 * n),
-                       reps=gf2.unpack_rows(keys[:, None], 2 * n),
-                       target_d=d, base=base)
+            f"base is pure only up to {pure.min()}, need {d}")
+    leaders = np.full(1 << r, top, dtype=np.uint8)
+    np.minimum.at(leaders, syn, wt)
+    return SearchGraph(leaders=leaders, target_d=d, base=base, cap=cap)
 
 
 def union_from_clique(g: SearchGraph, result: CliqueResult) -> UnionStabilizerCode:
     """Union code from a clique's coset representatives."""
-    ts = [_vec(g.reps[int(label, 2)], g.base.n) for label in result.vertices]
+    ts = [_vec(row, g.base.n)
+          for row in g.reps([int(label, 2) for label in result.vertices])]
     return union_code(g.base, ts, d=g.target_d,
                       provenance="clique-coset-distances")
 

@@ -146,7 +146,9 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
     5, 6, 7, 8, 10, x}, and css-union on 20 seeded mutations of a coset
     file, each exit 0, 1 or 2, with a one-line message on 2; an uncaught
     exception would fail the test.  A mutant that does not parse names
-    its failing line or the translations block."""
+    its failing line or the translations block; every css-union exit 2
+    names the mutant file and a line, a row or the translations block,
+    the parity-check row of c2 outside c1 when dual(c2) is not in it."""
     calls = []
     for m in ("-2", "0", "3", "4", "5", "6", "7", "8", "10", "x"):
         calls += [["preparata", m], ["goethals", m],
@@ -164,7 +166,7 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
         except (UnionStabError, ValueError):
             unparsed.add(str(path))
     start = time.perf_counter()
-    codes = []
+    codes, outside = [], 0
     for argv in calls:
         rc = cli.main(["construct", *argv])
         err = capsys.readouterr().err
@@ -173,10 +175,16 @@ def test_construct_never_raises_on_bad_m_or_mutated_coset_files(
             assert err.startswith("error: ") and err.count("\n") == 1, err
         if argv[1] in unparsed:
             assert rc == 2 and re.search(r"line \d+|translation", err), err
+        if argv[0] == "css-union" and rc == 2:
+            assert argv[1] in err, err
+            assert re.search(r"line \d+|row \d+|translation", err), err
+            outside += bool(re.search(
+                r"dual\(c2\) is not contained in c1: parity-check row \d+ "
+                "of c2 lies outside c1", err))
         codes.append(rc)
     assert time.perf_counter() - start < 5
     assert {0, 2} <= set(codes[-20:])  # some mutants still build
-    assert len(unparsed) >= 8
+    assert len(unparsed) >= 8 and outside >= 1
 
 
 def test_construct_css_union_round_trip(tmp_path, capsys):

@@ -100,6 +100,24 @@ def test_css_rejects_non_dual_containing():
     assert (code.n, code.k) == (16, 2 * 15 - 16)
 
 
+def test_css_names_the_first_parity_check_row_outside_c1():
+    """c1 = RM(3, 4) with generator rows dropped: the message names the
+    first parity-check row of c2 = RM(1, 4) that c1 does not contain,
+    found one row at a time."""
+    rm34, rm14 = classical.reed_muller(3, 4), classical.reed_muller(1, 4)
+    for drop in range(rm34.k):
+        c1 = classical.linear_code(np.delete(rm34.generator, drop, axis=0))
+        first = next((i for i, row in enumerate(rm14.parity_check)
+                      if not gf2.row_space_contains(c1.generator, row)), None)
+        if first is None:
+            assert stab.css(c1, rm14).k == c1.k + rm14.k - 16
+            continue
+        with pytest.raises(NotDualContaining, match=(
+                rf"^dual\(c2\) is not contained in c1: parity-check row "
+                rf"{first} of c2 lies outside c1$")):
+            stab.css(c1, rm14)
+
+
 def test_fixed_point_free_map():
     for dim in (2, 3, 4, 5, 7):
         a = stab.default_fixed_point_free(dim)
@@ -160,6 +178,20 @@ def test_enlarge_css_rejects_small_gap():
         stab.enlarge_css(rm14, rm14)
 
 
+def test_enlargement_weight_check_rejects_a_bad_map():
+    """A singular A, an A + I that is singular, or a map of the wrong
+    size is refused as enlarge_css refuses it."""
+    rm24, rm34 = classical.reed_muller(2, 4), classical.reed_muller(3, 4)
+    eye = np.eye(4, dtype=np.uint8)
+    singular = stab.default_fixed_point_free(4)
+    singular[0] = 0
+    for a, msg in ((singular, "singular"), (eye, "singular"),
+                   (eye[:3, :3], "map must be 4 x 4")):
+        for fn in (stab.enlarge_css, stab.enlargement_weight_check):
+            with pytest.raises(BadMap, match=msg):
+                fn(rm24, rm34, a)
+
+
 def test_enlargement_weight_check_small():
     rm24 = classical.reed_muller(2, 4)
     rm34 = classical.reed_muller(3, 4)
@@ -178,12 +210,24 @@ def test_enlargement_weight_check_small():
     assert w == best
 
 
+def _three_span_weight_check(c, cp, a=None):
+    """min over nonzero v of wgt(vD), wgt(vAD) and wgt(vD + vAD), each of
+    the three spans weighed whole by gf2.span_weights."""
+    d = gf2.coset_rep_rows(cp.generator, c.generator)
+    if a is None:
+        a = stab.default_fixed_point_free(len(d))
+    ad = a @ d % 2
+    w = [gf2.span_weights(m)[1:] for m in (d, ad, d ^ ad)]
+    return int(np.minimum(np.minimum(w[0], w[1]), w[2]).min())
+
+
 def test_enlargement_weight_check_running_minimum(traced_peak):
-    """One span's weights at a time, folded into a running minimum, give
-    the minimum of the three gf2.span_weights arrays on seeded random
-    chains C < C' (up to 300 columns: several 64-column blocks, and
-    weights past a byte); on RM(3, 6) < RM(4, 6) the check is 4 and
-    peaks at or below 0.5 MiB."""
+    """The least nonzero weight of the span of D, summed over 64-column
+    blocks, equals the three-span reference on seeded random chains
+    C < C' (up to 400 columns: several 64-column blocks, and weights past
+    a byte), under the default map and a seeded random fixed-point-free
+    one; on RM(3, 6) < RM(4, 6) the check is 4 and peaks at or below
+    0.5 MiB."""
     rng = np.random.default_rng(33)
     # n = 400: a word of weight 299, which a byte would wrap to 43, below
     # the minimum of 199
@@ -199,11 +243,15 @@ def test_enlargement_weight_check_running_minimum(traced_peak):
             chains.append((g, k))
     for g, k in chains:
         c, cp = classical.linear_code(g[:k]), classical.linear_code(g)
-        d = gf2.coset_rep_rows(cp.generator, c.generator)
-        ad = stab.default_fixed_point_free(len(g) - k) @ d % 2
-        w = [gf2.span_weights(m)[1:] for m in (d, ad, d ^ ad)]
         assert stab.enlargement_weight_check(c, cp) == \
-            int(np.minimum(np.minimum(w[0], w[1]), w[2]).min()), g.shape
+            _three_span_weight_check(c, cp), g.shape
+        kk = len(g) - k
+        eye = np.eye(kk, dtype=np.uint8)
+        a = eye
+        while gf2.rank(a) < kk or gf2.rank(a ^ eye) < kk:
+            a = rng.integers(0, 2, (kk, kk), np.uint8)
+        assert stab.enlargement_weight_check(c, cp, a) == \
+            _three_span_weight_check(c, cp, a), g.shape
     rm36, rm46 = classical.reed_muller(3, 6), classical.reed_muller(4, 6)
     got, peak = traced_peak(stab.enlargement_weight_check, rm36, rm46)
     assert got == 4 and peak <= 1 << 19

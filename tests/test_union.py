@@ -123,7 +123,8 @@ def test_search_graph_five_qubit(graph_state_code):
 
 
 def test_search_graph_not_pure_enough(graph_state_code):
-    with pytest.raises(NotPureEnough):
+    with pytest.raises(NotPureEnough,
+                       match="^base is pure only up to 3, need 4$"):
         unioncode.build_search_graph(graph_state_code, 4)
     with pytest.raises(BadParams):
         unioncode.build_search_graph(graph_state_code, -1)
@@ -157,7 +158,7 @@ def test_max_clique_search_pinned(graph_state_code):
         "0011000", "0011110", "0100011", "0100100", "0101000", "0101111",
         "0110000", "0110111", "0111011", "0111100", "1000100", "1001111",
         "1010111", "1011100", "1100010", "1101001", "1110001", "1111010"]
-    assert r.stats["nodes"] == 1353 and r.optimal
+    assert r.stats["nodes"] == 936 and r.optimal
     assert r.stats["symmetry"] == "translation+aut(2)"
 
 
@@ -261,10 +262,14 @@ def _dense_span(m):
 
 
 def _oracle_true_distance(code):
+    """Least weight of a difference of two words of C* outside the
+    closure dual.  For c in t_a + N, the differences c ^ C* are the union
+    over b of t_a + t_b + N, N being closed under XOR, so t_a itself
+    stands for every word of its translate."""
     n = code.n
     words = _dense_span(code.base.normalizer_binary())
-    cstar = np.concatenate([words ^ np.concatenate([t.x, t.z])
-                            for t in code.translations], axis=0)
+    ts = [np.concatenate([t.x, t.z]) for t in code.translations]
+    cstar = np.concatenate([words ^ t for t in ts], axis=0)
     gens = np.concatenate(
         [code.base.normalizer_binary(),
          np.array([np.concatenate([t.x, t.z]) for t in code.translations],
@@ -272,8 +277,8 @@ def _oracle_true_distance(code):
     closure, _, rank = classical.gf2.rref(gens)
     swapped = np.concatenate([closure[:rank, n:], closure[:rank, :n]], axis=1)
     best = None
-    for i in range(cstar.shape[0]):
-        diffs = cstar ^ cstar[i]
+    for t in ts:
+        diffs = cstar ^ t
         outside = ((diffs @ swapped.T) % 2).any(axis=1)
         w = (diffs[:, :n] | diffs[:, n:]).sum(axis=1)[outside]
         if w.size:
@@ -299,7 +304,9 @@ def _oracle_distance_bound(code):
 
 
 def _oracle_leader_scan(base):
-    """Leader weights and representatives of the stabilizer cosets."""
+    """Leader weights and representatives of the stabilizer cosets: over
+    all 4^n Paulis, as 0/1 rows, the first of each syndrome in (weight,
+    index) order."""
     n, r = base.n, base.n - base.k
     sb = base.stab_binary()
     swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
@@ -307,12 +314,12 @@ def _oracle_leader_scan(base):
     bits = ((idx[:, None] >> np.arange(2 * n)) & 1).astype(np.uint8)
     syn = (bits @ swapped.T % 2).astype(np.int64) @ (1 << np.arange(r)[::-1])
     w = (bits[:, :n] | bits[:, n:]).sum(axis=1)
+    order = np.lexsort((idx, w))
+    first = order[np.unique(syn[order], return_index=True)[1]]
     leaders = np.full(1 << r, 2 * n + 1, dtype=np.int64)
     reps = np.zeros((1 << r, 2 * n), dtype=np.uint8)
-    for pos in np.lexsort((idx, w)):
-        if w[pos] < leaders[syn[pos]]:
-            leaders[syn[pos]] = w[pos]
-            reps[syn[pos]] = bits[pos]
+    leaders[syn[first]] = w[first]
+    reps[syn[first]] = bits[first]
     return leaders, reps
 
 
@@ -451,8 +458,8 @@ def test_search_path_matches_oracles(case, graph_state_code):
         base = _graph_state(n, seed)
     g = unioncode.build_search_graph(base, d)
     leaders, reps = _oracle_leader_scan(base)
-    assert np.array_equal(g.leaders, leaders)
-    assert np.array_equal(g.reps, reps)
+    assert np.array_equal(g.leaders, np.minimum(leaders, max(d, 3)))
+    assert np.array_equal(g.reps(range(len(leaders))), reps)
     adj = _dense_adjacency(leaders, d)
     assert g.num_edges == adj.sum() // 2
     new = unioncode.max_clique(g)
@@ -468,6 +475,42 @@ def test_search_path_matches_oracles(case, graph_state_code):
         _oracle_distance_bound(code)
     assert _true_distance_or_error(unioncode.true_distance, code) == \
         _true_distance_or_error(_oracle_true_distance, code)
+
+
+def test_search_graph_matches_leader_scan_oracle(five_base):
+    """On ring-5 to ring-10, the [[5, 1, 3]] code and seeded random signed
+    bases with k = 0..2, at every d up to the purity: the table is the
+    4^n scan's leaders clipped at max(d, 3), and the representatives are
+    the scan's at every syndrome.  One past the purity, NotPureEnough
+    names it, as purity_and_distance gives it."""
+    bases = [_ring(n) for n in range(5, 11)] + [five_base]
+    bases += list(_random_signed_bases())
+    assert {b.k for b in bases} == {0, 1, 2}
+    for base in bases:
+        purity = stab.purity_and_distance(base).purity
+        leaders, reps = _oracle_leader_scan(base)
+        for d in range(purity + 1):
+            g = unioncode.build_search_graph(base, d)
+            assert g.leaders.dtype == np.uint8
+            assert np.array_equal(g.leaders, np.minimum(leaders, max(d, 3)))
+        assert np.array_equal(g.reps(range(len(leaders))), reps)
+        with pytest.raises(NotPureEnough, match=(
+                f"^base is pure only up to {purity}, need {purity + 1}$")):
+            unioncode.build_search_graph(base, purity + 1)
+
+
+def test_ring14_search_graph_at_the_default_cap(traced_peak):
+    """The 14-qubit ring graph state, whose 4^14 Paulis exceed the
+    default cap, builds its graph from the 862 Paulis of weight below 3:
+    15,690 of its 16,384 labels are neighbours of 0 at d = 3, and each
+    one-qubit Pauli is its own coset's representative."""
+    g, peak = traced_peak(unioncode.build_search_graph, _ring(14), 3)
+    assert peak <= 1 << 20
+    assert int(np.count_nonzero(g.leaders >= 3)) == 15690
+    ones = symmetry.pauli_labels(g.base)[:14]
+    assert (g.leaders[ones] == 1).all()
+    assert np.array_equal(g.reps(ones.tolist()),
+                          np.eye(14, 28, dtype=np.uint8))
 
 
 def _random_bitset_graph(rng, nv):
@@ -531,8 +574,7 @@ def _random_cayley_graphs():
             leaders = rng.integers(1, 5, 1 << r)
             leaders[0] = 0
             yield r, unioncode.SearchGraph(
-                leaders=leaders, reps=None,
-                target_d=int(rng.integers(2, 5)), base=None)
+                leaders=leaders, target_d=int(rng.integers(2, 5)), base=None)
 
 
 def test_max_clique_random_graphs_match_brute_force():
@@ -595,7 +637,7 @@ def test_ring9_code_pinned():
     """The ((9, 12, 3)) code of the 9-qubit ring graph state."""
     g = unioncode.build_search_graph(_ring(9), 3)
     r = unioncode.max_clique(g)
-    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 264)
+    assert (r.size, r.optimal, r.stats["nodes"]) == (12, True, 238)
     assert r.stats["symmetry"] == "translation+aut(18)"
     code = unioncode.union_from_clique(g, r)
     assert unioncode.true_distance(code) == 3
@@ -662,9 +704,10 @@ def test_automorphisms_match_brute_force():
         sb = base.stab_binary()
         swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
         assert len(maps) == len(perms)
+        reps = g.reps(range(1 << r))
         for s, images in zip(perms, maps):
-            moved = np.zeros_like(g.reps)
-            moved[:, s + [n + q for q in s]] = g.reps
+            moved = np.zeros_like(reps)
+            moved[:, s + [n + q for q in s]] = reps
             want = (moved @ swapped.T % 2) @ (1 << np.arange(r)[::-1])
             got = [symmetry.map_label(images, u) for u in range(1 << r)]
             assert got == want.tolist()
@@ -694,6 +737,62 @@ def test_orbit_reduction_never_adds_nodes(monkeypatch):
         assert orbit.stats["nodes"] <= plain.stats["nodes"]
 
 
+# (base, d, nodes, vertices) of the exact search on the graphs of
+# test_orbit_reduction_never_adds_nodes before the search pruned v ^ u in
+# the branch of u: the pruned search finds the same optimal cliques in no
+# more nodes
+PARENT_SEARCHES = [
+    ("ring5", 0, 32, list(range(32))),
+    ("ring5", 2, 7, [0, 3, 12, 22, 27, 29]),
+    ("ring5", 3, 2, [0, 31]),
+    ("graph6-1", 2, 17, [0, 7, 9, 14, 17, 22, 24, 31, 35, 36, 42, 45, 50, 53,
+                         59, 60]),
+    ("graph6-2", 2, 16, [0, 6, 10, 12, 17, 23, 27, 29, 33, 39, 43, 45, 48,
+                         54, 58, 60]),
+    ("graph6-3", 2, 19, [0, 3, 12, 15, 21, 22, 25, 26, 33, 34, 45, 46, 52,
+                         55, 56, 59]),
+    ("graph6-4", 2, 16, [0, 6, 11, 13, 18, 21, 24, 31, 33, 39, 42, 44, 51,
+                         52, 57, 62]),
+    ("graph6-5", 2, 26, [0, 5, 11, 14, 17, 20, 26, 31, 35, 38, 40, 45, 50,
+                         55, 57, 60]),
+    ("graph7-2", 3, 2, [0, 11]),
+    ("graph7-5", 3, 2, [0, 19]),
+    ("graph7-1", 2, 1353, [0, 6, 11, 13, 19, 21, 24, 30, 35, 36, 40, 47, 48,
+                           55, 59, 60, 68, 79, 87, 92, 98, 105, 113, 122]),
+    ("graph8-0", 3, 15, [0, 54, 203, 253]),
+    ("graph8-2", 3, 23, [0, 31, 101, 122]),
+    ("graph8-3", 3, 43, [0, 31, 67, 92]),
+    ("graph8-5", 3, 28, [0, 14, 39, 41, 69, 75, 98, 108]),
+    ("ring6", 2, 16, [0, 3, 12, 15, 21, 22, 25, 26, 37, 38, 41, 42, 48, 51,
+                      60, 63]),
+    ("ring6", 3, 1, [0]),
+    ("ring7", 2, 3114, [0, 12, 15, 17, 23, 30, 35, 37, 42, 50, 59, 61, 69, 70,
+                        73, 74, 88, 91, 108, 111, 116, 119]),
+    ("ring7", 3, 2, [0, 31]),
+    ("ring8", 3, 16, [0, 53, 83, 102, 153, 172, 202, 255]),
+    ("ring9", 3, 264, [0, 49, 86, 146, 163, 196, 297, 332, 367, 443, 478,
+                       509]),
+]
+
+
+def test_depth_one_translation_pruning_keeps_cliques():
+    """Clearing v ^ u once v's sub-branch in u's branch finishes keeps
+    every clique, as optimal, and never adds a node: 1,353 -> 936 on
+    graph7-1, 3,114 -> 2,071 on ring-7 at d = 2, 264 -> 238 on ring-9."""
+    fewer = 0
+    for name, d, nodes, vertices in PARENT_SEARCHES:
+        if name.startswith("ring"):
+            base = _ring(int(name[4:]))
+        else:
+            base = _graph_state(*(int(x) for x in name[5:].split("-")))
+        r = unioncode.max_clique(unioncode.build_search_graph(base, d))
+        assert ([int(v, 2) for v in r.vertices], r.size, r.optimal) == \
+            (vertices, len(vertices), True), name
+        assert r.stats["nodes"] <= nodes, name
+        fewer += r.stats["nodes"] < nodes
+    assert fewer >= 5
+
+
 def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):
     """Past AUT_STEP_CAP backtracking steps the group is left trivial,
     and the exact search returns the same clique, as optimal, reduced by
@@ -711,14 +810,17 @@ def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):
 
 def test_leader_scan_and_true_distance_caps():
     """Each cap counts what is allocated, and raises before allocating
-    it: the 4^10 leader scan, and the 2^10 normalizer words that
-    true_distance spans and shifts by each difference class."""
+    it: the 1 + 30 + 405 Paulis of weight below 3 and the 2^10 leader
+    table, and the 2^10 normalizer words that true_distance spans and
+    shifts by each difference class."""
     base = _ring(10)
     code = unioncode.union_code(base, [pauli.pauli_parse("ZZIIIIIIII")])
     tracemalloc.start()
     try:
-        with pytest.raises(StrategyInfeasible):
-            unioncode.build_search_graph(base, 2, cap=(1 << 20) - 1)
+        with pytest.raises(StrategyInfeasible, match=(
+                r"enumerating 436 Paulis of weight below 3 into a 2\^10 "
+                "leader table exceeds cap 1459")):
+            unioncode.build_search_graph(base, 2, cap=436 + 1024 - 1)
         with pytest.raises(StrategyInfeasible):
             unioncode.true_distance(code, cap=(1 << 10) - 1)
         peak = tracemalloc.get_traced_memory()[1]
@@ -726,6 +828,8 @@ def test_leader_scan_and_true_distance_caps():
         tracemalloc.stop()
     assert peak < 1 << 16
     assert unioncode.true_distance(code, cap=1 << 10) == 2
+    assert unioncode.build_search_graph(base, 2, cap=436 + 1024).num_edges \
+        == unioncode.build_search_graph(base, 2).num_edges
 
 
 def test_true_distance_past_13_qubits(traced_peak):
@@ -740,10 +844,11 @@ def test_true_distance_past_13_qubits(traced_peak):
 
 
 def test_leader_scan_memory_is_chunked():
-    # an unchunked 4^10-entry uint64 key array alone would take 8 MiB,
-    # and a dense 1024 x 1024 adjacency 1 MiB plus its gather index;
-    # measured peaks: 0.82 MiB for the 2^14-Pauli chunked scan, 2.9 MiB
-    # for the clique search, mostly one 2^20-entry gather chunk
+    # a 4^10-entry uint64 key array alone would take 8 MiB, and a dense
+    # 1024 x 1024 adjacency 1 MiB plus its gather index; measured peaks:
+    # 15 KiB for the 436 Paulis of weight below 3 and the 2^10-byte
+    # table, 2.9 MiB for the clique search, mostly one 2^20-entry gather
+    # chunk
     base = _ring(10)
     tracemalloc.start()
     try:
@@ -756,7 +861,7 @@ def test_leader_scan_memory_is_chunked():
         tracemalloc.stop()
     assert g.num_vertices == 1024
     assert result.stats["nodes"] == 51 and not result.optimal
-    assert build_peak < 2 << 20
+    assert build_peak < 1 << 15
     assert clique_peak < 4 << 20
 
 
@@ -765,7 +870,6 @@ def test_clique_reverification_names_missing_edge(monkeypatch):
     set that is not a clique; re-verification against the leader table
     rejects it, naming the pair at distance leaders[01 ^ 10] = 1 < 2."""
     g = unioncode.SearchGraph(leaders=np.array([0, 2, 2, 1]),
-                              reps=np.zeros((4, 4), np.uint8),
                               target_d=2, base=None)
     monkeypatch.setattr(clique, "_adjacency_chunks", lambda conn, verts:
                         [(0, np.ones((len(verts), len(verts)), bool))])
