@@ -580,9 +580,8 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
       a 2^(r-s) x 2^s table with column p for the coset of p.
 
     The cap bounds what the chosen path allocates.  The polynomial
-    expansion uses exact integers, one Krawtchouk row
-    z4._krawtchouk_row(w, n) per weight w that occurs, and the division by
-    2^r is checked, which certifies the arithmetic.
+    expansion, (1+z)^(n-w) (1-z)^w read as K_i(w; n), and its checked
+    division by 2^r are z4._krawtchouk_expand's.
     """
     h = c.base.parity_check
     r = h.shape[0]
@@ -606,15 +605,7 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
         acc = _span_weights_by_chi(lift, s, chi)
     else:
         acc = _rank_weights(quad, lift, chi, cap)
-    n = c.n
-    poly = [0] * (n + 1)
-    for w, a_w in enumerate(acc.tolist()):
-        if a_w:  # (1+z)^(n-w) (1-z)^w has coefficients K_i(w; n)
-            for i, k in enumerate(z4._krawtchouk_row(w, n)):
-                poly[i] += a_w * k
-    if any(coeff % (1 << r) for coeff in poly):
-        raise ConstructionMismatch("enumerator transform is not integral")
-    return [coeff >> r for coeff in poly]
+    return z4._krawtchouk_expand(acc.tolist(), c.n, r)
 
 
 def _first_nonzero_weight(counts: list[int]) -> int:

@@ -232,10 +232,11 @@ def _bounded_expander(by_target: list[list], target_images: list,
                       planes: np.ndarray, hold: int, cap: int):
     """near(level, slack, root): the images of level at most slack planes
     from root, uncanonicalised, built one target plane at a time as
-    _search describes.  Plane t of the held fields 0..hold-1 is compared
-    with root's by value, of the other fields by popcount.  Raises
-    CapExceeded before a target's block of images would hold more than
-    cap words, and once the kept images do.
+    _search describes, each target's block by slices of SYNTH_CHUNK
+    images.  Plane t of the held fields 0..hold-1 is compared with root's
+    by value, of the other fields by popcount.  Raises CapExceeded before
+    a target's block of images would hold more than cap words, and once
+    the kept images do.
     """
     w = len(by_target)
     held = planes[:, 0] & planes.dtype.type((1 << (w * hold)) - 1)
@@ -266,10 +267,13 @@ def _bounded_expander(by_target: list[list], target_images: list,
                 raise CapExceeded(
                     f"expanding {src.size} states by the {len(by_target[t])}"
                     f" gates with target {t} exceeds cap {cap}")
-            imgs = target_images[t](src)
-            keep = far(imgs, root, t) <= np.compress(some, room)
-            kept.append(np.compress(keep.reshape(-1), imgs.reshape(-1)))
-            size += kept[-1].size
+            room = np.compress(some, room)
+            step = max(1, SYNTH_CHUNK // len(by_target[t]))
+            for lo in range(0, src.size, step):
+                imgs = target_images[t](src[lo:lo + step])
+                keep = far(imgs, root, t) <= room[lo:lo + step]
+                kept.append(np.compress(keep.reshape(-1), imgs.reshape(-1)))
+                size += kept[-1].size
             if size > cap:
                 raise CapExceeded(f"keeping {size} images exceeds cap {cap}")
         return np.concatenate(kept)

@@ -368,37 +368,19 @@ def _xz_weights(words: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_count(w)
 
 
-def _commutation_bits(words: np.ndarray, rows: np.ndarray,
-                      n: int) -> np.ndarray:
-    """Bit g of entry i: symplectic product of words[i] with rows[g].
-
-    words are packed (x|z); rows is a 0/1 (x|z) matrix of at most 64
-    rows.  An entry is 0 exactly when the word commutes with every row.
-    """
-    swapped = gf2.pack_rows(_swap(rows, n))
-    out = np.zeros(words.shape, dtype=np.uint64)
-    for g, row in enumerate(swapped):
-        out |= (np.bitwise_count(words & row) & 1).astype(np.uint64) << g
-    return out
-
-
 def purity_and_distance(code: StabilizerCode,
                         cap: int = gf2.DEFAULT_CAP) -> CodeParams:
     """Brute-force purity d* and distance d over the normalizer code.
 
     d* is the minimum nonzero weight of the normalizer code; d is the
-    minimum weight outside the stabilizer, which is the set of normalizer
-    words commuting with the whole normalizer.
+    minimum weight outside the stabilizer.  Span entry a combines the
+    stabilizer rows, then the logicals, picked by its bits, so the
+    entries from 2^(n-k) on are the normalizer words outside it.
     """
-    n = code.n
-    norm = code.normalizer_binary()
-    words = _normalizer_span(code, cap)
-    weights = _xz_weights(words, n)
-    outside = _commutation_bits(words, norm, n) != 0
-    nonzero = weights > 0
-    d_star = int(weights[nonzero].min()) if nonzero.any() else None
-    d = int(weights[outside].min()) if outside.any() else d_star
-    return CodeParams(n=n, log2_dim=code.k, d=d, purity=d_star,
+    weights = _xz_weights(_normalizer_span(code, cap), code.n)
+    d_star = int(weights[1:].min())
+    d = int(weights[1 << (code.n - code.k):].min()) if code.k else d_star
+    return CodeParams(n=code.n, log2_dim=code.k, d=d, purity=d_star,
                       provenance={"d": "brute-normalizer",
                                   "purity": "brute-normalizer"})
 

@@ -3,10 +3,13 @@
 A union stabilizer code is the direct sum of K translated copies t_i C_0
 of a base stabilizer code, the t_i lying in pairwise-distinct cosets of
 the base's normalizer.  This module computes coset distances (minimum
-weight in a normalizer coset), the resulting distance bound, the exact
-true distance at small length, builds CSS-like unions from classical
+weight in a normalizer coset), builds CSS-like unions from classical
 coset codes, and builds the coset graph in which clique.max_clique
-searches for good translation sets.
+searches for good translation sets.  The distance bound, the base's
+purity and the exact distance that verify reports all come from the
+union's quantum weight enumerators (_enumerators): one Walsh-Hadamard
+transform over the 2^(n-k) stabilizer elements, which the cap counts,
+and one quaternary Krawtchouk expansion.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2, symmetry
+from . import gf2, symmetry, z4
 from .classical import (
     CosetCode,
     LinearCode,
@@ -37,7 +40,6 @@ from .stab import (
     CodeParams,
     StabilizerCode,
     css,
-    _commutation_bits,
     _ip_rows,
     _normalizer_span,
     _swap,
@@ -135,23 +137,6 @@ def union_code(base: StabilizerCode, ts: list[PauliVector],
     return UnionStabilizerCode(base=base, translations=ordered, params=params)
 
 
-def _difference_classes(code: UnionStabilizerCode) -> np.ndarray:
-    """Packed t_i + t_j over i < j, one per distinct stabilizer syndrome.
-
-    The coset N + t_i + t_j of the normalizer N depends only on the
-    syndrome of t_i + t_j, so these representatives reach every coset
-    of the pairwise differences exactly once.
-    """
-    t = gf2.pack_rows(_xz_rows(code.n, code.translations))
-    syn = _commutation_bits(t, code.base.stab_binary(), code.n).tolist()
-    t = t.tolist()
-    reps = {}
-    for a, (sa, ta) in enumerate(zip(syn, t)):
-        for sb, tb in zip(syn[a + 1:], t[a + 1:]):
-            reps.setdefault(sa ^ sb, ta ^ tb)
-    return np.array(list(reps.values()), dtype=np.uint64)
-
-
 def coset_distance(code: UnionStabilizerCode, i: int, j: int,
                    cap: int = gf2.DEFAULT_CAP) -> int:
     """Minimum Pauli weight in the normalizer coset of t_i - t_j."""
@@ -163,60 +148,71 @@ def coset_distance(code: UnionStabilizerCode, i: int, j: int,
     return int(_xz_weights(words ^ (ti ^ tj), code.n).min())
 
 
+def _enumerators(code: UnionStabilizerCode, cap: int):
+    """(K, h, pairs, normalizer), each read by weight w = 0 .. n.
+
+    g_v is the base's element labelled v, the product of its rows i with
+    bit i of v set, and s_i the syndrome of t_i; F is the Walsh-Hadamard
+    transform of the K-point indicator of the s_i and h(x) the sum of
+    F(v)^2 over the v with wt(g_v) = x.  The enumerators of Shor and
+    Laflamme (PRL 78, 1997) are then K^2 A_w = h(w) and K B_w = pairs[w],
+    the MacWilliams transform of h, which counts the weight-w words of
+    N + t_i + t_j over all ordered pairs; normalizer[w] counts those of N.
+    The s_i are distinct, so by Parseval every sum of h is at most K 2^r.
+    The cap counts the 2^r elements g_v, whose weights and F it holds.
+    """
+    base, n, K = code.base, code.n, len(code.translations)
+    r = n - base.k
+    if (1 << r) > cap:
+        raise StrategyInfeasible(
+            f"stabilizer enumeration 2^{r} exceeds cap {cap}")
+    sb = base.stab_binary()
+    # the Pauli weight of (x|z) is half the Hamming weight of (x|z|x^z)
+    wt = gf2.span_weights(np.concatenate([sb, sb[:, :n] ^ sb[:, n:]], 1),
+                          cap) >> 1
+    syn = gf2.pack_rows(_ip_rows(_xz_rows(n, code.translations), sb, n))
+    f = np.bincount(syn.astype(np.intp), minlength=1 << r)
+    gf2.fwht(f)
+    f *= f
+    h = np.zeros(n + 1, np.int64 if K << r < 1 << 63 else object)
+    np.add.at(h, wt, f.astype(h.dtype))
+    h = h.tolist()
+    counts = np.bincount(wt, minlength=n + 1).tolist()
+    return (K, h, z4._krawtchouk_expand(h, n, r, 4),
+            z4._krawtchouk_expand(counts, n, r, 4))
+
+
 def union_distance_bound(code: UnionStabilizerCode,
                          cap: int = gf2.DEFAULT_CAP) -> CodeParams:
-    """Distance bound: min of pairwise coset distances and base purity."""
-    n = code.n
-    words = _normalizer_span(code.base, cap)
-    weights = _xz_weights(words, n)
-    purity = int(weights[weights > 0].min())
-    best = purity
-    for _, block in _class_blocks(_difference_classes(code), words, cap):
-        best = min(best, int(_xz_weights(block, n).min()))
+    """Distance bound: min of pairwise coset distances and base purity,
+    the least w >= 1 with B_w > 0 and with a normalizer word of weight w
+    (_enumerators)."""
+    _, _, pairs, normalizer = _enumerators(code, cap)
+    best = next(w for w in range(1, code.n + 1) if pairs[w])
+    purity = next(w for w in range(1, code.n + 1) if normalizer[w])
     return CodeParams(
-        n=n, log2_dim=code.params.log2_dim, d=best, purity=purity,
+        n=code.n, log2_dim=code.params.log2_dim, d=best, purity=purity,
         provenance={"d": "coset-enumeration-bound",
                     "impure": purity < best})
 
 
 def true_distance(code: UnionStabilizerCode,
                   cap: int = gf2.DEFAULT_CAP) -> int:
-    """Exact distance: min weight over (C* - C*) minus the closure dual.
-
-    C* is the union normalizer code; its difference set is thinned by the
-    symplectic dual of the additive closure of C*.  C* - C* is the union
-    of N + t_i + t_j over all pairs, i = j giving N itself, so one
-    normalizer span is shifted by one representative per difference
-    class.  A word lies in the closure dual when it commutes with every
-    closure generator; the commutation bits are linear, so those of a
-    shifted word are the span's XOR the representative's.  The cap
-    bounds the span and each (classes x words) block of _class_blocks.
-    """
-    n = code.n
-    words = _normalizer_span(code.base, cap)
-    gens = np.concatenate([code.base.normalizer_binary(),
-                           _xz_rows(n, code.translations)])
-    closure = gf2._independent_rows(gens)
-    reps = np.concatenate([np.zeros(1, np.uint64), _difference_classes(code)])
-    word_bits = _commutation_bits(words, closure, n)
-    rep_bits = _commutation_bits(reps, closure, n)
-    best = None
-    for i, block in _class_blocks(reps, words, cap):
-        outside = rep_bits[i:i + len(block), None] != word_bits
-        weights = _xz_weights(block[outside], n)
-        if weights.size:
-            m = int(weights.min())
-            best = m if best is None else min(best, m)
-    if best is None:
-        raise StrategyInfeasible("difference set lies inside the closure dual")
-    return best
+    """Exact distance: the least w >= 1 with B_w > A_w, below which every
+    error is detectable (Rains, IEEE Trans. IT 44, 1998).  Raises
+    StrategyInfeasible when there is none: the difference set C* - C*
+    then lies inside the symplectic dual of its additive closure."""
+    K, h, pairs, _ = _enumerators(code, cap)
+    for w in range(1, code.n + 1):
+        if K * pairs[w] > h[w]:
+            return w
+    raise StrategyInfeasible("difference set lies inside the closure dual")
 
 
 def _class_blocks(reps: np.ndarray, words: np.ndarray, cap: int):
     """Yields (i, reps[i:j, None] ^ words), the normalizer span shifted by
-    each of reps i..j-1 (difference classes, or one Pauli per coset): at
-    most 2^LEADER_CHUNK_BITS and cap words a block, or one shift when the
-    span alone holds more."""
+    each of reps i..j-1, one Pauli per coset: at most 2^LEADER_CHUNK_BITS
+    and cap words a block, or one shift when the span alone holds more."""
     step = max(1, min(cap, 1 << LEADER_CHUNK_BITS) // len(words))
     for i in range(0, len(reps), step):
         yield i, reps[i:i + step, None] ^ words
@@ -299,9 +295,8 @@ class SearchGraph:
         return gf2.unpack_rows(best[:, None], 2 * n)
 
 
-# shifted normalizer words per block of the distance checks and of
-# SearchGraph.reps, as a power of two: bounds their temporaries to a few
-# MB whatever n is
+# shifted normalizer words per block of SearchGraph.reps, as a power of
+# two: bounds its temporaries to a few MB whatever n is
 LEADER_CHUNK_BITS = 14
 
 
@@ -321,7 +316,8 @@ def build_search_graph(base: StabilizerCode, d: int,
     (symmetry.pauli_labels); one np.minimum.at scatters their weights.
     A nonzero one at syndrome 0 lies in the normalizer, so the least such
     weight, when below d, is the base's purity.  The cap counts those
-    Paulis and the 2^(n-k) table before either is built.
+    Paulis and the 2^(n-k) table before either is built, and the 2^(n+k)
+    normalizer span that SearchGraph.reps shifts.
     """
     if d < 0:
         raise BadParams(f"target distance must be at least 0, got {d}")
@@ -332,6 +328,10 @@ def build_search_graph(base: StabilizerCode, d: int,
         raise StrategyInfeasible(
             f"enumerating {count} Paulis of weight below {top} into a "
             f"2^{r} leader table exceeds cap {cap}")
+    if (1 << (n + base.k)) > cap:
+        raise StrategyInfeasible(
+            f"the 2^{n + base.k} normalizer span of the coset "
+            f"representatives exceeds cap {cap}")
     lab = symmetry.pauli_labels(base)
     syn, wt = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
     for x, z in zip(lab[:n], lab[n:]):

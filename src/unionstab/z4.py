@@ -439,19 +439,33 @@ def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
     return SymmetrizedWeightEnumerator(n4=c.n4, coeffs=coeffs)
 
 
-def _krawtchouk_row(x: int, n: int) -> list[int]:
-    """K_k(x; n) for k = 0 .. n: the z^k coefficients of (1-z)^x (1+z)^(n-x).
-
-    K_k(x; n) = sum_j (-1)^j C(x, j) C(n - x, k - j).  The row comes from
-    K_0 = 1 by the three-term recurrence (MacWilliams and Sloane, ch. 5)
-    (k + 1) K_(k+1) = (n - 2x) K_k - (n - k + 1) K_(k-1), whose division
-    is exact.
+def _krawtchouk_row(x: int, n: int, q: int = 2) -> list[int]:
+    """K_k(x; n, q) for k = 0 .. n: the z^k coefficients of
+    (1-z)^x (1+(q-1)z)^(n-x), from K_0 = 1 by the three-term recurrence
+    (MacWilliams and Sloane, ch. 5) (k + 1) K_(k+1) = ((q-1)(n - k) + k
+    - q x) K_k - (q-1)(n - k + 1) K_(k-1), whose division is exact.
     """
     row, prev = [1], 0
     for k in range(n):
-        row.append(((n - 2 * x) * row[-1] - (n - k + 1) * prev) // (k + 1))
+        row.append((((q - 1) * (n - k) + k - q * x) * row[-1]
+                    - (q - 1) * (n - k + 1) * prev) // (k + 1))
         prev = row[-2]
     return row
+
+
+def _krawtchouk_expand(counts: list[int], n: int, r: int,
+                       q: int = 2) -> list[int]:
+    """2^-r sum_x counts[x] K_w(x; n, q) for w = 0 .. n in exact integers,
+    the MacWilliams transform onto the dual of a code of 2^r words; a sum
+    that 2^r does not divide raises ConstructionMismatch."""
+    poly = [0] * (n + 1)
+    for x, c in enumerate(counts):
+        if c:
+            for w, k in enumerate(_krawtchouk_row(x, n, q)):
+                poly[w] += c * k
+    if any(p % (1 << r) for p in poly):
+        raise ConstructionMismatch("enumerator transform is not integral")
+    return [p >> r for p in poly]
 
 
 def swe_macwilliams(

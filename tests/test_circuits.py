@@ -351,6 +351,42 @@ def test_bounded_expansion_cap_counts_each_target_block(monkeypatch):
     assert built and max(built) <= 30_000
 
 
+def test_bounded_expansion_slices_each_target_block(traced_peak):
+    """Counting order at max_gates=10 on SEED3_LABELS expands a
+    709,363-state level by target blocks of 16 gates, 11.3M images each.
+    The plane test runs on slices of at most SYNTH_CHUNK images, so the
+    search peaks at 77 MiB traced, where whole blocks took 217 MiB, and
+    still answers NotFound."""
+    got, peak = traced_peak(circuits.synth_qc, SEED3_LABELS, max_gates=10)
+    assert isinstance(got, NotFound)
+    assert peak <= 96 << 20
+
+
+def test_sliced_plane_test_keeps_the_same_images(monkeypatch):
+    """With SYNTH_CHUNK at 64 words every target block of the ((5, 6, 2))
+    searches is tested in many slices, and each bounded level keeps the
+    images it keeps with whole blocks, so the circuits are the same."""
+    kept = []
+    bounded_expander = reversible._bounded_expander
+
+    def spy(*args):
+        near = bounded_expander(*args)
+        return lambda *a: (kept.append(np.sort(near(*a))), kept[-1])[1]
+    monkeypatch.setattr(reversible, "_bounded_expander", spy)
+    runs = []
+    for chunk in (reversible.SYNTH_CHUNK, 64):
+        monkeypatch.setattr(reversible, "SYNTH_CHUNK", chunk)
+        kept.clear()
+        circs = (circuits.synth_qc(CANONICAL_LABELS, max_gates=8),
+                 circuits.synth_qc_any_order(CANONICAL_LABELS, max_gates=7))
+        runs.append((circs, list(kept)))
+    (whole, levels), (sliced, sliced_levels) = runs
+    assert sliced == whole and len(levels) == len(sliced_levels) >= 2
+    assert max(level.size for level in levels) > 64
+    for a, b in zip(levels, sliced_levels):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("inputs, any_order, side", [
     # one gate: the forward root is joined first and meets the backward root
     (["10", "11"], False, "forward"),

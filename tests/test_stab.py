@@ -54,11 +54,13 @@ def test_perfect_code_distance():
 
 
 def test_impure_code_distance():
-    # Shor's [[9, 1, 3]] code: weight-2 stabilizers, distance 3
-    code = _code(["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
-                  "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"])
-    params = stab.purity_and_distance(code)
-    assert (params.purity, params.d) == (2, 3)
+    # Shor's [[9, 1, 3]] code: weight-2 stabilizers, distance 3, with the
+    # weight-2 rows first and last
+    gens = ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+            "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"]
+    for order in (gens, gens[6:] + gens[:6]):
+        params = stab.purity_and_distance(_code(order))
+        assert (params.purity, params.d) == (2, 3)
 
 
 def test_zero_k_graph_code(graph_state_code):

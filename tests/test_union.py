@@ -289,18 +289,19 @@ def _oracle_true_distance(code):
 
 
 def _oracle_distance_bound(code):
+    """(bound, purity): the purity is the least weight of a nonzero
+    normalizer word, and the bound the least of it and of every pair's
+    coset distance, the least weight in N + t_i + t_j over i < j (all
+    pairs shifted at once)."""
     n = code.n
     words = _dense_span(code.base.normalizer_binary())
     weights = (words[:, :n] | words[:, n:]).sum(axis=1)
-    best = int(weights[weights > 0].min())
-    ts = code.translations
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            diff = np.concatenate([ts[i].x ^ ts[j].x, ts[i].z ^ ts[j].z])
-            shifted = words ^ diff
-            best = min(best, int((shifted[:, :n] | shifted[:, n:])
-                                 .sum(axis=1).min()))
-    return best
+    purity = int(weights[weights > 0].min())
+    ts = np.array([np.concatenate([t.x, t.z]) for t in code.translations])
+    i, j = np.triu_indices(len(ts), 1)
+    shifted = words ^ (ts[i] ^ ts[j])[:, None]
+    best = (shifted[..., :n] | shifted[..., n:]).sum(axis=-1).min(initial=n)
+    return min(int(best), purity), purity
 
 
 def _oracle_leader_scan(base):
@@ -398,8 +399,8 @@ def _true_distance_or_error(fn, code):
 def test_distances_match_oracles(five_union, full_space_union):
     for code in (five_union, full_space_union):
         assert unioncode.true_distance(code) == _oracle_true_distance(code)
-        assert unioncode.union_distance_bound(code).d == \
-            _oracle_distance_bound(code)
+        bound = unioncode.union_distance_bound(code)
+        assert (bound.d, bound.purity) == _oracle_distance_bound(code)
 
 
 def test_random_unions_match_oracles(graph_state_code):
@@ -421,24 +422,70 @@ def test_random_unions_match_oracles(graph_state_code):
             ts.setdefault(_syndromes(base, [t])[0], t)
         code = unioncode.union_code(base, list(ts.values()))
         n, words = code.n, _dense_span(base.normalizer_binary())
-        # one representative per syndrome of t_i + t_j, i < j
-        want = _syndromes(base, [pauli.pauli_from_parts(
-            ti.x ^ tj.x, ti.z ^ tj.z) for i, ti in enumerate(
-                code.translations) for tj in code.translations[i + 1:]])
-        got = _syndromes(base, [pauli.pauli_from_parts(
-            *((int(rep) >> np.arange(2 * n) & 1).reshape(2, n)))
-            for rep in unioncode._difference_classes(code)])
-        assert sorted(got) == sorted(set(want))
         for i in range(len(code.translations)):
             for j in range(i + 1, len(code.translations)):
                 ti, tj = code.translations[i], code.translations[j]
                 shifted = words ^ np.concatenate([ti.x ^ tj.x, ti.z ^ tj.z])
                 assert unioncode.coset_distance(code, i, j) == \
                     (shifted[:, :n] | shifted[:, n:]).sum(axis=1).min()
-        assert unioncode.union_distance_bound(code).d == \
-            _oracle_distance_bound(code)
+        bound = unioncode.union_distance_bound(code)
+        assert (bound.d, bound.purity) == _oracle_distance_bound(code)
         assert _true_distance_or_error(unioncode.true_distance, code) == \
             _true_distance_or_error(_oracle_true_distance, code)
+
+
+def _seeded_unions(count, seed):
+    """count seeded union codes over signed random graph states on 3..5
+    qubits with 0..2 generators dropped (k = 0..2), and over [[5, 1, 3]]:
+    K - 1 random translations, K uniform in 1 .. 2^r, in distinct
+    nontrivial cosets, so K = 2^r is the union of every coset."""
+    rng = np.random.default_rng(seed)
+    five = stab.stabilizer_from_generators([pauli.pauli_parse(g) for g in (
+        "XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")])
+    for trial in range(count):
+        if trial % 8 == 0:
+            base = five
+        else:
+            n = int(rng.integers(3, 6))
+            a = np.triu(rng.random((n, n)) < 0.5, 1)
+            a = a | a.T
+            gens = [("-" if rng.integers(2) else "") + "".join(
+                "X" if u == v else ("Z" if a[v, u] else "I")
+                for u in range(n)) for v in range(n)]
+            base = stab.stabilizer_from_generators([pauli.pauli_parse(g)
+                for g in gens[:n - int(rng.integers(0, 3))]])
+        n, r = base.n, base.n - base.k
+        rows = rng.integers(0, 2, (16 << r, 2 * n), dtype=np.uint8)
+        syn = stab._ip_rows(rows, base.stab_binary(), n) @ (1 << np.arange(r))
+        labels, first = np.unique(syn, return_index=True)
+        first = rng.permutation(first[labels > 0])
+        first = first[:int(rng.integers(1, (1 << r) + 1)) - 1]
+        yield unioncode.union_code(base, [stab._vec(row, n)
+                                          for row in rows[first]])
+
+
+def test_enumerators_match_oracles_on_seeded_unions():
+    """On 1,000 seeded unions, k = 0..2 and K = 1 .. 2^r: the distance,
+    bound and purity read off the weight enumerators equal the dense
+    oracles'; A_0 = B_0 = 1 and B_w >= A_w at every w, that is
+    h(0) = K^2, pairs[0] = K and K pairs[w] >= h(w)."""
+    seen = set()
+    for code in _seeded_unions(1000, 33):
+        K, r = len(code.translations), code.n - code.base.k
+        seen.add((code.base.k, K == 1, K == 1 << r))
+        K_, h, pairs, _ = unioncode._enumerators(code, gf2.DEFAULT_CAP)
+        assert K_ == K and h[0] == K * K and pairs[0] == K
+        assert all(K * p >= a for p, a in zip(pairs, h))
+        bound = unioncode.union_distance_bound(code)
+        assert (bound.d, bound.purity) == _oracle_distance_bound(code)
+        d = _true_distance_or_error(_oracle_true_distance, code)
+        assert _true_distance_or_error(unioncode.true_distance, code) == d
+        if K == 1:  # the base alone: its distance, or its purity at k = 0
+            params = stab.purity_and_distance(code.base)
+            assert (params.d, params.purity) == \
+                (d if code.base.k else bound.purity, bound.purity)
+    assert {(k, one, full) for k in range(3) for one, full in
+            ((True, False), (False, True))} <= seen
 
 
 # (n, d, seed) of random graph states pure to distance d; the 7-qubit d = 2
@@ -471,8 +518,8 @@ def test_search_path_matches_oracles(case, graph_state_code):
     assert len(set(idx)) == new.size
     assert all(adj[u, v] for u in idx for v in idx if u != v)
     code = unioncode.union_from_clique(g, new)
-    assert unioncode.union_distance_bound(code).d == \
-        _oracle_distance_bound(code)
+    bound = unioncode.union_distance_bound(code)
+    assert (bound.d, bound.purity) == _oracle_distance_bound(code)
     assert _true_distance_or_error(unioncode.true_distance, code) == \
         _true_distance_or_error(_oracle_true_distance, code)
 
@@ -811,8 +858,8 @@ def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):
 def test_leader_scan_and_true_distance_caps():
     """Each cap counts what is allocated, and raises before allocating
     it: the 1 + 30 + 405 Paulis of weight below 3 and the 2^10 leader
-    table, and the 2^10 normalizer words that true_distance spans and
-    shifts by each difference class."""
+    table, and the 2^10 stabilizer elements whose weights and
+    Walsh-Hadamard transform true_distance's enumerators hold."""
     base = _ring(10)
     code = unioncode.union_code(base, [pauli.pauli_parse("ZZIIIIIIII")])
     tracemalloc.start()
@@ -833,14 +880,47 @@ def test_leader_scan_and_true_distance_caps():
 
 
 def test_true_distance_past_13_qubits(traced_peak):
-    """A 14-qubit ring union code: true_distance spans 2^14 normalizer
-    words per difference class, well inside the default cap, where the
-    4^14 Paulis are not; the distance matches the coset bound."""
+    """A 14-qubit ring union code: true_distance enumerates the 2^14
+    stabilizer elements, well inside the default cap, where the 4^14
+    Paulis are not; the distance matches the coset bound."""
     code = unioncode.union_code(_ring(14), [
         pauli.pauli_parse(t) for t in ("ZZIIIIIIIIIIII", "IIIIIIIZZIIIII")])
     d, peak = traced_peak(unioncode.true_distance, code)
     assert d == unioncode.union_distance_bound(code).d == 2
     assert peak < 2 << 20
+
+
+def test_distances_past_32_qubits():
+    """css(RM(4, 6), RM(4, 6)) is [[64, 50, 4]]: its 2^14 stabilizer
+    elements fit the cap where its 2^114 normalizer words do not, and
+    their Pauli weights span 192 columns.  RM(4, 6) has distance 4 and
+    its dual RM(1, 6) has 16, so the normalizer's least nonzero weight,
+    the purity, and the least outside the stabilizer are both 4."""
+    rm = classical.reed_muller(4, 6)
+    base = stab.css(rm, rm)
+    assert (base.n, base.k) == (64, 50)
+    code = unioncode.union_code(base, [])
+    bound = unioncode.union_distance_bound(code)
+    assert (bound.d, bound.purity, unioncode.true_distance(code)) == (4, 4, 4)
+    with pytest.raises(StrategyInfeasible,
+                       match=r"^stabilizer enumeration 2\^14 exceeds cap"):
+        unioncode.true_distance(code, cap=(1 << 14) - 1)
+
+
+def test_search_graph_cap_counts_the_normalizer_span():
+    """A ring-7 base with two generators dropped, k = 2: at d = 1 the 211
+    Paulis of weight below 3 and the 2^5 table fit a cap of 300, the
+    2^9 normalizer span that SearchGraph.reps shifts does not, and the
+    build refuses it; at a cap of 2^9 the search runs to its union."""
+    base = stab.stabilizer_from_generators(_ring(7).stab[:5])
+    assert base.k == 2
+    with pytest.raises(StrategyInfeasible, match=(
+            r"^the 2\^9 normalizer span of the coset representatives "
+            "exceeds cap 300$")):
+        unioncode.build_search_graph(base, 1, cap=300)
+    g = unioncode.build_search_graph(base, 1, cap=1 << 9)
+    code = unioncode.union_from_clique(g, unioncode.max_clique(g))
+    assert len(code.translations) == 1 << 5
 
 
 def test_leader_scan_memory_is_chunked():
