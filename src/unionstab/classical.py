@@ -22,7 +22,6 @@ import numpy as np
 from . import gf2, z4
 from .errors import (
     BadParams,
-    CapExceeded,
     ConstructionMismatch,
     DuplicateCoset,
     NotAUnionOfCosets,
@@ -173,9 +172,8 @@ class CosetCode:
         return {s.tobytes() for s in self.base.syndrome(self.translations)}
 
     def words(self, cap: int = gf2.DEFAULT_CAP):
-        """Yields every codeword; coset by coset."""
-        if self.size > cap:
-            raise CapExceeded(f"coset code has {self.size} words, cap {cap}")
+        """Yields every codeword, coset by coset; the cap counts each twice."""
+        gf2.charge(2 * self.size * self.n, f"listing {self.size} words", cap)
         base_words = self.base.words(cap)
         for t in self.translations:
             yield from (t ^ base_words)
@@ -234,7 +232,7 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     sigma enters only r, so one elimination of M beside all q right-hand
     sides finds the consistent sigma and a solution c_sigma of each; the
     classes are the c_sigma + ker M.  Raises CapExceeded, before building
-    them, when K translations of n = 2^m bytes exceed gf2.DEFAULT_CAP.
+    them, when 4 copies of K translations of n = 2^m bytes exceed the cap.
     """
     res = _residues(z4.gr4_build(m - 1))
     q, b, n = res.size, m - 1, 1 << m
@@ -255,9 +253,8 @@ def _power_sum_translations(m: int, kind: str) -> tuple[LinearCode, np.ndarray]:
     y = red[:rk, t:].T[~red[rk:, t:].any(axis=0)]
     ker = gf2.kernel_basis(mat)
     K = len(y) << len(ker)
-    if K * n > gf2.DEFAULT_CAP:
-        raise CapExceeded(f"K = {K:,} translations of n = {n} bytes exceed "
-                          f"cap {gf2.DEFAULT_CAP:,}")
+    gf2.charge(4 * K * n, f"building K = {K:,} translations of n = {n} "
+               f"bytes", gf2.DEFAULT_CAP)
     # a class's word: c_sigma's monomial sum XOR one of the span of ker's
     words = gf2.pack_words(np.vstack([y @ top[piv[:rk]], ker @ top]) & 1)
     ts = words[:len(y), :, None] ^ gf2.xor_span(words[len(y):].T)
@@ -414,16 +411,14 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
     """Exact minimum distance of a LinearCode or CosetCode.
 
     Strategies: "brute" enumerates words (pairwise differences for coset
-    codes); "enumerator" uses the dual-character coset weight enumerator
-    (exact integer arithmetic).
+    codes, charged one bit a pair to bound the time); "enumerator" uses
+    the dual-character coset weight enumerator (exact integer arithmetic).
     """
     if isinstance(c, LinearCode):
         if strategy == "enumerator":
             return min_distance(_as_coset(c), strategy, cap)
         if strategy != "brute":
             raise StrategyInfeasible(f"unknown strategy {strategy!r}")
-        if (1 << c.k) > cap:
-            raise StrategyInfeasible(f"2^{c.k} words exceed cap {cap}")
         w = gf2.span_weights(c.generator, cap)
         if not w.any():
             raise ValueError("code has no nonzero words")
@@ -431,9 +426,9 @@ def min_distance(c, strategy: str = "brute", cap: int = gf2.DEFAULT_CAP) -> int:
     if not isinstance(c, CosetCode):
         raise BadParams("min_distance wants a LinearCode or CosetCode")
     if strategy == "brute":
-        if c.size > cap or c.size * c.size > cap * 64:
-            raise StrategyInfeasible("pairwise enumeration exceeds cap")
-        words = np.array(list(c.words(cap)), dtype=np.uint8)
+        gf2.charge(max(c.size * (3 * c.n + 8), -(-c.size * c.size // 8)),
+                   f"comparing {c.size} words pairwise", cap)
+        words = (c.translations[:, None] ^ c.base.words(cap)).reshape(-1, c.n)
         best = c.n
         for i in range(words.shape[0]):
             diff = (words[i + 1:] ^ words[i]).sum(axis=1)
@@ -496,10 +491,10 @@ def _form_ranks(quad: np.ndarray, m: int,
     Row a of a form, an m-bit int (uint8 for m <= 8, else uint16), is
     linear in the form, so the m rows of every form are spanned from the
     basis forms' rows by gf2.xor_span_chunks, _RANK_CHUNK forms a chunk,
-    or the largest power of two whose m rows per form fit in cap.  Each
-    chunk's rows are eliminated together, row by row: the lowest set bit
-    of a reduced row is its pivot, cleared from every later row holding
-    it, and each nonzero reduced row adds one to the rank.
+    2m + 5 rows a form with both spans and the elimination's temporaries.
+    Each chunk's rows are eliminated together, row by row: the lowest set
+    bit of a reduced row is its pivot, cleared from every later row
+    holding it, and each nonzero reduced row adds one to the rank.
     """
     s = quad.shape[0]
     a, b = np.triu_indices(m, 1)
@@ -509,7 +504,7 @@ def _form_ranks(quad: np.ndarray, m: int,
     basis = gf2.pack_rows(forms.reshape(s * m, m)).reshape(s, m).T.astype(
         np.uint8 if m <= 8 else np.uint16)
     ranks = np.zeros(1 << s, dtype=np.uint8)
-    bits = max(0, min(_RANK_CHUNK, cap // m).bit_length() - 1)
+    bits = _RANK_CHUNK.bit_length() - 1
     for h, rows in gf2.xor_span_chunks(basis, bits, cap):
         out = ranks[h * rows.shape[1]:(h + 1) * rows.shape[1]]
         for i, row in enumerate(rows):
@@ -538,15 +533,15 @@ def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
         cols = ranks == rk
         p = int(cols.argmax())
         rep = ((p >> np.arange(s)) & 1) @ lift[:s] % 2
-        coset = gf2.span_weights(np.vstack([rep, lift[s:]]))[1::2]
+        coset = gf2.span_weights(np.vstack([rep, lift[s:]]), cap)[1::2]
         acc += int(chi2[cols].sum()) * np.bincount(coset, minlength=n + 1)
     return acc
 
 
 def _span_weights_by_chi(lift: np.ndarray, s: int, chi2: np.ndarray,
-                         ) -> np.ndarray:
+                         cap: int) -> np.ndarray:
     """acc[w] = sum of chi2 over the weight-w words of the whole span."""
-    weights = gf2.span_weights(lift).reshape(-1, 1 << s)
+    weights = gf2.span_weights(lift, cap).reshape(-1, 1 << s)
     acc = np.zeros(lift.shape[1] + 1, dtype=np.int64)
     # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
     np.add.at(acc, weights, np.broadcast_to(chi2, weights.shape))
@@ -574,12 +569,14 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     - rank path, when D0 is RM(1, m) and P lies in RM(2, m), as for the
       power-sum codes over RM(m-3, m): by Dickson's theorem a coset's
       weights depend only on the rank of its quadratic part, so the 2^s
-      ranks are computed and one coset is enumerated per rank.  It holds
-      2^s rank bytes, one chunk of form rows and the 2^s values of chi;
+      ranks are computed and one coset is enumerated per rank;
     - span path, otherwise: all 2^r dual words, whose weights reshape to
       a 2^(r-s) x 2^s table with column p for the coset of p.
 
-    The cap bounds what the chosen path allocates.  The polynomial
+    The cap counts what the chosen path holds: the 2^s values of chi and
+    gf2.fwht's temporaries, as large; on the rank path the ranks, a chunk of
+    form rows, one rank's mask and values and one coset's span weights
+    (gf2.span_weights), on the span path the dual words'.  The polynomial
     expansion, (1+z)^(n-w) (1-z)^w read as K_i(w; n), and its checked
     division by 2^r are z4._krawtchouk_expand's.
     """
@@ -592,17 +589,18 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     b, piv, s = gf2.rref(syn)
     lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]) @ h & 1])
     quad = _dickson_quadratics(lift, s)
-    if quad is None and (1 << r) > cap:
-        raise StrategyInfeasible(f"dual enumeration 2^{r} exceeds cap {cap}")
-    if quad is not None and max(1 << s, 2 << (r - s)) > cap:
-        raise StrategyInfeasible(
-            f"rank table 2^{s} or coset span 2^{r - s + 1} exceeds cap {cap}")
+    m = c.n.bit_length() - 1  # on the rank path n = 2^m, m <= 11
+    gf2.charge((16 << s) + (11 << r) if quad is None else
+               (18 << s) + (11 << (r - s + 1)) + (2 * m + 5)
+               * (1 + (m > 8)) * min(1 << s, _RANK_CHUNK),
+               f"dual enumeration 2^{r}" if quad is None else
+               f"rank table 2^{s} with coset span 2^{r - s + 1}", cap)
     chi = np.bincount(gf2.pack_rows(syn[:, piv]).astype(np.int64),
                       minlength=1 << s)
     gf2.fwht(chi)
     chi *= chi
     if quad is None:
-        acc = _span_weights_by_chi(lift, s, chi)
+        acc = _span_weights_by_chi(lift, s, chi, cap)
     else:
         acc = _rank_weights(quad, lift, chi, cap)
     return z4._krawtchouk_expand(acc.tolist(), c.n, r)

@@ -276,7 +276,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=gf2.DEFAULT_CAP,
-                        help="enumeration cap (words)")
+                        help="cap on live memory, in 8-byte words; search "
+                        "also charges the clique bitsets")
     common.add_argument("--budget", type=int, default=10**7,
                         help="search node budget")
     common.add_argument("--seed", type=int, default=0)

@@ -77,12 +77,20 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     sub-branch searched it.  stats["symmetry"] is "translation", or
     "translation+aut(|G|)" when G is nontrivial, in exact mode, and
     "none" in greedy mode.
+
+    Once |N(0)| is known, g.cap is charged the two lists of Python-int
+    bitsets (4 bytes a 30-bit digit, 140 a vertex), the 2^r degrees with
+    their fwht temporaries and an adjacency chunk, not the search's stack.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
     conn = g.leaders >= g.target_d
     conn[0] = False
     nbrs = np.flatnonzero(conn).astype(np.min_scalar_type(len(conn) - 1))
+    v = len(nbrs)
+    gf2.charge(2 * v * (4 * (v // 30) + 140) + 17 * len(conn)
+               + (nbrs.itemsize + 2) * min(v * v, 1 << GATHER_CHUNK_BITS),
+               f"the clique bitsets of {v} neighbours", g.cap)
     order = _min_width_order(conn, nbrs)
     adjbits = [int.from_bytes(row.tobytes(), "little")
                for _, rows in _adjacency_chunks(conn, order)

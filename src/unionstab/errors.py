@@ -5,10 +5,6 @@ class UnionStabError(Exception):
     """Base class for all toolkit errors."""
 
 
-class CapExceeded(UnionStabError):
-    """An enumeration would exceed the configured word cap."""
-
-
 class BadParams(UnionStabError, ValueError):
     """Invalid construction parameters."""
 
@@ -46,7 +42,11 @@ class NotAUnionOfCosets(UnionStabError):
 
 
 class StrategyInfeasible(UnionStabError):
-    """The selected distance strategy cannot run within its cap."""
+    """The selected strategy cannot run, or (CapExceeded) exceeds its cap."""
+
+
+class CapExceeded(StrategyInfeasible):
+    """An allocation would exceed the cap of 8-byte words (gf2.charge)."""
 
 
 class NotCommuting(UnionStabError):

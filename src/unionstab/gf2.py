@@ -12,6 +12,8 @@ Rows can also be packed into uint64 words, one per block of 64 columns
 spanned by XOR doubling in one kernel, xor_span (whole, or chunk by
 chunk in xor_span_chunks), through which every GF(2) span goes.
 fwht is the Walsh-Hadamard transform of a table over GF(2)^r, in place.
+charge is the package's one cap check: a cap counts 8-byte words of live
+memory, charged before each allocation that grows with the input.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import numpy as np
 
 from .errors import CapExceeded
 
-DEFAULT_CAP = 1 << 26
+DEFAULT_CAP = 1 << 26  # 8-byte words: 512 MiB
+
+
+def charge(nbytes: int, what: str, cap: int) -> None:
+    """Raises CapExceeded, naming what, when nbytes, the bytes a caller
+    will hold at once (itemsize x count x the arrays alive together),
+    exceed cap 8-byte words."""
+    if nbytes > 8 * cap:
+        raise CapExceeded(f"{what} exceeds cap {cap}")
 
 
 def as_bits(data) -> np.ndarray:
@@ -229,13 +239,17 @@ def word_matrix(g: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
 
     Row i is the XOR of the rows j of the rref basis with bit j of
     i ^ (i >> 1) set: entry i ^ (i >> 1) of the span of the basis's
-    packed words, unpacked.
+    packed words, unpacked.  The cap counts the span, the Gray indices,
+    the span gathered in their order and the unpacked rows.
     """
     g = np.asarray(g, dtype=np.uint8)
-    words = xor_span(pack_words(_independent_rows(g)).T, cap)
+    basis = pack_words(_independent_rows(g)).T
+    n, k = g.shape[1], basis.shape[1]
+    charge((16 * len(basis) + 8 + n) << k, f"listing 2^{k} words", cap)
+    words = xor_span(basis, cap)
     gray = np.arange(words.shape[1])
     gray ^= gray >> 1
-    return unpack_rows(words.T[gray], g.shape[1])
+    return unpack_rows(words.T[gray], n)
 
 
 def pack_words(m: np.ndarray) -> np.ndarray:
@@ -266,26 +280,17 @@ def unpack_rows(words: np.ndarray, ncols: int) -> np.ndarray:
                          bitorder="little")
 
 
-def _check_span(basis: np.ndarray, k: int, cap: int) -> None:
-    """Raises CapExceeded when spans of k entries of basis's last axis,
-    one per index of its leading axes, hold more than cap words."""
-    lead = math.prod(basis.shape[:-1])
-    if lead << k > cap:
-        raise CapExceeded(f"{lead} x 2^{k} words exceed cap {cap}")
-
-
 def xor_span(basis: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All XOR combinations of packed words along the last axis of basis,
     (..., k) -> (..., 2^k), in basis's unsigned dtype.
 
     Entry a is the XOR of the entries i with bit i of a set, built by
     doubling: out[..., 2^i : 2^(i+1)] = out[..., :2^i] ^ basis[..., i].
-    Raises CapExceeded when the result, leading axes included, holds more
-    than cap words, before allocating it.
+    The cap counts the result, leading axes included.
     """
     basis = np.asarray(basis)
-    k = basis.shape[-1]
-    _check_span(basis, k, cap)
+    k, lead = basis.shape[-1], math.prod(basis.shape[:-1])
+    charge(basis.itemsize * lead << k, f"a span of {lead} x 2^{k} entries", cap)
     out = np.empty(basis.shape[:-1] + (1 << k,), dtype=basis.dtype)
     out[..., 0] = 0
     for i in range(k):
@@ -301,13 +306,14 @@ def xor_span_chunks(basis: np.ndarray, bits: int, cap: int = DEFAULT_CAP):
     (h + 1) << bits]: the span of basis's first bits entries XORed with
     entry h of the span of the rest.  bits is clipped to k.  Every chunk
     is written into one buffer, which the next chunk overwrites, so a
-    caller may modify it in place.  Raises CapExceeded when either span
-    holds more than cap words, before allocating anything.
+    caller may modify it in place.  The cap counts both spans and the
+    buffer.
     """
     basis = np.asarray(basis)
-    k = basis.shape[-1]
+    k, lead = basis.shape[-1], math.prod(basis.shape[:-1])
     bits = min(bits, k)
-    _check_span(basis, max(bits, k - bits), cap)
+    charge(basis.itemsize * lead * ((2 << bits) + (1 << (k - bits))),
+           f"spanning {lead} x 2^{k} entries by 2^{bits}", cap)
     low = xor_span(basis[..., :bits], cap)
     high = xor_span(basis[..., bits:], cap)
     chunk = np.empty_like(low)
@@ -328,12 +334,15 @@ def span_words(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
 def span_weights(m: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Hamming weight of every XOR combination of the rows of m.
 
-    Entry a is the weight of span_words entry a; any column count works,
-    one block of 64 columns spanned at a time.
+    Entry a is the weight of span_words entry a, in the narrowest dtype
+    holding the column count; any count works, one block of 64 columns
+    spanned at a time.  The cap counts a block, its popcounts, the weights.
     """
     blocks = pack_words(m).T
-    weights = np.bitwise_count(xor_span(blocks[0], cap)).astype(np.intp)
-    for block in blocks[1:]:
+    dtype, k = np.min_scalar_type(np.shape(m)[1]), blocks.shape[1]
+    charge((9 + dtype.itemsize) << k, f"weighing 2^{k} span words", cap)
+    weights = np.zeros(1 << k, dtype)
+    for block in blocks:
         weights += np.bitwise_count(xor_span(block, cap))
     return weights
 
@@ -342,7 +351,7 @@ def fwht(a: np.ndarray) -> None:
     """Unnormalised Walsh-Hadamard transform of a length-2^r array, in place.
 
     Afterwards a[u] = sum_s a_old[s] (-1)^popcount(u & s); one vectorised
-    butterfly pass per bit.
+    butterfly pass per bit, through temporaries as large as the table.
     """
     h = 1
     while h < a.size:

@@ -13,7 +13,8 @@ import itertools
 
 import numpy as np
 
-from .errors import BadParams, CapExceeded, NotFound
+from . import gf2
+from .errors import BadParams, NotFound
 
 SYNTH_CHUNK = 1 << 16  # words canonicalised or deduplicated at once
 _CONTROLS = {"X": 0, "CNOT": 1, "CCX": 2}
@@ -104,6 +105,11 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _images_bytes(count: int, itemsize: int) -> int:
+    """Bytes for count images to become a level, temporaries included."""
+    return (2 * itemsize + 12) * count
+
+
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the entries of a that occur in the sorted, nonempty array b."""
     pos = np.searchsorted(b, a)
@@ -115,7 +121,8 @@ def _members(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     smaller."""
     if a.size <= b.size:
         return _in_sorted(a, b)
-    pos = np.minimum(np.searchsorted(a, b), a.size - 1)
+    pos = np.searchsorted(a, b)
+    np.minimum(pos, a.size - 1, out=pos)
     mask = np.zeros(a.size, dtype=bool)
     mask[pos[a[pos] == b]] = True
     return mask
@@ -169,24 +176,23 @@ def _canonicaliser(w: int, K: int, hold: int, dtype):
 
 
 def _joiner(by_target: list[list], target_images: list, fill: np.ndarray,
-            canon, cap: int):
+            canon, tables: dict, charge):
     """join(S, O): the sorted states of level O one gate from level S.
 
     A state's plane-t key is canon(x | m), m its bit w-1-t in every
     field.  Each level's w keys per state are sorted and deduplicated
-    once, and that table is kept while the level is its side's newest.
+    once, and kept in tables while the level is its side's newest.
     The keys S and O share pick the states of S to expand: a state
     whose plane-t key hashes like a shared one is expanded by the gates
     with target t, and the distinct images that lie in O are the join.
     A key of one plane may equal a key of another, and two keys may
-    hash alike; both only add candidates.  Raises CapExceeded before a
-    table would take more than cap words (2w per state: the keys and
-    their sorted distinct values), and before the candidate images
-    would.  by_target[t] lists the gates with target t, target_images[t]
-    applies them, and fill holds _planes' (w, 1) plane masks.
+    hash alike; both only add candidates.  A join is charged the tables
+    once more than charge(nbytes, what) counts them, for their merge, and
+    4w words a state of S and O; the candidate images, _images_bytes and
+    the masks and output.  by_target[t] lists the gates with target t,
+    target_images[t] applies them, and fill holds _planes' plane masks.
     """
     w, dtype = len(by_target), fill.dtype.type
-    tables = {}  # id of a side's newest level -> its sorted keys
     bits = np.iinfo(dtype).bits
     golden = dtype(0x9E3779B97F4A7C15 >> (64 - bits))
 
@@ -198,15 +204,15 @@ def _joiner(by_target: list[list], target_images: list, fill: np.ndarray,
 
     def table(level):  # level's sorted distinct keys, computed once
         if id(level) not in tables:
-            if 2 * w * level.size > cap:
-                raise CapExceeded(f"keying {level.size} states on {w} "
-                                  f"planes exceeds cap {cap}")
             keys = keyed(level).reshape(-1)
             keys.sort()
             tables[id(level)] = _distinct(keys)
         return tables[id(level)]
 
     def join(S, O):
+        charge(sum(t.nbytes for t in tables.values())
+               + 4 * w * (S.nbytes + O.nbytes),
+               f"keying {S.size} and {O.size} states on {w} planes")
         shared = _shared(table(S), table(O))
         del tables[id(S)]  # S's side expands next, or the search is over
         if not shared.size:
@@ -218,25 +224,26 @@ def _joiner(by_target: list[list], target_images: list, fill: np.ndarray,
         for t in np.flatnonzero(hit.any(axis=1)).tolist():
             cand = np.compress(hit[t], S)
             size += cand.size * len(by_target[t])
-            if size > cap:
-                raise CapExceeded(f"the join's {size} candidate images "
-                                  f"exceed cap {cap}")
+            charge(hit.nbytes + O.nbytes + O.size
+                   + _images_bytes(size, S.itemsize),
+                   f"joining through {size} candidate images")
             found.append(target_images[t](cand).reshape(-1))
         imgs = canon(np.concatenate(found))
+        found.clear()
         imgs.sort()
         return np.compress(_members(O, imgs), O)
     return join
 
 
 def _bounded_expander(by_target: list[list], target_images: list,
-                      planes: np.ndarray, hold: int, cap: int):
+                      planes: np.ndarray, hold: int, charge):
     """near(level, slack, root): the images of level at most slack planes
     from root, uncanonicalised, built one target plane at a time as
     _search describes, each target's block by slices of SYNTH_CHUNK
     images.  Plane t of the held fields 0..hold-1 is compared with root's
-    by value, of the other fields by popcount.  Raises CapExceeded before
-    a target's block of images would hold more than cap words, and once
-    the kept images do.
+    by value, of the other fields by popcount.  A target's block is
+    charged, before it is built, w + 1 bytes a state for the plane tests
+    and _images_bytes of the images kept so far and of the whole block.
     """
     w = len(by_target)
     held = planes[:, 0] & planes.dtype.type((1 << (w * hold)) - 1)
@@ -263,10 +270,10 @@ def _bounded_expander(by_target: list[list], target_images: list,
             room = base + f
             some = room >= 0
             src = np.compress(some, level)
-            if src.size * len(by_target[t]) > cap:
-                raise CapExceeded(
-                    f"expanding {src.size} states by the {len(by_target[t])}"
-                    f" gates with target {t} exceeds cap {cap}")
+            charge((w + 1) * level.size + _images_bytes(
+                size + src.size * len(by_target[t]), level.itemsize),
+                f"expanding {src.size} states by the {len(by_target[t])} "
+                f"gates with target {t}")
             room = np.compress(some, room)
             step = max(1, SYNTH_CHUNK // len(by_target[t]))
             for lo in range(0, src.size, step):
@@ -274,8 +281,6 @@ def _bounded_expander(by_target: list[list], target_images: list,
                 keep = far(imgs, root, t) <= room[lo:lo + step]
                 kept.append(np.compress(keep.reshape(-1), imgs.reshape(-1)))
                 size += kept[-1].size
-            if size > cap:
-                raise CapExceeded(f"keeping {size} images exceeds cap {cap}")
         return np.concatenate(kept)
     return near
 
@@ -343,10 +348,9 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     One routine, _gate_images, applies the gates everywhere: level
     expansion, the join, the pruning of forward levels to states on some
     shortest path, the greedy walk from the start that takes the smallest
-    gate staying on one, and the replay on the inputs.  Raises
-    CapExceeded before an expansion or one target's block of a bounded
-    expansion, a key table or the join's candidate images would hold more
-    than cap words, and when a bounded level's kept images would.
+    gate staying on one, and the replay on the inputs.  Each expansion,
+    target block, join and its candidate images is charged to cap before
+    it is built, with the levels and key tables held (gf2.charge).
     """
     K = len(inputs)
     if K == 0 or K > 64:
@@ -373,14 +377,19 @@ def _search(inputs: list[str], gate_set: tuple, max_gates: int,
     by_target = [[g for g in gates if g[-1] == t] for t in range(w)]
     target_images = [_gate_images(g, w, K, dtype) for g in by_target]
     planes = _planes(w, K, dtype)
-    join = _joiner(by_target, target_images, planes, canon, cap)
-    near = _bounded_expander(by_target, target_images, planes, hold, cap)
+    tables = {}  # the join's key tables, by the id of their level
+
+    def charge(nbytes, what):  # the levels and key tables held count too
+        held = fwd + back + list(tables.values())
+        gf2.charge(nbytes + sum(a.nbytes for a in held), what, cap)
+
+    join = _joiner(by_target, target_images, planes, canon, tables, charge)
+    near = _bounded_expander(by_target, target_images, planes, hold, charge)
 
     def step(states):
         """Every gate's image of every state, gate-major."""
-        if states.size * len(gates) > cap:
-            raise CapExceeded(f"expanding {states.size} states by "
-                              f"{len(gates)} gates exceeds cap {cap}")
+        charge(_images_bytes(states.size * len(gates), states.itemsize),
+               f"expanding {states.size} states by {len(gates)} gates")
         return images(states).reshape(-1)
 
     def expand(level, slack=w, root=None):

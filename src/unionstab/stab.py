@@ -24,7 +24,6 @@ from .errors import (
     LengthMismatch,
     NotCommuting,
     NotDualContaining,
-    StrategyInfeasible,
 )
 from .pauli import PauliVector, pauli_parse, pauli_str
 
@@ -325,47 +324,26 @@ def _fixed_point_free(a: np.ndarray | None, kk: int) -> np.ndarray:
 
 def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
                              a: np.ndarray | None = None,
-                             cap: int = 1 << 20) -> int:
+                             cap: int = gf2.DEFAULT_CAP) -> int:
     """Min over nonzero v of min(wgt(vD), wgt(vAD), wgt(vD + vAD)).
 
     This is the quantity that drives the enlargement distance bound, D a
     transversal of c'/c.  A and A + I must be invertible (BadMap
     otherwise, as in enlarge_css), so v -> vA and v -> v(I + A) permute
     the nonzero messages: the three spans hold the same nonzero weights,
-    and the value is the least weight of a nonzero v D.  That one span's
-    weights are summed over 64-column blocks as in gf2.span_weights, in
-    the narrowest dtype holding n.
+    and the value is the least weight of a nonzero v D, read off that one
+    span's gf2.span_weights, which the cap counts.
     """
-    kk = c_prime.k - c.k
-    if (1 << kk) > cap:
-        raise StrategyInfeasible(f"2^{kk} exceeds cap {cap}")
-    _fixed_point_free(a, kk)
+    _fixed_point_free(a, c_prime.k - c.k)
     d_rows = gf2.coset_rep_rows(c_prime.generator, c.generator)
-    w = np.zeros(1 << kk, np.min_scalar_type(d_rows.shape[1]))
-    for block in gf2.pack_words(d_rows).T:
-        w += np.bitwise_count(gf2.xor_span(block, cap))
-    return int(w[1:].min())
+    return int(gf2.span_weights(d_rows, cap)[1:].min())
 
 
-def _normalizer_span(code: StabilizerCode, cap: int) -> np.ndarray:
-    """All 2^(n+k) normalizer words as packed (x|z) uint64 words.
-
-    Bit j holds x_j and bit n + j holds z_j, so n is at most 32.
-    """
-    n = code.n
-    if (1 << (n + code.k)) > cap:
-        raise StrategyInfeasible(
-            f"normalizer enumeration 2^{n + code.k} exceeds cap {cap}")
-    return gf2.span_words(code.normalizer_binary(), cap)
-
-
-def _xz_weights(words: np.ndarray, n: int) -> np.ndarray:
-    """Pauli weights of packed (x|z) words: popcount of x | z, built in
-    one temporary the size of words."""
-    w = words >> n
-    w |= words
-    w &= (1 << n) - 1
-    return np.bitwise_count(w)
+def _span_pauli_weights(m: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """The Pauli weight of every product of the (x|z) rows of m (entry a
+    those picked by its bits): half gf2.span_weights of (x|z|x^z)."""
+    return gf2.span_weights(np.concatenate([m, m[:, :n] ^ m[:, n:]], 1),
+                            cap) >> 1
 
 
 def purity_and_distance(code: StabilizerCode,
@@ -377,7 +355,7 @@ def purity_and_distance(code: StabilizerCode,
     stabilizer rows, then the logicals, picked by its bits, so the
     entries from 2^(n-k) on are the normalizer words outside it.
     """
-    weights = _xz_weights(_normalizer_span(code, cap), code.n)
+    weights = _span_pauli_weights(code.normalizer_binary(), code.n, cap)
     d_star = int(weights[1:].min())
     d = int(weights[1 << (code.n - code.k):].min()) if code.k else d_star
     return CodeParams(n=code.n, log2_dim=code.k, d=d, purity=d_star,

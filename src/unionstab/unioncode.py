@@ -8,8 +8,8 @@ coset codes, and builds the coset graph in which clique.max_clique
 searches for good translation sets.  The distance bound, the base's
 purity and the exact distance that verify reports all come from the
 union's quantum weight enumerators (_enumerators): one Walsh-Hadamard
-transform over the 2^(n-k) stabilizer elements, which the cap counts,
-and one quaternary Krawtchouk expansion.
+transform over the 2^(n-k) stabilizer elements, and one quaternary
+Krawtchouk expansion.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from .stab import (
     StabilizerCode,
     css,
     _ip_rows,
-    _normalizer_span,
+    _span_pauli_weights,
     _swap,
     _vec,
     _xz_rows,
-    _xz_weights,
     format_stabilizer,
     parse_stabilizer,
 )
@@ -142,10 +141,9 @@ def coset_distance(code: UnionStabilizerCode, i: int, j: int,
     """Minimum Pauli weight in the normalizer coset of t_i - t_j."""
     if i == j:
         return 0
-    ti, tj = gf2.pack_rows(_xz_rows(code.n, [code.translations[i],
-                                             code.translations[j]]))
-    words = _normalizer_span(code.base, cap)
-    return int(_xz_weights(words ^ (ti ^ tj), code.n).min())
+    ti, tj = _xz_rows(code.n, [code.translations[i], code.translations[j]])
+    rows = np.vstack([ti ^ tj, code.base.normalizer_binary()])
+    return int(_span_pauli_weights(rows, code.n, cap)[1::2].min())
 
 
 def _enumerators(code: UnionStabilizerCode, cap: int):
@@ -159,25 +157,21 @@ def _enumerators(code: UnionStabilizerCode, cap: int):
     the MacWilliams transform of h, which counts the weight-w words of
     N + t_i + t_j over all ordered pairs; normalizer[w] counts those of N.
     The s_i are distinct, so by Parseval every sum of h is at most K 2^r.
-    The cap counts the 2^r elements g_v, whose weights and F it holds.
+    The cap counts 17 bytes a g_v: its weight, F and F's fwht temporaries.
     """
     base, n, K = code.base, code.n, len(code.translations)
     r = n - base.k
-    if (1 << r) > cap:
-        raise StrategyInfeasible(
-            f"stabilizer enumeration 2^{r} exceeds cap {cap}")
+    gf2.charge(17 << r, f"stabilizer enumeration 2^{r}", cap)
     sb = base.stab_binary()
-    # the Pauli weight of (x|z) is half the Hamming weight of (x|z|x^z)
-    wt = gf2.span_weights(np.concatenate([sb, sb[:, :n] ^ sb[:, n:]], 1),
-                          cap) >> 1
+    wt = _span_pauli_weights(sb, n, cap)
+    counts = np.bincount(wt, minlength=n + 1).tolist()
     syn = gf2.pack_rows(_ip_rows(_xz_rows(n, code.translations), sb, n))
     f = np.bincount(syn.astype(np.intp), minlength=1 << r)
     gf2.fwht(f)
     f *= f
     h = np.zeros(n + 1, np.int64 if K << r < 1 << 63 else object)
-    np.add.at(h, wt, f.astype(h.dtype))
+    np.add.at(h, wt, f.astype(h.dtype, copy=False))
     h = h.tolist()
-    counts = np.bincount(wt, minlength=n + 1).tolist()
     return (K, h, z4._krawtchouk_expand(h, n, r, 4),
             z4._krawtchouk_expand(counts, n, r, 4))
 
@@ -207,15 +201,6 @@ def true_distance(code: UnionStabilizerCode,
         if K * pairs[w] > h[w]:
             return w
     raise StrategyInfeasible("difference set lies inside the closure dual")
-
-
-def _class_blocks(reps: np.ndarray, words: np.ndarray, cap: int):
-    """Yields (i, reps[i:j, None] ^ words), the normalizer span shifted by
-    each of reps i..j-1, one Pauli per coset: at most 2^LEADER_CHUNK_BITS
-    and cap words a block, or one shift when the span alone holds more."""
-    step = max(1, min(cap, 1 << LEADER_CHUNK_BITS) // len(words))
-    for i in range(0, len(reps), step):
-        yield i, reps[i:i + step, None] ^ words
 
 
 def css_like_union(c1: LinearCode, c2: LinearCode,
@@ -275,9 +260,16 @@ class SearchGraph:
         over one shifted span: the least (weight, packed word).  The one
         Pauli at u is the XOR of the pure errors of u's bits, solved once
         by one rref of the one-bit Paulis' labels beside the identity; the
-        span is shifted by _class_blocks, a block of labels at a time.
+        span is shifted in blocks of 2^LEADER_CHUNK_BITS words, which the
+        cap counts with the span.
         """
         n, r = self.base.n, self.base.n - self.base.k
+        size = 1 << (n + self.base.k)
+        chunk = min(size, 1 << LEADER_CHUNK_BITS)
+        step = (1 << LEADER_CHUNK_BITS) // chunk
+        gf2.charge(8 * size + 16 * chunk * min(len(labels), step),
+                   f"the 2^{n + self.base.k} normalizer span of the coset "
+                   f"representatives", self.cap)
         # row j < r of the rref of (one-bit Paulis' label bits | I): the
         # unit label 1 << (r - 1 - j), then a Pauli that has it
         rows = np.concatenate([_swap(self.base.stab_binary(), n).T,
@@ -285,19 +277,27 @@ class SearchGraph:
         errors = gf2.pack_rows(gf2.rref(rows)[0][r - 1::-1, r:]).tolist()
         shifts = np.array([symmetry.map_label(errors, u) for u in labels],
                           dtype=np.uint64)
-        words = _normalizer_span(self.base, self.cap)
+        words = gf2.span_words(self.base.normalizer_binary(), self.cap)
         best = np.empty_like(shifts)
-        for i, block in _class_blocks(shifts, words, self.cap):
-            key = _xz_weights(block, n).astype(np.uint64)
-            key <<= 2 * n
-            key |= block
-            best[i:i + len(block)] = key.min(axis=1)
+        for i in range(0, len(shifts), step):
+            for j in range(0, size, chunk):
+                block = shifts[i:i + step, None] ^ words[j:j + chunk]
+                key = block >> n
+                key |= block
+                key &= (1 << n) - 1
+                np.bitwise_count(key, out=key)
+                key <<= 2 * n
+                key |= block
+                least = key.min(axis=1)
+                if j:
+                    np.minimum(least, best[i:i + step], out=least)
+                best[i:i + step] = least
         return gf2.unpack_rows(best[:, None], 2 * n)
 
 
 # shifted normalizer words per block of SearchGraph.reps, as a power of
-# two: bounds its temporaries to a few MB whatever n is
-LEADER_CHUNK_BITS = 14
+# two: bounds its keys, 16 bytes a word, to 64 KiB whatever n is
+LEADER_CHUNK_BITS = 12
 
 
 def build_search_graph(base: StabilizerCode, d: int,
@@ -315,23 +315,19 @@ def build_search_graph(base: StabilizerCode, d: int,
     or Y there, its syndrome XORed with that letter's label
     (symmetry.pauli_labels); one np.minimum.at scatters their weights.
     A nonzero one at syndrome 0 lies in the normalizer, so the least such
-    weight, when below d, is the base's purity.  The cap counts those
-    Paulis and the 2^(n-k) table before either is built, and the 2^(n+k)
-    normalizer span that SearchGraph.reps shifts.
+    weight, when below d, is the base's purity.  The cap counts the
+    2^(n+k) normalizer span that SearchGraph.reps shifts, then those
+    Paulis, 20 bytes each as they grow, and the 2^(n-k) table.
     """
     if d < 0:
         raise BadParams(f"target distance must be at least 0, got {d}")
     n, r = base.n, base.n - base.k
     top = max(d, 3)
     count = sum(math.comb(n, w) * 3 ** w for w in range(min(top, n + 1)))
-    if count + (1 << r) > cap:
-        raise StrategyInfeasible(
-            f"enumerating {count} Paulis of weight below {top} into a "
-            f"2^{r} leader table exceeds cap {cap}")
-    if (1 << (n + base.k)) > cap:
-        raise StrategyInfeasible(
-            f"the 2^{n + base.k} normalizer span of the coset "
-            f"representatives exceeds cap {cap}")
+    gf2.charge(8 << (n + base.k), f"the 2^{n + base.k} normalizer span of "
+               f"the coset representatives", cap)
+    gf2.charge(20 * count + (1 << r), f"enumerating {count} Paulis of "
+               f"weight below {top} into a 2^{r} leader table", cap)
     lab = symmetry.pauli_labels(base)
     syn, wt = np.zeros(1, np.uint64), np.zeros(1, np.uint8)
     for x, z in zip(lab[:n], lab[n:]):

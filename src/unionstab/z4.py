@@ -22,13 +22,11 @@ import numpy as np
 from . import gf2
 from .errors import (
     BadDegree,
-    CapExceeded,
     ConstructionMismatch,
     NonIntegralTransform,
     NotASubcode,
 )
 
-DEFAULT_CAP = gf2.DEFAULT_CAP
 # most words per block of _plane_chunks
 WORD_CHUNK = 1 << 14
 
@@ -159,11 +157,13 @@ class Z4Code:
                 v = (v - c * g[r]) % 4
         return v.astype(np.uint8)
 
-    def words(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+    def words(self, cap: int = gf2.DEFAULT_CAP) -> np.ndarray:
         """All codewords as a (size x n4) uint8 matrix, message order.
 
-        Raises CapExceeded when size > cap, before anything is allocated.
+        The cap counts the matrix, its blocks and their planes.
         """
+        gf2.charge(self.size * (4 * self.n4 + 16), f"listing {self.size} "
+                   f"words of length {self.n4}", cap)
         return np.concatenate([gf2.unpack_rows(lo, self.n4)
                                | gf2.unpack_rows(hi, self.n4) << 1
                                for lo, hi in _plane_chunks(self, cap)])
@@ -198,11 +198,10 @@ def _plane_chunks(c: Z4Code, cap: int):
     """The codewords of c in message order, as bit-plane blocks (lo, hi).
 
     The trailing rows are spanned once, up to WORD_CHUNK words; each block
-    is that span shifted by one word of the leading rows' span.  Raises
-    CapExceeded when size > cap, before anything is allocated.
+    is that span shifted by one word of the leading rows' span.  The
+    cap counts a word per codeword, more than is held: it bounds the time.
     """
-    if c.size > cap:
-        raise CapExceeded(f"{c.size} words exceed cap {cap}")
+    gf2.charge(8 * c.size, f"enumerating {c.size} Z4 words", cap)
     radices = [4] * c.k1 + [2] * c.k2
     split, tail = len(radices), 1
     while split and tail * radices[split - 1] <= WORD_CHUNK:
@@ -421,7 +420,8 @@ class SymmetrizedWeightEnumerator:
         return min(weights)
 
 
-def lee_swe(c: Z4Code, cap: int = DEFAULT_CAP) -> SymmetrizedWeightEnumerator:
+def lee_swe(c: Z4Code, cap: int = gf2.DEFAULT_CAP,
+            ) -> SymmetrizedWeightEnumerator:
     """Exact symmetrized weight enumerator by full enumeration.
 
     Each word is keyed by ones * (n4 + 1) + twos, read off its bit planes

@@ -271,7 +271,8 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
         assert peak < 1 << 20
     # these inputs expand levels of at most 9 states by 12 gates, then
     # prune a meet of 12 states to the shortest paths: the cap must stop
-    # that step before its 12 x 12 images are built
+    # that step before its 12 x 12 images are built; with the levels
+    # held, it is charged 396 words
     built = []
     gate_images = reversible._gate_images
 
@@ -280,22 +281,23 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
         return lambda a: (built.append(a.size * len(gates)), images(a))[1]
     monkeypatch.setattr(reversible, "_gate_images", spy)
     inputs = ["110", "011", "101"]
-    circuits.synth_qc_any_order(inputs, cap=144)
+    circuits.synth_qc_any_order(inputs, cap=396)
     assert max(built) == 144
     built.clear()
     with pytest.raises(CapExceeded,
-                       match="expanding 12 states by 12 gates exceeds cap 108"):
-        circuits.synth_qc_any_order(inputs, cap=108)
+                       match="expanding 12 states by 12 gates exceeds cap 395"):
+        circuits.synth_qc_any_order(inputs, cap=395)
     assert built and max(built) <= 108
     # counting order under a loose max_gates: the largest expansion is
-    # 4,557 states by 55 gates, but keying the 51,625-state level takes
-    # 2 * 5 words per state; the refusal comes before that table, 4 bytes
-    # a word, is allocated
+    # 4,557 states by 55 gates, charged 669,329 words, but keying the
+    # 51,625-state level beside the 22,315-state one is charged 836,471:
+    # 4 * 5 words per state and the levels held; the refusal comes before
+    # that table, 4 bytes a key, is allocated
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match="keying 51625 states on 5 "
-                           "planes exceeds cap 300000"):
-            circuits.synth_qc(CANONICAL_LABELS, max_gates=10, cap=300_000)
+        with pytest.raises(CapExceeded, match="keying 22315 and 51625 states "
+                           "on 5 planes exceeds cap 700000"):
+            circuits.synth_qc(CANONICAL_LABELS, max_gates=10, cap=700_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,11 +306,12 @@ def test_synth_qc_cap_bounds_allocation(monkeypatch):
     circ = circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=300_000)
     assert circ == circuits.synth_qc(CANONICAL_LABELS, max_gates=10)
     assert len(circ) == 8
-    # one CNOT apart: each root's table takes 2 * 5 words, but the plane
-    # the roots share has 11 gates to apply to the forward root
-    with pytest.raises(CapExceeded,
-                       match="the join's 11 candidate images exceed cap 10"):
-        circuits.synth_qc(["00000", "00011"], cap=10)
+    # one CNOT apart: keying both roots is charged 21 words, but the
+    # plane the roots share has 11 gates to apply to the forward root,
+    # charged 33
+    with pytest.raises(CapExceeded, match="joining through 11 candidate "
+                       "images exceeds cap 32"):
+        circuits.synth_qc(["00000", "00011"], cap=32)
 
 
 @pytest.mark.parametrize("any_order, max_gates", [(False, 8), (True, 7)])
@@ -324,9 +327,11 @@ def test_synthesis_peak_memory(traced_peak, any_order, max_gates):
 
 def test_bounded_expansion_cap_counts_each_target_block(monkeypatch):
     """Counting order at max_gates=8 expands the 4,557-state level one
-    target plane at a time, so the cap counts 11 x 4,557 = 50,127 words
-    per block, not 55 x 4,557: 60,000 suffices, and 50,000 is refused,
-    naming the block, before that block is built."""
+    target plane at a time, so the cap counts a block of 11 x 4,557
+    images, with the images kept before it and the levels held (133,701
+    words for the first block, 151,543 for the last), not 55 x 4,557
+    (669,329 words at max_gates=10): 151,543 suffices, and 133,700 is
+    refused, naming the block, before that block is built."""
     built = []
     gate_images = reversible._gate_images
 
@@ -334,20 +339,22 @@ def test_bounded_expansion_cap_counts_each_target_block(monkeypatch):
         images = gate_images(gates, *args)
         return lambda a: (built.append(a.size * len(gates)), images(a))[1]
     monkeypatch.setattr(reversible, "_gate_images", spy)
-    circ = circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=60_000)
+    circ = circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=151_543)
     assert circ == circuits.synth_qc(CANONICAL_LABELS, max_gates=10)
     assert len(circ) == 8 and 11 * 4557 in built
     built.clear()
     with pytest.raises(CapExceeded, match="expanding 4557 states by the 11 "
-                       "gates with target 0 exceeds cap 50000"):
-        circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=50_000)
+                       "gates with target 0 exceeds cap 133700"):
+        circuits.synth_qc(CANONICAL_LABELS, max_gates=8, cap=133_700)
     assert built and max(built) <= 50_000
-    # in any order most images are kept: their total counts too
+    # in any order most images are kept: their total counts too, so the
+    # fifth block of the 926-state level is charged 97,741 words where
+    # the first was 29,766
     built.clear()
-    with pytest.raises(CapExceeded,
-                       match="keeping 35242 images exceeds cap 30000"):
+    with pytest.raises(CapExceeded, match="expanding 926 states by the 11 "
+                       "gates with target 4 exceeds cap 90000"):
         circuits.synth_qc_any_order(CANONICAL_LABELS, max_gates=7,
-                                    cap=30_000)
+                                    cap=90_000)
     assert built and max(built) <= 30_000
 
 

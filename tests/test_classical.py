@@ -629,15 +629,18 @@ def test_rank_path_memory_is_bounded(traced_peak):
 
 
 def test_rank_path_cap_bounds_its_table():
-    """Goethals(6) allocates 2^15 rank-table words, not 2^22 dual words."""
+    """Goethals(6)'s rank path is charged 143,712 words: 18 bytes for
+    each of its 2^15 forms, one chunk of 17 form rows and the 2^8-word
+    span of one coset, where the span path would hold 11 bytes for each
+    of 2^22 dual words."""
     c = classical.goethals_binary(6)
-    d, dist = classical.distance_enumerator(c, cap=1 << 16)
+    d, dist = classical.distance_enumerator(c, cap=143_712)
     assert d == 8
     assert dist == [p // c.num_cosets for p in _full_dual_pair_weights(c)]
     tracemalloc.start()
     try:
         with pytest.raises(StrategyInfeasible, match="rank table 2"):
-            classical.distance_enumerator(c, cap=(1 << 15) - 1)
+            classical.distance_enumerator(c, cap=143_711)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,15 +649,17 @@ def test_rank_path_cap_bounds_its_table():
 
 def test_rank_path_spans_within_the_callers_cap(monkeypatch):
     """Goethals(6)'s form rows are spanned in chunks that fit the cap the
-    enumerator was given: the same distribution at caps 2^15 and 2^26,
-    and no xor_span_chunks call spans more than its cap."""
+    enumerator was given: the same distribution at caps 143,712, the
+    least the rank path takes, and 2^26, and no xor_span_chunks call
+    spans more bytes than its cap's 8-byte words hold."""
     calls = []
     real = gf2.xor_span_chunks
 
     def spy(basis, bits, cap=gf2.DEFAULT_CAP):
         k = basis.shape[-1]
         bits = min(bits, k)
-        calls.append((basis.shape[0] << max(bits, k - bits), cap))
+        calls.append((basis.itemsize * basis.shape[0]
+                      << max(bits, k - bits), cap))
         return real(basis, bits, cap)
 
     monkeypatch.setattr(gf2, "xor_span_chunks", spy)
@@ -662,8 +667,9 @@ def test_rank_path_spans_within_the_callers_cap(monkeypatch):
     wide = classical.distance_enumerator(c, cap=1 << 26)
     assert calls == [(6 << 15, 1 << 26)]
     calls.clear()
-    assert classical.distance_enumerator(c, cap=1 << 15) == wide
-    assert calls and all(words <= cap == 1 << 15 for words, cap in calls)
+    assert classical.distance_enumerator(c, cap=143_712) == wide
+    assert calls and all(nbytes <= 8 * cap == 8 * 143_712
+                         for nbytes, cap in calls)
 
 
 def _oracle_coset_canonical(base, v):

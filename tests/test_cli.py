@@ -101,7 +101,7 @@ def test_construct_m8_exits_2_in_one_line(capsys):
     """At m = 8, Preparata's 2^21 translations exceed the cap and
     Goethals' 2^14 cosets overflow the enumerator's int64 sums: each
     construct exits 2 with a one-line message, within 2 s."""
-    refused = "K = 2,097,152 translations of n = 256 bytes exceed cap"
+    refused = "K = 2,097,152 translations of n = 256 bytes exceeds cap"
     overflow = "16384^2 * 2^37 overflows int64 sums"
     for argv, msg in ((["family", "preparata", "8"], refused),
                       (["family", "goethals", "8"], overflow),
@@ -217,7 +217,7 @@ def test_construct_css_union_round_trip(tmp_path, capsys):
     rc = cli.main(["construct", "css-union", str(coset_file),
                    str(coset_file), "--cap", "1000"])
     assert rc == 2
-    assert "error: rank table 2^15 or coset span 2^8 exceeds cap 1000" in \
+    assert "error: rank table 2^15 with coset span 2^8 exceeds cap 1000" in \
         capsys.readouterr().err
 
 
@@ -615,6 +615,82 @@ def test_deterministic_rerun(tmp_path, capsys):
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+
+
+def _ring_file(path, n):
+    path.write_text(format_stabilizer(stabilizer_from_generators([
+        pauli_parse("".join("X" if u == v else (
+            "Z" if (u - v) % n in (1, n - 1) else "I") for u in range(n)))
+        for v in range(n)])))
+    return str(path)
+
+
+def test_ring16_search_refused_at_the_clique_bitsets(tmp_path, capsys,
+                                                     traced_peak):
+    """The 16-qubit ring graph state at d = 3 has 64,599 cosets in N(0):
+    their two bitset lists would take about 1.1 GB, so at the default cap
+    search exits 2 naming them, quickly and before building them."""
+    argv = ["search", _ring_file(tmp_path / "ring16.stab", 16), "--d", "3"]
+    start = time.perf_counter()
+    rc, peak = traced_peak(cli.main, argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: the clique bitsets of 64599 neighbours "
+                            f"exceeds cap {gf2.DEFAULT_CAP}\n")
+    assert elapsed < 2 and peak < 64 << 20
+
+
+# runs the CLI once its imports are done, under an address-space limit of
+# the VmPeak it has reached, the 8 bytes of each word of --cap and a slack
+LIMITED_CLI = """
+import resource, sys
+from pathlib import Path
+from unionstab import cli, gf2
+argv = sys.argv[1:]
+cap = int(argv[argv.index("--cap") + 1]) if "--cap" in argv \\
+    else gf2.DEFAULT_CAP
+status = Path("/proc/self/status").read_text().splitlines()
+peak = next(int(ln.split()[1]) for ln in status if ln.startswith("VmPeak:"))
+limit = (peak << 10) + 8 * cap + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(argv))
+"""
+
+
+def test_subcommands_under_an_address_space_limit_from_the_cap(tmp_path):
+    """Each subcommand runs in a child whose address space is limited to
+    its import-time VmPeak, 8 bytes a word of --cap and 64 MiB: one input
+    the cap refuses and one that fits.  Each exits 0 or 2, an exit 2 with
+    a one-line error, and none with a traceback."""
+    ring5 = _ring_file(tmp_path / "ring5.stab", 5)
+    ring16 = _ring_file(tmp_path / "ring16.stab", 16)
+    five = tmp_path / "five.union"
+    _write_five_union(five)
+    runs = [
+        (["construct", "goethals", "6", "--cap", "1000"], 2),
+        (["construct", "preparata", "6", "--cap", str(1 << 20)], 0),
+        (["search", ring16, "--d", "3"], 2),
+        (["search", ring5, "--d", "2", "--cap", "4096",
+          "--out", str(tmp_path / "ring5.union")], 0),
+        (["synth", str(five), "--max-gates", "10", "--cap", "10000"], 2),
+        (["synth", str(five), "--max-gates", "8", "--cap", str(1 << 20)], 0),
+        (["verify", str(five), "--level", "full", "--cap", "10"], 2),
+        (["verify", str(tmp_path / "ring5.union"), "--level", "full",
+          "--cap", "4096"], 0),
+    ]
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    start = time.perf_counter()
+    for argv, want in runs:
+        proc = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        if want:
+            assert proc.stderr.startswith("error: ") and \
+                proc.stderr.count("\n") == 1, (argv, proc.stderr)
+    assert time.perf_counter() - start < 4
 
 
 def test_search_ring13_under_address_space_limit(tmp_path):

@@ -114,6 +114,29 @@ def test_packed_word_format_only_in_gf2():
         f"{name}:{line}" for name, line in found)
 
 
+def _reads_cap(node: ast.AST) -> bool:
+    """Whether node's subtree reads a name or attribute called cap."""
+    return any((isinstance(sub, ast.Name) and sub.id == "cap")
+               or (isinstance(sub, ast.Attribute) and sub.attr == "cap")
+               for sub in ast.walk(node))
+
+
+def test_cap_policy_only_in_gf2():
+    """No module but gf2.py constructs CapExceeded or compares a count
+    with a cap: every other module charges through gf2.charge, so what a
+    cap counts is decided in one place."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules() if path.name != "gf2.py"
+                   for node in ast.walk(tree)
+                   if (isinstance(node, ast.Call)
+                       and "CapExceeded" in _names(node.func))
+                   or (isinstance(node, ast.Compare)
+                       and any(map(_reads_cap,
+                                   [node.left, *node.comparators]))))
+    assert not found, "cap checks outside gf2.py: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
+
+
 def _names(node: ast.AST | None) -> list[str]:
     """Class names an exception expression refers to: a name, an
     attribute (errors.X), a call of either, or a tuple of them."""

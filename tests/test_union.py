@@ -857,25 +857,27 @@ def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):
 
 def test_leader_scan_and_true_distance_caps():
     """Each cap counts what is allocated, and raises before allocating
-    it: the 1 + 30 + 405 Paulis of weight below 3 and the 2^10 leader
-    table, and the 2^10 stabilizer elements whose weights and
-    Walsh-Hadamard transform true_distance's enumerators hold."""
+    it: the 1 + 30 + 405 Paulis of weight below 3, 20 bytes each while
+    they grow, and the 2^10-byte leader table, 1,218 words; and the 2^10
+    stabilizer elements, 17 bytes each for the weights, the
+    Walsh-Hadamard transform and its temporaries that true_distance's
+    enumerators hold, 2,176 words."""
     base = _ring(10)
     code = unioncode.union_code(base, [pauli.pauli_parse("ZZIIIIIIII")])
     tracemalloc.start()
     try:
         with pytest.raises(StrategyInfeasible, match=(
                 r"enumerating 436 Paulis of weight below 3 into a 2\^10 "
-                "leader table exceeds cap 1459")):
-            unioncode.build_search_graph(base, 2, cap=436 + 1024 - 1)
+                "leader table exceeds cap 1217")):
+            unioncode.build_search_graph(base, 2, cap=1217)
         with pytest.raises(StrategyInfeasible):
-            unioncode.true_distance(code, cap=(1 << 10) - 1)
+            unioncode.true_distance(code, cap=2175)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    assert unioncode.true_distance(code, cap=1 << 10) == 2
-    assert unioncode.build_search_graph(base, 2, cap=436 + 1024).num_edges \
+    assert unioncode.true_distance(code, cap=2176) == 2
+    assert unioncode.build_search_graph(base, 2, cap=1218).num_edges \
         == unioncode.build_search_graph(base, 2).num_edges
 
 
@@ -908,17 +910,18 @@ def test_distances_past_32_qubits():
 
 
 def test_search_graph_cap_counts_the_normalizer_span():
-    """A ring-7 base with two generators dropped, k = 2: at d = 1 the 211
-    Paulis of weight below 3 and the 2^5 table fit a cap of 300, the
-    2^9 normalizer span that SearchGraph.reps shifts does not, and the
-    build refuses it; at a cap of 2^9 the search runs to its union."""
+    """A ring-7 base with two generators dropped, k = 2: at d = 1 the
+    2^9 normalizer span that SearchGraph.reps shifts does not fit a cap
+    of 300, and the build refuses it before the 211 Paulis of weight
+    below 3; at a cap of 8,704 words, the span and the 16-byte keys of
+    one block of 2^12 shifted words, the search runs to its union."""
     base = stab.stabilizer_from_generators(_ring(7).stab[:5])
     assert base.k == 2
     with pytest.raises(StrategyInfeasible, match=(
             r"^the 2\^9 normalizer span of the coset representatives "
             "exceeds cap 300$")):
         unioncode.build_search_graph(base, 1, cap=300)
-    g = unioncode.build_search_graph(base, 1, cap=1 << 9)
+    g = unioncode.build_search_graph(base, 1, cap=8704)
     code = unioncode.union_from_clique(g, unioncode.max_clique(g))
     assert len(code.translations) == 1 << 5
 
