@@ -515,19 +515,26 @@ def _form_ranks(quad: np.ndarray, m: int,
     return ranks
 
 
-def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
+def _rank_weights(quad: np.ndarray, lift: np.ndarray, syndromes: np.ndarray,
                   cap: int) -> np.ndarray:
-    """acc[w] = sum_p chi2[p] * #(weight-w words of P[p] + RM(1, m)).
+    """acc[w] = sum_p chi(p)^2 * #(weight-w words of P[p] + RM(1, m)), as
+    gf2.character_weights(lift, syndromes, gf2.span_weights) gives it.
 
     The weights of a coset of RM(1, m) in RM(2, m) depend only on the
     rank of the alternating form of its quadratic part (Dickson; the
     theory of error-correcting codes, MacWilliams and Sloane, ch. 15).
-    So the 2^s ranks come from _form_ranks, chi2 is summed by rank, and
-    one coset per rank that occurs, the first p of that rank, is
-    enumerated.
+    So chi^2 (gf2.character_squares) is summed by _form_ranks' rank of
+    each p, and one coset a rank, its first p's, is enumerated.  The cap
+    counts chi and fwht's temporaries, the ranks, a chunk of form rows,
+    one rank's mask and values and one coset's span.
     """
-    s, n = quad.shape[0], lift.shape[1]
-    ranks = _form_ranks(quad, n.bit_length() - 1, cap)
+    s, (r, n) = quad.shape[0], lift.shape
+    m = n.bit_length() - 1
+    gf2.charge((18 << s) + (11 << (r - s + 1)) + (2 * m + 5)
+               * (1 + (m > 8)) * min(1 << s, _RANK_CHUNK),
+               f"rank table 2^{s} with coset span 2^{r - s + 1}", cap)
+    chi2 = gf2.character_squares(syndromes, r)
+    ranks = _form_ranks(quad, m, cap)
     acc = np.zeros(n + 1, dtype=np.int64)
     for rk in np.flatnonzero(np.bincount(ranks)):
         cols = ranks == rk
@@ -535,16 +542,6 @@ def _rank_weights(quad: np.ndarray, lift: np.ndarray, chi2: np.ndarray,
         rep = ((p >> np.arange(s)) & 1) @ lift[:s] % 2
         coset = gf2.span_weights(np.vstack([rep, lift[s:]]), cap)[1::2]
         acc += int(chi2[cols].sum()) * np.bincount(coset, minlength=n + 1)
-    return acc
-
-
-def _span_weights_by_chi(lift: np.ndarray, s: int, chi2: np.ndarray,
-                         cap: int) -> np.ndarray:
-    """acc[w] = sum of chi2 over the weight-w words of the whole span."""
-    weights = gf2.span_weights(lift, cap).reshape(-1, 1 << s)
-    acc = np.zeros(lift.shape[1] + 1, dtype=np.int64)
-    # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
-    np.add.at(acc, weights, np.broadcast_to(chi2, weights.shape))
     return acc
 
 
@@ -566,44 +563,23 @@ def _pair_weights(c: CosetCode, cap: int) -> list[int]:
     weights of chi^2 are summed by one of two paths into
     acc[w] = sum_p chi(p)^2 #(weight-w words of P[p] + D0):
 
-    - rank path, when D0 is RM(1, m) and P lies in RM(2, m), as for the
-      power-sum codes over RM(m-3, m): by Dickson's theorem a coset's
-      weights depend only on the rank of its quadratic part, so the 2^s
-      ranks are computed and one coset is enumerated per rank;
-    - span path, otherwise: all 2^r dual words, whose weights reshape to
-      a 2^(r-s) x 2^s table with column p for the coset of p.
+    - rank path, by Dickson's theorem (_rank_weights), when D0 is RM(1, m)
+      and P lies in RM(2, m), as for the power-sum codes over RM(m-3, m);
+    - span path, otherwise: all 2^r dual words, by gf2.character_weights.
 
-    The cap counts what the chosen path holds: the 2^s values of chi and
-    gf2.fwht's temporaries, as large; on the rank path the ranks, a chunk of
-    form rows, one rank's mask and values and one coset's span weights
-    (gf2.span_weights), on the span path the dual words'.  The polynomial
-    expansion, (1+z)^(n-w) (1-z)^w read as K_i(w; n), and its checked
-    division by 2^r are z4._krawtchouk_expand's.
+    The expansion of (1+z)^(n-w) (1-z)^w, read as K_i(w; n), and its
+    checked division by 2^r are z4._krawtchouk_expand's.
     """
     h = c.base.parity_check
-    r = h.shape[0]
-    K = c.num_cosets
-    if (K * K) << r >= 1 << 63:
-        raise StrategyInfeasible(f"{K}^2 * 2^{r} overflows int64 sums")
     syn = c.base.syndrome(c.translations)
     b, piv, s = gf2.rref(syn)
     lift = np.vstack([h[piv], gf2.kernel_basis(b[:s]) @ h & 1])
     quad = _dickson_quadratics(lift, s)
-    m = c.n.bit_length() - 1  # on the rank path n = 2^m, m <= 11
-    gf2.charge((16 << s) + (11 << r) if quad is None else
-               (18 << s) + (11 << (r - s + 1)) + (2 * m + 5)
-               * (1 + (m > 8)) * min(1 << s, _RANK_CHUNK),
-               f"dual enumeration 2^{r}" if quad is None else
-               f"rank table 2^{s} with coset span 2^{r - s + 1}", cap)
-    chi = np.bincount(gf2.pack_rows(syn[:, piv]).astype(np.int64),
-                      minlength=1 << s)
-    gf2.fwht(chi)
-    chi *= chi
     if quad is None:
-        acc = _span_weights_by_chi(lift, s, chi, cap)
+        acc = gf2.character_weights(lift, syn[:, piv], gf2.span_weights, cap)
     else:
-        acc = _rank_weights(quad, lift, chi, cap)
-    return z4._krawtchouk_expand(acc.tolist(), c.n, r)
+        acc = _rank_weights(quad, lift, syn[:, piv], cap)
+    return z4._krawtchouk_expand(acc.tolist(), c.n, len(h))
 
 
 def _first_nonzero_weight(counts: list[int]) -> int:

@@ -101,13 +101,14 @@ def _naming(what: str):
         raise UnionStabError(f"{what}: {e}") from e
 
 
-def _load_stabilizer(path: str) -> stab.StabilizerCode:
-    return stab.parse_stabilizer(Path(path).read_text())
-
-
-def _load_coset(path: str) -> classical.CosetCode:
+def _load(path: str, parse):
+    """parse of the text of the file at path; an input error names it."""
     with _naming(path):
-        return classical.parse_coset_code(Path(path).read_text())
+        return parse(Path(path).read_text())
+
+
+def _parse_linear(text: str) -> classical.LinearCode:
+    return classical.linear_code(gf2.parse_matrix(text))
 
 
 def cmd_construct(args, report: Report) -> int:
@@ -137,18 +138,18 @@ def cmd_construct(args, report: Report) -> int:
         report.add("code", _coset_report(code))
         _write(args.out, classical.format_coset_code(code))
     elif kind == "css":
-        c1, c2 = _load_linear(params[0]), _load_linear(params[1])
+        c1, c2 = (_load(f, _parse_linear) for f in params)
         with _naming(f"c1 {params[0]}, c2 {params[1]}"):
             code = stab.css(c1, c2)
         report.add("code", f"[[{code.n}, {code.k}]]")
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "enlarge":
-        c, cp = _load_linear(params[0]), _load_linear(params[1])
+        c, cp = (_load(f, _parse_linear) for f in params)
         code = stab.enlarge_css(c, cp)
         report.add("code", f"[[{code.n}, {code.k}]]")
         _write(args.out, stab.format_stabilizer(code))
     elif kind == "css-union":
-        cc1, cc2 = (_load_coset(f) for f in params[:2])
+        cc1, cc2 = (_load(f, classical.parse_coset_code) for f in params)
         _check_union_file(args.out, kind,
                           len(cc1.translations) * len(cc2.translations))
         cc1, cc2 = (unioncode._certified_coset_code(cc, args.cap)
@@ -177,11 +178,6 @@ def _check_union_file(path: str | None, kind: str, K: int) -> None:
                         f"file holds at most {UNION_FILE_MAX_K:,}")
 
 
-def _load_linear(path: str) -> classical.LinearCode:
-    with _naming(path):
-        return classical.linear_code(gf2.parse_matrix(Path(path).read_text()))
-
-
 def _union_report(code: unioncode.UnionStabilizerCode) -> str:
     p = code.params
     dim = f"2^{p.log2_dim:g}"
@@ -190,7 +186,7 @@ def _union_report(code: unioncode.UnionStabilizerCode) -> str:
 
 
 def cmd_search(args, report: Report) -> int:
-    base = _load_stabilizer(args.stabilizer)
+    base = _load(args.stabilizer, stab.parse_stabilizer)
     graph = unioncode.build_search_graph(base, args.d, cap=args.cap)
     report.add("graph.vertices", graph.num_vertices)
     report.add("graph.edges", graph.num_edges)
@@ -211,7 +207,7 @@ def cmd_search(args, report: Report) -> int:
 def cmd_synth(args, report: Report) -> int:
     if args.max_gates < 0:
         raise BadParams("--max-gates must be at least 0")
-    code = unioncode.parse_union_code(Path(args.code).read_text())
+    code = _load(args.code, unioncode.parse_union_code)
     q1 = circuits.synth_q1(code.base)
     labels = circuits.canonicalize_translations(code, q1)
     report.add("labels", " ".join(labels))
@@ -246,7 +242,7 @@ def cmd_synth(args, report: Report) -> int:
 
 
 def cmd_verify(args, report: Report) -> int:
-    code = unioncode.parse_union_code(Path(args.code).read_text())
+    code = _load(args.code, unioncode.parse_union_code)
     # parse_union_code raises DuplicateCoset (exit 2) on a repeated coset
     report.add("cosets.distinct", True)
     report.add("dimension", f"2^{code.params.log2_dim:g}")

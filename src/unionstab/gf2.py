@@ -11,7 +11,7 @@ Rows can also be packed into uint64 words, one per block of 64 columns
 (bit j of word b = position 64 b + j; pack_words, unpack_rows), and
 spanned by XOR doubling in one kernel, xor_span (whole, or chunk by
 chunk in xor_span_chunks), through which every GF(2) span goes.
-fwht is the Walsh-Hadamard transform of a table over GF(2)^r, in place.
+fwht transforms a table over GF(2)^r; character_weights sums chi^2 by weight.
 charge is the package's one cap check: a cap counts 8-byte words of live
 memory, charged before each allocation that grows with the input.
 """
@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, StrategyInfeasible
 
 DEFAULT_CAP = 1 << 26  # 8-byte words: 512 MiB
 
@@ -361,6 +361,42 @@ def fwht(a: np.ndarray) -> None:
         lo += hi
         hi[...] = diff
         h <<= 1
+
+
+def character_squares(syndromes: np.ndarray, r: int) -> np.ndarray:
+    """chi(p)^2 for p in GF(2)^c, chi(p) = sum_t (-1)^(p . t) over the K
+    rows t of syndromes: their histogram, by fwht, squared, in int64.
+    For K cosets' syndromes against r dual rows, by Parseval every sum of
+    the squares over dual words is at most K 2^r, which must fit int64.
+    """
+    K, c = syndromes.shape
+    if K << r >= 1 << 63:
+        raise StrategyInfeasible(f"{K} * 2^{r} overflows int64 sums")
+    chi = np.bincount(pack_rows(syndromes).astype(np.int64), minlength=1 << c)
+    fwht(chi)
+    chi *= chi
+    return chi
+
+
+def character_weights(rows: np.ndarray, syndromes: np.ndarray, weigh,
+                      cap: int = DEFAULT_CAP) -> np.ndarray:
+    """acc[x] = sum of chi(u)^2 over the words u of the span of the r rows
+    that weigh to x, x up to the column count, chi(u) = sum_t (-1)^<u, t>.
+
+    syndromes holds <row j, t> for the first c rows, the others pairing
+    to 0 with every t; weigh(rows, cap) weighs the span in span_weights'
+    order, so column p of its 2^(r-c) x 2^c table has chi(p).  The cap
+    counts weigh's span, then its weights and 16 bytes a chi entry.
+    """
+    r, c = len(rows), syndromes.shape[1]
+    weights = weigh(rows, cap).reshape(-1, 1 << c)
+    charge(weights.nbytes + (16 << c),
+           f"summing characters over 2^{r} words", cap)
+    chi2 = character_squares(syndromes, r)
+    acc = np.zeros(np.shape(rows)[1] + 1, dtype=np.int64)
+    # np.add.at misreads values it has to broadcast itself (numpy 2.4.6)
+    np.add.at(acc, weights, np.broadcast_to(chi2, weights.shape))
+    return acc
 
 
 # --- text format: first line "rows cols", then one 0/1 string per row ---

@@ -3,8 +3,8 @@
 Provides generator completion (logical operators via symplectic
 Gram-Schmidt), the CSS construction from a pair of classical codes, the
 enlargement construction that grows a CSS code through a larger
-classical code and a fixed-point-free linear map, and brute-force purity
-and distance for small codes.
+classical code and a fixed-point-free linear map, and purity and
+distance read off the stabilizer's weight enumerator.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import gf2, z4
 from .classical import LinearCode
 from .errors import (
     BadChain,
@@ -339,28 +339,32 @@ def enlargement_weight_check(c: LinearCode, c_prime: LinearCode,
     return int(gf2.span_weights(d_rows, cap)[1:].min())
 
 
-def _span_pauli_weights(m: np.ndarray, n: int, cap: int) -> np.ndarray:
+def _span_pauli_weights(m: np.ndarray, cap: int) -> np.ndarray:
     """The Pauli weight of every product of the (x|z) rows of m (entry a
     those picked by its bits): half gf2.span_weights of (x|z|x^z)."""
+    n = m.shape[1] // 2
     return gf2.span_weights(np.concatenate([m, m[:, :n] ^ m[:, n:]], 1),
                             cap) >> 1
 
 
 def purity_and_distance(code: StabilizerCode,
                         cap: int = gf2.DEFAULT_CAP) -> CodeParams:
-    """Brute-force purity d* and distance d over the normalizer code.
+    """Purity d* and distance d from the stabilizer's weight enumerator.
 
-    d* is the minimum nonzero weight of the normalizer code; d is the
-    minimum weight outside the stabilizer.  Span entry a combines the
-    stabilizer rows, then the logicals, picked by its bits, so the
-    entries from 2^(n-k) on are the normalizer words outside it.
+    A_w counts the 2^(n-k) stabilizer elements of weight w (the character
+    sum of the identity alone), B_w the normalizer's, by the quaternary
+    MacWilliams transform (Shor and Laflamme, PRL 78, 1997).  d* is the
+    least w >= 1 with B_w > 0, d the least with B_w > A_w (d* at k = 0).
     """
-    weights = _span_pauli_weights(code.normalizer_binary(), code.n, cap)
-    d_star = int(weights[1:].min())
-    d = int(weights[1 << (code.n - code.k):].min()) if code.k else d_star
-    return CodeParams(n=code.n, log2_dim=code.k, d=d, purity=d_star,
-                      provenance={"d": "brute-normalizer",
-                                  "purity": "brute-normalizer"})
+    n = code.n
+    a = gf2.character_weights(code.stab_binary(), np.zeros((1, 0), np.uint8),
+                              _span_pauli_weights, cap)[:n + 1].tolist()
+    b = z4._krawtchouk_expand(a, n, n - code.k, 4)
+    d_star = next(w for w in range(1, n + 1) if b[w])
+    d = next(w for w in range(1, n + 1) if b[w] > a[w]) if code.k else d_star
+    return CodeParams(n=n, log2_dim=code.k, d=d, purity=d_star,
+                      provenance={"d": "weight-enumerator",
+                                  "purity": "weight-enumerator"})
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +382,13 @@ def format_stabilizer(code: StabilizerCode) -> str:
 
 
 def parse_stabilizer(text: str) -> StabilizerCode:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for _, ln in gf2.numbered_lines(text)]
     if not lines:
         raise BadParams("stabilizer text is empty")
-    n, k = (int(x) for x in lines[0].split())
+    head = lines[0].split()
+    if len(head) != 2 or not "".join(head).isdigit():
+        raise BadParams(f"expected an 'n k' header, found {lines[0]!r}")
+    n, k = map(int, head)
     if not 0 <= k < n:
         raise BadParams(f"header '{lines[0]}' needs 0 <= k < n")
     blocks: dict[str, list[PauliVector]] = {"S": [], "Z": [], "X": []}

@@ -5,11 +5,10 @@ of a base stabilizer code, the t_i lying in pairwise-distinct cosets of
 the base's normalizer.  This module computes coset distances (minimum
 weight in a normalizer coset), builds CSS-like unions from classical
 coset codes, and builds the coset graph in which clique.max_clique
-searches for good translation sets.  The distance bound, the base's
-purity and the exact distance that verify reports all come from the
-union's quantum weight enumerators (_enumerators): one Walsh-Hadamard
-transform over the 2^(n-k) stabilizer elements, and one quaternary
-Krawtchouk expansion.
+searches for good translation sets.  The distance bound and exact
+distance that verify reports come from the union's weight enumerators
+(_enumerators), the base's purity from stab.purity_and_distance: one
+character sum over the 2^(n-k) stabilizer elements each.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .stab import (
     _xz_rows,
     format_stabilizer,
     parse_stabilizer,
+    purity_and_distance,
 )
 
 __all__ = [
@@ -143,47 +143,33 @@ def coset_distance(code: UnionStabilizerCode, i: int, j: int,
         return 0
     ti, tj = _xz_rows(code.n, [code.translations[i], code.translations[j]])
     rows = np.vstack([ti ^ tj, code.base.normalizer_binary()])
-    return int(_span_pauli_weights(rows, code.n, cap)[1::2].min())
+    return int(_span_pauli_weights(rows, cap)[1::2].min())
 
 
 def _enumerators(code: UnionStabilizerCode, cap: int):
-    """(K, h, pairs, normalizer), each read by weight w = 0 .. n.
+    """(K, h, pairs), h and pairs read by weight w = 0 .. n.
 
-    g_v is the base's element labelled v, the product of its rows i with
-    bit i of v set, and s_i the syndrome of t_i; F is the Walsh-Hadamard
-    transform of the K-point indicator of the s_i and h(x) the sum of
-    F(v)^2 over the v with wt(g_v) = x.  The enumerators of Shor and
-    Laflamme (PRL 78, 1997) are then K^2 A_w = h(w) and K B_w = pairs[w],
-    the MacWilliams transform of h, which counts the weight-w words of
-    N + t_i + t_j over all ordered pairs; normalizer[w] counts those of N.
-    The s_i are distinct, so by Parseval every sum of h is at most K 2^r.
-    The cap counts 17 bytes a g_v: its weight, F and F's fwht temporaries.
+    h(x) sums F(v)^2, F(v) = sum_i (-1)^<g_v, t_i>, over the stabilizer
+    elements g_v of weight x (gf2.character_weights); Shor and Laflamme's
+    (PRL 78, 1997) K^2 A_w = h(w) and K B_w = pairs[w], h's MacWilliams
+    transform, which counts the weight-w words of all N + t_i + t_j.
     """
-    base, n, K = code.base, code.n, len(code.translations)
-    r = n - base.k
-    gf2.charge(17 << r, f"stabilizer enumeration 2^{r}", cap)
-    sb = base.stab_binary()
-    wt = _span_pauli_weights(sb, n, cap)
-    counts = np.bincount(wt, minlength=n + 1).tolist()
-    syn = gf2.pack_rows(_ip_rows(_xz_rows(n, code.translations), sb, n))
-    f = np.bincount(syn.astype(np.intp), minlength=1 << r)
-    gf2.fwht(f)
-    f *= f
-    h = np.zeros(n + 1, np.int64 if K << r < 1 << 63 else object)
-    np.add.at(h, wt, f.astype(h.dtype, copy=False))
-    h = h.tolist()
-    return (K, h, z4._krawtchouk_expand(h, n, r, 4),
-            z4._krawtchouk_expand(counts, n, r, 4))
+    n, sb = code.n, code.base.stab_binary()
+    syn = _ip_rows(_xz_rows(n, code.translations), sb, n)
+    h = gf2.character_weights(sb, syn, _span_pauli_weights, cap)
+    h = h[:n + 1].tolist()
+    return (len(code.translations), h,
+            z4._krawtchouk_expand(h, n, n - code.base.k, 4))
 
 
 def union_distance_bound(code: UnionStabilizerCode,
                          cap: int = gf2.DEFAULT_CAP) -> CodeParams:
     """Distance bound: min of pairwise coset distances and base purity,
-    the least w >= 1 with B_w > 0 and with a normalizer word of weight w
-    (_enumerators)."""
-    _, _, pairs, normalizer = _enumerators(code, cap)
+    the least w >= 1 with B_w > 0 (_enumerators), with the base's purity
+    from purity_and_distance."""
+    _, _, pairs = _enumerators(code, cap)
     best = next(w for w in range(1, code.n + 1) if pairs[w])
-    purity = next(w for w in range(1, code.n + 1) if normalizer[w])
+    purity = purity_and_distance(code.base, cap).purity
     return CodeParams(
         n=code.n, log2_dim=code.params.log2_dim, d=best, purity=purity,
         provenance={"d": "coset-enumeration-bound",
@@ -196,7 +182,7 @@ def true_distance(code: UnionStabilizerCode,
     error is detectable (Rains, IEEE Trans. IT 44, 1998).  Raises
     StrategyInfeasible when there is none: the difference set C* - C*
     then lies inside the symplectic dual of its additive closure."""
-    K, h, pairs, _ = _enumerators(code, cap)
+    K, h, pairs = _enumerators(code, cap)
     for w in range(1, code.n + 1):
         if K * pairs[w] > h[w]:
             return w
@@ -424,18 +410,17 @@ def format_union_code(code: UnionStabilizerCode) -> str:
 
 
 def parse_union_code(text: str) -> UnionStabilizerCode:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for _, ln in gf2.numbered_lines(text)]
     t_at = next((i for i, ln in enumerate(lines) if ln.split()[0] == "T"),
                 None)
     if t_at is None:
         raise BadParams("missing 'T' translations header")
     base = parse_stabilizer("\n".join(lines[:t_at]))
-    header = lines[t_at].split()
-    if len(header) not in (2, 3):
-        raise BadParams("translations header must be 'T <K> [<d>]'")
-    count = int(header[1])
-    d = int(header[2]) if len(header) == 3 else None
+    header = lines[t_at].split()[1:]
+    if len(header) not in (1, 2) or not "".join(header).isdigit():
+        raise BadParams(f"expected a 'T <K> [<d>]' translations header, "
+                        f"found {lines[t_at]!r}")
+    count, *d = map(int, header)
     ts = [pauli_parse(ln) for ln in lines[t_at + 1:]]
     if len(ts) != count:
         raise BadParams(f"translation count mismatch: header says {count}, "
@@ -444,4 +429,4 @@ def parse_union_code(text: str) -> UnionStabilizerCode:
         if t.n != base.n:
             raise LengthMismatch(f"translation {i} {pauli_str(t)} acts on "
                                  f"{t.n} qubits, the base on {base.n}")
-    return union_code(base, ts, d=d)
+    return union_code(base, ts, d=d[0] if d else None)

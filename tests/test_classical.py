@@ -565,22 +565,24 @@ _RANK_PATH_CASES = {"goethals6", "preparata6", "preparata6_sub1",
 
 @pytest.mark.parametrize("name", list(_SPAN_CASES))
 def test_enumerator_takes_expected_path(name, monkeypatch):
-    """Power-sum codes and NR sum by Dickson rank; the rest span 2^r."""
+    """Power-sum codes and NR sum by Dickson rank; the rest span 2^r
+    through the shared character sum."""
     taken = []
 
-    def spy(path):
-        real = getattr(classical, path)
+    def spy(module, path):
+        real = getattr(module, path)
 
         def record(*args):
             taken.append(path)
             return real(*args)
         return record
 
-    for path in ("_rank_weights", "_span_weights_by_chi"):
-        monkeypatch.setattr(classical, path, spy(path))
+    for module, path in ((classical, "_rank_weights"),
+                         (gf2, "character_weights")):
+        monkeypatch.setattr(module, path, spy(module, path))
     classical._pair_weights(_SPAN_CASES[name][0](), gf2.DEFAULT_CAP)
     assert taken == ["_rank_weights" if name in _RANK_PATH_CASES
-                     else "_span_weights_by_chi"]
+                     else "character_weights"]
 
 
 def _alternating_matrix(form: int, m: int) -> np.ndarray:

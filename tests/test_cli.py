@@ -98,15 +98,16 @@ def test_construct_reports_certified_distance(capsys):
 
 
 def test_construct_m8_exits_2_in_one_line(capsys):
-    """At m = 8, Preparata's 2^21 translations exceed the cap and
-    Goethals' 2^14 cosets overflow the enumerator's int64 sums: each
-    construct exits 2 with a one-line message, within 2 s."""
+    """At m = 8, Preparata's 2^21 translations exceed the cap, and so
+    does the Dickson rank table of Goethals' 2^14 cosets, whose syndromes
+    span 2^28 forms: each construct exits 2 with a one-line message,
+    within 2 s."""
     refused = "K = 2,097,152 translations of n = 256 bytes exceeds cap"
-    overflow = "16384^2 * 2^37 overflows int64 sums"
+    ranks = "rank table 2^28 with coset span 2^10 exceeds cap 67108864"
     for argv, msg in ((["family", "preparata", "8"], refused),
-                      (["family", "goethals", "8"], overflow),
+                      (["family", "goethals", "8"], ranks),
                       (["preparata", "8"], refused),
-                      (["goethals", "8"], overflow)):
+                      (["goethals", "8"], ranks)):
         start = time.perf_counter()
         rc = cli.main(["construct", *argv])
         elapsed = time.perf_counter() - start
@@ -212,7 +213,7 @@ def test_construct_css_union_round_trip(tmp_path, capsys):
     repeated = tmp_path / "repeated.union"
     repeated.write_text("\n".join(lines) + "\n")
     assert cli.main(["verify", str(repeated)]) == 2
-    assert "error: translations 5 and 1024 share a coset" in \
+    assert f"error: {repeated}: translations 5 and 1024 share a coset" in \
         capsys.readouterr().err
     rc = cli.main(["construct", "css-union", str(coset_file),
                    str(coset_file), "--cap", "1000"])
@@ -379,7 +380,7 @@ BAD_PAIRING = "2 1\nS\nXX\nZ\nZZ\nX\nZI\n"
 def test_bad_stabilizer_files_exit_2(tmp_path, capsys):
     """Logicals that pair wrongly, operators longer or shorter than the
     header says, and a header with no generators each exit 2 naming the
-    problem."""
+    file and the problem."""
     path = tmp_path / "bad.stab"
     for text, msg in (
             (BAD_PAIRING, "logical X0 and Z0 do not pair"),
@@ -390,7 +391,7 @@ def test_bad_stabilizer_files_exit_2(tmp_path, capsys):
         path.write_text(text)
         rc = cli.main(["search", str(path), "--d", "2"])
         captured = capsys.readouterr()
-        assert rc == 2 and f"error: {msg}" in captured.err, text
+        assert rc == 2 and f"error: {path}: {msg}" in captured.err, text
         assert captured.out == ""
     union = tmp_path / "bad.union"
     union.write_text(BAD_PAIRING + "T 1\nII\n")
@@ -402,6 +403,25 @@ def test_bad_stabilizer_files_exit_2(tmp_path, capsys):
     union.write_text("2 0\nS\nXX\nZZ\nT 1\nII\nXI\n")
     assert cli.main(["verify", str(union)]) == 2
     assert "header says 1, found 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text, msg", [
+    (["search", "--d", "2"], "5\nS\nXZIIZ\n",
+     "expected an 'n k' header, found '5'"),
+    (["synth"], "2 0\nS\nXX\nZZ\nT 2\nII\nQI\n",
+     "unknown Pauli symbol 'Q'"),
+    (["verify"], "2 0\nS\nXX\nZZ\nT x\nII\n",
+     "expected a 'T <K> [<d>]' translations header, found 'T x'"),
+], ids=["search", "synth", "verify"])
+def test_input_errors_name_the_file(argv, text, msg, tmp_path, capsys):
+    """A malformed header or Pauli symbol in the input file exits 2 with
+    one line naming the file and what was found."""
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {msg}\n"
 
 
 def test_construct_parameter_count_exits_2(capsys):
@@ -421,7 +441,7 @@ def test_bad_pairing_exits_2_under_optimize(tmp_path):
          "--level", "full"], capture_output=True, text=True, env=_src_env(),
         timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert "error: logical X0 and Z0 do not pair" in proc.stderr
+    assert f"error: {union}: logical X0 and Z0 do not pair" in proc.stderr
 
 
 def test_bad_coset_file_exits_2(tmp_path, capsys):

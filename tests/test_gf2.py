@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from unionstab import gf2
-from unionstab.errors import CapExceeded
+from unionstab.errors import CapExceeded, StrategyInfeasible
 
 
 def test_rref_rank_and_pivots():
@@ -476,3 +476,45 @@ def test_distinct_rows_matches_np_unique(width):
         first, counts = gf2.distinct_rows(rows)
         np.testing.assert_array_equal(first, want_first)
         np.testing.assert_array_equal(counts, want_counts)
+
+
+def _oracle_character_weights(rows, syndromes):
+    """acc[x] = sum of chi(u)^2 over the span words u of Hamming weight x,
+    chi(u) summed translation by translation for each of the 2^r words."""
+    r, c = len(rows), syndromes.shape[1]
+    acc = np.zeros(rows.shape[1] + 1, dtype=np.int64)
+    for a in range(1 << r):
+        bits = (a >> np.arange(r)) & 1
+        chi = sum((-1) ** int(bits[:c] @ t) for t in syndromes)
+        acc[int((bits @ rows % 2).sum())] += chi * chi
+    return acc
+
+
+def test_character_weights_match_per_word_oracle():
+    """Seeded rows and syndromes with c = 0..r: the sum read off one
+    histogram transform and the weights' table equals the per-word sum,
+    and totals K 2^r when the syndromes are distinct."""
+    rng = np.random.default_rng(35)
+    for trial in range(40):
+        r = int(rng.integers(1, 8))
+        c = int(rng.integers(0, r + 1))
+        rows = rng.integers(0, 2, (r, int(rng.integers(1, 20)))).astype(
+            np.uint8)
+        K = int(rng.integers(1, (1 << c) + 1))
+        syndromes = gf2.unpack_rows(rng.permutation(1 << c)[:K].astype(
+            np.uint64)[:, None], c)
+        got = gf2.character_weights(rows, syndromes, gf2.span_weights)
+        assert np.array_equal(got, _oracle_character_weights(rows, syndromes))
+        assert int(got.sum()) == K << r
+
+
+def test_character_squares_guard_is_parseval_bound():
+    """K = 2^14 syndromes against r dual rows: the squares are summed in
+    int64 while K 2^r < 2^63, as Goethals(8)'s 2^51 is, and refused
+    from 2^63 on."""
+    syndromes = np.zeros((1 << 14, 0), dtype=np.uint8)
+    assert gf2.character_squares(syndromes, 37).tolist() == [1 << 28]
+    assert gf2.character_squares(syndromes, 48).tolist() == [1 << 28]
+    with pytest.raises(StrategyInfeasible,
+                       match=r"^16384 \* 2\^49 overflows int64 sums$"):
+        gf2.character_squares(syndromes, 49)

@@ -114,6 +114,28 @@ def test_packed_word_format_only_in_gf2():
         f"{name}:{line}" for name, line in found)
 
 
+# the functions that may call gf2.fwht: the shared character step every
+# weight enumerator reads, and the clique order's degree autocorrelation
+FWHT_CALLERS = {("gf2.py", "character_squares"),
+                ("clique.py", "_min_width_order")}
+
+
+def test_fwht_only_in_the_shared_character_step():
+    """fwht( is called only by gf2.character_squares and
+    clique._min_width_order, so no weight enumerator carries its own
+    histogram, transform and square."""
+    found = sorted((path.name, node.lineno, fn.name)
+                   for path, tree in _modules()
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and _names(node.func)[-1:] == ["fwht"]
+                   and (path.name, fn.name) not in FWHT_CALLERS)
+    assert not found, "fwht called outside the shared character step: " + \
+        ", ".join(f"{name}:{line} ({fn})" for name, line, fn in found)
+
+
 def _reads_cap(node: ast.AST) -> bool:
     """Whether node's subtree reads a name or attribute called cap."""
     return any((isinstance(sub, ast.Name) and sub.id == "cap")

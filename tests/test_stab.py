@@ -35,7 +35,7 @@ def test_five_qubit_base_structure(five_base):
 def test_five_qubit_base_purity_and_distance(five_base):
     params = stab.purity_and_distance(five_base)
     assert params.d == 3 and params.purity == 3
-    assert params.provenance["d"] == "brute-normalizer"
+    assert params.provenance["d"] == "weight-enumerator"
 
 
 def test_logical_pairing():
@@ -292,6 +292,52 @@ def test_coset_rep_rows_matches_greedy_oracle():
         got = gf2.coset_rep_rows(big, small)
         want = _oracle_coset_rep_rows(big, small)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _oracle_purity_and_distance(code):
+    """(d, d*) over the normalizer span: d* is the least nonzero weight of
+    the 2^(n+k) normalizer words, d the least outside the stabilizer.
+    Span entry a combines the stabilizer rows, then the logicals, picked
+    by its bits, so the entries from 2^(n-k) on lie outside it."""
+    weights = stab._span_pauli_weights(code.normalizer_binary(),
+                                       gf2.DEFAULT_CAP)
+    d_star = int(weights[1:].min())
+    d = int(weights[1 << (code.n - code.k):].min()) if code.k else d_star
+    return d, d_star
+
+
+def _oracle_bases(count, seed):
+    """count seeded graph states on 3..8 qubits, edge density 0.2, 0.5 or
+    0.8, random generator signs and 0..2 generators dropped (k = 0..2),
+    then [[5, 1, 3]], Steane's [[7, 1, 3]] and Shor's [[9, 1, 3]]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        a = np.triu(rng.random((n, n)) < rng.choice([0.2, 0.5, 0.8]), 1)
+        a = a | a.T
+        gens = [("-" if rng.integers(2) else "") + "".join(
+            "X" if u == v else ("Z" if a[v, u] else "I") for u in range(n))
+            for v in range(n)]
+        yield _code(gens[:n - int(rng.integers(0, 3))])
+    yield _code(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+    ham = classical.linear_code(np.array(
+        [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+         [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8))
+    yield stab.css(ham, ham)
+    yield _code(["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+                 "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"])
+
+
+def test_purity_and_distance_match_normalizer_oracle():
+    """On 200 seeded graph-state bases with k = 0..2 and three named
+    codes, the purity and distance read off the stabilizer's weight
+    enumerator equal the normalizer span's."""
+    seen = set()
+    for code in _oracle_bases(200, 35):
+        seen.add(code.k)
+        params = stab.purity_and_distance(code)
+        assert (params.d, params.purity) == _oracle_purity_and_distance(code)
+    assert seen == {0, 1, 2}
 
 
 def test_purity_cap(five_base):

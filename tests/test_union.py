@@ -473,7 +473,7 @@ def test_enumerators_match_oracles_on_seeded_unions():
     for code in _seeded_unions(1000, 33):
         K, r = len(code.translations), code.n - code.base.k
         seen.add((code.base.k, K == 1, K == 1 << r))
-        K_, h, pairs, _ = unioncode._enumerators(code, gf2.DEFAULT_CAP)
+        K_, h, pairs = unioncode._enumerators(code, gf2.DEFAULT_CAP)
         assert K_ == K and h[0] == K * K and pairs[0] == K
         assert all(K * p >= a for p, a in zip(pairs, h))
         bound = unioncode.union_distance_bound(code)
@@ -897,15 +897,18 @@ def test_distances_past_32_qubits():
     elements fit the cap where its 2^114 normalizer words do not, and
     their Pauli weights span 192 columns.  RM(4, 6) has distance 4 and
     its dual RM(1, 6) has 16, so the normalizer's least nonzero weight,
-    the purity, and the least outside the stabilizer are both 4."""
+    the purity, and the least outside the stabilizer are both 4; the
+    base's own purity_and_distance reads them off the same 2^14 words."""
     rm = classical.reed_muller(4, 6)
     base = stab.css(rm, rm)
     assert (base.n, base.k) == (64, 50)
     code = unioncode.union_code(base, [])
     bound = unioncode.union_distance_bound(code)
     assert (bound.d, bound.purity, unioncode.true_distance(code)) == (4, 4, 4)
+    params = stab.purity_and_distance(base)
+    assert (params.d, params.purity) == (4, 4)
     with pytest.raises(StrategyInfeasible,
-                       match=r"^stabilizer enumeration 2\^14 exceeds cap"):
+                       match=r"^weighing 2\^14 span words exceeds cap 16383$"):
         unioncode.true_distance(code, cap=(1 << 14) - 1)
 
 
