@@ -270,7 +270,7 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
             raise BadParams("the identity translation must map to zero")
     L = np.array([[int(c) for c in s] for s, _ in pairs], np.uint8)
     P = np.array([[int(c) for c in t] for _, t in pairs], np.uint8)
-    if gf2.rref(L.copy())[2] != r:
+    if gf2.rank(L) != r:
         raise BadParams("raw labels do not span the label space")
     m = np.zeros((r, r), np.uint8)
     for j in range(r):
@@ -278,7 +278,7 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
         if sol is None:
             raise BadParams("target labels are not a linear image of raw ones")
         m[:, j] = sol
-    if gf2.rref(m.copy())[2] != r:
+    if gf2.rank(m) != r:
         raise BadParams("label map is singular")
     # decompose m into elementary row additions = CNOT gates
     gates = []

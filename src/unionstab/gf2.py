@@ -60,17 +60,35 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
 
     Returns (reduced, pivot_cols, rank).  Row space is preserved and
     pivot columns are strictly increasing; the rows past the rank are
-    zero.  Each row is packed into one Python int, column 0 the most
-    significant bit, and inserted into an XOR basis keyed by its leading
-    bit; back-substitution in ascending leading bit then clears every
-    pivot column, giving the unique RREF of the row space.
+    zero.  The rows of _xor_basis are reduced in ascending leading bit:
+    each clears the pivot bits it holds, read off one mask, by the rows
+    already reduced, giving the unique RREF of the row space.
     """
+    r, basis = _xor_basis(m)
+    mask = 0
+    for lead in sorted(basis):
+        x, hit = basis[lead], basis[lead] & mask
+        while hit:  # a reduced row holds one pivot bit, its lead
+            p = hit.bit_length()
+            x ^= basis[p]
+            hit ^= 1 << (p - 1)
+        basis[lead] = x
+        mask |= 1 << (lead - 1)
+    leads, ncols = sorted(basis, reverse=True), r.shape[1]
+    reduced = np.zeros(r.shape, dtype=np.uint8)
+    reduced[:len(leads)] = _int_rows([basis[lead] for lead in leads], ncols)
+    return reduced, [8 * -(-ncols // 8) - lead for lead in leads], len(leads)
+
+
+def _xor_basis(m: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """(m mod 2, an XOR basis of its rows keyed by leading bit): each row,
+    packed by _row_ints, is reduced by the basis row at its leading bit
+    until that bit is new.  The leading bits are the row space's pivots,
+    column 8 ceil(cols / 8) - lead for each lead."""
     r = np.asarray(m, dtype=np.uint8) % 2
     if r.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    nrows, ncols = r.shape
-    nbytes = -(-ncols // 8)
-    basis: dict[int, int] = {}  # bit length of the leading bit -> row
+    basis: dict[int, int] = {}
     for x in _row_ints(r):
         while x:
             lead = x.bit_length()
@@ -78,17 +96,7 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
                 basis[lead] = x
                 break
             x ^= basis[lead]
-    leads = sorted(basis)
-    for i, lead in enumerate(leads):
-        x = basis[lead]
-        for p in leads[:i]:
-            if x >> (p - 1) & 1:
-                x ^= basis[p]
-        basis[lead] = x
-    leads.reverse()
-    reduced = np.zeros((nrows, ncols), dtype=np.uint8)
-    reduced[:len(leads)] = _int_rows([basis[lead] for lead in leads], ncols)
-    return reduced, [8 * nbytes - lead for lead in leads], len(leads)
+    return r, basis
 
 
 def _row_ints(m: np.ndarray) -> list[int]:
@@ -109,7 +117,7 @@ def _int_rows(xs: list[int], ncols: int) -> np.ndarray:
 
 
 def rank(m: np.ndarray) -> int:
-    return rref(m)[2]
+    return len(_xor_basis(m)[1])
 
 
 def kernel_basis(m: np.ndarray) -> np.ndarray:
@@ -117,10 +125,14 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
     Row count is always cols - rank(m); the result may have zero rows.
     Basis vector i sets free column i to 1 and each pivot column to that
-    pivot row's entry in the free column.
+    pivot row's entry in the free column.  An m fully reduced already is
+    its own RREF, up to row order, and is not run through rref.
     """
     m = np.asarray(m, dtype=np.uint8) % 2
-    red, pivots, rk = rref(m)
+    if _is_reduced(m):
+        red, pivots, rk = m, m.argmax(axis=1), len(m)
+    else:
+        red, pivots, rk = rref(m)
     is_free = np.ones(m.shape[1], dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -185,9 +197,16 @@ def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:
     of m: whether each reduces to zero modulo it.  An m fully reduced
     already, as a LinearCode generator is, is not run through rref."""
     m = np.asarray(m, dtype=np.uint8) % 2
-    if not (m.size and np.array_equal(m[:, m.argmax(axis=1)], np.eye(len(m)))):
+    if not _is_reduced(m):
         m = _independent_rows(m)
     return not reduce_rows(m, np.atleast_2d(as_bits(v))).any()
+
+
+def _is_reduced(m: np.ndarray) -> bool:
+    """Whether the 0/1 matrix m has rows, each row's first 1 being 0 in
+    every other row: rref(m) up to its rank, in some row order."""
+    return bool(m.size) and np.array_equal(m[:, m.argmax(axis=1)],
+                                           np.eye(len(m)))
 
 
 def row_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -205,10 +224,11 @@ def coset_rep_rows(big: np.ndarray, small: np.ndarray) -> np.ndarray:
 
     A row is kept when it is independent of ``small`` and the rows of
     ``big`` before it: exactly the pivot columns past ``small`` of the
-    transposed stack, found by one rref.
+    transposed stack, read off one _xor_basis.
     """
-    _, pivots, _ = rref(np.vstack([small, big]).T)
-    keep = [p - len(small) for p in pivots if p >= len(small)]
+    stack, basis = _xor_basis(np.vstack([small, big]).T)
+    top = 8 * -(-stack.shape[1] // 8) - len(small)
+    keep = sorted(top - lead for lead in basis if lead <= top)
     return np.asarray(big, dtype=np.uint8)[keep]
 
 
@@ -351,9 +371,25 @@ def fwht(a: np.ndarray) -> None:
     """Unnormalised Walsh-Hadamard transform of a length-2^r array, in place.
 
     Afterwards a[u] = sum_s a_old[s] (-1)^popcount(u & s); one vectorised
-    butterfly pass per bit, through temporaries as large as the table.
+    butterfly pass per bit.  From 2^12 entries on, the passes of the five
+    low bits run on a transposed copy, where they pair contiguous rows in
+    place: lo += hi; hi *= -2; hi += lo leaves lo - hi in hi, exact under
+    wraparound.  The others pair runs of at least 32 entries, through
+    temporaries half as large as the table.
     """
     h = 1
+    if a.size >= 1 << 12:
+        rows = a.reshape(-1, 32)
+        t = rows.T.copy()
+        for h in (1, 2, 4, 8, 16):
+            for j in range(0, 32, 2 * h):
+                lo, hi = t[j:j + h], t[j + h:j + 2 * h]
+                lo += hi
+                hi *= -2
+                hi += lo
+        rows[...] = t.T
+        del t  # freed before the first temporary below
+        h = 32
     while h < a.size:
         pairs = a.reshape(-1, 2, h)
         lo, hi = pairs[:, 0], pairs[:, 1]
@@ -372,7 +408,9 @@ def character_squares(syndromes: np.ndarray, r: int) -> np.ndarray:
     K, c = syndromes.shape
     if K << r >= 1 << 63:
         raise StrategyInfeasible(f"{K} * 2^{r} overflows int64 sums")
-    chi = np.bincount(pack_rows(syndromes).astype(np.int64), minlength=1 << c)
+    index = np.zeros((K, 8), dtype=np.uint8)  # pack_rows' bit order
+    index[:, :-(-c // 8)] = np.packbits(syndromes, axis=1, bitorder="little")
+    chi = np.bincount(index.view("<i8")[:, 0], minlength=1 << c)
     fwht(chi)
     chi *= chi
     return chi

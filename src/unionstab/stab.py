@@ -149,21 +149,23 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     if len(reps) != 2 * k:
         raise ConstructionMismatch(
             f"{len(reps)} logical representatives, expected {2 * k}")
-    # symplectic Gram-Schmidt into hyperbolic pairs, on the int rows: the
-    # x half lies n bits above the z half
-    def ip(a, b):
-        return ((a >> n & b) ^ (a & b >> n)).bit_count() & 1
-
+    # symplectic Gram-Schmidt into hyperbolic pairs, on the int rows:
+    # <u, a> is the parity of u & swap(a), swap exchanging the x half
+    # with the z half, z, which lies above (-2n mod 8) pad bits
+    z = ((1 << n) - 1) << (-2 * n % 8)
     pool, xs, zs = reps, [], []
     while pool:
         v, *pool = pool
-        j = next((j for j, u in enumerate(pool) if ip(u, v)), None)
+        sv = v >> n & z | (v & z) << n
+        j = next((j for j, u in enumerate(pool)
+                  if (u & sv).bit_count() & 1), None)
         if j is None:
             raise ConstructionMismatch(
                 "degenerate symplectic form on the normalizer quotient")
         w = pool.pop(j)
-        pool = [u ^ (v if ip(u, w) else 0) ^ (w if ip(u, v) else 0)
-                for u in pool]
+        sw = w >> n & z | (w & z) << n
+        pool = [u ^ (v if (u & sw).bit_count() & 1 else 0)
+                ^ (w if (u & sv).bit_count() & 1 else 0) for u in pool]
         xs.append(v)
         zs.append(w)
     xs, zs = gf2._int_rows(xs, 2 * n), gf2._int_rows(zs, 2 * n)

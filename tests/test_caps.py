@@ -57,6 +57,8 @@ def _cases():
     rm26, rm36 = classical.reed_muller(2, 6), classical.reed_muller(3, 6)
     ring11, ring16, ring18 = _ring(11), _ring(16), _ring(18)
     u16, u18 = _union(ring16, rng, 6), _union(ring18, rng, 6)
+    rows16 = bits(16, 20)  # against all 2^16 syndromes of 16 bits
+    syn16 = gf2.unpack_rows(np.arange(1 << 16, dtype=np.uint64)[:, None], 16)
     ctx = z4.gr4_build(5)
     gd = z4.z4_dual(z4.goethals_z4(ctx))
     for c in (coset.base, pairs.base, dual.base, goethals.base):
@@ -67,6 +69,8 @@ def _cases():
             1 for _ in gf2.xor_span_chunks(basis, 14, cap)),
         "span_words": lambda cap: gf2.span_words(m40, cap),
         "span_weights": lambda cap: gf2.span_weights(m100, cap),
+        "character_weights": lambda cap: gf2.character_weights(
+            rows16, syn16, gf2.span_weights, cap),
         "word_matrix": lambda cap: gf2.word_matrix(g100, cap),
         "LinearCode.words": lambda cap: lin.words(cap),
         "CosetCode.words": lambda cap: sum(1 for _ in coset.words(cap)),

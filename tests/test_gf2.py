@@ -63,6 +63,60 @@ def test_rref_matches_column_loop_oracle():
             gf2.rref(bad)
 
 
+
+def _reduced(m):
+    """Whether m has rows, each row's first 1 being 0 in every other row."""
+    return bool(m.size) and np.array_equal(m[:, m.argmax(axis=1)],
+                                           np.eye(len(m)))
+
+
+def _elimination_cases():
+    """2,100 seeded matrices up to 23 x 23, sparse to dense: most widths
+    are not a multiple of 8, some have rows that combine earlier ones,
+    and a quarter are fully reduced already (rref rows, shuffled)."""
+    rng = np.random.default_rng(36)
+    for _ in range(2100):
+        nrows, ncols = (int(x) for x in rng.integers(0, 24, 2))
+        m = rng.integers(0, 2, (nrows, ncols)) * (
+            rng.random((nrows, ncols)) < rng.random())
+        if nrows and rng.random() < 0.4:
+            m = np.vstack([m, rng.integers(0, 2, (3, nrows)) @ m % 2])
+        if rng.random() < 0.25:
+            red, _, rk = _rref_oracle(m)
+            m = red[:rk][rng.permutation(rk)]
+        yield rng, m.astype(np.uint8)
+
+
+def test_rank_coset_reps_and_kernel_match_rref_oracle(monkeypatch):
+    """rank, coset_rep_rows and kernel_basis give the _rref_oracle route's
+    answers; the first two never back-substitute (call rref), nor does
+    kernel_basis on an input that is reduced already."""
+    calls = []
+    monkeypatch.setattr(gf2, "rref", lambda m: calls.append(1) or
+                        _rref_oracle(m))
+    reduced = 0
+    for rng, m in _elimination_cases():
+        red, pivots, rk = _rref_oracle(m)
+        calls.clear()
+        assert gf2.rank(m) == rk
+        cut = int(rng.integers(0, len(m) + 1))
+        small, big = m[:cut], m[cut:]
+        keep = [p - cut for p in _rref_oracle(m.T)[1] if p >= cut]
+        got = gf2.coset_rep_rows(big, small)
+        assert got.dtype == np.uint8 and np.array_equal(got, big[keep])
+        assert not calls
+        free = np.setdiff1d(np.arange(m.shape[1]), pivots)
+        want = np.zeros((free.size, m.shape[1]), dtype=np.uint8)
+        want[np.arange(free.size), free] = 1
+        want[:, pivots] = red[:rk, free].T
+        got = gf2.kernel_basis(m)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert not calls or not _reduced(m)
+        reduced += _reduced(m)
+    assert reduced >= 400
+    with pytest.raises(ValueError):
+        gf2.rank([1, 0, 1])
+
 def test_kernel_basis_annihilates():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -507,6 +561,59 @@ def test_character_weights_match_per_word_oracle():
         assert np.array_equal(got, _oracle_character_weights(rows, syndromes))
         assert int(got.sum()) == K << r
 
+
+
+def _fwht_oracle(a):
+    """The per-bit butterfly, in place: runs of h entries paired through
+    a temporary, h = 1, 2, 4, ..."""
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h <<= 1
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_fwht_matches_per_bit_butterfly(dtype):
+    """At every size from 2^0 to 2^18, small entries and full-range ones,
+    whose sums and -2 hi steps wrap, transform as the per-bit loop."""
+    rng = np.random.default_rng(36)
+    info = np.iinfo(dtype)
+    for r in range(19):
+        for low, high in ((-3, 3), (info.min, info.max)):
+            a = rng.integers(low, high, 1 << r, dtype=dtype, endpoint=True)
+            want = a.copy()
+            _fwht_oracle(want)
+            gf2.fwht(a)
+            assert a.dtype == dtype and np.array_equal(a, want), (r, high)
+
+
+def test_fwht_traced_peak_within_the_per_bit_loop(traced_peak):
+    """On 2^16 int64 entries fwht peaks no higher than the per-bit loop,
+    whose temporaries come to about 1.25 tables, plus numpy's 64 KiB
+    copy buffer: the transposed copy is live alone."""
+    a = np.random.default_rng(16).integers(-9, 9, 1 << 16)
+    want, loop = traced_peak(_fwht_oracle, a.copy())
+    got, peak = traced_peak(gf2.fwht, a)
+    assert want is None and got is None
+    assert peak <= loop + (64 << 10), (peak, loop)
+
+
+def test_character_squares_index_in_pack_rows_order():
+    """The histogram bins each syndrome at its pack_rows word, at widths
+    on and off a byte: chi^2 equals the per-bit transform's of the
+    pack_rows histogram."""
+    rng = np.random.default_rng(8)
+    for c in (0, 1, 7, 8, 9, 15, 16, 17):
+        syndromes = rng.integers(0, 2, (300, c), dtype=np.uint8)
+        want = np.bincount(gf2.pack_rows(syndromes).astype(np.int64),
+                           minlength=1 << c)
+        _fwht_oracle(want)
+        got = gf2.character_squares(syndromes, c)
+        assert np.array_equal(got, want * want), c
 
 def test_character_squares_guard_is_parseval_bound():
     """K = 2^14 syndromes against r dual rows: the squares are summed in

@@ -136,6 +136,22 @@ def test_fwht_only_in_the_shared_character_step():
         ", ".join(f"{name}:{line} ({fn})" for name, line, fn in found)
 
 
+def test_rank_not_read_off_rref():
+    """No package code subscripts an rref(...) result for its rank, as
+    rref(m)[2]: gf2.rank reads it off the XOR basis alone, with no
+    back-substitution."""
+    found = sorted((path.name, node.lineno)
+                   for path, tree in _modules()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript)
+                   and isinstance(node.value, ast.Call)
+                   and _names(node.value.func)[-1:] == ["rref"]
+                   and isinstance(node.slice, ast.Constant)
+                   and node.slice.value in (2, -1))
+    assert not found, "rank read off rref: " + ", ".join(
+        f"{name}:{line}" for name, line in found)
+
+
 def _reads_cap(node: ast.AST) -> bool:
     """Whether node's subtree reads a name or attribute called cap."""
     return any((isinstance(sub, ast.Name) and sub.id == "cap")

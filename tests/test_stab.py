@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -579,3 +581,45 @@ def test_parse_checks_header_against_operators():
         stab.parse_stabilizer("# nothing\n")
     with pytest.raises(BadParams, match="at least one generator"):
         stab.stabilizer_from_generators([])
+
+
+# sha256 prefixes of format_stabilizer's text for the codes of
+# test_format_stabilizer_is_pinned, the graph states' texts concatenated
+FORMAT_DIGESTS = {"enlarge_rm36_rm46": "3c899d1607831684",
+                  "css_rm36_rm36": "2e5ba4a6d6b61ae6",
+                  "graph_states": "a43b400c3e45f221"}
+
+
+def _padded_graph_states():
+    """60 seeded graph states on n qubits with 2n mod 8 != 0, so _row_ints
+    pads the z half, edge density 0.5, 1..3 generators dropped (k = 1..3)."""
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        n = int(rng.choice([5, 6, 7, 9, 10, 11, 13]))
+        a = np.triu(rng.random((n, n)) < 0.5, 1)
+        a = a | a.T
+        gens = ["".join("X" if u == v else ("Z" if a[v, u] else "I")
+                        for u in range(n)) for v in range(n)]
+        yield _code(gens[:n - int(rng.integers(1, 4))])
+
+
+def _digest(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+
+
+def test_format_stabilizer_is_pinned():
+    """The stabilizer files of the [[64, 35]] enlargement, css(RM(3,6),
+    RM(3,6)) and padded graph states with k = 1..3 keep their bytes: the
+    logicals' symplectic Gram-Schmidt pairs the same operators."""
+    rm36, rm46 = classical.reed_muller(3, 6), classical.reed_muller(4, 6)
+    enlarged = stab.enlarge_css(rm36, rm46)
+    assert (enlarged.n, enlarged.k) == (64, 35)
+    graphs = list(_padded_graph_states())
+    assert {code.k for code in graphs} == {1, 2, 3}
+    assert all(2 * code.n % 8 for code in graphs)
+    got = {"enlarge_rm36_rm46": _digest([stab.format_stabilizer(enlarged)]),
+           "css_rm36_rm36": _digest([stab.format_stabilizer(
+               stab.css(rm36, rm36))]),
+           "graph_states": _digest(map(stab.format_stabilizer, graphs))}
+    assert got == FORMAT_DIGESTS
+
