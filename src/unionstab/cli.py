@@ -251,10 +251,11 @@ def cmd_verify(args, report: Report) -> int:
         report.add("distance.claimed", claimed)
     if args.level != "full":
         return 0
-    bound = unioncode.union_distance_bound(code, cap=args.cap)
+    record = unioncode.weight_enumerators(code, args.cap)
+    bound = unioncode.union_distance_bound(code, args.cap, record)
     report.add("distance.bound", bound.d)
     report.add("purity", bound.purity)
-    exact = unioncode.true_distance(code, cap=args.cap)
+    exact = unioncode.true_distance(code, args.cap, record)
     report.add("distance.exact", exact)
     if claimed is not None and exact < claimed:
         sys.stderr.write(f"distance.exact {exact} < claimed {claimed}\n")

@@ -25,6 +25,10 @@ if TYPE_CHECKING:
 
 # adjacency entries per row chunk of the clique search, as a power of two
 GATHER_CHUNK_BITS = 20
+# bytes of the search stack: list slots for a branch vertex's key and
+# colour, spare slots included; an int object, past the small ints
+# CPython caches up to 256; a level's frame, besides its two bitsets
+SLOT_BYTES, INT_BYTES, LEVEL_BYTES = 24, 32, 256
 
 
 @dataclass(frozen=True)
@@ -78,25 +82,41 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     "translation+aut(|G|)" when G is nontrivial, in exact mode, and
     "none" in greedy mode.
 
-    Once |N(0)| is known, g.cap is charged the two lists of Python-int
-    bitsets (4 bytes a 30-bit digit, 140 a vertex), the 2^r degrees with
-    their fwht temporaries and an adjacency chunk, not the search's stack.
+    Vertex i of the order is keyed by its bit's bit_length, top - i,
+    top = 8 ceil(|N(0)| / 8), so q.bit_length() is the lowest vertex of
+    q.  Two tables are read by key: bits, the single bits, and nonadj,
+    the vertices each is not adjacent to, itself left out; v's
+    neighbours in cand are cand & ~nonadj[v] ^ bits[v].  Once |N(0)| is
+    known, g.cap is charged both tables (4 bytes a 30-bit digit, 140 a
+    vertex for nonadj and the label maps), the 2^r degrees with their
+    fwht temporaries and an adjacency chunk; each search node, the stack
+    of its live levels: SLOT_BYTES a branch vertex, two ints more past
+    key 256, and LEVEL_BYTES and two bitsets a level.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
     conn = g.leaders >= g.target_d
     conn[0] = False
     nbrs = np.flatnonzero(conn).astype(np.min_scalar_type(len(conn) - 1))
-    v = len(nbrs)
-    gf2.charge(2 * v * (4 * (v // 30) + 140) + 17 * len(conn)
-               + (nbrs.itemsize + 2) * min(v * v, 1 << GATHER_CHUNK_BITS),
-               f"the clique bitsets of {v} neighbours", g.cap)
+    nv = len(nbrs)
+    top = -nv // 8 * -8
+    digits = 4 * (top // 30)
+    held = (nv * (digits + 140) + top * (digits // 2 + 36) + 17 * len(conn)
+            + (nbrs.itemsize + 2) * min(nv * nv, 1 << GATHER_CHUNK_BITS))
+    gf2.charge(held, f"the clique bitsets of {nv} neighbours", g.cap)
     order = _min_width_order(conn, nbrs)
-    adjbits = [int.from_bytes(row.tobytes(), "little")
-               for _, rows in _adjacency_chunks(conn, order)
-               for row in np.packbits(rows, axis=1, bitorder="little")]
-    verts = order.tolist()
-    full = (1 << len(verts)) - 1
+    rows = []
+    for i, adj in _adjacency_chunks(conn, order):
+        np.invert(adj, out=adj)
+        adj[np.arange(len(adj)), np.arange(i, i + len(adj))] = False
+        rows += (int.from_bytes(row.tobytes(), "big")
+                 for row in np.packbits(adj, axis=1))
+    nonadj = [0] * (top + 1 - nv) + rows[::-1]
+    bits = [0] + [1 << k for k in range(top)]
+    full = (1 << top) - (1 << top - nv)
+    # the label at each key, and the key of each label
+    verts = [0] * (top + 1 - nv) + order[::-1].tolist()
+    key = {a: top - i for i, a in enumerate(order.tolist())}
     best: list[int] = []
     nodes = 0
     truncated = False
@@ -106,22 +126,22 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
         rng = np.random.default_rng(seed)
         for _ in range(64):
             clique, cand = [], full
-            pool = list(range(len(verts)))
+            pool = list(range(top, top - nv, -1))
             rng.shuffle(pool)
-            for v in pool:
-                if cand >> v & 1:
-                    clique.append(v)
-                    cand &= adjbits[v]
+            for x in pool:
+                if cand & bits[x]:
+                    clique.append(x)
+                    cand = cand & ~nonadj[x] ^ bits[x]
             if len(clique) > len(best):
                 best = clique
     elif mode == "exact":
         _, maps, group_order = symmetry.qubit_automorphisms(g)
-        bit = {a: i for i, a in enumerate(verts)}
-        nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
+        vertex = SLOT_BYTES + 2 * INT_BYTES * (top > 256)
+        level = LEVEL_BYTES + 2 * (digits + INT_BYTES)
 
         # the identity is left out of clique and best: both sides of
         # every size comparison drop it
-        def expand(clique: list[int], cand: int):
+        def expand(clique: list[int], cand: int, stack: int):
             nonlocal best, nodes, truncated
             nodes += 1
             if nodes > budget:
@@ -130,28 +150,29 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
             if len(clique) > len(best):
                 best = list(clique)
             branch, colors = _color_classes(
-                nonadj, cand, len(best) - len(clique) + 1)
+                nonadj, bits, cand, len(best) - len(clique) + 1)
+            stack += level + vertex * len(branch)
+            gf2.charge(stack, "the clique search stack", g.cap)
             while branch:
                 v = branch.pop()
                 if truncated or len(clique) + colors.pop() <= len(best):
                     return
-                if not cand >> v & 1:  # an orbit-mate of a finished vertex
+                if not cand & bits[v]:  # an orbit-mate of a finished vertex
                     continue
                 clique.append(v)
-                expand(clique, cand & adjbits[v])
+                expand(clique, cand & ~nonadj[v] ^ bits[v], stack)
                 clique.pop()
-                cand ^= 1 << v
+                cand ^= bits[v]
                 if len(clique) == 1:  # in u's branch, v ^ u goes with v
-                    cand &= ~(1 << bit[verts[v] ^ verts[clique[0]]])
+                    cand &= ~bits[key[verts[v] ^ verts[clique[0]]]]
                 elif not clique and not truncated:
                     for u in symmetry.label_orbit(maps, verts[v]):
-                        cand &= ~(1 << bit[u])
-                        for x, a in enumerate(verts):
-                            y = bit.get(a ^ u)
+                        cand &= ~bits[key[u]]
+                        for a, x in key.items():
+                            y = key.get(a ^ u)
                             if y is not None:
-                                adjbits[x] &= ~(1 << y)
-                                nonadj[x] |= 1 << y
-        expand([], full)
+                                nonadj[x] |= bits[y]
+        expand([], full, held)
         # expand holds itself through its closure: drop it, so that the
         # bitsets it closes over go now rather than at a cyclic collection
         del expand
@@ -214,16 +235,17 @@ def _min_width_order(conn: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return np.array(removed[::-1], dtype=verts.dtype)
 
 
-def _color_classes(nonadj: list[int], cand: int,
+def _color_classes(nonadj: list[int], bits: list[int], cand: int,
                    kmin: int) -> tuple[list[int], list[int]]:
     """Greedy colouring of the bitset cand, one colour class at a time.
 
-    nonadj[v] holds the vertices v is not adjacent to, v itself left
-    out.  Each class takes the lowest uncoloured bit, then the lowest bit
-    adjacent to none of its members (q &= nonadj[v] per member), and so
-    on; this gives each vertex the smallest colour free of its lower
-    neighbours, as a sequential greedy colouring in ascending bit order
-    does.  Returns the vertices of colour >= kmin and their colours, in
+    Vertices are keyed by bit_length, bits[v] the bit of key v and
+    nonadj[v] the vertices v is not adjacent to, v itself left out.  Each
+    class takes the highest uncoloured key, then the highest adjacent to
+    none of its members (q &= nonadj[v] per member), and so on; this
+    gives each vertex the smallest colour free of its higher-keyed
+    neighbours, as a sequential greedy colouring in descending key order
+    does.  Returns the keys of colour >= kmin and their colours, in
     colour order; the classes below kmin are only stripped from cand.
     """
     verts, colors = [], []
@@ -233,14 +255,13 @@ def _color_classes(nonadj: list[int], cand: int,
         q = cand
         if color < kmin:
             while q:
-                low = q & -q
-                cand ^= low
-                q &= nonadj[low.bit_length() - 1]
+                v = q.bit_length()
+                cand ^= bits[v]
+                q &= nonadj[v]
             continue
         while q:
-            low = q & -q
-            v = low.bit_length() - 1
-            cand ^= low
+            v = q.bit_length()
+            cand ^= bits[v]
             q &= nonadj[v]
             verts.append(v)
         colors += [color] * (len(verts) - len(colors))

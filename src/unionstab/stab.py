@@ -10,6 +10,7 @@ distance read off the stabilizer's weight enumerator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .errors import (
     NotDualContaining,
 )
 from .pauli import PauliVector, pauli_parse, pauli_str
+
+if TYPE_CHECKING:
+    from .unioncode import WeightEnumerators
 
 __all__ = [
     "StabilizerCode",
@@ -349,18 +353,21 @@ def _span_pauli_weights(m: np.ndarray, cap: int) -> np.ndarray:
                             cap) >> 1
 
 
-def purity_and_distance(code: StabilizerCode,
-                        cap: int = gf2.DEFAULT_CAP) -> CodeParams:
+def purity_and_distance(code: StabilizerCode, cap: int = gf2.DEFAULT_CAP,
+                        record: WeightEnumerators | None = None,
+                        ) -> CodeParams:
     """Purity d* and distance d from the stabilizer's weight enumerator.
 
-    A_w counts the 2^(n-k) stabilizer elements of weight w (the character
-    sum of the identity alone), B_w the normalizer's, by the quaternary
-    MacWilliams transform (Shor and Laflamme, PRL 78, 1997).  d* is the
-    least w >= 1 with B_w > 0, d the least with B_w > A_w (d* at k = 0).
+    A_w counts the 2^(n-k) stabilizer elements of weight w, read off
+    record.A (unioncode.weight_enumerators, of a union on this base)
+    when one is given and weighed here otherwise; B_w the normalizer's,
+    by the quaternary MacWilliams transform (Shor and Laflamme, PRL 78,
+    1997).  d* is the least w >= 1 with B_w > 0, d the least with
+    B_w > A_w (d* at k = 0).
     """
     n = code.n
-    a = gf2.character_weights(code.stab_binary(), np.zeros((1, 0), np.uint8),
-                              _span_pauli_weights, cap)[:n + 1].tolist()
+    a = record.A if record else np.bincount(
+        _span_pauli_weights(code.stab_binary(), cap), minlength=n + 1).tolist()
     b = z4._krawtchouk_expand(a, n, n - code.k, 4)
     d_star = next(w for w in range(1, n + 1) if b[w])
     d = next(w for w in range(1, n + 1) if b[w] > a[w]) if code.k else d_star

@@ -5,16 +5,17 @@ of a base stabilizer code, the t_i lying in pairwise-distinct cosets of
 the base's normalizer.  This module computes coset distances (minimum
 weight in a normalizer coset), builds CSS-like unions from classical
 coset codes, and builds the coset graph in which clique.max_clique
-searches for good translation sets.  The distance bound and exact
-distance that verify reports come from the union's weight enumerators
-(_enumerators), the base's purity from stab.purity_and_distance: one
-character sum over the 2^(n-k) stabilizer elements each.
+searches for good translation sets.  The distance bound, exact distance
+and base purity that verify reports are read off one record of weight
+enumerators (weight_enumerators): one weighing of the 2^(n-k) stabilizer
+elements, one character sum over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .classical import (
 from .clique import CliqueResult, max_clique
 from .errors import (
     BadParams,
+    ConstructionMismatch,
     DuplicateCoset,
     LengthMismatch,
     NotPureEnough,
@@ -55,6 +57,8 @@ __all__ = [
     "CliqueResult",
     "union_code",
     "coset_distance",
+    "WeightEnumerators",
+    "weight_enumerators",
     "union_distance_bound",
     "true_distance",
     "css_like_union",
@@ -146,45 +150,76 @@ def coset_distance(code: UnionStabilizerCode, i: int, j: int,
     return int(_span_pauli_weights(rows, cap)[1::2].min())
 
 
-def _enumerators(code: UnionStabilizerCode, cap: int):
-    """(K, h, pairs), h and pairs read by weight w = 0 .. n.
+class WeightEnumerators(NamedTuple):
+    """A union's weight enumerators by weight w = 0 .. n, read off one
+    weighing of its base's 2^r stabilizer elements, r = n - k.
 
     h(x) sums F(v)^2, F(v) = sum_i (-1)^<g_v, t_i>, over the stabilizer
     elements g_v of weight x (gf2.character_weights); Shor and Laflamme's
-    (PRL 78, 1997) K^2 A_w = h(w) and K B_w = pairs[w], h's MacWilliams
-    transform, which counts the weight-w words of all N + t_i + t_j.
+    (PRL 78, 1997) K^2 A_w = h(w) and K B_w = B[w], h's MacWilliams
+    transform, which counts the weight-w words of all N + t_i + t_j.  A
+    counts the stabilizer elements by weight.  S, the transform of h with
+    its odd weights negated, is Rains' shadow (IEEE Trans. IT 45, 1999)
+    on B's scale: the words of all y + N + t_i + t_j, where (-1)^<g, y> =
+    (-1)^wt(g) on the stabilizer; a negative S_w raises
+    ConstructionMismatch.
     """
+
+    K: int
+    n: int
+    r: int
+    h: tuple[int, ...]
+    B: tuple[int, ...]
+    A: tuple[int, ...]
+    S: tuple[int, ...]
+
+
+def weight_enumerators(code: UnionStabilizerCode,
+                       cap: int = gf2.DEFAULT_CAP) -> WeightEnumerators:
     n, sb = code.n, code.base.stab_binary()
+    K, r = len(code.translations), n - code.base.k
     syn = _ip_rows(_xz_rows(n, code.translations), sb, n)
-    h = gf2.character_weights(sb, syn, _span_pauli_weights, cap)
-    h = h[:n + 1].tolist()
-    return (len(code.translations), h,
-            z4._krawtchouk_expand(h, n, n - code.base.k, 4))
+    weights = _span_pauli_weights(sb, cap)  # read twice: by character, alone
+    h = gf2.character_weights(sb, syn, lambda *_: weights, cap)[:n + 1]
+    h = h.tolist()
+    S = z4._krawtchouk_expand([-c if x % 2 else c for x, c in enumerate(h)],
+                              n, r, 4)
+    w = next((w for w, s in enumerate(S) if s < 0), None)
+    if w is not None:
+        raise ConstructionMismatch(f"shadow S_{w} = {S[w]} < 0 in a union "
+                                   f"of K = {K}")
+    return WeightEnumerators(
+        K=K, n=n, r=r, h=tuple(h), B=tuple(z4._krawtchouk_expand(h, n, r, 4)),
+        A=tuple(np.bincount(weights, minlength=n + 1).tolist()), S=tuple(S))
 
 
 def union_distance_bound(code: UnionStabilizerCode,
-                         cap: int = gf2.DEFAULT_CAP) -> CodeParams:
+                         cap: int = gf2.DEFAULT_CAP,
+                         record: WeightEnumerators | None = None,
+                         ) -> CodeParams:
     """Distance bound: min of pairwise coset distances and base purity,
-    the least w >= 1 with B_w > 0 (_enumerators), with the base's purity
-    from purity_and_distance."""
-    _, _, pairs = _enumerators(code, cap)
-    best = next(w for w in range(1, code.n + 1) if pairs[w])
-    purity = purity_and_distance(code.base, cap).purity
+    the least w >= 1 with B_w > 0, with the base's purity from
+    purity_and_distance; both read record, weight_enumerators' when none
+    is given."""
+    record = record or weight_enumerators(code, cap)
+    best = next(w for w in range(1, code.n + 1) if record.B[w])
+    purity = purity_and_distance(code.base, cap, record).purity
     return CodeParams(
         n=code.n, log2_dim=code.params.log2_dim, d=best, purity=purity,
         provenance={"d": "coset-enumeration-bound",
                     "impure": purity < best})
 
 
-def true_distance(code: UnionStabilizerCode,
-                  cap: int = gf2.DEFAULT_CAP) -> int:
+def true_distance(code: UnionStabilizerCode, cap: int = gf2.DEFAULT_CAP,
+                  record: WeightEnumerators | None = None) -> int:
     """Exact distance: the least w >= 1 with B_w > A_w, below which every
-    error is detectable (Rains, IEEE Trans. IT 44, 1998).  Raises
-    StrategyInfeasible when there is none: the difference set C* - C*
-    then lies inside the symplectic dual of its additive closure."""
-    K, h, pairs = _enumerators(code, cap)
+    error is detectable (Rains, IEEE Trans. IT 44, 1998), read off record,
+    weight_enumerators' when none is given.  Raises StrategyInfeasible
+    when there is none: the difference set C* - C* then lies inside the
+    symplectic dual of its additive closure."""
+    record = record or weight_enumerators(code, cap)
     for w in range(1, code.n + 1):
-        if K * pairs[w] > h[w]:
+        if record.K * record.B[w] > record.h[w]:
             return w
     raise StrategyInfeasible("difference set lies inside the closure dual")
 

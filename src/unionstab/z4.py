@@ -439,8 +439,9 @@ def lee_swe(c: Z4Code, cap: int = gf2.DEFAULT_CAP,
     return SymmetrizedWeightEnumerator(n4=c.n4, coeffs=coeffs)
 
 
-def _krawtchouk_row(x: int, n: int, q: int = 2) -> list[int]:
-    """K_k(x; n, q) for k = 0 .. n: the z^k coefficients of
+@functools.cache
+def _krawtchouk_row(x: int, n: int, q: int = 2) -> tuple[int, ...]:
+    """K_k(x; n, q) for k = 0 .. n, one cached row: the z^k coefficients of
     (1-z)^x (1+(q-1)z)^(n-x), from K_0 = 1 by the three-term recurrence
     (MacWilliams and Sloane, ch. 5) (k + 1) K_(k+1) = ((q-1)(n - k) + k
     - q x) K_k - (q-1)(n - k + 1) K_(k-1), whose division is exact.
@@ -450,7 +451,7 @@ def _krawtchouk_row(x: int, n: int, q: int = 2) -> list[int]:
         row.append((((q - 1) * (n - k) + k - q * x) * row[-1]
                     - (q - 1) * (n - k + 1) * prev) // (k + 1))
         prev = row[-2]
-    return row
+    return tuple(row)
 
 
 def _krawtchouk_expand(counts: list[int], n: int, r: int,
@@ -458,11 +459,8 @@ def _krawtchouk_expand(counts: list[int], n: int, r: int,
     """2^-r sum_x counts[x] K_w(x; n, q) for w = 0 .. n in exact integers,
     the MacWilliams transform onto the dual of a code of 2^r words; a sum
     that 2^r does not divide raises ConstructionMismatch."""
-    poly = [0] * (n + 1)
-    for x, c in enumerate(counts):
-        if c:
-            for w, k in enumerate(_krawtchouk_row(x, n, q)):
-                poly[w] += c * k
+    rows = [(c, _krawtchouk_row(x, n, q)) for x, c in enumerate(counts) if c]
+    poly = [sum(c * row[w] for c, row in rows) for w in range(n + 1)]
     if any(p % (1 << r) for p in poly):
         raise ConstructionMismatch("enumerator transform is not integral")
     return [p >> r for p in poly]
@@ -491,17 +489,18 @@ def swe_macwilliams(
     for a, b in swe.coeffs:
         if min(a, b) < 0 or a + b > n4:
             raise NonIntegralTransform(f"term {(a, b)} does not fit length {n4}")
-    kraw = functools.cache(_krawtchouk_row)  # the (x, N) rows read, once each
     partial: dict[int, list[int]] = {}  # a -> S(a, a') over a' = 0 .. n4 - a
     for (a, b), coeff in swe.coeffs.items():
         s = partial.get(a, [0] * (n4 - a + 1))
-        partial[a] = [t + coeff * k for t, k in zip(s, kraw(b, n4 - a))]
+        row = _krawtchouk_row(b, n4 - a)
+        partial[a] = [t + coeff * k for t, k in zip(s, row)]
     acc = []  # acc[a'][b'], before the factor 2^a'
     for ap in range(n4 + 1):
         col = [0] * (n4 - ap + 1)
         for a, s in partial.items():
             if a + ap <= n4 and s[ap]:
-                col = [t + s[ap] * k for t, k in zip(col, kraw(a, n4 - ap))]
+                row = _krawtchouk_row(a, n4 - ap)
+                col = [t + s[ap] * k for t, k in zip(col, row)]
         acc.append(col)
     out: dict[tuple[int, int], int] = {}
     for deg in range(n4 + 1):

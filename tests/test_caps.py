@@ -34,9 +34,9 @@ def _union(base, rng, count):
     return unioncode.union_code(base, [pauli_parse(t) for t in sorted(ts)])
 
 
-def _search(base, d, cap):
+def _search(base, d, cap, budget=20):
     g = unioncode.build_search_graph(base, d, cap=cap)
-    clique = unioncode.max_clique(g, budget=20)
+    clique = unioncode.max_clique(g, budget=budget)
     return g.reps([int(v, 2) for v in clique.vertices])
 
 
@@ -55,7 +55,8 @@ def _cases():
     dual = classical._as_coset(classical.linear_code(bits(46, 64)))
     goethals = classical.goethals_binary(6)
     rm26, rm36 = classical.reed_muller(2, 6), classical.reed_muller(3, 6)
-    ring11, ring16, ring18 = _ring(11), _ring(16), _ring(18)
+    ring11, ring13 = _ring(11), _ring(13)
+    ring16, ring18 = _ring(16), _ring(18)
     u16, u18 = _union(ring16, rng, 6), _union(ring18, rng, 6)
     rows16 = bits(16, 20)  # against all 2^16 syndromes of 16 bits
     syn16 = gf2.unpack_rows(np.arange(1 << 16, dtype=np.uint64)[:, None], 16)
@@ -96,6 +97,9 @@ def _cases():
         "true_distance": lambda cap: unioncode.true_distance(u18, cap),
         "build_search_graph, max_clique, reps": lambda cap: _search(
             ring11, 3, cap),
+        # 7,606 vertices a hundred levels deep
+        "max_clique ring-13 budget 100": lambda cap: _search(
+            ring13, 3, cap, 100),
         "lee_swe": lambda cap: z4.lee_swe(gd, cap),
         "synth_qc": lambda cap: circuits.synth_qc(
             CANONICAL_LABELS, max_gates=10, cap=cap),
@@ -117,3 +121,18 @@ def test_calls_keep_to_their_cap(name, traced_peak):
         assert peak <= 8 * cap + SLACK, (cap, peak, out)
         outcomes.append(refused)
     assert outcomes[0] and not outcomes[-1], outcomes
+
+
+def test_clique_search_stack_keeps_to_the_cap(traced_peak):
+    """With every one of 2^9 labels adjacent, the first 250 levels of the
+    search hold about 97,000 branch vertices, several MB, where the
+    bitsets take about 1 MB.  At a cap of 2 MiB, which fits the bitsets,
+    the search refuses once its stack would not fit, within the cap."""
+    leaders = np.full(1 << 9, 2, np.uint8)
+    leaders[0] = 0
+    g = unioncode.SearchGraph(leaders=leaders, target_d=2, base=None,
+                              cap=1 << 18)
+    out, peak = traced_peak(unioncode.max_clique, g, budget=250)
+    assert peak <= 8 * (1 << 18) + SLACK, peak
+    assert isinstance(out, StrategyInfeasible), out
+    assert str(out) == f"the clique search stack exceeds cap {1 << 18}"

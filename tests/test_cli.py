@@ -648,7 +648,7 @@ def _ring_file(path, n):
 def test_ring16_search_refused_at_the_clique_bitsets(tmp_path, capsys,
                                                      traced_peak):
     """The 16-qubit ring graph state at d = 3 has 64,599 cosets in N(0):
-    their two bitset lists would take about 1.1 GB, so at the default cap
+    their bitset tables would take about 0.85 GB, so at the default cap
     search exits 2 naming them, quickly and before building them."""
     argv = ["search", _ring_file(tmp_path / "ring16.stab", 16), "--d", "3"]
     start = time.perf_counter()

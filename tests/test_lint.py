@@ -305,3 +305,24 @@ def test_trace_entry_points_resolve():
             importlib.import_module(f"unionstab.{mod}"), name, None)))
     assert not found, "ENTRY_POINTS names no unionstab function: " + \
         ", ".join(found)
+
+
+def test_krawtchouk_rows_come_from_one_table():
+    """z4._krawtchouk_row is the one table of Krawtchouk rows: it is
+    defined under functools.cache, and everywhere else in the package it
+    is only called, so no reader keeps a cache of its own."""
+    modules = _modules()
+    defs = [node for _, tree in modules for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_krawtchouk_row"]
+    assert [[ast.unparse(d) for d in node.decorator_list]
+            for node in defs] == [["functools.cache"]]
+    called = {id(node.func) for _, tree in modules for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    found = sorted((path.name, node.lineno)
+                   for path, tree in modules for node in ast.walk(tree)
+                   if _names(node) == ["_krawtchouk_row"]
+                   and isinstance(node, (ast.Name, ast.Attribute))
+                   and id(node) not in called)
+    assert not found, "_krawtchouk_row read other than by a call: " + \
+        ", ".join(f"{name}:{line}" for name, line in found)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unionstab import (circuits, classical, clique, gf2, pauli, stab,
+from unionstab import (circuits, classical, cli, clique, gf2, pauli, stab,
                        symmetry, unioncode)
 from unionstab.errors import (
     BadParams,
@@ -374,13 +376,18 @@ def _oracle_max_clique(dense):
     return len(best)
 
 
-def _graph_state(n, seed):
-    """Random graph state, edges with probability 1/2."""
-    a = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
-    a = a | a.T
-    return stab.stabilizer_from_generators([pauli.pauli_parse(
-        "".join("X" if u == v else ("Z" if a[v, u] else "I")
-                for u in range(n))) for v in range(n)])
+def _graph_state(n, seed, d=0):
+    """Random graph state, edges with probability 1/2: the first of seed's
+    draws pure to distance d, as the search benchmark draws its bases."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.triu(rng.random((n, n)) < 0.5, 1)
+        a = a | a.T
+        code = stab.stabilizer_from_generators([pauli.pauli_parse(
+            "".join("X" if u == v else ("Z" if a[v, u] else "I")
+                    for u in range(n))) for v in range(n)])
+        if stab.purity_and_distance(code).purity >= d:
+            return code
 
 
 def _ring(n):
@@ -468,14 +475,14 @@ def test_enumerators_match_oracles_on_seeded_unions():
     """On 1,000 seeded unions, k = 0..2 and K = 1 .. 2^r: the distance,
     bound and purity read off the weight enumerators equal the dense
     oracles'; A_0 = B_0 = 1 and B_w >= A_w at every w, that is
-    h(0) = K^2, pairs[0] = K and K pairs[w] >= h(w)."""
+    h(0) = K^2, B[0] = K and K B[w] >= h(w)."""
     seen = set()
     for code in _seeded_unions(1000, 33):
         K, r = len(code.translations), code.n - code.base.k
         seen.add((code.base.k, K == 1, K == 1 << r))
-        K_, h, pairs = unioncode._enumerators(code, gf2.DEFAULT_CAP)
-        assert K_ == K and h[0] == K * K and pairs[0] == K
-        assert all(K * p >= a for p, a in zip(pairs, h))
+        e = unioncode.weight_enumerators(code, gf2.DEFAULT_CAP)
+        assert e.K == K and e.h[0] == K * K and e.B[0] == K
+        assert all(K * p >= a for p, a in zip(e.B, e.h))
         bound = unioncode.union_distance_bound(code)
         assert (bound.d, bound.purity) == _oracle_distance_bound(code)
         d = _true_distance_or_error(_oracle_true_distance, code)
@@ -486,6 +493,81 @@ def test_enumerators_match_oracles_on_seeded_unions():
                 (d if code.base.k else bound.purity, bound.purity)
     assert {(k, one, full) for k in range(3) for one, full in
             ((True, False), (False, True))} <= seen
+
+
+# the search benchmark's six bases and target distances, unsigned and
+# unpermuted: graph<n>-<seed> is the first of seed's draws pure to d
+SEARCH_BASES = [("ring5", 2), ("ring5", 3), ("graph7-0", 2), ("graph8-0", 3),
+                ("graph8-1", 3), ("graph8-2", 3)]
+
+
+def _search_unions():
+    """The union the exact search finds on each of SEARCH_BASES."""
+    for name, d in SEARCH_BASES:
+        base = _ring(5) if name == "ring5" else \
+            _graph_state(*(int(x) for x in name[5:].split("-")), d)
+        g = unioncode.build_search_graph(base, d)
+        yield unioncode.union_from_clique(g, unioncode.max_clique(g))
+
+
+def test_verify_weighs_the_stabilizer_once(tmp_path, monkeypatch, capsys):
+    """verify --level full reads the bound, the purity and the exact
+    distance off one weighing of the base's stabilizer elements."""
+    code = list(_search_unions())[2]
+    path = tmp_path / "graph7.union"
+    path.write_text(unioncode.format_union_code(code))
+    calls = []
+    weigh = stab._span_pauli_weights
+
+    def counted(m, cap):
+        calls.append(len(m))
+        return weigh(m, cap)
+
+    monkeypatch.setattr(stab, "_span_pauli_weights", counted)
+    monkeypatch.setattr(unioncode, "_span_pauli_weights", counted)
+    assert cli.main(["verify", str(path), "--level", "full"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "distance.bound: 2\npurity: 2\ndistance.exact: 2\n")
+    assert calls == [7]
+
+
+def test_purity_from_the_record_matches_its_own_weighing():
+    """purity_and_distance gives the same parameters off a union's record
+    as off its own weighing, on the six search unions (k = 0) and on
+    seeded unions over bases with k = 1 and 2."""
+    codes = list(_search_unions())
+    codes += [c for c in _seeded_unions(40, 38) if c.base.k]
+    assert {c.base.k for c in codes} == {0, 1, 2}
+    for code in codes:
+        record = unioncode.weight_enumerators(code)
+        assert stab.purity_and_distance(code.base, record=record) == \
+            stab.purity_and_distance(code.base)
+
+
+def test_shadow_is_nonnegative():
+    """Rains' shadow (IEEE Trans. IT 45, 1999) has S_w >= 0 on 312
+    unions: the search's on ring-5 to ring-10 at d = 2 and 3 (budget
+    3,000) and 25 seeded sub-unions of each.  S and B both sum to
+    K^2 2^(n+k), the pairs of cosets of the normalizer, and A to 2^r."""
+    rng = np.random.default_rng(37)
+    count = 0
+    for n in range(5, 11):
+        for d in (2, 3):
+            g = unioncode.build_search_graph(_ring(n), d)
+            code = unioncode.union_from_clique(
+                g, unioncode.max_clique(g, budget=3000))
+            ts = code.translations
+            codes = [code] + [unioncode.union_code(code.base, [
+                ts[i] for i in sorted(rng.choice(
+                    len(ts), int(rng.integers(1, len(ts) + 1)), False))])
+                for _ in range(25)]
+            for c in codes:
+                e = unioncode.weight_enumerators(c)
+                assert min(e.S) >= 0
+                assert sum(e.S) == sum(e.B) == e.K ** 2 << n + c.base.k
+                assert sum(e.A) == 1 << e.r
+                count += 1
+    assert count == 312
 
 
 # (n, d, seed) of random graph states pure to distance d; the 7-qubit d = 2
@@ -561,37 +643,46 @@ def test_ring14_search_graph_at_the_default_cap(traced_peak):
 
 
 def _random_bitset_graph(rng, nv):
+    """Adjacency sets of a random graph on nv vertices, and its complement
+    rows keyed as max_clique keys them: vertex v at key top - v, the bit
+    bits[top - v] = 2^(top - v - 1), top = 8 ceil(nv / 8)."""
     a = np.triu(rng.random((nv, nv)) < rng.uniform(0.2, 0.9), 1)
     a = a | a.T
     adj_sets = [set(np.flatnonzero(row).tolist()) for row in a]
-    return a, adj_sets, [sum(1 << u for u in s) for s in adj_sets]
+    top = -nv // 8 * -8
+    bits = [0] + [1 << k for k in range(top)]
+    nonadj = [0] * (top + 1)
+    for v, adj in enumerate(adj_sets):
+        nonadj[top - v] = sum(bits[top - u] for u in range(nv)
+                              if u != v and u not in adj)
+    return adj_sets, top, bits, nonadj
 
 
 def test_coloring_matches_set_oracle():
     """Class-by-class colouring of a bitset on complement rows equals
-    sequential greedy colouring in ascending vertex order; k_min keeps
-    the top colours, and an empty cand or a k_min above every colour
-    keeps none."""
+    sequential greedy colouring in ascending vertex order, vertex v at
+    key top - v; k_min keeps the top colours, and an empty cand or a
+    k_min above every colour keeps none."""
     rng = np.random.default_rng(6)
     for _ in range(50):
         nv = int(rng.integers(1, 40))
-        _, adj_sets, adjbits = _random_bitset_graph(rng, nv)
-        full = (1 << nv) - 1
-        nonadj = [full ^ row ^ 1 << v for v, row in enumerate(adjbits)]
+        adj_sets, top, bits, nonadj = _random_bitset_graph(rng, nv)
         verts = sorted(rng.permutation(nv)[:int(rng.integers(0, nv + 1))]
                        .tolist())
-        cand = sum(1 << v for v in verts)
+        cand = sum(bits[top - v] for v in verts)
         want = dict(zip(verts, _oracle_coloring(adj_sets, verts)))
-        got, colors = clique._color_classes(nonadj, cand, 1)
+        keys, colors = clique._color_classes(nonadj, bits, cand, 1)
+        got = [top - k for k in keys]
         assert dict(zip(got, colors)) == want and len(got) == len(verts)
         kmin = int(rng.integers(1, 6))
-        got, colors = clique._color_classes(nonadj, cand, kmin)
+        keys, colors = clique._color_classes(nonadj, bits, cand, kmin)
+        got = [top - k for k in keys]
         assert colors == sorted(colors)
         assert [want[v] for v in got] == colors
         assert set(got) == {v for v, c in want.items() if c >= kmin}
         above = max(want.values(), default=0) + 1
-        assert clique._color_classes(nonadj, cand, above) == ([], [])
-        assert clique._color_classes(nonadj, 0, kmin) == ([], [])
+        assert clique._color_classes(nonadj, bits, cand, above) == ([], [])
+        assert clique._color_classes(nonadj, bits, 0, kmin) == ([], [])
 
 
 def _brute_max_clique_through_0(adj_sets):
@@ -786,8 +877,9 @@ def test_orbit_reduction_never_adds_nodes(monkeypatch):
 
 # (base, d, nodes, vertices) of the exact search on the graphs of
 # test_orbit_reduction_never_adds_nodes before the search pruned v ^ u in
-# the branch of u: the pruned search finds the same optimal cliques in no
-# more nodes
+# the branch of u, then on the search benchmark's graph7-0 and graph8-1
+# (the fifth draw of seed 1 pure to 3) with that pruning: the search finds
+# the same optimal cliques in no more nodes
 PARENT_SEARCHES = [
     ("ring5", 0, 32, list(range(32))),
     ("ring5", 2, 7, [0, 3, 12, 22, 27, 29]),
@@ -819,6 +911,9 @@ PARENT_SEARCHES = [
     ("ring8", 3, 16, [0, 53, 83, 102, 153, 172, 202, 255]),
     ("ring9", 3, 264, [0, 49, 86, 146, 163, 196, 297, 332, 367, 443, 478,
                        509]),
+    ("graph7-0", 2, 738, [0, 3, 10, 20, 24, 31, 34, 37, 41, 55, 61, 62, 65,
+                          66, 75, 85, 89, 94, 99, 100, 104, 118, 124, 127]),
+    ("graph8-1", 3, 8, [0, 26, 38, 60, 141, 151, 171, 177]),
 ]
 
 
@@ -831,13 +926,67 @@ def test_depth_one_translation_pruning_keeps_cliques():
         if name.startswith("ring"):
             base = _ring(int(name[4:]))
         else:
-            base = _graph_state(*(int(x) for x in name[5:].split("-")))
+            base = _graph_state(*(int(x) for x in name[5:].split("-")), d)
         r = unioncode.max_clique(unioncode.build_search_graph(base, d))
         assert ([int(v, 2) for v in r.vertices], r.size, r.optimal) == \
             (vertices, len(vertices), True), name
         assert r.stats["nodes"] <= nodes, name
         fewer += r.stats["nodes"] < nodes
     assert fewer >= 5
+
+
+def _pinned_clique_cases():
+    """(name, base, d, budget) of the pinned searches: ring-5 to ring-11 at
+    d = 2 and 3, budget 3,000 from ring-9 up, then the first 40 random
+    graph states of seeds 100 up pure to 2, on 4 + seed % 5 qubits, at
+    each of d = 2 and 3 they are pure to, budget 5,000."""
+    for n in range(5, 12):
+        for d in (2, 3):
+            yield f"ring{n}", _ring(n), d, 3000 if n >= 9 else 10**7
+    seed, states = 100, 0
+    while states < 40:
+        n = 4 + seed % 5
+        base = _graph_state(n, seed)
+        purity = stab.purity_and_distance(base).purity
+        states += purity >= 2
+        for d in range(2, min(purity, 3) + 1):
+            yield f"graph{n}-{seed}", base, d, 5000
+        seed += 1
+
+
+def _pinned_clique_results():
+    """[name, d, mode, vertices, size, optimal, nodes, symmetry] of the
+    exact search and of greedy extension at seed 3 on each pinned case."""
+    out = []
+    for name, base, d, budget in _pinned_clique_cases():
+        g = unioncode.build_search_graph(base, d)
+        for mode in ("exact", "greedy"):
+            r = unioncode.max_clique(g, mode=mode, seed=3, budget=budget)
+            out.append([name, d, mode, [int(v, 2) for v in r.vertices],
+                        r.size, r.optimal, r.stats["nodes"],
+                        r.stats["symmetry"]])
+    return out
+
+
+# the results of _pinned_clique_results as the search computed them
+# before its bitsets were keyed by bit_length, one case a line
+CLIQUE_PINS = Path(__file__).with_name("clique_pins.json")
+
+
+def test_max_clique_matches_pinned_results():
+    """On 14 ring and 40 random graph states, exact mode, run to its
+    optimum or cut by its budget, and greedy mode at seed 3 return the
+    pinned vertices, size, optimality, node count and symmetry."""
+    want = json.loads(CLIQUE_PINS.read_text())
+    got = _pinned_clique_results()
+    assert len(got) == len(want)
+    for case, pin in zip(got, want):
+        assert case == pin, pin[:3]
+    exact = [case for case in got if case[2] == "exact"]
+    assert sum(not case[5] for case in exact) >= 10
+    assert sum(case[5] for case in exact) >= 10
+    assert len({case[0] for case in got if case[0].startswith("graph")}) \
+        == 40
 
 
 def test_automorphism_step_cap_falls_back_to_translations(monkeypatch):

@@ -302,17 +302,18 @@ def test_teichmuller_matches_stepwise_oracle():
 def test_krawtchouk_row_matches_binomial_sum():
     """The three-term recurrence equals sum_j (-1)^j (q-1)^(k-j) C(x, j)
     C(N - x, k - j) for every 0 <= x <= N, N <= 64 for q = 2 (the
-    default) and N <= 16 for q = 2 and q = 4."""
+    default) and N <= 16 for q = 2 and q = 4; the cached rows are
+    tuples, which no reader can change."""
     for q, top in ((None, 64), (2, 16), (4, 16)):
         for n in range(top + 1):
             for x in range(n + 1):
                 row = z4._krawtchouk_row(x, n) if q is None else \
                     z4._krawtchouk_row(x, n, q)
-                assert row == [
+                assert row == tuple(
                     sum((-1) ** j * ((q or 2) - 1) ** (k - j)
                         * math.comb(x, j) * math.comb(n - x, k - j)
                         for j in range(min(x, k) + 1))
-                    for k in range(n + 1)]
+                    for k in range(n + 1))
 
 
 def _oracle_message_words(c, start, stop):
