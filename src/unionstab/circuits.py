@@ -272,12 +272,9 @@ def align_labels(code: UnionStabilizerCode, q1: Circuit,
     P = np.array([[int(c) for c in t] for _, t in pairs], np.uint8)
     if gf2.rank(L) != r:
         raise BadParams("raw labels do not span the label space")
-    m = np.zeros((r, r), np.uint8)
-    for j in range(r):
-        sol = gf2.solve(L, P[:, j])
-        if sol is None:
-            raise BadParams("target labels are not a linear image of raw ones")
-        m[:, j] = sol
+    m = gf2.solve(L, P)
+    if m is None:
+        raise BadParams("target labels are not a linear image of raw ones")
     if gf2.rank(m) != r:
         raise BadParams("label map is singular")
     # decompose m into elementary row additions = CNOT gates

@@ -94,19 +94,18 @@ def linear_code(generator: np.ndarray, **kw) -> LinearCode:
     return LinearCode(n=g.shape[1], generator=gf2._independent_rows(g), **kw)
 
 
-def _rm_points(m: int) -> np.ndarray:
-    """Evaluation points in binary counting order; x_1 is the MSB."""
-    p = np.arange(1 << m)[:, None]
-    return (p >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
-
-
 def _monomials(m: int, deg: int) -> np.ndarray:
     """Evaluation vectors of the degree-deg monomials in x_1 .. x_m, one
-    uint8 row each, in the lexicographic order of their variables."""
-    pts = _rm_points(m)
-    return np.array([pts[:, list(comb)].all(axis=1)
-                     for comb in itertools.combinations(range(m), deg)],
-                    dtype=np.uint8)
+    uint8 row each, in the lexicographic order of their variables.
+
+    Points run in binary counting order, x_1 the most significant bit, so
+    point p lies on the monomial whose variables set mask exactly when
+    p & mask == mask: one comparison for all C(m, deg) rows.
+    """
+    masks = np.array([sum(1 << (m - 1 - i) for i in comb) for comb in
+                      itertools.combinations(range(m), deg)], dtype=np.uint16)
+    pts = np.arange(1 << m, dtype=np.uint16)
+    return ((pts & masks[:, None]) == masks[:, None]).view(np.uint8)
 
 
 def reed_muller(r: int, m: int) -> LinearCode:

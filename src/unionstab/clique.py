@@ -90,8 +90,9 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
     known, g.cap is charged both tables (4 bytes a 30-bit digit, 140 a
     vertex for nonadj and the label maps), the 2^r degrees with their
     fwht temporaries and an adjacency chunk; each search node, the stack
-    of its live levels: SLOT_BYTES a branch vertex, two ints more past
-    key 256, and LEVEL_BYTES and two bitsets a level.
+    of its live levels: SLOT_BYTES a branch vertex, and past key 256 an
+    int more for its key and one for each colour class, whose vertices
+    share their colour's int; LEVEL_BYTES and two bitsets a level.
     """
     if budget < 1:
         raise BadParams(f"clique budget must be at least 1, got {budget}")
@@ -136,7 +137,7 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 best = clique
     elif mode == "exact":
         _, maps, group_order = symmetry.qubit_automorphisms(g)
-        vertex = SLOT_BYTES + 2 * INT_BYTES * (top > 256)
+        big = INT_BYTES * (top > 256)  # an int object past the small ints
         level = LEVEL_BYTES + 2 * (digits + INT_BYTES)
 
         # the identity is left out of clique and best: both sides of
@@ -151,7 +152,8 @@ def max_clique(g: SearchGraph, mode: str = "exact", seed: int = 0,
                 best = list(clique)
             branch, colors = _color_classes(
                 nonadj, bits, cand, len(best) - len(clique) + 1)
-            stack += level + vertex * len(branch)
+            stack += level + (SLOT_BYTES + big) * len(branch)
+            stack += big * (colors[-1] - colors[0] + 1 if colors else 0)
             gf2.charge(stack, "the clique search stack", g.cap)
             while branch:
                 v = branch.pop()

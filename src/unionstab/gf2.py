@@ -143,22 +143,24 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
 
 def solve(m: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
-    """Solve m @ x = y over GF(2); None when inconsistent.
+    """Solve m @ x = y over GF(2); None when any column is inconsistent.
 
-    Free variables are set to 0, so the solution is deterministic.
+    y is one right-hand side, a vector, or a matrix whose columns are
+    right-hand sides, all solved by one rref of m beside them; x has y's
+    shape past its first axis.  Free variables are set to 0, so the
+    solution is deterministic.
     """
     m = np.asarray(m, dtype=np.uint8) % 2
     y = as_bits(y)
     if y.shape[0] != m.shape[0]:
         raise ValueError("dimension mismatch in solve")
-    aug = np.hstack([m, y.reshape(-1, 1)])
-    red, pivots, _ = rref(aug)
     ncols = m.shape[1]
-    if ncols in pivots:
+    red, pivots, rk = rref(np.hstack(
+        [m, y.reshape(len(y), math.prod(y.shape[1:]))]))
+    if rk and pivots[-1] >= ncols:
         return None
-    x = np.zeros(ncols, dtype=np.uint8)
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = red[prow, ncols]
+    x = np.zeros((ncols,) + y.shape[1:], dtype=np.uint8)
+    x[pivots] = red[:rk, ncols:].reshape((rk,) + y.shape[1:])
     return x
 
 

@@ -180,15 +180,6 @@ def stabilizer_from_generators(gens: list[PauliVector]) -> StabilizerCode:
     )
 
 
-def _gf2_inverse(m: np.ndarray) -> np.ndarray:
-    k = m.shape[0]
-    aug = np.concatenate([m, np.eye(k, dtype=np.uint8)], axis=1)
-    red, pivots, rank = gf2.rref(aug)
-    if rank < k or any(p >= k for p in pivots[:k]):
-        raise BadMap("matrix is singular over GF(2)")
-    return red[:k, k:]
-
-
 def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
     """CSS code [[n, k1 + k2 - n]] from classical codes with dual(c2) in c1.
 
@@ -218,8 +209,10 @@ def css(c1: LinearCode, c2: LinearCode) -> StabilizerCode:
         raise ConstructionMismatch(
             f"{len(g12)} and {len(g21)} logical pairs, expected {k}")
     if k:
-        m = (g12 @ g21.T) % 2
-        g21 = (_gf2_inverse(m).T @ g21) % 2
+        inverse = gf2.solve(g12 @ g21.T % 2, np.eye(k, dtype=np.uint8))
+        if inverse is None:
+            raise ConstructionMismatch("the logical pairing is singular")
+        g21 = inverse.T @ g21 % 2
     code = StabilizerCode(
         n=n, k=k, stab=tuple(gens),
         logical_x=tuple(PauliVector(x=row, z=zeros) for row in g12),
@@ -323,8 +316,8 @@ def _fixed_point_free(a: np.ndarray | None, kk: int) -> np.ndarray:
         np.asarray(a, dtype=np.uint8) % 2
     if a.shape != (kk, kk):
         raise BadMap(f"map must be {kk} x {kk}")
-    _gf2_inverse(a)                      # singular -> BadMap
-    _gf2_inverse((a ^ np.eye(kk, dtype=np.uint8)))  # eigenvalue-1 check
+    if gf2.rank(a) < kk or gf2.rank(a ^ np.eye(kk, dtype=np.uint8)) < kk:
+        raise BadMap("matrix is singular over GF(2)")
     return a
 
 

@@ -54,9 +54,11 @@ def qubit_automorphisms(
     is searched for.  The generators found generate the group, whose
     order is the product of the level orbit sizes.  Each generator's map
     on labels is given as the images of the unit labels 1 << b: the
-    labels of the permuted least representatives of 1 << b (see
-    map_label).  Returns ([], [], 1) when g has no base or the
-    backtracking takes more than AUT_STEP_CAP steps.
+    labels of the permuted pure errors g.pure_errors[b] (see map_label).
+    An automorphism maps the normalizer onto itself, so the image of a
+    coset's label is the same whichever of its Paulis is permuted.
+    Returns ([], [], 1) when g has no base or the backtracking takes more
+    than AUT_STEP_CAP steps.
     """
     if g.base is None:
         return [], [], 1
@@ -104,13 +106,11 @@ def qubit_automorphisms(
     del extend
     if steps > AUT_STEP_CAP:
         return [], [], 1
-    r = len(g.leaders).bit_length() - 1
-    units = g.reps([1 << b for b in range(r)]).tolist()
     maps = []
     for s in gens:
         both = s + [n + q for q in s]
-        maps.append([_xor(lab[both[j]] for j, b in enumerate(row) if b)
-                     for row in units])
+        maps.append([_xor(lab[both[j]] for j in range(2 * n) if e >> j & 1)
+                     for e in g.pure_errors])
     return gens, maps, order
 
 

@@ -13,6 +13,7 @@ elements, one character sum over them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -272,6 +273,16 @@ class SearchGraph:
         degree = int(np.count_nonzero(self.leaders[1:] >= self.target_d))
         return len(self.leaders) * degree // 2
 
+    @functools.cached_property
+    def pure_errors(self) -> list[int]:
+        """A Pauli, as its pack_rows word, at each unit label 1 << b: the
+        solutions, one gf2.solve for all r, of the one-bit Paulis' label
+        bits against the unit labels, stabilizer row 0 the highest bit."""
+        r = self.base.n - self.base.k
+        units = np.eye(r, dtype=np.uint8)[:, ::-1]
+        errors = gf2.solve(_swap(self.base.stab_binary(), self.base.n), units)
+        return gf2.pack_rows(errors.T).tolist()
+
     def reps(self, labels) -> np.ndarray:
         """The least-weight (x|z) representative of each coset in labels,
         one 0/1 row of 2n columns per label.
@@ -279,25 +290,19 @@ class SearchGraph:
         The Paulis at syndrome u are any one of them XOR the normalizer
         span, so a coset's leader is the least key weight << 2n | word
         over one shifted span: the least (weight, packed word).  The one
-        Pauli at u is the XOR of the pure errors of u's bits, solved once
-        by one rref of the one-bit Paulis' labels beside the identity; the
-        span is shifted in blocks of 2^LEADER_CHUNK_BITS words, which the
-        cap counts with the span.
+        Pauli at u is the XOR of the pure errors of u's bits; the span is
+        shifted in blocks of 2^LEADER_CHUNK_BITS words, which the cap
+        counts with the span.
         """
-        n, r = self.base.n, self.base.n - self.base.k
+        n = self.base.n
         size = 1 << (n + self.base.k)
         chunk = min(size, 1 << LEADER_CHUNK_BITS)
         step = (1 << LEADER_CHUNK_BITS) // chunk
         gf2.charge(8 * size + 16 * chunk * min(len(labels), step),
                    f"the 2^{n + self.base.k} normalizer span of the coset "
                    f"representatives", self.cap)
-        # row j < r of the rref of (one-bit Paulis' label bits | I): the
-        # unit label 1 << (r - 1 - j), then a Pauli that has it
-        rows = np.concatenate([_swap(self.base.stab_binary(), n).T,
-                               np.eye(2 * n, dtype=np.uint8)], axis=1)
-        errors = gf2.pack_rows(gf2.rref(rows)[0][r - 1::-1, r:]).tolist()
-        shifts = np.array([symmetry.map_label(errors, u) for u in labels],
-                          dtype=np.uint64)
+        shifts = np.array([symmetry.map_label(self.pure_errors, u)
+                           for u in labels], dtype=np.uint64)
         words = gf2.span_words(self.base.normalizer_binary(), self.cap)
         best = np.empty_like(shifts)
         for i in range(0, len(shifts), step):

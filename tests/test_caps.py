@@ -136,3 +136,15 @@ def test_clique_search_stack_keeps_to_the_cap(traced_peak):
     assert peak <= 8 * (1 << 18) + SLACK, peak
     assert isinstance(out, StrategyInfeasible), out
     assert str(out) == f"the clique search stack exceeds cap {1 << 18}"
+
+
+def test_clique_stack_charges_one_colour_int_a_class(traced_peak):
+    """The vertices of a colour class share their colour's int, so past
+    key 256 the stack is charged one int a class, not one a vertex.  On
+    ring-12 at d = 2, budget 100, the search charges 27.7 MiB and traces
+    19.8 MiB, where an int a vertex charged 33.6 MiB: at a cap of 30 MiB
+    it runs."""
+    cap = 30 << 17
+    out, peak = traced_peak(_search, _ring(12), 2, cap, 100)
+    assert not isinstance(out, Exception), out
+    assert peak <= 8 * cap + SLACK, peak

@@ -175,7 +175,7 @@ def _oracle_class_scan(m: int, kind: str) -> np.ndarray:
     t = math.comb(m, 2)
     res = classical._residues(z4.gr4_build(m - 1))
     q, b = res.size, m - 1
-    pts = classical._rm_points(m)
+    pts = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     top = np.array([pts[:, list(comb)].all(axis=1)
                     for comb in itertools.combinations(range(m), m - 2)],
                    dtype=np.uint8)

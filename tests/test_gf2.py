@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,48 @@ def test_solve_consistent_and_inconsistent():
     # a right-hand side outside the column space yields None
     m2 = gf2.as_matrix(["10", "10"])
     assert gf2.solve(m2, np.array([1, 0], np.uint8)) is None
+
+
+def test_solve_matrix_matches_column_solves():
+    """600 seeded systems, tall, wide, rank-deficient, with all-zero
+    right-hand sides or with one outside the column space: solving every
+    column in one call gives the per-column solutions side by side, or
+    None exactly when some column raises the rank of m beside it."""
+    rng = np.random.default_rng(38)
+    kinds = collections.Counter()
+    for i in range(600):
+        kind = ("full", "deficient", "zeros", "inconsistent")[i % 4]
+        rows, cols = (int(v) for v in rng.integers(1, 12, 2))
+        if kind == "inconsistent":
+            rows = cols + int(rng.integers(1, 4))  # tall: rank < rows
+        m = rng.integers(0, 2, (rows, cols), np.uint8)
+        if kind == "deficient":
+            inner = int(rng.integers(0, min(rows, cols)))
+            m = rng.integers(0, 2, (rows, inner)) @ \
+                rng.integers(0, 2, (inner, cols)) % 2
+        y = m @ rng.integers(0, 2, (cols, int(rng.integers(1, 6)))) % 2
+        if kind == "zeros":
+            y[:, ::2] = 0
+        if kind == "inconsistent":
+            j = int(rng.integers(y.shape[1]))
+            while gf2.rank(np.column_stack([m, y[:, j]])) == gf2.rank(m):
+                y[:, j] = rng.integers(0, 2, rows)
+        got = gf2.solve(m, y)
+        each = [gf2.solve(m, col) for col in y.T]
+        bad = [gf2.rank(np.column_stack([m, col])) > gf2.rank(m)
+               for col in y.T]
+        assert [x is None for x in each] == bad
+        if any(bad):
+            assert got is None
+        else:
+            assert np.array_equal(got, np.column_stack(each))
+            assert np.array_equal(m.astype(np.int64) @ got % 2, y)
+        kinds[kind, any(bad)] += 1
+    assert kinds == {("full", False): 150, ("deficient", False): 150,
+                     ("zeros", False): 150, ("inconsistent", True): 150}
+    m = gf2.as_matrix(["110", "011"])
+    assert gf2.solve(m, np.zeros((2, 0), np.uint8)).shape == (3, 0)
+    assert gf2.solve(m, "11").shape == (3,)
 
 
 def test_word_matrix_matches_enumeration():

@@ -136,6 +136,30 @@ def test_fwht_only_in_the_shared_character_step():
         ", ".join(f"{name}:{line} ({fn})" for name, line, fn in found)
 
 
+# the functions outside gf2.py that may call gf2.rref: each reads the
+# pivots themselves, which right-hand sides are consistent or which
+# syndrome columns lead
+RREF_CALLERS = {("classical.py", "_power_sum_translations"),
+                ("classical.py", "_pair_weights")}
+
+
+def test_rref_only_where_pivots_are_read():
+    """Outside gf2.py, rref( is called only by
+    classical._power_sum_translations and classical._pair_weights: every
+    other GF(2) system, an inverse or the pure errors included, goes
+    through gf2.solve, gf2.rank or gf2.kernel_basis."""
+    found = sorted((path.name, node.lineno, fn.name)
+                   for path, tree in _modules() if path.name != "gf2.py"
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and _names(node.func)[-1:] == ["rref"]
+                   and (path.name, fn.name) not in RREF_CALLERS)
+    assert not found, "rref called outside gf2.py: " + \
+        ", ".join(f"{name}:{line} ({fn})" for name, line, fn in found)
+
+
 def test_rank_not_read_off_rref():
     """No package code subscripts an rref(...) result for its rank, as
     rref(m)[2]: gf2.rank reads it off the XOR basis alone, with no

@@ -123,12 +123,25 @@ def test_css_names_the_first_parity_check_row_outside_c1():
 
 
 def test_fixed_point_free_map():
+    """The default map A and A + I are invertible, A of full rank with no
+    eigenvalue 1; enlarge_css refuses a singular A, and an A + I that is
+    singular, with BadMap."""
     for dim in (2, 3, 4, 5, 7):
         a = stab.default_fixed_point_free(dim)
-        stab._gf2_inverse(a)
-        stab._gf2_inverse(a ^ np.eye(dim, dtype=np.uint8))
+        assert gf2.rank(a) == dim
+        assert gf2.rank(a ^ np.eye(dim, dtype=np.uint8)) == dim
     with pytest.raises(BadMap):
         stab.default_fixed_point_free(1)
+    rm24, rm34 = classical.reed_muller(2, 4), classical.reed_muller(3, 4)
+    singular = stab.default_fixed_point_free(4)
+    singular[:, 0] = 0
+    eigen_one = stab.default_fixed_point_free(4)
+    eigen_one[:2, :2] = [[1, 0], [1, 1]]  # invertible, with eigenvalue 1
+    assert gf2.rank(singular) < 4 and gf2.rank(eigen_one) == 4
+    assert gf2.rank(eigen_one ^ np.eye(4, dtype=np.uint8)) < 4
+    for a in (singular, eigen_one):
+        with pytest.raises(BadMap, match="^matrix is singular over GF"):
+            stab.enlarge_css(rm24, rm34, a)
 
 
 def test_enlarge_css_small():

@@ -839,20 +839,59 @@ def test_automorphisms_match_brute_force():
         assert group == _brute_automorphisms(base)
         assert order == len(group)
         orders.append(order)
-        sb = base.stab_binary()
-        swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
-        assert len(maps) == len(perms)
-        reps = g.reps(range(1 << r))
-        for s, images in zip(perms, maps):
-            moved = np.zeros_like(reps)
-            moved[:, s + [n + q for q in s]] = reps
-            want = (moved @ swapped.T % 2) @ (1 << np.arange(r)[::-1])
-            got = [symmetry.map_label(images, u) for u in range(1 << r)]
-            assert got == want.tolist()
-            assert np.array_equal(g.leaders[got], g.leaders)
+        _assert_maps_follow_reps(g, perms, maps)
     # the rings' dihedral groups, and some nontrivial random ones
     assert orders[-13:-10] == [10, 12, 14]
     assert sum(o > 1 for o in orders[-10:]) >= 3
+
+
+def _assert_maps_follow_reps(g, perms, maps):
+    """Each label map sends every label u to the label of u's least
+    representative permuted, and keeps the leader table."""
+    n, r = g.base.n, g.base.n - g.base.k
+    sb = g.base.stab_binary()
+    swapped = np.concatenate([sb[:, n:], sb[:, :n]], axis=1)
+    assert len(maps) == len(perms)
+    reps = g.reps(range(1 << r))
+    for s, images in zip(perms, maps):
+        moved = np.zeros_like(reps)
+        moved[:, s + [n + q for q in s]] = reps
+        want = (moved @ swapped.T % 2) @ (1 << np.arange(r)[::-1])
+        got = [symmetry.map_label(images, u) for u in range(1 << r)]
+        assert got == want.tolist()
+        assert np.array_equal(g.leaders[got], g.leaders)
+
+
+def test_automorphism_maps_follow_reps_past_the_brute_force():
+    """On ring-8 to ring-10, and on ring-9 and ring-10 with a generator
+    dropped (k = 1), where the n! brute force is out of reach, each
+    label map read off the pure errors is the map of the least
+    representatives."""
+    bases = [_ring(n) for n in (8, 9, 10)]
+    bases += [stab.stabilizer_from_generators(list(_ring(n).stab[1:]))
+              for n in (9, 10)]
+    for base in bases:
+        g = unioncode.build_search_graph(base, 1)
+        perms, maps, order = symmetry.qubit_automorphisms(g)
+        assert order > 1
+        _assert_maps_follow_reps(g, perms, maps)
+
+
+def test_automorphisms_never_shift_the_normalizer(monkeypatch):
+    """qubit_automorphisms reads its label maps off the search graph's
+    pure errors: it never calls SearchGraph.reps, which shifts the whole
+    2^(n+k) normalizer span."""
+    graphs = [unioncode.build_search_graph(_ring(n), 2) for n in (5, 8, 10)]
+    want = [symmetry.qubit_automorphisms(g) for g in graphs]
+
+    def refuse(self, labels):
+        raise AssertionError("qubit_automorphisms called SearchGraph.reps")
+    monkeypatch.setattr(unioncode.SearchGraph, "reps", refuse)
+    for g, (perms, maps, order) in zip(graphs, want):
+        fresh = unioncode.SearchGraph(leaders=g.leaders, target_d=g.target_d,
+                                      base=g.base)
+        assert symmetry.qubit_automorphisms(fresh) == (perms, maps, order)
+        assert order > 1
 
 
 def test_orbit_reduction_never_adds_nodes(monkeypatch):
